@@ -14,6 +14,7 @@ from .diagnostics import (
     best_l_search,
     det_objective,
     error_covariance,
+    filter_power_loss,
     scaling_study,
     truncation_power_loss,
     weighted_trace_objective,
@@ -23,7 +24,6 @@ from .dataio import (
     SeriesConfig,
     load_csv,
     normalized_rms,
-    split,
     window_samples,
 )
 from .errors import (
@@ -91,10 +91,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ScalingStudy", "analytic_mse", "best_l_search", "det_objective",
-    "error_covariance", "scaling_study", "truncation_power_loss",
+    "error_covariance", "filter_power_loss", "scaling_study", "truncation_power_loss",
     "weighted_trace_objective",
-    "RawSeries", "SeriesConfig", "load_csv", "normalized_rms", "split",
-    "window_samples",
+    "RawSeries", "SeriesConfig", "load_csv", "normalized_rms", "window_samples",
     "DegenerateDataError", "DimensionError", "InsufficientDataError",
     "InvalidSpectrumError", "InvalidWeightError", "ModelError",
     "NumericInputError", "RankError", "SingularMatrixError",

@@ -33,7 +33,6 @@ __all__ = [
     "RawSeries",
     "load_csv",
     "window_samples",
-    "split",
     "normalized_rms",
     "RESULT_FIELDS",
     "write_results_csv",
@@ -49,23 +48,19 @@ class SeriesConfig:
 
     m: input window length (days), n: prediction length (days),
     test_fraction: share of windows reserved for out-of-sample
-    evaluation, seed: partition seed. Only a single global scalar mean
-    is supported.
+    evaluation, seed: partition seed.
     """
 
     m: int
     n: int
     test_fraction: float = 0.2
     seed: int = 0
-    mean_mode: str = "scalar_global"
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise DimensionError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ModelError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.mean_mode != "scalar_global":
-            raise ModelError(f"unsupported mean mode: {self.mean_mode!r}")
 
 
 @dataclass
@@ -146,26 +141,14 @@ def load_csv(path, date_column: str = "date", value_column: str = "value") -> Ra
     )
 
 
-def _draw_partition(k: int, test_fraction: float, seed: int):
-    """Uniform without-replacement test draw; the one place it happens."""
-    if k < 5:
-        raise DegenerateDataError(f"need at least 5 windows to split, got {k}")
-    test_size = int(round(test_fraction * k))
-    rng = np.random.default_rng(seed)
-    test = np.sort(rng.choice(k, size=test_size, replace=False)).astype(np.intp)
-    mask = np.ones(k, dtype=bool)
-    mask[test] = False
-    train = np.flatnonzero(mask).astype(np.intp)
-    return train, test
-
 def window_samples(series: RawSeries, cfg: SeriesConfig) -> SampleSet:
     """Cut a series into K = len - (m+n) overlapping windows.
 
     Window i covers values[i : i+m+n]; its n later values go on top (X)
-    and its m earlier values below (Y). The scalar mean of the training
-    windows is subtracted from every entry and stored, so the returned
-    set already carries the train/test partition for the configured
-    seed (identical to what :func:`split` would draw).
+    and its m earlier values below (Y). A uniform without-replacement
+    draw, deterministic per ``cfg.seed``, reserves the test windows. The
+    scalar mean of the training windows is subtracted from every entry
+    and stored.
     """
     length = len(series)
     m, n = cfg.m, cfg.n
@@ -173,18 +156,18 @@ def window_samples(series: RawSeries, cfg: SeriesConfig) -> SampleSet:
         raise DegenerateDataError(
             f"series of length {length} too short for m+n = {m + n}")
     k = length - (m + n)
+    if k < 5:
+        raise DegenerateDataError(f"need at least 5 windows to split, got {k}")
     windows = np.lib.stride_tricks.sliding_window_view(series.values, m + n)[:k]
     samples = np.concatenate([windows[:, m:], windows[:, :m]], axis=1)
-    train, test = _draw_partition(k, cfg.test_fraction, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    test_size = int(round(cfg.test_fraction * k))
+    test = np.sort(rng.choice(k, size=test_size, replace=False)).astype(np.intp)
+    mask = np.ones(k, dtype=bool)
+    mask[test] = False
+    train = np.flatnonzero(mask).astype(np.intp)
     mean = float(samples[train].mean())
     return SampleSet(samples=samples - mean, mean=mean, train=train, test=test)
-
-
-def split(sample_set: SampleSet, cfg: SeriesConfig) -> SampleSet:
-    """Fill the train/test partition of a sample set (deterministic per seed)."""
-    train, test = _draw_partition(sample_set.k, cfg.test_fraction, cfg.seed)
-    return SampleSet(samples=sample_set.samples, mean=sample_set.mean,
-                     train=train, test=test)
 
 
 def normalized_rms(filt: LinearFilter, test_samples, mean: float) -> float:

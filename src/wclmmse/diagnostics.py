@@ -21,7 +21,7 @@ from .filters import (
     SpectralCache,
     wiener,
 )
-from .linalg import Svd, matrix_norm, sym_eig
+from .linalg import Svd, matrix_norm
 from .model import CovarianceModel
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "det_objective",
     "error_covariance",
     "truncation_power_loss",
+    "filter_power_loss",
     "scaling_study",
     "best_l_search",
 ]
@@ -108,6 +109,19 @@ def truncation_power_loss(source, l: int, flavor: str = "jpc") -> float:
         raise DimensionError(
             f"truncation level l={l} outside [1, {spectrum.shape[0]}]")
     return float(spectrum[l:].sum())
+
+
+def filter_power_loss(cache: SpectralCache, kind: FilterKind, l: int) -> float:
+    """Truncation-power loss of the spectrum a filter kind truncates at level l.
+
+    The rank-truncated family (``lrw``, ``csw``) discards whitened singular
+    values beyond the effective truncation min(l, n); every other kind
+    discards the joint-eigenvalue tail beyond l.
+    """
+    if kind in (FilterKind.LRW, FilterKind.CSW):
+        spectrum = cache.whitened_cross_svd.s
+        return truncation_power_loss(spectrum, min(l, cache.model.n, spectrum.shape[0]), "lrw")
+    return truncation_power_loss(cache, l, "jpc")
 
 
 def _spectrum_of(source, flavor: str) -> NDArray[np.float64]:
@@ -191,15 +205,9 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     dist = np.empty(grid.size)
     gap = np.empty(grid.size)
     gram = np.empty(grid.size)
-    lrw_family = filter_kind in (FilterKind.LRW, FilterKind.CSW)
     for i, l in enumerate(grid):
         filt = constructor(model, int(l), cache=cache)
-        if lrw_family:
-            spectrum = cache.whitened_cross_svd.s
-            effective = min(int(l), model.n, spectrum.shape[0])
-            rho[i] = truncation_power_loss(spectrum, effective, "lrw")
-        else:
-            rho[i] = truncation_power_loss(cache, int(l), "jpc")
+        rho[i] = filter_power_loss(cache, filter_kind, int(l))
         dist[i] = matrix_norm(filt.matrix - reference.matrix, norm)
         gap[i] = analytic_mse(model, filt) - ref_mse
         gram[i] = cache.gram_defect(int(l))
@@ -215,11 +223,13 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
 
 
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
-                  l_min: int, l_max: int, step: int = 1) -> tuple[int, float]:
+                  l_min: int, l_max: int, step: int = 1,
+                  cache: SpectralCache | None = None) -> tuple[int, float]:
     """Grid line search for the truncation level with smallest analytic MSE.
 
     Evaluates the closed-form MSE on the (training) covariances; ties go
-    to the smaller level, which is cheaper and better conditioned.
+    to the smaller level, which is cheaper and better conditioned. Every
+    level is built from ``cache``, the model's decompositions, when given.
     """
     filter_kind = FilterKind(filter_kind)
     if step < 1:
@@ -228,7 +238,7 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     if not grid:
         raise DimensionError(f"empty grid: l_min={l_min}, l_max={l_max}")
     constructor = FILTER_CONSTRUCTORS[filter_kind]
-    cache = SpectralCache(model)
+    cache = cache if cache is not None else SpectralCache(model)
     best_l, best_mse = grid[0], np.inf
     for l in grid:
         mse = analytic_mse(model, constructor(model, l, cache=cache))

@@ -131,26 +131,33 @@ def _has_full_column_rank(a: np.ndarray) -> bool:
 
 
 class SpectralCache:
-    """Shared decompositions for one model: joint eigenbasis and whitened SVD.
+    """The one owner of a model's decompositions, each made lazily and at most once:
+    the joint ``eig_z``, ``eig_y`` of c_y, and ``whitened_cross_svd``.
 
     The joint eigenvectors are row-partitioned into the X part (top n
     rows) and the Y part (bottom m rows); truncations are views of the
-    leading columns. The SVD of ``c_xy @ inv_sqrt(c_y)`` is computed
-    lazily, only when a rank-truncated filter asks for it.
+    leading columns. A c_y too singular to whiten re-raises from the
+    stored eigenvalues of ``eig_y`` on every access to ``y_root_inv``.
     """
 
     def __init__(self, model: CovarianceModel, eig_z: SymEig | None = None):
         self.model = model
-        self.eig_z = eig_z if eig_z is not None else sym_eig(model.joint)
-        if self.eig_z.dim != model.dim:
+        self._given_eig_z = eig_z
+
+    @cached_property
+    def eig_z(self) -> SymEig:
+        """Joint eigendecomposition (the given one, if any), checked to be a
+        full orthonormal basis."""
+        model = self.model
+        eig = self._given_eig_z if self._given_eig_z is not None else sym_eig(model.joint)
+        if eig.dim != model.dim:
             raise DimensionError("eigendecomposition dimension does not match model")
-        v = self.eig_z.eigenvectors
-        self.basis_x = v[: model.n, :]
-        self.basis_y = v[model.n :, :]
-        gram_sum = self.basis_x.T @ self.basis_x + self.basis_y.T @ self.basis_y
+        v_x, v_y = eig.eigenvectors[: model.n, :], eig.eigenvectors[model.n :, :]
+        gram_sum = v_x.T @ v_x + v_y.T @ v_y
         defect = np.linalg.norm(gram_sum - np.eye(model.dim))
         if defect > 1e-8:
             raise ModelError(f"joint eigenbasis is not orthonormal (defect {defect:.3e})")
+        return eig
 
     def _check_l(self, l: int) -> int:
         if not 1 <= l <= self.model.m:
@@ -159,11 +166,11 @@ class SpectralCache:
 
     def x_block(self, l: int) -> NDArray[np.float64]:
         """Top-n rows of the leading l joint eigenvectors."""
-        return self.basis_x[:, : self._check_l(l)]
+        return self.eig_z.eigenvectors[: self.model.n, : self._check_l(l)]
 
     def y_block(self, l: int) -> NDArray[np.float64]:
         """Bottom-m rows of the leading l joint eigenvectors."""
-        return self.basis_y[:, : self._check_l(l)]
+        return self.eig_z.eigenvectors[self.model.n :, : self._check_l(l)]
 
     def leading_eigenvalues(self, l: int) -> NDArray[np.float64]:
         return self.eig_z.eigenvalues[: self._check_l(l)]
@@ -174,18 +181,18 @@ class SpectralCache:
         return float(np.linalg.norm(y.T @ y - np.eye(l)))
 
     @cached_property
+    def eig_y(self) -> SymEig:
+        return sym_eig(self.model.c_y)
+
+    @cached_property
     def y_root_inv(self) -> NDArray[np.float64]:
         """Inverse square root of c_y; an M x M spectral inversion."""
-        return inv_sqrt_spd(self.model.c_y)
+        return self.eig_y.inv_sqrt()
 
     @cached_property
     def whitened_cross_svd(self) -> Svd:
         """SVD of c_xy @ inv_sqrt(c_y)."""
         return svd(self.model.c_xy @ self.y_root_inv)
-
-    @cached_property
-    def eig_y(self) -> SymEig:
-        return sym_eig(self.model.c_y)
 
 
 def _structured_matrix(c_xy, c_y, b, audit: InverseAudit) -> NDArray[np.float64]:
@@ -236,22 +243,17 @@ def lrw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> L
     Keeps the first min(l, n) singular triplets; the inverse square root
     of c_y makes this an M-dimensional inversion regardless of l.
     """
-    _check_truncation(model, l)
-    audit = InverseAudit()
-    if cache is not None:
-        root_inv = cache.y_root_inv
-        decomp = cache.whitened_cross_svd
-        audit.record(model.m)
-    else:
-        root_inv = inv_sqrt_spd(model.c_y, audit=audit)
-        decomp = svd(model.c_xy @ root_inv)
+    cache = cache if cache is not None else SpectralCache(model)
+    cache._check_l(l)
+    root_inv = cache.y_root_inv
+    decomp = cache.whitened_cross_svd
     keep = min(l, model.n, decomp.s.shape[0])
     u = decomp.u[:, :keep]
     s = decomp.s[:keep]
     v = decomp.v[:, :keep]
     matrix = (u * s) @ v.T @ root_inv
     return LinearFilter(matrix=matrix, kind=FilterKind.LRW, l=l,
-                        max_inverse_dim=audit.max_dim)
+                        max_inverse_dim=model.m)
 
 
 def csw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> LinearFilter:
@@ -262,25 +264,18 @@ def csw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> L
     SVD-based truncation it relies on the full spectrum of c_y, so the
     recorded inverse size is M.
     """
-    _check_truncation(model, l)
-    eig = cache.eig_y if cache is not None else sym_eig(model.c_y)
+    cache = cache if cache is not None else SpectralCache(model)
+    cache._check_l(l)
+    eig = cache.eig_y
+    eig.check_definite()
     vals, q = eig.eigenvalues, eig.eigenvectors
-    if vals[-1] <= 1e-12 * max(vals[0], 0.0):
-        raise SingularMatrixError(
-            f"input covariance is numerically singular: eigenvalue[{len(vals) - 1}]"
-            f" = {vals[-1]:.6e}",
-            index=len(vals) - 1,
-            value=float(vals[-1]),
-        )
     proj = model.c_xy @ q
     scores = np.einsum("ij,ij->j", proj, proj) / vals
     order = np.argsort(-scores, kind="stable")[: min(l, model.m)]
     q_kept = q[:, order]
     matrix = (proj[:, order] / vals[order]) @ q_kept.T
-    audit = InverseAudit()
-    audit.record(model.m)
     return LinearFilter(matrix=matrix, kind=FilterKind.CSW, l=l,
-                        max_inverse_dim=audit.max_dim)
+                        max_inverse_dim=model.m)
 
 
 def jpc(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> LinearFilter:
@@ -410,7 +405,3 @@ def is_l_well_conditioned(filt: LinearFilter, l: int) -> bool:
     """True when the filter was built without any inverse larger than l x l."""
     return filt.max_inverse_dim <= l
 
-
-def _check_truncation(model: CovarianceModel, l: int) -> None:
-    if not 1 <= l <= model.m:
-        raise DimensionError(f"truncation level l={l} outside [1, {model.m}]")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataio
-from .diagnostics import analytic_mse, best_l_search, scaling_study, truncation_power_loss
+from .diagnostics import analytic_mse, best_l_search, filter_power_loss, scaling_study
 from .errors import SingularMatrixError, WclmmseError
 from .filters import FILTER_CONSTRUCTORS, FilterKind, SpectralCache
 from .linalg import condition_number
@@ -98,14 +98,17 @@ class LPolicy:
         if self.mode == "fixed" and (self.l is None or self.l < 1):
             raise ValueError("fixed policy needs a positive level")
 
-    def level_for(self, model: CovarianceModel, kind: FilterKind) -> int:
+    def level_for(self, model: CovarianceModel, kind: FilterKind,
+                  cache: SpectralCache | None = None) -> int:
+        """The level for ``kind`` on ``model``; a search builds from ``cache``."""
         if self.mode == "fixed":
             return min(self.l, model.m)
         m = model.m
         l_min = self.l_min if self.l_min is not None else max(1, model.n)
         l_max = self.l_max if self.l_max is not None else m
         step = self.step if self.step is not None else max(1, m // 16)
-        best, _ = best_l_search(model, kind, min(l_min, m), min(l_max, m), step)
+        best, _ = best_l_search(model, kind, min(l_min, m), min(l_max, m), step,
+                                cache=cache)
         return best
 
 
@@ -129,56 +132,63 @@ def _parse_kinds(filters) -> list[FilterKind]:
 
 
 def _prepare(source, m: int, n: int, seed: int, test_draws: int):
-    """Turn a series or model into (model, test vectors, mean)."""
+    """Turn a series or model into (the model's cache, test vectors, mean)."""
     if isinstance(source, CovarianceModel):
         if source.m != m or source.n != n:
             raise ValueError(
                 f"model has (n, m) = {(source.n, source.m)}, requested {(n, m)}")
-        test = sample_from_model(source, test_draws, seed=seed + 1)
-        return source, test.samples, 0.0
+        cache = SpectralCache(source)
+        test = sample_from_model(source, test_draws, seed=seed + 1, eig_z=cache.eig_z)
+        return cache, test.samples, 0.0
     cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
     samples = dataio.window_samples(source, cfg)
     model = estimate_covariance(samples.train_samples(), n)
-    return model, samples.test_samples(), samples.mean
+    return SpectralCache(model), samples.test_samples(), samples.mean
+
+
+def _sweep_model(source, m: int, n: int, seed: int, test_draws: int, kinds,
+                 levels) -> list[ExperimentResult]:
+    """Score each kind on one model at ``levels(cache, kind)``; wiener once.
+
+    Every cell reads the model's one :class:`SpectralCache`. The
+    decompositions the kinds need are made before any cell is timed: the
+    joint one always, and those of ``c_y`` for ``lrw`` and ``csw``. When
+    ``c_y`` is too singular to whiten, each ``lrw`` and ``csw`` cell fails
+    on its own and its row records the failure.
+    """
+    cache, test_z, mean = _prepare(source, m, n, seed, test_draws)
+    cache.eig_z
+    if FilterKind.LRW in kinds or FilterKind.CSW in kinds:
+        try:
+            cache.whitened_cross_svd
+        except SingularMatrixError:
+            pass
+    cond_cy = condition_number(cache.model.c_y)
+    rows = []
+    for kind in kinds:
+        for l in [None] if kind is FilterKind.WIENER else levels(cache, kind):
+            rows.append(_sweep_cell(kind, cache, l, test_z, mean, cond_cy))
+    return rows
 
 
 def _sort_key(row: ExperimentResult):
     return (row.filter, row.m, -1 if row.l is None else row.l)
 
 
-def _shared_cache(model: CovarianceModel, kinds) -> SpectralCache:
-    """Decompose the model once, before any cell of a sweep is timed.
-
-    The joint eigendecomposition is eager; the ``c_y`` decompositions that
-    ``lrw`` and ``csw`` read are lazy and are forced here. When ``c_y`` is
-    too singular to whiten, each ``lrw`` cell fails on its own and its
-    row records the failure.
-    """
-    cache = SpectralCache(model)
-    if FilterKind.CSW in kinds:
-        cache.eig_y
-    if FilterKind.LRW in kinds or FilterKind.CSW in kinds:
-        try:
-            cache.whitened_cross_svd
-        except SingularMatrixError:
-            pass
-    return cache
-
-
-def _sweep_cell(kind: FilterKind, model: CovarianceModel, l: int | None,
-                test_z: np.ndarray, mean: float, rho_cache: SpectralCache,
-                cond_cy: float) -> ExperimentResult:
-    """Build one filter and score it.
+def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
+                test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
+    """Build one filter on ``cache.model`` and score it.
 
     ``wall_ms`` times building the filter at level ``l`` from the model's
-    shared decompositions in ``rho_cache``, plus applying it to the test
+    shared decompositions in ``cache``, plus applying it to the test
     inputs. The one-time decompositions of the model are not in it.
     """
     constructor = FILTER_CONSTRUCTORS[kind]
+    model = cache.model
     m, n = model.m, model.n
     started = time.perf_counter()
     try:
-        filt = constructor(model, l, cache=rho_cache)
+        filt = constructor(model, l, cache=cache)
         predictions = filt.apply(test_z[:, n:])
         wall_ms = (time.perf_counter() - started) * 1e3
     except WclmmseError:
@@ -186,7 +196,7 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, l: int | None,
         return ExperimentResult(
             filter=kind.value, m=m, n=n, l=l,
             norm_rms=float("nan"), analytic_mse=float("nan"),
-            rho_l=_rho_for(kind, rho_cache, l, n),
+            rho_l=_rho_for(kind, cache, l),
             cond_cy=cond_cy,
             max_inverse_dim=_NOMINAL_INVERSE[kind](m, l),
             wall_ms=wall_ms,
@@ -196,21 +206,18 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, l: int | None,
         filter=kind.value, m=m, n=n, l=l,
         norm_rms=dataio.normalized_rms(filt, test_z, mean),
         analytic_mse=analytic_mse(model, filt),
-        rho_l=_rho_for(kind, rho_cache, l, n),
+        rho_l=_rho_for(kind, cache, l),
         cond_cy=cond_cy,
         max_inverse_dim=filt.max_inverse_dim,
         wall_ms=wall_ms,
     )
 
 
-def _rho_for(kind: FilterKind, cache: SpectralCache, l: int | None, n: int) -> float:
+def _rho_for(kind: FilterKind, cache: SpectralCache, l: int | None) -> float:
     if kind is FilterKind.WIENER or l is None:
         return 0.0
     try:
-        if kind in (FilterKind.LRW, FilterKind.CSW):
-            spectrum = cache.whitened_cross_svd.s
-            return truncation_power_loss(spectrum, min(l, n, spectrum.shape[0]), "lrw")
-        return truncation_power_loss(cache, l, "jpc")
+        return filter_power_loss(cache, kind, l)
     except WclmmseError:
         return float("nan")
 
@@ -220,15 +227,8 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters, seed: int = 0,
     """One row per (filter, truncation level); the unconstrained filter
     appears once with the level omitted."""
     kinds = _parse_kinds(filters)
-    model, test_z, mean = _prepare(source, m, n, seed, test_draws)
-    cond_cy = condition_number(model.c_y)
-    rho_cache = _shared_cache(model, kinds)
     grid = [int(l) for l in l_grid]
-    rows = []
-    for kind in kinds:
-        levels = [None] if kind is FilterKind.WIENER else grid
-        for l in levels:
-            rows.append(_sweep_cell(kind, model, l, test_z, mean, rho_cache, cond_cy))
+    rows = _sweep_model(source, m, n, seed, test_draws, kinds, lambda cache, kind: grid)
     rows.sort(key=_sort_key)
     return rows
 
@@ -237,14 +237,13 @@ def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
                 seed: int = 0) -> list[ExperimentResult]:
     """Re-window the series at each length and score every filter there."""
     kinds = _parse_kinds(filters)
+
+    def chosen_level(cache, kind):
+        return [l_policy.level_for(cache.model, kind, cache)]
+
     rows = []
     for m in (int(v) for v in m_grid):
-        model, test_z, mean = _prepare(series, m, n, seed, _DEFAULT_TEST_DRAWS)
-        cond_cy = condition_number(model.c_y)
-        rho_cache = _shared_cache(model, kinds)
-        for kind in kinds:
-            l = None if kind is FilterKind.WIENER else l_policy.level_for(model, kind)
-            rows.append(_sweep_cell(kind, model, l, test_z, mean, rho_cache, cond_cy))
+        rows += _sweep_model(series, m, n, seed, _DEFAULT_TEST_DRAWS, kinds, chosen_level)
     rows.sort(key=_sort_key)
     return rows
 

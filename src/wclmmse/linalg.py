@@ -86,6 +86,35 @@ class SymEig:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
+    def check_definite(self, floor: float | None = None) -> None:
+        """Raise :class:`SingularMatrixError` when the smallest eigenvalue is
+        at or below ``floor`` (default 1e-12 times the largest eigenvalue).
+
+        The error carries the offending index and value; that error is
+        itself a conditioning diagnostic.
+        """
+        vals = self.eigenvalues
+        if floor is None:
+            floor = 1e-12 * max(vals[0], 0.0) if self.dim else 0.0
+        if self.dim and vals[-1] <= floor:
+            idx = self.dim - 1
+            raise SingularMatrixError(
+                f"matrix is numerically singular: eigenvalue[{idx}] = {vals[idx]:.6e}"
+                f" <= floor {floor:.6e}",
+                index=idx,
+                value=float(vals[idx]),
+            )
+
+    def inv_sqrt(self, floor: float | None = None) -> Matrix:
+        """Symmetric B with B @ A @ B = I for the decomposed SPD matrix A.
+
+        Raises as :meth:`check_definite` does.
+        """
+        self.check_definite(floor)
+        v = self.eigenvectors
+        b = (v / np.sqrt(self.eigenvalues)) @ v.T
+        return 0.5 * (b + b.T)
+
 
 @dataclass
 class Svd:
@@ -166,32 +195,14 @@ def inv_sqrt_spd(a, floor: float | None = None,
                  audit: InverseAudit | None = None) -> Matrix:
     """Inverse square root of an SPD matrix via its eigendecomposition.
 
-    Returns symmetric B with B @ A @ B = I. Eigenvalues at or below
-    ``floor`` (default 1e-12 times the largest eigenvalue) raise
-    :class:`SingularMatrixError` carrying the offending index and value;
-    that error is itself a conditioning diagnostic.
+    Returns symmetric B with B @ A @ B = I; raises
+    :class:`SingularMatrixError` as :meth:`SymEig.check_definite` does.
     """
     eig = sym_eig(a)
-    vals = eig.eigenvalues
-    n = eig.dim
-    lam_max = vals[0] if n else 0.0
-    if floor is None:
-        floor = 1e-12 * max(lam_max, 0.0)
-    if n == 0:
-        return np.zeros((0, 0))
-    if vals[-1] <= floor:
-        idx = int(n - 1)
-        raise SingularMatrixError(
-            f"matrix is numerically singular: eigenvalue[{idx}] = {vals[idx]:.6e}"
-            f" <= floor {floor:.6e}",
-            index=idx,
-            value=float(vals[idx]),
-        )
-    v = eig.eigenvectors
-    b = (v / np.sqrt(vals)) @ v.T
+    root_inv = eig.inv_sqrt(floor)
     if audit is not None:
-        audit.record(n)
-    return 0.5 * (b + b.T)
+        audit.record(eig.dim)
+    return root_inv
 
 
 def condition_number(a) -> float:

@@ -20,7 +20,7 @@ from .errors import (
     ModelError,
     NumericInputError,
 )
-from .linalg import sym_eig
+from .linalg import SymEig, sym_eig
 
 __all__ = [
     "CovarianceModel",
@@ -222,16 +222,20 @@ def synthetic_model(n: int, m: int, spectrum, seed: int = 0) -> CovarianceModel:
     return CovarianceModel.from_joint(c_z, n)
 
 
-def sample_from_model(model: CovarianceModel, k: int, seed: int = 0) -> SampleSet:
+def sample_from_model(model: CovarianceModel, k: int, seed: int = 0,
+                      eig_z: SymEig | None = None) -> SampleSet:
     """Draw k i.i.d. zero-mean Gaussian vectors with covariance model.joint.
 
-    Uses the symmetric square root of the joint covariance; negative
+    Uses the symmetric square root of the joint covariance, from
+    ``eig_z`` when its eigendecomposition is already at hand; negative
     eigenvalues beyond -1e-10 * lambda_max are a model error, smaller
     ones are clipped to zero. Deterministic per seed.
     """
     if k < 0:
         raise DimensionError(f"sample count must be nonnegative, got {k}")
-    eig = sym_eig(model.joint)
+    eig = eig_z if eig_z is not None else sym_eig(model.joint)
+    if eig.dim != model.dim:
+        raise DimensionError("eigendecomposition dimension does not match model")
     vals = eig.eigenvalues
     lam_max = max(float(vals[0]), 0.0) if vals.size else 0.0
     if vals.size and float(vals[-1]) < -1e-10 * lam_max:

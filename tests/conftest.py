@@ -1,10 +1,12 @@
 """Shared model builders for the test suite."""
 
 import datetime
+import sys
 
 import numpy as np
+import pytest
 
-from wclmmse import CovarianceModel, RawSeries
+from wclmmse import CovarianceModel, RawSeries, SpectralCache, linalg
 
 
 def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
@@ -60,3 +62,33 @@ def ar1_series(length, phi=0.8, level=20.0, sigma=1.0, seed=0):
         values[i] = phi * values[i - 1] + sigma * rng.standard_normal()
     dates = [datetime.date(2000, 1, 3) + datetime.timedelta(days=i) for i in range(length)]
     return RawSeries(dates=dates, values=values + level, source="synthetic-ar1")
+
+
+@pytest.fixture
+def sym_eig_shapes(monkeypatch):
+    """Shapes of the matrices handed to ``sym_eig`` anywhere in the package."""
+    shapes = []
+    original = linalg.sym_eig
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wclmmse" and getattr(module, "sym_eig", None) is original:
+            monkeypatch.setattr(module, "sym_eig", counting)
+    return shapes
+
+
+@pytest.fixture
+def cache_builds(monkeypatch):
+    """One entry per ``SpectralCache`` constructed."""
+    built = []
+    init = SpectralCache.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralCache, "__init__", counting_init)
+    return built

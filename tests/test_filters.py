@@ -16,6 +16,7 @@ from wclmmse import (
     csw,
     det_optimal_weight,
     geometric_spectrum,
+    inv_sqrt_spd,
     is_l_well_conditioned,
     jpc,
     jpc_simplified,
@@ -281,6 +282,35 @@ class TestSimplifiedVariants:
         model = CovarianceModel.from_joint(c_z, 1)
         with pytest.raises(SingularMatrixError):
             jpc_simplified(model, 2)
+
+
+class TestSpectralCache:
+    def test_y_root_inv_equals_direct_formula(self):
+        model = haar_model(2, 6, seed=27)
+        assert np.array_equal(SpectralCache(model).y_root_inv, inv_sqrt_spd(model.c_y))
+
+    def test_singular_c_y_reraises_without_decomposing_again(self, sym_eig_shapes):
+        model = haar_model(2, 8, ratio=0.02, seed=3)
+        cache = SpectralCache(model)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(SingularMatrixError) as info:
+                cache.y_root_inv
+            raised.append((info.value.index, info.value.value))
+        for build in (lrw, csw):
+            with pytest.raises(SingularMatrixError):
+                build(model, 2, cache=cache)
+        assert raised == [raised[0]] * 3
+        assert sym_eig_shapes == [(8, 8)]
+        with pytest.raises(SingularMatrixError) as info:
+            inv_sqrt_spd(model.c_y)
+        assert (info.value.index, info.value.value) == raised[0]
+
+    def test_cache_free_rank_truncations_decompose_only_c_y(self, sym_eig_shapes):
+        model = haar_model(2, 6, seed=28)
+        lrw(model, 2)
+        csw(model, 2)
+        assert sym_eig_shapes == [(6, 6), (6, 6)]
 
 
 class TestSignInvariance:

@@ -15,7 +15,6 @@ from wclmmse import (
     CovarianceModel,
     FilterKind,
     LPolicy,
-    SpectralCache,
     geometric_spectrum,
     run_condition_report,
     run_l_sweep,
@@ -25,6 +24,9 @@ from wclmmse import (
     wiener,
 )
 from wclmmse.harness import parse_l_policy
+
+
+ALL_KINDS = ["wiener", "lrw", "csw", "jpc", "lsjpc", "jpc_simplified", "lsjpc_simplified"]
 
 
 class TestRunLSweep:
@@ -86,21 +88,20 @@ class TestRunLSweep:
         with pytest.raises(ValueError):
             run_l_sweep(model, 5, 2, [1], ["wiener"], seed=0)
 
-    def test_l_sweep_decomposes_the_model_once(self, monkeypatch):
-        built = []
-        init = SpectralCache.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpectralCache, "__init__", counting_init)
+    def test_l_sweep_decomposes_the_model_once(self, cache_builds):
         model = haar_model(2, 8, ratio=0.8, seed=14)
-        rows = run_l_sweep(model, 8, 2, [2, 4, 8],
-                           ["wiener", "lrw", "csw", "jpc", "lsjpc", "jpc_simplified",
-                            "lsjpc_simplified"], seed=0)
+        rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
         assert len(rows) == 1 + 6 * 3
-        assert len(built) == 1
+        assert len(cache_builds) == 1
+
+    def test_singular_c_y_is_decomposed_once(self, sym_eig_shapes):
+        # c_y is singular in float64, so lrw and csw fail at every level;
+        # their rows must not decompose c_y again
+        model = haar_model(2, 8, ratio=0.02, seed=3)
+        rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
+        failed = [r for r in rows if r.filter in ("lrw", "csw")]
+        assert len(failed) == 6 and all(np.isnan(r.norm_rms) for r in failed)
+        assert sorted(sym_eig_shapes) == [(8, 8), (10, 10)]
 
 
 class TestRunMSweep:
@@ -112,6 +113,13 @@ class TestRunMSweep:
         jpc_rows = [r for r in rows if r.filter == "jpc"]
         assert all(r.l == 2 for r in jpc_rows)
         assert {r.m for r in rows} == {4, 8}
+
+    def test_best_policy_decomposes_each_window_length_once(self, cache_builds):
+        series = ar1_series(300, phi=0.8, seed=7)
+        rows = run_m_sweep(series, [6, 8], 2, ["wiener", "lrw", "jpc", "lsjpc"],
+                           LPolicy(mode="best"), seed=0)
+        assert len(rows) == 8
+        assert len(cache_builds) == 2
 
     def test_best_policy(self):
         series = ar1_series(300, phi=0.8, seed=7)
