@@ -40,7 +40,7 @@ dates = [datetime.date(2015, 1, 1) + datetime.timedelta(days=i) for i in range(l
 series = RawSeries(dates=dates, values=values + 20.0)
 
 # --- window, split, estimate -------------------------------------------
-cfg = SeriesConfig(m=12, n=3, test_fraction=0.2, seed=0)
+cfg = SeriesConfig(m=12, n=3, seed=0)
 samples = window_samples(series, cfg)
 print(f"{samples.k} windows of length {cfg.m + cfg.n};"
       f" {samples.train.size} train / {samples.test.size} test;"

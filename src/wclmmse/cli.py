@@ -3,15 +3,14 @@
 Subcommands: ``synth`` (generate a covariance model), ``sweep-l``,
 ``sweep-m``, ``cond``, and ``scaling``. Result CSVs follow the fixed
 schema in :mod:`wclmmse.dataio`, and every CSV is accompanied by an
-equivalent JSON array. The default seed is 0, overridable through the
-``WCLMMSE_SEED`` environment variable; an explicit ``--seed`` wins.
+equivalent JSON array. ``--seed`` defaults to 0, so a command line
+always prints the same numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,14 +22,6 @@ from .model import CovarianceModel, geometric_spectrum, synthetic_model
 __all__ = ["main"]
 
 _DEFAULT_FILTERS = "wiener,lrw,jpc,lsjpc"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("WCLMMSE_SEED", "0"))
-
-
-def _resolve_seed(value: int | None) -> int:
-    return _default_seed() if value is None else value
 
 
 def _parse_spectrum(text: str, size: int) -> np.ndarray:
@@ -96,39 +87,35 @@ def _write_rows(rows, out: str) -> None:
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args.seed)
     spectrum = _parse_spectrum(args.spectrum, args.n + args.m)
-    model = synthetic_model(args.n, args.m, spectrum, seed=seed)
+    model = synthetic_model(args.n, args.m, spectrum, seed=args.seed)
     save_model(model, args.out)
     print(f"wrote {args.out} (n={model.n}, m={model.m})")
     return 0
 
 
 def _cmd_sweep_l(args) -> int:
-    seed = _resolve_seed(args.seed)
     source = _load_source(args)
     grid = range(args.l_min, args.l_max + 1, args.l_step)
     rows = harness.run_l_sweep(source, args.m, args.n, grid,
-                               args.filters.split(","), seed=seed)
+                               args.filters.split(","), seed=args.seed)
     _write_rows(rows, args.out)
     return 0
 
 
 def _cmd_sweep_m(args) -> int:
-    seed = _resolve_seed(args.seed)
     source = _load_source(args)
     policy = harness.parse_l_policy(args.l_policy)
     rows = harness.run_m_sweep(source, _parse_grid(args.m_grid), args.n,
-                               args.filters.split(","), policy, seed=seed)
+                               args.filters.split(","), policy, seed=args.seed)
     _write_rows(rows, args.out)
     return 0
 
 
 def _cmd_cond(args) -> int:
-    seed = _resolve_seed(args.seed)
     source = _load_source(args)
     rows = harness.run_condition_report(source, _parse_grid(args.m_grid),
-                                        args.n, seed=seed)
+                                        args.n, seed=args.seed)
     out_path = Path(args.out)
     dataio.write_condition_csv(rows, out_path)
     records = [{"m": m, "cond_cy": c} for m, c in rows]
@@ -168,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--spectrum", default="geometric:1.0,0.6",
                    help="spectrum spec, e.g. geometric:1.0,0.6")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -180,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, required=True)
     p.add_argument("--l-step", type=int, default=1)
     p.add_argument("--filters", default=_DEFAULT_FILTERS)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_l)
 
@@ -190,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--l-policy", default="best", help="'best' or 'fixed:L'")
     p.add_argument("--filters", default=_DEFAULT_FILTERS)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_m)
 
@@ -198,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--m-grid", required=True)
     p.add_argument("--n", type=int, default=7)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cond)
 

@@ -42,25 +42,25 @@ __all__ = [
 ]
 
 
+# Share of windows reserved for out-of-sample evaluation.
+_TEST_FRACTION = 0.2
+
+
 @dataclass
 class SeriesConfig:
     """Windowing and split parameters for one experiment.
 
     m: input window length (days), n: prediction length (days),
-    test_fraction: share of windows reserved for out-of-sample
-    evaluation, seed: partition seed.
+    seed: partition seed.
     """
 
     m: int
     n: int
-    test_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise DimensionError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ModelError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 @dataclass
@@ -146,9 +146,9 @@ def window_samples(series: RawSeries, cfg: SeriesConfig) -> SampleSet:
 
     Window i covers values[i : i+m+n]; its n later values go on top (X)
     and its m earlier values below (Y). A uniform without-replacement
-    draw, deterministic per ``cfg.seed``, reserves the test windows. The
-    scalar mean of the training windows is subtracted from every entry
-    and stored.
+    draw, deterministic per ``cfg.seed``, reserves a fifth of the windows
+    (``_TEST_FRACTION``) for testing. The scalar mean of the training
+    windows is subtracted from every entry and stored.
     """
     length = len(series)
     m, n = cfg.m, cfg.n
@@ -161,7 +161,7 @@ def window_samples(series: RawSeries, cfg: SeriesConfig) -> SampleSet:
     windows = np.lib.stride_tricks.sliding_window_view(series.values, m + n)[:k]
     samples = np.concatenate([windows[:, m:], windows[:, :m]], axis=1)
     rng = np.random.default_rng(cfg.seed)
-    test_size = int(round(cfg.test_fraction * k))
+    test_size = int(round(_TEST_FRACTION * k))
     test = np.sort(rng.choice(k, size=test_size, replace=False)).astype(np.intp)
     mask = np.ones(k, dtype=bool)
     mask[test] = False

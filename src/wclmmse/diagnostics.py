@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionError, WclmmseError
+from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
 from .filters import (
     FILTER_CONSTRUCTORS,
     FilterKind,
@@ -21,7 +21,7 @@ from .filters import (
     SpectralCache,
     wiener,
 )
-from .linalg import Svd, matrix_norm
+from .linalg import matrix_norm
 from .model import CovarianceModel
 
 __all__ = [
@@ -96,15 +96,12 @@ def det_objective(model: CovarianceModel, filt) -> float:
     return float(np.prod(np.clip(vals, 0.0, None)))
 
 
-def truncation_power_loss(source, l: int, flavor: str = "jpc") -> float:
-    """Spectrum mass discarded by keeping the leading l components.
-
-    ``flavor="lrw"`` reads singular values (of the whitened
-    cross-covariance), ``flavor="jpc"`` reads joint-covariance
-    eigenvalues. ``source`` may be a :class:`SpectralCache`, an
-    :class:`~wclmmse.linalg.Svd`, or a plain 1-D spectrum.
-    """
-    spectrum = _spectrum_of(source, flavor)
+def truncation_power_loss(spectrum, l: int) -> float:
+    """Spectrum mass discarded by keeping the leading l components of a
+    1-D spectrum."""
+    spectrum = np.asarray(spectrum, dtype=np.float64)
+    if spectrum.ndim != 1:
+        raise DimensionError("spectrum must be 1-D")
     if not 1 <= l <= spectrum.shape[0]:
         raise DimensionError(
             f"truncation level l={l} outside [1, {spectrum.shape[0]}]")
@@ -120,23 +117,8 @@ def filter_power_loss(cache: SpectralCache, kind: FilterKind, l: int) -> float:
     """
     if kind in (FilterKind.LRW, FilterKind.CSW):
         spectrum = cache.whitened_cross_svd.s
-        return truncation_power_loss(spectrum, min(l, cache.model.n, spectrum.shape[0]), "lrw")
-    return truncation_power_loss(cache, l, "jpc")
-
-
-def _spectrum_of(source, flavor: str) -> NDArray[np.float64]:
-    if flavor not in ("lrw", "jpc"):
-        raise ValueError(f"unknown truncation flavor: {flavor!r}")
-    if isinstance(source, SpectralCache):
-        if flavor == "lrw":
-            return source.whitened_cross_svd.s
-        return source.eig_z.eigenvalues
-    if isinstance(source, Svd):
-        return source.s
-    spectrum = np.asarray(source, dtype=np.float64)
-    if spectrum.ndim != 1:
-        raise DimensionError("spectrum source must be 1-D")
-    return spectrum
+        return truncation_power_loss(spectrum, min(l, cache.model.n, spectrum.shape[0]))
+    return truncation_power_loss(cache.eig_z.eigenvalues, l)
 
 
 @dataclass
@@ -230,6 +212,9 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     Evaluates the closed-form MSE on the (training) covariances; ties go
     to the smaller level, which is cheaper and better conditioned. Every
     level is built from ``cache``, the model's decompositions, when given.
+    A level whose filter cannot be built (singular or rank-deficient) is
+    skipped; when none can be, the smallest level comes back with an
+    infinite MSE, and building there reports the failure.
     """
     filter_kind = FilterKind(filter_kind)
     if step < 1:
@@ -241,7 +226,10 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     cache = cache if cache is not None else SpectralCache(model)
     best_l, best_mse = grid[0], np.inf
     for l in grid:
-        mse = analytic_mse(model, constructor(model, l, cache=cache))
+        try:
+            mse = analytic_mse(model, constructor(model, l, cache=cache))
+        except (SingularMatrixError, RankError):
+            continue
         if mse < best_mse:
             best_l, best_mse = l, mse
     return best_l, float(best_mse)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio
 from .diagnostics import analytic_mse, best_l_search, filter_power_loss, scaling_study
-from .errors import SingularMatrixError, WclmmseError
+from .errors import DimensionError, SingularMatrixError, WclmmseError
 from .filters import FILTER_CONSTRUCTORS, FilterKind, SpectralCache
 from .linalg import condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
@@ -32,7 +32,7 @@ __all__ = [
     "run_scaling_report",
 ]
 
-_DEFAULT_TEST_DRAWS = 1000
+_TEST_DRAWS = 1000
 
 # Largest system a construction may nominally touch, used to label rows
 # whose construction failed before an audit was produced.
@@ -81,16 +81,14 @@ class ExperimentResult:
 class LPolicy:
     """Truncation-level policy for window-length sweeps.
 
-    ``fixed`` uses the given level everywhere; ``best`` runs the
-    analytic-MSE line search on the training covariances, over a grid
-    derived from each window length unless bounds are given.
+    ``fixed`` uses the given level everywhere, capped at m. ``best`` runs
+    the analytic-MSE line search on the training covariances over the
+    levels max(1, n), max(1, n) + step, ... up to m, with step
+    max(1, m // 16).
     """
 
     mode: str = "best"
     l: int | None = None
-    l_min: int | None = None
-    l_max: int | None = None
-    step: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "best"):
@@ -101,14 +99,11 @@ class LPolicy:
     def level_for(self, model: CovarianceModel, kind: FilterKind,
                   cache: SpectralCache | None = None) -> int:
         """The level for ``kind`` on ``model``; a search builds from ``cache``."""
-        if self.mode == "fixed":
-            return min(self.l, model.m)
         m = model.m
-        l_min = self.l_min if self.l_min is not None else max(1, model.n)
-        l_max = self.l_max if self.l_max is not None else m
-        step = self.step if self.step is not None else max(1, m // 16)
-        best, _ = best_l_search(model, kind, min(l_min, m), min(l_max, m), step,
-                                cache=cache)
+        if self.mode == "fixed":
+            return min(self.l, m)
+        best, _ = best_l_search(model, kind, min(max(1, model.n), m), m,
+                                max(1, m // 16), cache=cache)
         return best
 
 
@@ -131,14 +126,14 @@ def _parse_kinds(filters) -> list[FilterKind]:
     return kinds
 
 
-def _prepare(source, m: int, n: int, seed: int, test_draws: int):
+def _prepare(source, m: int, n: int, seed: int):
     """Turn a series or model into (the model's cache, test vectors, mean)."""
     if isinstance(source, CovarianceModel):
         if source.m != m or source.n != n:
             raise ValueError(
                 f"model has (n, m) = {(source.n, source.m)}, requested {(n, m)}")
         cache = SpectralCache(source)
-        test = sample_from_model(source, test_draws, seed=seed + 1, eig_z=cache.eig_z)
+        test = sample_from_model(source, _TEST_DRAWS, seed=seed + 1, eig_z=cache.eig_z)
         return cache, test.samples, 0.0
     cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
     samples = dataio.window_samples(source, cfg)
@@ -146,7 +141,7 @@ def _prepare(source, m: int, n: int, seed: int, test_draws: int):
     return SpectralCache(model), samples.test_samples(), samples.mean
 
 
-def _sweep_model(source, m: int, n: int, seed: int, test_draws: int, kinds,
+def _sweep_model(source, m: int, n: int, seed: int, kinds,
                  levels) -> list[ExperimentResult]:
     """Score each kind on one model at ``levels(cache, kind)``; wiener once.
 
@@ -156,7 +151,7 @@ def _sweep_model(source, m: int, n: int, seed: int, test_draws: int, kinds,
     ``c_y`` is too singular to whiten, each ``lrw`` and ``csw`` cell fails
     on its own and its row records the failure.
     """
-    cache, test_z, mean = _prepare(source, m, n, seed, test_draws)
+    cache, test_z, mean = _prepare(source, m, n, seed)
     cache.eig_z
     if FilterKind.LRW in kinds or FilterKind.CSW in kinds:
         try:
@@ -179,9 +174,9 @@ def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
                 test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
     """Build one filter on ``cache.model`` and score it.
 
-    ``wall_ms`` times building the filter at level ``l`` from the model's
-    shared decompositions in ``cache``, plus applying it to the test
-    inputs. The one-time decompositions of the model are not in it.
+    ``wall_ms`` times only building the filter at level ``l`` from the
+    model's shared decompositions in ``cache``; neither the one-time
+    decompositions of the model nor the scoring are in it.
     """
     constructor = FILTER_CONSTRUCTORS[kind]
     model = cache.model
@@ -189,10 +184,10 @@ def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
     started = time.perf_counter()
     try:
         filt = constructor(model, l, cache=cache)
-        predictions = filt.apply(test_z[:, n:])
-        wall_ms = (time.perf_counter() - started) * 1e3
     except WclmmseError:
-        wall_ms = (time.perf_counter() - started) * 1e3
+        filt = None
+    wall_ms = (time.perf_counter() - started) * 1e3
+    if filt is None:
         return ExperimentResult(
             filter=kind.value, m=m, n=n, l=l,
             norm_rms=float("nan"), analytic_mse=float("nan"),
@@ -201,7 +196,6 @@ def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
             max_inverse_dim=_NOMINAL_INVERSE[kind](m, l),
             wall_ms=wall_ms,
         )
-    del predictions
     return ExperimentResult(
         filter=kind.value, m=m, n=n, l=l,
         norm_rms=dataio.normalized_rms(filt, test_z, mean),
@@ -222,13 +216,16 @@ def _rho_for(kind: FilterKind, cache: SpectralCache, l: int | None) -> float:
         return float("nan")
 
 
-def run_l_sweep(source, m: int, n: int, l_grid, filters, seed: int = 0,
-                test_draws: int = _DEFAULT_TEST_DRAWS) -> list[ExperimentResult]:
+def run_l_sweep(source, m: int, n: int, l_grid, filters,
+                seed: int = 0) -> list[ExperimentResult]:
     """One row per (filter, truncation level); the unconstrained filter
-    appears once with the level omitted."""
+    appears once with the level omitted. Every level must lie in [1, m]."""
     kinds = _parse_kinds(filters)
     grid = [int(l) for l in l_grid]
-    rows = _sweep_model(source, m, n, seed, test_draws, kinds, lambda cache, kind: grid)
+    outside = [l for l in grid if not 1 <= l <= m]
+    if outside:
+        raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
+    rows = _sweep_model(source, m, n, seed, kinds, lambda cache, kind: grid)
     rows.sort(key=_sort_key)
     return rows
 
@@ -243,7 +240,7 @@ def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
 
     rows = []
     for m in (int(v) for v in m_grid):
-        rows += _sweep_model(series, m, n, seed, _DEFAULT_TEST_DRAWS, kinds, chosen_level)
+        rows += _sweep_model(series, m, n, seed, kinds, chosen_level)
     rows.sort(key=_sort_key)
     return rows
 

@@ -61,14 +61,14 @@ def _as_square(a, name: str = "matrix") -> Matrix:
     return out
 
 
-def _fix_signs(vectors: Matrix) -> Matrix:
-    """Flip column signs so each column's largest-magnitude entry is positive."""
+def _lead_signs(vectors: Matrix) -> NDArray[np.float64]:
+    """The +-1 per column that makes its largest-magnitude entry positive."""
     if vectors.size == 0:
-        return vectors
+        return np.ones(vectors.shape[1])
     lead = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
 
 
 @dataclass
@@ -86,16 +86,15 @@ class SymEig:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
-    def check_definite(self, floor: float | None = None) -> None:
+    def check_definite(self) -> None:
         """Raise :class:`SingularMatrixError` when the smallest eigenvalue is
-        at or below ``floor`` (default 1e-12 times the largest eigenvalue).
+        at or below 1e-12 times the largest.
 
         The error carries the offending index and value; that error is
         itself a conditioning diagnostic.
         """
         vals = self.eigenvalues
-        if floor is None:
-            floor = 1e-12 * max(vals[0], 0.0) if self.dim else 0.0
+        floor = 1e-12 * max(vals[0], 0.0) if self.dim else 0.0
         if self.dim and vals[-1] <= floor:
             idx = self.dim - 1
             raise SingularMatrixError(
@@ -105,12 +104,12 @@ class SymEig:
                 value=float(vals[idx]),
             )
 
-    def inv_sqrt(self, floor: float | None = None) -> Matrix:
+    def inv_sqrt(self) -> Matrix:
         """Symmetric B with B @ A @ B = I for the decomposed SPD matrix A.
 
         Raises as :meth:`check_definite` does.
         """
-        self.check_definite(floor)
+        self.check_definite()
         v = self.eigenvectors
         b = (v / np.sqrt(self.eigenvalues)) @ v.T
         return 0.5 * (b + b.T)
@@ -120,8 +119,7 @@ class SymEig:
 class Svd:
     """Singular value decomposition A = U @ diag(s) @ V.T, s descending.
 
-    ``u`` is N x r and ``v`` is M x r with r = min(M, N), or M x M when
-    built with ``full_matrices=True``.
+    ``u`` is N x r and ``v`` is M x r with r = min(M, N).
     """
 
     u: Matrix
@@ -129,7 +127,7 @@ class Svd:
     v: Matrix
 
     def reconstruct(self) -> Matrix:
-        return (self.u * self.s) @ self.v[:, : self.s.shape[0]].T
+        return (self.u * self.s) @ self.v.T
 
 
 @dataclass
@@ -165,44 +163,27 @@ def sym_eig(a) -> SymEig:
     # eigh returns ascending order; reverse rather than argsort so that
     # repeated eigenvalues come out in reversed backend order.
     vals = vals[::-1].copy()
-    vecs = _fix_signs(vecs[:, ::-1])
+    vecs = vecs[:, ::-1]
+    vecs = vecs * _lead_signs(vecs)
     return SymEig(eigenvalues=vals, eigenvectors=vecs)
 
 
-def svd(a, full_matrices: bool = False) -> Svd:
-    """SVD with descending singular values and sign-normalized U columns.
-
-    Right singular vectors paired with a kept left vector are flipped
-    together; extra columns of a full V are normalized independently.
-    """
+def svd(a) -> Svd:
+    """Thin SVD with descending singular values and sign-normalized U columns;
+    each right singular vector is flipped with its left one."""
     a = _as_matrix(a, "svd input")
-    u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
-    v = vt.T
-    r = s.shape[0]
-    if u.size:
-        lead = np.abs(u).argmax(axis=0)
-        signs = np.sign(u[lead, np.arange(u.shape[1])])
-        signs[signs == 0] = 1.0
-        u = u * signs
-        v = v.copy()
-        v[:, :r] = v[:, :r] * signs[:r]
-        if v.shape[1] > r:
-            v[:, r:] = _fix_signs(v[:, r:])
-    return Svd(u=u, s=s, v=v)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    signs = _lead_signs(u)
+    return Svd(u=u * signs, s=s, v=vt.T * signs)
 
 
-def inv_sqrt_spd(a, floor: float | None = None,
-                 audit: InverseAudit | None = None) -> Matrix:
+def inv_sqrt_spd(a) -> Matrix:
     """Inverse square root of an SPD matrix via its eigendecomposition.
 
     Returns symmetric B with B @ A @ B = I; raises
     :class:`SingularMatrixError` as :meth:`SymEig.check_definite` does.
     """
-    eig = sym_eig(a)
-    root_inv = eig.inv_sqrt(floor)
-    if audit is not None:
-        audit.record(eig.dim)
-    return root_inv
+    return sym_eig(a).inv_sqrt()
 
 
 def condition_number(a) -> float:

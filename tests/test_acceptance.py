@@ -280,19 +280,19 @@ def test_criterion_8_real_data_pipeline():
             series = load_csv(path, date_column="date", value_column="close")
         assert len(series) == 7923
 
-        cfg = SeriesConfig(m=2000, n=7, test_fraction=0.2, seed=0)
+        cfg = SeriesConfig(m=2000, n=7, seed=0)
         samples = window_samples(series, cfg)
         assert abs(samples.k - 5917) <= 1
         assert abs(samples.train.size - 4733) <= 1
         assert abs(samples.test.size - 1184) <= 1
 
-        cfg1600 = SeriesConfig(m=1600, n=7, test_fraction=0.2, seed=0)
+        cfg1600 = SeriesConfig(m=1600, n=7, seed=0)
         s1600 = window_samples(series, cfg1600)
         model1600 = estimate_covariance(s1600.train_samples(), 7)
         cond = condition_number(model1600.c_y)
         assert 5e4 <= cond <= 1e6, f"cond at m=1600: {cond:.3e}"
 
-        cfg3200 = SeriesConfig(m=3200, n=7, test_fraction=0.2, seed=0)
+        cfg3200 = SeriesConfig(m=3200, n=7, seed=0)
         s3200 = window_samples(series, cfg3200)
         model3200 = estimate_covariance(s3200.train_samples(), 7)
         test_z = s3200.test_samples()

@@ -75,6 +75,17 @@ class TestSweepL:
         assert rc == 0
         assert out.exists()
 
+    def test_level_outside_one_to_m_is_an_error(self, tmp_path, capsys):
+        data = write_series_csv(tmp_path / "series.csv")
+        for l_min, l_max in (("0", "2"), ("2", "9")):
+            out = tmp_path / f"l{l_min}-{l_max}.csv"
+            rc = main(["sweep-l", "--data", str(data), "--m", "6", "--n", "2",
+                       "--l-min", l_min, "--l-max", l_max, "--filters", "wiener,jpc",
+                       "--out", str(out)])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_source_required(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep-l", "--m", "4", "--n", "1", "--l-min", "1", "--l-max", "2",
@@ -138,21 +149,24 @@ class TestScaling:
 
 class TestSeeds:
     def test_env_var_overrides_default(self, tmp_path, monkeypatch):
+        # the seed comes from the command line alone: the default is 0,
+        # and the environment does not change it
         data = write_series_csv(tmp_path / "series.csv")
         out_default = tmp_path / "a.csv"
         out_env = tmp_path / "b.csv"
-        out_flag = tmp_path / "c.csv"
+        out_zero = tmp_path / "c.csv"
+        out_seven = tmp_path / "d.csv"
         args = ["sweep-l", "--data", str(data), "--m", "6", "--n", "2",
                 "--l-min", "2", "--l-max", "2", "--l-step", "1", "--filters", "jpc"]
         main(args + ["--out", str(out_default)])
         monkeypatch.setenv("WCLMMSE_SEED", "7")
         main(args + ["--out", str(out_env)])
-        # explicit flag wins over the environment
-        main(args + ["--seed", "0", "--out", str(out_flag)])
         monkeypatch.delenv("WCLMMSE_SEED")
+        main(args + ["--seed", "0", "--out", str(out_zero)])
+        main(args + ["--seed", "7", "--out", str(out_seven)])
         read = lambda p: [r["norm_rms"] for r in csv.DictReader(p.open())]
-        assert read(out_env) != read(out_default)
-        assert read(out_flag) == read(out_default)
+        assert read(out_env) == read(out_default) == read(out_zero)
+        assert read(out_seven) != read(out_default)
 
     def test_missing_file_error(self, tmp_path, capsys):
         rc = main(["sweep-l", "--data", str(tmp_path / "absent.csv"), "--m", "4",

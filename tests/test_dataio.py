@@ -118,7 +118,7 @@ class TestWindowSamples:
 class TestSplit:
     def test_sizes(self):
         series = ar1_series(16, seed=6)
-        out = window_samples(series, SeriesConfig(m=4, n=2, test_fraction=0.2, seed=0))
+        out = window_samples(series, SeriesConfig(m=4, n=2, seed=0))
         assert out.k == 10
         assert out.test.size == 2 and out.train.size == 8
 

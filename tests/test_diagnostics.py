@@ -13,6 +13,7 @@ from wclmmse import (
     best_l_search,
     det_objective,
     error_covariance,
+    filter_power_loss,
     geometric_spectrum,
     lrw,
     nuclear_norm,
@@ -135,21 +136,26 @@ class TestTruncationPowerLoss:
             assert truncation_power_loss(spectrum, l) == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_and_flavors(self):
+        # filter_power_loss picks the spectrum: joint eigenvalues for jpc,
+        # whitened singular values, cut at min(l, n), for lrw
         model = haar_model(2, 5, ratio=0.6, seed=12)
         cache = SpectralCache(model)
-        jpc_losses = [truncation_power_loss(cache, l, "jpc") for l in range(1, 6)]
+        jpc_losses = [filter_power_loss(cache, FilterKind.JPC, l) for l in range(1, 6)]
         assert np.all(np.diff(jpc_losses) <= 0)
         assert all(v >= 0 for v in jpc_losses)
-        lrw_losses = [truncation_power_loss(cache, l, "lrw") for l in (1, 2)]
-        assert lrw_losses[0] >= lrw_losses[1] == 0.0
-        decomp = svd(np.diag([3.0, 1.0]))
-        assert truncation_power_loss(decomp, 1, "lrw") == pytest.approx(1.0)
+        assert jpc_losses[0] == truncation_power_loss(cache.eig_z.eigenvalues, 1)
+        lrw_losses = [filter_power_loss(cache, FilterKind.LRW, l) for l in (1, 2, 5)]
+        assert lrw_losses[0] >= lrw_losses[1] == lrw_losses[2] == 0.0
+        assert lrw_losses[0] == truncation_power_loss(cache.whitened_cross_svd.s, 1)
+        assert truncation_power_loss(svd(np.diag([3.0, 1.0])).s, 1) == pytest.approx(1.0)
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
             truncation_power_loss(np.array([1.0, 0.5]), 3)
         with pytest.raises(DimensionError):
             truncation_power_loss(np.array([1.0, 0.5]), 0)
+        with pytest.raises(DimensionError):
+            truncation_power_loss(np.eye(2), 1)
 
 
 class TestScalingStudy:

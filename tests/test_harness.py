@@ -13,8 +13,14 @@ import wclmmse
 from conftest import ar1_series, haar_model
 from wclmmse import (
     CovarianceModel,
+    DimensionError,
     FilterKind,
+    LinearFilter,
     LPolicy,
+    SeriesConfig,
+    analytic_mse,
+    estimate_covariance,
+    jpc,
     geometric_spectrum,
     run_condition_report,
     run_l_sweep,
@@ -22,6 +28,7 @@ from wclmmse import (
     run_scaling_report,
     synthetic_model,
     wiener,
+    window_samples,
 )
 from wclmmse.harness import parse_l_policy
 
@@ -94,6 +101,28 @@ class TestRunLSweep:
         assert len(rows) == 1 + 6 * 3
         assert len(cache_builds) == 1
 
+    def test_levels_outside_one_to_m_rejected_before_any_work(self, cache_builds):
+        model = haar_model(2, 6, ratio=0.7, seed=0)
+        for grid in ([0, 2], [2, 9]):
+            with pytest.raises(DimensionError):
+                run_l_sweep(model, 6, 2, grid, ["wiener", "jpc"], seed=0)
+        assert cache_builds == []
+
+    def test_one_apply_per_built_row(self, monkeypatch):
+        applied = []
+        apply = LinearFilter.apply
+
+        def counting_apply(self, y):
+            applied.append(self.kind)
+            return apply(self, y)
+
+        monkeypatch.setattr(LinearFilter, "apply", counting_apply)
+        model = haar_model(2, 8, ratio=0.02, seed=3)
+        rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
+        built = [r for r in rows if np.isfinite(r.norm_rms)]
+        assert 0 < len(built) < len(rows)
+        assert len(applied) == len(built)
+
     def test_singular_c_y_is_decomposed_once(self, sym_eig_shapes):
         # c_y is singular in float64, so lrw and csw fail at every level;
         # their rows must not decompose c_y again
@@ -122,11 +151,27 @@ class TestRunMSweep:
         assert len(cache_builds) == 2
 
     def test_best_policy(self):
+        # the search runs over max(1, n), ... , m in steps of max(1, m // 16)
+        # on the training covariances
         series = ar1_series(300, phi=0.8, seed=7)
-        rows = run_m_sweep(series, [6], 2, ["jpc"],
-                           LPolicy(mode="best", l_min=1, l_max=6, step=1), seed=0)
-        assert len(rows) == 1
-        assert 1 <= rows[0].l <= 6
+        for m, grid in ((6, range(2, 7)), (64, range(2, 65, 4))):
+            rows = run_m_sweep(series, [m], 2, ["jpc"], LPolicy(mode="best"), seed=0)
+            assert len(rows) == 1
+            samples = window_samples(series, SeriesConfig(m=m, n=2, seed=0))
+            model = estimate_covariance(samples.train_samples(), 2)
+            mse = {l: analytic_mse(model, jpc(model, l)) for l in grid}
+            assert rows[0].l == min(mse, key=lambda l: (mse[l], l))
+
+    def test_best_policy_skips_levels_it_cannot_build(self):
+        # at m=250 only ~40 training windows remain, so c_y cannot be
+        # whitened: lrw's search has no level to build and its row records
+        # the failure; every other row is built
+        series = ar1_series(300, phi=0.8, seed=0)
+        rows = run_m_sweep(series, [50, 250], 2, ["wiener", "lrw", "jpc", "lsjpc"],
+                           LPolicy(mode="best"), seed=0)
+        assert len(rows) == 8
+        failed = [(r.filter, r.m, r.l) for r in rows if np.isnan(r.norm_rms)]
+        assert failed == [("lrw", 250, 2)]
 
     def test_policy_parsing(self):
         assert parse_l_policy("best").mode == "best"
@@ -183,7 +228,7 @@ class TestTiming:
     def test_lsjpc_not_slower_than_jpc(self):
         # fewer multiplications: no input-covariance products, median over
         # repeated runs with 1.2x slack. wall_ms times only the build at
-        # the level and the apply; the shared decompositions are not in it.
+        # the level; the shared decompositions and the apply are not in it.
         # The sweeps run in a child process with BLAS pinned to one thread
         # before numpy loads: with a multi-threaded pool, the first Cholesky
         # after other BLAS work can stall for milliseconds, more than the

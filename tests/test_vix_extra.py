@@ -38,7 +38,7 @@ def test_condition_number_grows_two_orders(vix_series):
 
 
 def test_jpc_insensitive_to_truncation_level_at_m3200(vix_series):
-    cfg = SeriesConfig(m=3200, n=7, test_fraction=0.2, seed=0)
+    cfg = SeriesConfig(m=3200, n=7, seed=0)
     samples = window_samples(vix_series, cfg)
     model = estimate_covariance(samples.train_samples(), 7)
     test_z = samples.test_samples()
