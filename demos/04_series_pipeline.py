@@ -8,14 +8,12 @@ estimate the joint covariance from the training windows, and compare
 filters on held-out windows. The same flow drives the ``wclmmse`` CLI.
 """
 
-import datetime
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from wclmmse import (
-    RawSeries,
     SeriesConfig,
     estimate_covariance,
     condition_number,
@@ -36,25 +34,23 @@ values = np.empty(length)
 values[0] = 0.0
 for i in range(1, length):
     values[i] = phi * values[i - 1] + noise[i]
-dates = [datetime.date(2015, 1, 1) + datetime.timedelta(days=i) for i in range(length)]
-series = RawSeries(dates=dates, values=values + 20.0)
+series = values + 20.0
 
 # --- window, split, estimate -------------------------------------------
 cfg = SeriesConfig(m=12, n=3, seed=0)
-samples = window_samples(series, cfg)
-print(f"{samples.k} windows of length {cfg.m + cfg.n};"
-      f" {samples.train.size} train / {samples.test.size} test;"
-      f" subtracted mean {samples.mean:.3f}")
+train, test_z, mean = window_samples(series, cfg)
+print(f"{len(train) + len(test_z)} windows of length {cfg.m + cfg.n};"
+      f" {len(train)} train / {len(test_z)} test;"
+      f" subtracted mean {mean:.3f}")
 
-model = estimate_covariance(samples.train_samples(), cfg.n)
+model = estimate_covariance(train, cfg.n)
 print(f"condition number of the input covariance: {condition_number(model.c_y):.2e}")
 
 # --- score filters out of sample ----------------------------------------
-test_z = samples.test_samples()
 for name, filt in (("wiener", wiener(model)),
                    ("lrw l=6", lrw(model, 6)),
                    ("jpc l=6", jpc(model, 6))):
-    print(f"  {name:<10} normalized rms = {normalized_rms(filt, test_z, samples.mean):.4f}")
+    print(f"  {name:<10} normalized rms = {normalized_rms(filt, test_z, mean):.4f}")
 
 # --- the harness produces the same numbers as plot-ready rows -----------
 rows = run_l_sweep(series, cfg.m, cfg.n, [3, 6, 9, 12], ["wiener", "jpc"], seed=0)

@@ -20,7 +20,7 @@ from .diagnostics import (
     weighted_trace_objective,
 )
 from .dataio import (
-    RawSeries,
+    ExperimentResult,
     SeriesConfig,
     load_csv,
     normalized_rms,
@@ -57,12 +57,10 @@ from .filters import (
     wiener_structured,
 )
 from .harness import (
-    ExperimentResult,
     LPolicy,
     run_condition_report,
     run_l_sweep,
     run_m_sweep,
-    run_scaling_report,
 )
 from .linalg import (
     InverseAudit,
@@ -78,7 +76,6 @@ from .linalg import (
 )
 from .model import (
     CovarianceModel,
-    SampleSet,
     assemble_joint,
     estimate_covariance,
     geometric_spectrum,
@@ -93,7 +90,7 @@ __all__ = [
     "ScalingStudy", "analytic_mse", "best_l_search", "det_objective",
     "error_covariance", "filter_power_loss", "scaling_study", "truncation_power_loss",
     "weighted_trace_objective",
-    "RawSeries", "SeriesConfig", "load_csv", "normalized_rms", "window_samples",
+    "ExperimentResult", "SeriesConfig", "load_csv", "normalized_rms", "window_samples",
     "DegenerateDataError", "DimensionError", "InsufficientDataError",
     "InvalidSpectrumError", "InvalidWeightError", "ModelError",
     "NumericInputError", "RankError", "SingularMatrixError",
@@ -102,11 +99,10 @@ __all__ = [
     "det_optimal_weight", "is_l_well_conditioned", "jpc", "jpc_simplified",
     "lrw", "lsjpc", "lsjpc_simplified", "weighted_filter", "wiener",
     "wiener_structured",
-    "ExperimentResult", "LPolicy", "run_condition_report", "run_l_sweep",
-    "run_m_sweep", "run_scaling_report",
+    "LPolicy", "run_condition_report", "run_l_sweep", "run_m_sweep",
     "InverseAudit", "SymEig", "Svd", "condition_number", "inv_sqrt_spd",
     "matrix_norm", "nuclear_norm", "solve_spd", "svd", "sym_eig",
-    "CovarianceModel", "SampleSet", "assemble_joint", "estimate_covariance",
+    "CovarianceModel", "assemble_joint", "estimate_covariance",
     "geometric_spectrum", "sample_from_model", "split_joint", "synthetic_model",
     "__version__",
 ]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, harness
+from .diagnostics import scaling_study
 from .model import CovarianceModel, geometric_spectrum, synthetic_model
 
 __all__ = ["main"]
@@ -136,7 +137,7 @@ def _cmd_scaling(args) -> int:
         l_min = args.l_min if args.l_min is not None else 1
         step = args.l_step if args.l_step is not None else 1
     grid = range(l_min, l_max + 1, step)
-    study = harness.run_scaling_report(model, args.filter, grid, norm=args.norm)
+    study = scaling_study(model, args.filter, grid, norm=args.norm)
     dataio.write_scaling_csv(study, args.out)
     print(f"wrote {args.out} ({study.l.shape[0]} rows;"
           f" slope={study.slope:.6g}, max dist/loss ratio={study.max_ratio:.6g})")

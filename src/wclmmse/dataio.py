@@ -1,11 +1,13 @@
 """Time-series ingestion, windowing, train/test split, and result files.
 
-A daily-valued series is cut into overlapping windows of m + n
-consecutive values; the n later values form the prediction target X
-(stored in the TOP coordinates, matching the model module's stacking
-convention) and the m earlier values form the input Y below. A scalar
-global mean, computed over the training windows only, is subtracted
-from every entry and kept for adding back at evaluation time.
+A daily-valued series is a plain 1-D array of values in date order. It
+is cut into overlapping windows of m + n consecutive values; the n later
+values form the prediction target X (stored in the TOP coordinates,
+matching the model module's stacking convention) and the m earlier
+values form the input Y below. The training and test windows are the
+rows of two plain arrays. A scalar global mean, computed over the
+training windows only, is subtracted from every entry and kept for
+adding back at evaluation time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +28,13 @@ from .errors import (
     NumericInputError,
 )
 from .filters import LinearFilter
-from .model import SampleSet
 
 __all__ = [
     "SeriesConfig",
-    "RawSeries",
     "load_csv",
     "window_samples",
     "normalized_rms",
+    "ExperimentResult",
     "RESULT_FIELDS",
     "write_results_csv",
     "write_results_json",
@@ -63,30 +64,6 @@ class SeriesConfig:
             raise DimensionError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
 
 
-@dataclass
-class RawSeries:
-    """An ordered daily series: strictly increasing dates, finite values."""
-
-    dates: list[datetime.date]
-    values: NDArray[np.float64]
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise DimensionError("series values must be 1-D")
-        if len(self.dates) != self.values.shape[0]:
-            raise DimensionError("dates and values have different lengths")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericInputError("series contains non-finite values")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ModelError(f"dates not strictly increasing at {cur}")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def _parse_date(text: str) -> datetime.date:
     text = text.strip()
     try:
@@ -99,12 +76,13 @@ def _parse_date(text: str) -> datetime.date:
         raise ValueError(f"unparseable date: {text!r}") from None
 
 
-def load_csv(path, date_column: str = "date", value_column: str = "value") -> RawSeries:
-    """Read a header-bearing CSV into a date-sorted series.
+def load_csv(path, date_column: str = "date",
+             value_column: str = "value") -> NDArray[np.float64]:
+    """Read a header-bearing CSV into the 1-D float64 values, sorted by date.
 
     Column names are matched case-insensitively. Dates may be ISO-8601
     or M/D/YYYY. Rows are sorted by date internally; duplicate dates and
-    malformed rows are errors that name the offending line.
+    malformed or non-finite rows are errors that name the offending line.
     """
     path = Path(path)
     rows: list[tuple[datetime.date, float]] = []
@@ -134,23 +112,26 @@ def load_csv(path, date_column: str = "date", value_column: str = "value") -> Ra
     for (d1, _), (d2, _) in zip(rows, rows[1:]):
         if d1 == d2:
             raise ModelError(f"{path}: duplicate date {d1}")
-    return RawSeries(
-        dates=[d for d, _ in rows],
-        values=np.array([v for _, v in rows], dtype=np.float64),
-        source=str(path),
-    )
+    return np.array([v for _, v in rows], dtype=np.float64)
 
 
-def window_samples(series: RawSeries, cfg: SeriesConfig) -> SampleSet:
-    """Cut a series into K = len - (m+n) overlapping windows.
+def window_samples(series, cfg: SeriesConfig):
+    """Cut a 1-D series into K = len - (m+n) overlapping windows.
 
-    Window i covers values[i : i+m+n]; its n later values go on top (X)
+    Window i covers series[i : i+m+n]; its n later values go on top (X)
     and its m earlier values below (Y). A uniform without-replacement
     draw, deterministic per ``cfg.seed``, reserves a fifth of the windows
-    (``_TEST_FRACTION``) for testing. The scalar mean of the training
-    windows is subtracted from every entry and stored.
+    (``_TEST_FRACTION``) for testing. Returns ``(train, test, mean)``:
+    the training and test windows as C-contiguous rows in increasing
+    window order, with ``mean``, the scalar mean of the training
+    windows, subtracted from every entry.
     """
-    length = len(series)
+    values = np.asarray(series, dtype=np.float64)
+    if values.ndim != 1:
+        raise DimensionError(f"series must be 1-D, got ndim={values.ndim}")
+    if not np.all(np.isfinite(values)):
+        raise NumericInputError("series contains non-finite values")
+    length = values.shape[0]
     m, n = cfg.m, cfg.n
     if length < m + n + 1:
         raise DegenerateDataError(
@@ -158,16 +139,21 @@ def window_samples(series: RawSeries, cfg: SeriesConfig) -> SampleSet:
     k = length - (m + n)
     if k < 5:
         raise DegenerateDataError(f"need at least 5 windows to split, got {k}")
-    windows = np.lib.stride_tricks.sliding_window_view(series.values, m + n)[:k]
-    samples = np.concatenate([windows[:, m:], windows[:, :m]], axis=1)
     rng = np.random.default_rng(cfg.seed)
     test_size = int(round(_TEST_FRACTION * k))
-    test = np.sort(rng.choice(k, size=test_size, replace=False)).astype(np.intp)
+    test_rows = np.sort(rng.choice(k, size=test_size, replace=False))
     mask = np.ones(k, dtype=bool)
-    mask[test] = False
-    train = np.flatnonzero(mask).astype(np.intp)
-    mean = float(samples[train].mean())
-    return SampleSet(samples=samples - mean, mean=mean, train=train, test=test)
+    mask[test_rows] = False
+    # [later n | earlier m], gathered from the strided view straight into
+    # the train and test rows
+    cols = np.concatenate([np.arange(m, m + n), np.arange(m)])
+    windows = np.lib.stride_tricks.sliding_window_view(values, m + n)
+    train = windows[np.flatnonzero(mask)[:, None], cols]
+    test = windows[test_rows[:, None], cols]
+    mean = float(train.mean())
+    train -= mean
+    test -= mean
+    return train, test, mean
 
 
 def normalized_rms(filt: LinearFilter, test_samples, mean: float) -> float:
@@ -195,8 +181,23 @@ def normalized_rms(filt: LinearFilter, test_samples, mean: float) -> float:
     return float(np.sqrt(num) / np.sqrt(den))
 
 
-RESULT_FIELDS = ("filter", "m", "n", "l", "norm_rms", "analytic_mse",
-                 "rho_l", "cond_cy", "max_inverse_dim", "wall_ms")
+@dataclass
+class ExperimentResult:
+    """One (filter, m, l) record of a sweep; its fields are the result schema."""
+
+    filter: str
+    m: int
+    n: int
+    l: int | None
+    norm_rms: float
+    analytic_mse: float
+    rho_l: float
+    cond_cy: float
+    max_inverse_dim: int
+    wall_ms: float
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ExperimentResult))
 
 
 def _format_cell(value) -> str:
@@ -211,17 +212,13 @@ def write_results_csv(results, path) -> None:
     """Experiment rows in the fixed result schema; bytes depend only on values."""
     lines = [",".join(RESULT_FIELDS)]
     for row in results:
-        record = row.as_dict() if hasattr(row, "as_dict") else dict(row)
-        lines.append(",".join(_format_cell(record[f]) for f in RESULT_FIELDS))
+        lines.append(",".join(_format_cell(getattr(row, f)) for f in RESULT_FIELDS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_results_json(results, path) -> None:
     """The same rows as a JSON array."""
-    records = []
-    for row in results:
-        record = row.as_dict() if hasattr(row, "as_dict") else dict(row)
-        records.append({f: record[f] for f in RESULT_FIELDS})
+    records = [{f: getattr(row, f) for f in RESULT_FIELDS} for row in results]
     Path(path).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
 

@@ -149,7 +149,7 @@ class SpectralCache:
         """Joint eigendecomposition (the given one, if any), checked to be a
         full orthonormal basis."""
         model = self.model
-        eig = self._given_eig_z if self._given_eig_z is not None else sym_eig(model.joint)
+        eig = self._given_eig_z if self._given_eig_z is not None else sym_eig(model.c_z)
         if eig.dim != model.dim:
             raise DimensionError("eigendecomposition dimension does not match model")
         v_x, v_y = eig.eigenvectors[: model.n, :], eig.eigenvectors[model.n :, :]

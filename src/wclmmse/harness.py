@@ -1,5 +1,5 @@
 """Experiment orchestration: truncation sweeps, window-length sweeps,
-condition-number reports, and scaling reports.
+and condition-number reports.
 
 Rows are plot-ready records in the fixed result schema. A construction
 failure (e.g. a singular input covariance) is captured in its row as NaN
@@ -11,25 +11,24 @@ serialization so ordering never depends on execution order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio
-from .diagnostics import analytic_mse, best_l_search, filter_power_loss, scaling_study
+from .dataio import ExperimentResult
+from .diagnostics import analytic_mse, best_l_search, filter_power_loss
 from .errors import DimensionError, SingularMatrixError, WclmmseError
 from .filters import FILTER_CONSTRUCTORS, FilterKind, SpectralCache
 from .linalg import condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
 
 __all__ = [
-    "ExperimentResult",
     "LPolicy",
     "parse_l_policy",
     "run_l_sweep",
     "run_m_sweep",
     "run_condition_report",
-    "run_scaling_report",
 ]
 
 _TEST_DRAWS = 1000
@@ -45,36 +44,6 @@ _NOMINAL_INVERSE = {
     FilterKind.JPC_SIMPLIFIED: lambda m, l: 0,
     FilterKind.LSJPC_SIMPLIFIED: lambda m, l: 0,
 }
-
-
-@dataclass
-class ExperimentResult:
-    """One (filter, m, l) record of a sweep."""
-
-    filter: str
-    m: int
-    n: int
-    l: int | None
-    norm_rms: float
-    analytic_mse: float
-    rho_l: float
-    cond_cy: float
-    max_inverse_dim: int
-    wall_ms: float
-
-    def as_dict(self) -> dict:
-        return {
-            "filter": self.filter,
-            "m": self.m,
-            "n": self.n,
-            "l": self.l,
-            "norm_rms": self.norm_rms,
-            "analytic_mse": self.analytic_mse,
-            "rho_l": self.rho_l,
-            "cond_cy": self.cond_cy,
-            "max_inverse_dim": self.max_inverse_dim,
-            "wall_ms": self.wall_ms,
-        }
 
 
 @dataclass
@@ -134,11 +103,10 @@ def _prepare(source, m: int, n: int, seed: int):
                 f"model has (n, m) = {(source.n, source.m)}, requested {(n, m)}")
         cache = SpectralCache(source)
         test = sample_from_model(source, _TEST_DRAWS, seed=seed + 1, eig_z=cache.eig_z)
-        return cache, test.samples, 0.0
+        return cache, test, 0.0
     cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
-    samples = dataio.window_samples(source, cfg)
-    model = estimate_covariance(samples.train_samples(), n)
-    return SpectralCache(model), samples.test_samples(), samples.mean
+    train, test, mean = dataio.window_samples(source, cfg)
+    return SpectralCache(estimate_covariance(train, n)), test, mean
 
 
 def _sweep_model(source, m: int, n: int, seed: int, kinds,
@@ -260,13 +228,8 @@ def run_condition_report(source, m_grid, n: int, seed: int = 0) -> list[tuple[in
             c_y = source.c_y[source.m - m :, source.m - m :]
         else:
             cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
-            samples = dataio.window_samples(source, cfg)
-            c_y = estimate_covariance(samples.train_samples(), n).c_y
+            train, _, _ = dataio.window_samples(source, cfg)
+            c_y = estimate_covariance(train, n).c_y
         rows.append((m, condition_number(c_y)))
     return rows
 
-
-def run_scaling_report(model: CovarianceModel, filter_kind, l_grid,
-                       norm: str = "nuclear"):
-    """Scaling study of one filter kind on a model (see diagnostics)."""
-    return scaling_study(model, FilterKind(filter_kind), l_grid, norm)

@@ -4,6 +4,8 @@ The stacking convention used everywhere in this package: the joint vector
 holds the target block X in its TOP ``n`` coordinates and the input block
 Y in the BOTTOM ``m`` coordinates. :func:`assemble_joint` and
 :func:`split_joint` are the single source of truth for that layout.
+Sample vectors, estimated from or drawn for a model, are the rows of a
+plain (k, n+m) array in the same layout.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .linalg import SymEig, sym_eig
 
 __all__ = [
     "CovarianceModel",
-    "SampleSet",
     "assemble_joint",
     "split_joint",
     "estimate_covariance",
@@ -74,8 +75,8 @@ class CovarianceModel:
 
     ``n`` is the dimension of the estimated block X, ``m`` of the input
     block Y. Instances are treated as immutable after construction; the
-    joint covariance, when stored, is always the exact block assembly of
-    the triple, never an independent estimate.
+    joint covariance ``c_z`` is always the exact block assembly of the
+    triple, never an independent estimate.
     """
 
     n: int
@@ -83,7 +84,7 @@ class CovarianceModel:
     c_x: NDArray[np.float64]
     c_y: NDArray[np.float64]
     c_xy: NDArray[np.float64]
-    c_z: NDArray[np.float64] | None = None
+    c_z: NDArray[np.float64] = field(init=False)
 
     def __post_init__(self) -> None:
         self.c_x = np.asarray(self.c_x, dtype=np.float64)
@@ -100,68 +101,17 @@ class CovarianceModel:
             if block.size and not np.all(np.isfinite(block)):
                 raise NumericInputError(f"{name} contains non-finite entries")
             _check_symmetric(block, name)
-        if self.c_z is not None:
-            self.c_z = np.asarray(self.c_z, dtype=np.float64)
-            if self.c_z.shape != (n + m, n + m):
-                raise DimensionError(
-                    f"c_z has shape {self.c_z.shape}, expected {(n + m, n + m)}")
-            if not np.array_equal(self.c_z, assemble_joint(self.c_x, self.c_xy, self.c_y)):
-                raise ModelError("c_z does not equal the block assembly of the triple")
+        self.c_z = assemble_joint(self.c_x, self.c_xy, self.c_y)
 
     @property
     def dim(self) -> int:
         return self.n + self.m
 
-    @property
-    def joint(self) -> NDArray[np.float64]:
-        """The (n+m) x (n+m) joint covariance, assembled on demand."""
-        if self.c_z is not None:
-            return self.c_z
-        return assemble_joint(self.c_x, self.c_xy, self.c_y)
-
     @classmethod
     def from_joint(cls, c_z, n: int) -> "CovarianceModel":
-        c_z = np.asarray(c_z, dtype=np.float64)
+        """Model from the blocks of a joint covariance; X is its top ``n``."""
         c_x, c_xy, c_y = split_joint(c_z, n)
-        return cls(n=n, m=c_z.shape[0] - n, c_x=c_x, c_y=c_y, c_xy=c_xy, c_z=c_z)
-
-
-@dataclass
-class SampleSet:
-    """Windowed data vectors with a train/test partition and stored mean.
-
-    ``samples`` is a (k, n+m) array; ``mean`` is the scalar subtracted
-    from every entry before storage (0.0 for synthetic draws). The
-    partition index arrays cover a subset of the rows with no overlap.
-    """
-
-    samples: NDArray[np.float64]
-    mean: float = 0.0
-    train: NDArray[np.intp] = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    test: NDArray[np.intp] = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2:
-            raise DimensionError("samples must be a 2-D (k, n+m) array")
-        self.train = np.asarray(self.train, dtype=np.intp)
-        self.test = np.asarray(self.test, dtype=np.intp)
-        k = self.samples.shape[0]
-        for idx, name in ((self.train, "train"), (self.test, "test")):
-            if idx.size and (idx.min() < 0 or idx.max() >= k):
-                raise DimensionError(f"{name} indices out of range for k={k}")
-        if np.intersect1d(self.train, self.test).size:
-            raise ModelError("train and test partitions overlap")
-
-    @property
-    def k(self) -> int:
-        return self.samples.shape[0]
-
-    def train_samples(self) -> NDArray[np.float64]:
-        return self.samples[self.train]
-
-    def test_samples(self) -> NDArray[np.float64]:
-        return self.samples[self.test]
+        return cls(n=n, m=c_y.shape[0], c_x=c_x, c_y=c_y, c_xy=c_xy)
 
 
 def estimate_covariance(samples, n: int) -> CovarianceModel:
@@ -223,17 +173,18 @@ def synthetic_model(n: int, m: int, spectrum, seed: int = 0) -> CovarianceModel:
 
 
 def sample_from_model(model: CovarianceModel, k: int, seed: int = 0,
-                      eig_z: SymEig | None = None) -> SampleSet:
-    """Draw k i.i.d. zero-mean Gaussian vectors with covariance model.joint.
+                      eig_z: SymEig | None = None) -> NDArray[np.float64]:
+    """Draw k i.i.d. zero-mean Gaussian vectors with covariance model.c_z.
 
-    Uses the symmetric square root of the joint covariance, from
-    ``eig_z`` when its eigendecomposition is already at hand; negative
+    Returns the (k, n+m) array of draws, one vector per row. Uses the
+    symmetric square root of the joint covariance, from ``eig_z`` when
+    its eigendecomposition is already at hand; negative
     eigenvalues beyond -1e-10 * lambda_max are a model error, smaller
     ones are clipped to zero. Deterministic per seed.
     """
     if k < 0:
         raise DimensionError(f"sample count must be nonnegative, got {k}")
-    eig = eig_z if eig_z is not None else sym_eig(model.joint)
+    eig = eig_z if eig_z is not None else sym_eig(model.c_z)
     if eig.dim != model.dim:
         raise DimensionError("eigendecomposition dimension does not match model")
     vals = eig.eigenvalues
@@ -244,10 +195,4 @@ def sample_from_model(model: CovarianceModel, k: int, seed: int = 0,
     root = (eig.eigenvectors * np.sqrt(np.clip(vals, 0.0, None))) @ eig.eigenvectors.T
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((k, model.dim))
-    samples = draws @ root.T
-    return SampleSet(
-        samples=samples,
-        mean=0.0,
-        train=np.arange(k, dtype=np.intp),
-        test=np.empty(0, dtype=np.intp),
-    )
+    return draws @ root.T

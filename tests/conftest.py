@@ -1,12 +1,11 @@
 """Shared model builders for the test suite."""
 
-import datetime
 import sys
 
 import numpy as np
 import pytest
 
-from wclmmse import CovarianceModel, RawSeries, SpectralCache, linalg
+from wclmmse import CovarianceModel, SpectralCache, linalg
 
 
 def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
@@ -54,14 +53,13 @@ def ar1_model(n, m, phi=0.9, noise=0.0):
 
 
 def ar1_series(length, phi=0.8, level=20.0, sigma=1.0, seed=0):
-    """A synthetic daily series for pipeline tests."""
+    """A synthetic daily series (1-D values) for pipeline tests."""
     rng = np.random.default_rng(seed)
     values = np.empty(length)
     values[0] = 0.0
     for i in range(1, length):
         values[i] = phi * values[i - 1] + sigma * rng.standard_normal()
-    dates = [datetime.date(2000, 1, 3) + datetime.timedelta(days=i) for i in range(length)]
-    return RawSeries(dates=dates, values=values + level, source="synthetic-ar1")
+    return values + level
 
 
 @pytest.fixture

@@ -201,7 +201,7 @@ def test_criterion_4_scaling_law():
 def test_criterion_5_analytic_vs_empirical_mse():
     with criterion(5, "closed-form mse matches sampled mse within 3 standard errors", 30.0) as c:
         model = haar_model(3, 5, ratio=0.7, seed=404)
-        draws = sample_from_model(model, 50_000, seed=405).samples
+        draws = sample_from_model(model, 50_000, seed=405)
         x, y = draws[:, :3], draws[:, 3:]
         rng = np.random.default_rng(406)
         for _ in range(10):
@@ -281,24 +281,23 @@ def test_criterion_8_real_data_pipeline():
         assert len(series) == 7923
 
         cfg = SeriesConfig(m=2000, n=7, seed=0)
-        samples = window_samples(series, cfg)
-        assert abs(samples.k - 5917) <= 1
-        assert abs(samples.train.size - 4733) <= 1
-        assert abs(samples.test.size - 1184) <= 1
+        train, test, _ = window_samples(series, cfg)
+        assert abs(train.shape[0] + test.shape[0] - 5917) <= 1
+        assert abs(train.shape[0] - 4733) <= 1
+        assert abs(test.shape[0] - 1184) <= 1
 
         cfg1600 = SeriesConfig(m=1600, n=7, seed=0)
-        s1600 = window_samples(series, cfg1600)
-        model1600 = estimate_covariance(s1600.train_samples(), 7)
+        train1600, _, _ = window_samples(series, cfg1600)
+        model1600 = estimate_covariance(train1600, 7)
         cond = condition_number(model1600.c_y)
         assert 5e4 <= cond <= 1e6, f"cond at m=1600: {cond:.3e}"
 
         cfg3200 = SeriesConfig(m=3200, n=7, seed=0)
-        s3200 = window_samples(series, cfg3200)
-        model3200 = estimate_covariance(s3200.train_samples(), 7)
-        test_z = s3200.test_samples()
-        rms_wiener = normalized_rms(wiener(model3200), test_z, s3200.mean)
+        train3200, test_z, mean3200 = window_samples(series, cfg3200)
+        model3200 = estimate_covariance(train3200, 7)
+        rms_wiener = normalized_rms(wiener(model3200), test_z, mean3200)
         # truncation level inside the reported flat region around the optimum
-        rms_jpc = normalized_rms(jpc(model3200, 400), test_z, s3200.mean)
+        rms_jpc = normalized_rms(jpc(model3200, 400), test_z, mean3200)
         ratio = rms_wiener / rms_jpc
         print(f"  m=3200: rms(wiener)={rms_wiener:.4f} rms(jpc@400)={rms_jpc:.4f}"
               f" ratio={ratio:.2f}")

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, flags, seed handling, output files."""
 
 import csv
+import datetime
 import json
 
 import numpy as np
@@ -12,11 +13,17 @@ from wclmmse.dataio import RESULT_FIELDS
 from wclmmse.model import synthetic_model, geometric_spectrum
 
 
+def series_csv_text(series, header="date,value"):
+    """One row per value, on consecutive days from 2000-01-03."""
+    start = datetime.date(2000, 1, 3)
+    lines = [header]
+    lines += [f"{(start + datetime.timedelta(days=i)).isoformat()},{float(v)!r}"
+              for i, v in enumerate(series)]
+    return "\n".join(lines) + "\n"
+
+
 def write_series_csv(path, length=260, seed=0):
-    series = ar1_series(length, phi=0.8, seed=seed)
-    lines = ["date,value"]
-    lines += [f"{d.isoformat()},{float(v)!r}" for d, v in zip(series.dates, series.values)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(series_csv_text(ar1_series(length, phi=0.8, seed=seed)), encoding="utf-8")
     return path
 
 
@@ -27,7 +34,7 @@ class TestSynth:
                      "--seed", "3", "--out", str(out)]) == 0
         model = load_model(out)
         expected = synthetic_model(2, 6, geometric_spectrum(8, 1.0, 0.7), seed=3)
-        assert np.array_equal(model.joint, expected.joint)
+        assert np.array_equal(model.c_z, expected.c_z)
 
     def test_bad_spectrum_spec(self, tmp_path, capsys):
         rc = main(["synth", "--n", "1", "--m", "2", "--spectrum", "linear:1",
@@ -40,7 +47,7 @@ class TestSynth:
         path = tmp_path / "m.bin"
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(loaded.joint, model.joint)
+        assert np.array_equal(loaded.c_z, model.c_z)
 
 
 class TestSweepL:
@@ -64,9 +71,7 @@ class TestSweepL:
     def test_data_source_with_custom_columns(self, tmp_path):
         data = tmp_path / "series.csv"
         series = ar1_series(240, phi=0.8, seed=1)
-        lines = ["DAY,CLOSE"]
-        lines += [f"{d.isoformat()},{float(v)!r}" for d, v in zip(series.dates, series.values)]
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data.write_text(series_csv_text(series, header="DAY,CLOSE"), encoding="utf-8")
         out = tmp_path / "results.csv"
         rc = main(["sweep-l", "--data", str(data), "--date-col", "DAY",
                    "--value-col", "CLOSE", "--m", "6", "--n", "2",

@@ -1,6 +1,7 @@
 """Data pipeline tests: CSV ingestion, windowing, splitting, metrics, files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from wclmmse import (
 )
 from wclmmse.dataio import (
     RESULT_FIELDS,
+    ExperimentResult,
     write_condition_csv,
     write_results_csv,
     write_results_json,
 )
-from wclmmse.harness import ExperimentResult
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -34,23 +35,34 @@ def write(tmp_path, text, name="series.csv"):
     return path
 
 
+def window_starts(series, rows, mean, n):
+    """Index of the window each row was cut from, found by its first earlier value."""
+    centered = series - mean
+    starts = []
+    for row in rows:
+        (start,) = np.flatnonzero(centered == row[n])
+        starts.append(int(start))
+    return np.array(starts, dtype=np.intp)
+
+
 class TestLoadCsv:
     def test_three_row_toy(self, tmp_path):
         path = write(tmp_path, "date,value\n2020-01-02,10.5\n2020-01-03,11.0\n2020-01-06,9.75\n")
         series = load_csv(path)
-        assert len(series) == 3
-        np.testing.assert_array_equal(series.values, [10.5, 11.0, 9.75])
-        assert series.dates[0].isoformat() == "2020-01-02"
+        assert series.shape == (3,) and series.dtype == np.float64
+        np.testing.assert_array_equal(series, [10.5, 11.0, 9.75])
 
     def test_unsorted_rows_sorted(self, tmp_path):
         path = write(tmp_path, "date,value\n2020-01-03,2\n2020-01-02,1\n")
         series = load_csv(path)
-        np.testing.assert_array_equal(series.values, [1.0, 2.0])
+        np.testing.assert_array_equal(series, [1.0, 2.0])
 
     def test_us_date_format_and_custom_columns(self, tmp_path):
-        path = write(tmp_path, "DATE,OPEN,CLOSE\n1/02/1990,17.24,17.24\n1/03/1990,18.19,18.19\n")
+        # M/D/YYYY dates sort by date, not as text: 12/29/1989 comes first
+        path = write(tmp_path, "DATE,OPEN,CLOSE\n1/03/1990,18.0,18.19\n"
+                               "12/29/1989,17.0,17.5\n1/02/1990,17.2,17.24\n")
         series = load_csv(path, date_column="DATE", value_column="CLOSE")
-        assert series.dates[0].isoformat() == "1990-01-02"
+        np.testing.assert_array_equal(series, [17.5, 17.24, 18.19])
 
     def test_malformed_value_names_line(self, tmp_path):
         path = write(tmp_path, "date,value\n2020-01-02,1.0\n2020-01-03,oops\n")
@@ -71,41 +83,53 @@ class TestLoadCsv:
 class TestWindowSamples:
     def test_window_count(self):
         series = ar1_series(10, seed=0)
-        out = window_samples(series, SeriesConfig(m=2, n=1, seed=0))
-        assert out.k == 7
-        assert out.samples.shape == (7, 3)
+        train, test, _ = window_samples(series, SeriesConfig(m=2, n=1, seed=0))
+        assert train.shape[0] + test.shape[0] == 7
+        assert train.shape[1] == test.shape[1] == 3
 
     def test_later_values_on_top(self):
         series = ar1_series(12, seed=1)
         cfg = SeriesConfig(m=3, n=2, seed=0)
-        out = window_samples(series, cfg)
+        train, test, mean = window_samples(series, cfg)
+        windows = np.concatenate([train, test])
+        starts = window_starts(series, windows, mean, cfg.n)
         # window i = [values[i+3 : i+5] | values[i : i+3]], mean-shifted
         for i in (0, 4):
-            expected = np.concatenate([series.values[i + 3 : i + 5], series.values[i : i + 3]])
-            np.testing.assert_array_equal(out.samples[i] + out.mean, expected)
+            expected = np.concatenate([series[i + 3 : i + 5], series[i : i + 3]])
+            (row,) = np.flatnonzero(starts == i)
+            np.testing.assert_array_equal(windows[row] + mean, expected)
+
+    def test_rows_in_increasing_window_order(self):
+        series = ar1_series(60, seed=6)
+        train, test, mean = window_samples(series, SeriesConfig(m=4, n=2, seed=3))
+        for rows in (train, test):
+            assert rows.flags["C_CONTIGUOUS"]
+            assert np.all(np.diff(window_starts(series, rows, mean, 2)) > 0)
 
     def test_constant_series_centers_to_zero(self):
         series = ar1_series(20, sigma=0.0, phi=0.0, level=20.0, seed=2)
-        out = window_samples(series, SeriesConfig(m=3, n=1, seed=0))
-        np.testing.assert_array_equal(out.samples, np.zeros_like(out.samples))
-        model = estimate_covariance(out.train_samples(), n=1)
-        np.testing.assert_array_equal(model.joint, np.zeros((4, 4)))
+        train, test, _ = window_samples(series, SeriesConfig(m=3, n=1, seed=0))
+        np.testing.assert_array_equal(train, np.zeros_like(train))
+        np.testing.assert_array_equal(test, np.zeros_like(test))
+        model = estimate_covariance(train, n=1)
+        np.testing.assert_array_equal(model.c_z, np.zeros((4, 4)))
 
     def test_training_mean_is_zero_after_subtraction(self):
         series = ar1_series(200, seed=3)
-        out = window_samples(series, SeriesConfig(m=5, n=2, seed=1))
-        assert abs(out.train_samples().mean()) <= 1e-10
+        train, _, _ = window_samples(series, SeriesConfig(m=5, n=2, seed=1))
+        assert abs(train.mean()) <= 1e-10
 
     def test_round_trip_reassembles_series(self):
         # the K = len - (m+n) window count leaves the final value uncovered
         series = ar1_series(40, seed=4)
         cfg = SeriesConfig(m=4, n=2, seed=0)
-        out = window_samples(series, cfg)
-        centered = series.values - out.mean
+        train, test, mean = window_samples(series, cfg)
+        windows = np.concatenate([train, test])
+        centered = series - mean
         rebuilt = np.full(40, np.nan)
-        for i in range(out.k):
-            rebuilt[i : i + 4] = out.samples[i, 2:]      # earlier block
-            rebuilt[i + 4 : i + 6] = out.samples[i, :2]  # later block
+        for i, row in zip(window_starts(series, windows, mean, cfg.n), windows):
+            rebuilt[i : i + 4] = row[2:]      # earlier block
+            rebuilt[i + 4 : i + 6] = row[:2]  # later block
         assert np.array_equal(rebuilt[:-1], centered[:-1])
         assert np.isnan(rebuilt[-1])
 
@@ -114,30 +138,55 @@ class TestWindowSamples:
         with pytest.raises(DegenerateDataError):
             window_samples(series, SeriesConfig(m=4, n=2, seed=0))
 
+    def test_rejects_series_not_1d_or_not_finite(self):
+        series = ar1_series(40, seed=5)
+        cfg = SeriesConfig(m=4, n=2, seed=0)
+        with pytest.raises(DimensionError):
+            window_samples(series.reshape(2, 20), cfg)
+        series[17] = np.nan
+        with pytest.raises(NumericInputError):
+            window_samples(series, cfg)
+
+    def test_peak_memory_is_the_returned_windows(self):
+        # k = 2200 windows of m + n = 207 values: the windows are gathered
+        # straight into train and test, with no full window matrix besides
+        series = ar1_series(2200 + 207, seed=6)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train, test, _ = window_samples(series, SeriesConfig(m=200, n=7, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (train.nbytes + test.nbytes)
+
 
 class TestSplit:
     def test_sizes(self):
         series = ar1_series(16, seed=6)
-        out = window_samples(series, SeriesConfig(m=4, n=2, seed=0))
-        assert out.k == 10
-        assert out.test.size == 2 and out.train.size == 8
+        train, test, _ = window_samples(series, SeriesConfig(m=4, n=2, seed=0))
+        assert train.shape[0] + test.shape[0] == 10
+        assert test.shape[0] == 2 and train.shape[0] == 8
 
     def test_deterministic_and_disjoint(self):
         series = ar1_series(30, seed=7)
         cfg = SeriesConfig(m=4, n=2, seed=11)
         one = window_samples(series, cfg)
         two = window_samples(series, cfg)
-        assert np.array_equal(one.samples, two.samples)
-        assert np.array_equal(one.test, two.test)
-        assert np.array_equal(one.train, two.train)
-        assert np.intersect1d(one.train, one.test).size == 0
-        assert one.train.size + one.test.size == one.k
+        assert np.array_equal(one[0], two[0])
+        assert np.array_equal(one[1], two[1])
+        assert one[2] == two[2]
+        train = window_starts(series, one[0], one[2], cfg.n)
+        test = window_starts(series, one[1], one[2], cfg.n)
+        assert np.intersect1d(train, test).size == 0
+        assert train.size + test.size == 30 - 6
 
     def test_seed_changes_partition(self):
         series = ar1_series(30, seed=8)
-        one = window_samples(series, SeriesConfig(m=4, n=2, seed=1))
-        two = window_samples(series, SeriesConfig(m=4, n=2, seed=2))
-        assert not np.array_equal(one.test, two.test)
+        _, one, mean_one = window_samples(series, SeriesConfig(m=4, n=2, seed=1))
+        _, two, mean_two = window_samples(series, SeriesConfig(m=4, n=2, seed=2))
+        assert not np.array_equal(window_starts(series, one, mean_one, 2),
+                                  window_starts(series, two, mean_two, 2))
 
     def test_degenerate_count(self):
         series = ar1_series(8, seed=9)
@@ -196,6 +245,12 @@ class TestResultFiles:
         assert lines[0] == ",".join(RESULT_FIELDS)
         assert lines[1].startswith("wiener,8,2,,0.5,")
         assert ",nan," in lines[2]
+
+    def test_header_is_the_fixed_ten_columns(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_results_csv(self.rows(), path)
+        assert path.read_text().splitlines()[0] == (
+            "filter,m,n,l,norm_rms,analytic_mse,rho_l,cond_cy,max_inverse_dim,wall_ms")
 
     def test_csv_bytes_stable(self, tmp_path):
         one, two = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -43,7 +43,7 @@ class TestAnalyticMse:
         model = haar_model(2, 3, ratio=0.6, seed=2)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 3))
-        draws = sample_from_model(model, 200000, seed=4).samples
+        draws = sample_from_model(model, 200000, seed=4)
         errors = draws[:, 2:] @ a.T - draws[:, :2]
         per_sample = np.einsum("ij,ij->i", errors, errors)
         se = per_sample.std(ddof=1) / np.sqrt(per_sample.shape[0])
@@ -160,9 +160,13 @@ class TestTruncationPowerLoss:
 
 class TestScalingStudy:
     def test_exact_recovery_at_full_level(self):
-        model = haar_model(2, 6, ratio=0.7, seed=13)
-        study = scaling_study(model, FilterKind.JPC, range(2, 7), "nuclear")
-        assert study.dist[-1] <= 1e-8
+        # the kind may also be given by its name
+        for kind, grid, ratio in ((FilterKind.JPC, range(2, 7), 0.7), ("jpc", [2, 4, 6], 0.6)):
+            model = haar_model(2, 6, ratio=ratio, seed=13)
+            study = scaling_study(model, kind, grid, "nuclear")
+            assert study.kind is FilterKind.JPC
+            assert study.l.tolist() == list(grid)
+            assert study.dist[-1] <= 1e-8
 
     def test_ratio_bounded_on_gentle_decay(self):
         model = haar_model(2, 8, ratio=0.5, seed=14)

@@ -317,7 +317,7 @@ class TestSignInvariance:
     def test_filters_unchanged_by_eigenvector_sign_flips(self):
         model = haar_model(2, 5, ratio=0.6, seed=25)
         cache = SpectralCache(model)
-        flipped_eig = sym_eig(model.joint)
+        flipped_eig = sym_eig(model.c_z)
         rng = np.random.default_rng(26)
         signs = np.where(rng.random(model.dim) < 0.5, -1.0, 1.0)
         flipped_eig.eigenvectors = flipped_eig.eigenvectors * signs

@@ -14,7 +14,6 @@ from conftest import ar1_series, haar_model
 from wclmmse import (
     CovarianceModel,
     DimensionError,
-    FilterKind,
     LinearFilter,
     LPolicy,
     SeriesConfig,
@@ -25,7 +24,6 @@ from wclmmse import (
     run_condition_report,
     run_l_sweep,
     run_m_sweep,
-    run_scaling_report,
     synthetic_model,
     wiener,
     window_samples,
@@ -157,8 +155,8 @@ class TestRunMSweep:
         for m, grid in ((6, range(2, 7)), (64, range(2, 65, 4))):
             rows = run_m_sweep(series, [m], 2, ["jpc"], LPolicy(mode="best"), seed=0)
             assert len(rows) == 1
-            samples = window_samples(series, SeriesConfig(m=m, n=2, seed=0))
-            model = estimate_covariance(samples.train_samples(), 2)
+            train, _, _ = window_samples(series, SeriesConfig(m=m, n=2, seed=0))
+            model = estimate_covariance(train, 2)
             mse = {l: analytic_mse(model, jpc(model, l)) for l in grid}
             assert rows[0].l == min(mse, key=lambda l: (mse[l], l))
 
@@ -265,12 +263,3 @@ class TestDeterminism:
         two = run_l_sweep(model, 6, 2, [2], ["jpc"], seed=2)
         assert one[0].norm_rms != two[0].norm_rms
         assert one[0].analytic_mse == two[0].analytic_mse
-
-
-class TestScalingReport:
-    def test_delegates_to_diagnostics(self):
-        model = haar_model(2, 6, ratio=0.6, seed=13)
-        study = run_scaling_report(model, "jpc", [2, 4, 6], norm="nuclear")
-        assert study.kind is FilterKind.JPC
-        assert study.l.tolist() == [2, 4, 6]
-        assert study.dist[-1] <= 1e-8

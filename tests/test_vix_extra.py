@@ -39,10 +39,9 @@ def test_condition_number_grows_two_orders(vix_series):
 
 def test_jpc_insensitive_to_truncation_level_at_m3200(vix_series):
     cfg = SeriesConfig(m=3200, n=7, seed=0)
-    samples = window_samples(vix_series, cfg)
-    model = estimate_covariance(samples.train_samples(), 7)
-    test_z = samples.test_samples()
-    rms = [normalized_rms(jpc(model, l), test_z, samples.mean)
+    train, test_z, mean = window_samples(vix_series, cfg)
+    model = estimate_covariance(train, 7)
+    rms = [normalized_rms(jpc(model, l), test_z, mean)
            for l in (300, 400, 500)]
     spread = (max(rms) - min(rms)) / min(rms)
     assert spread <= 0.10, f"rms over l in 300..500: {np.round(rms, 4)}"
