@@ -16,7 +16,6 @@ import numpy as np
 from wclmmse import (
     CovarianceModel,
     analytic_mse,
-    condition_number,
     geometric_spectrum,
     jpc,
     run_condition_report,

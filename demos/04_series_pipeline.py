@@ -54,9 +54,10 @@ for name, filt in (("wiener", wiener(model)),
 
 # --- the harness produces the same numbers as plot-ready rows -----------
 rows = run_l_sweep(series, cfg.m, cfg.n, [3, 6, 9, 12], ["wiener", "jpc"], seed=0)
-out = Path(tempfile.mkdtemp()) / "l_sweep.csv"
-write_results_csv(rows, out)
-print(f"\nwrote {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "l_sweep.csv"
+    write_results_csv(rows, out)
+    print(f"\nwrote {out}")
 for row in rows:
     level = "-" if row.l is None else row.l
     print(f"  {row.filter:<8} l={level:<3} rms={row.norm_rms:.4f}"

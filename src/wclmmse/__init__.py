@@ -43,7 +43,6 @@ from .filters import (
     FilterKind,
     LinearFilter,
     Prefilter,
-    SpectralCache,
     csw,
     det_optimal_weight,
     is_l_well_conditioned,
@@ -76,6 +75,7 @@ from .linalg import (
 )
 from .model import (
     CovarianceModel,
+    SpectralCache,
     assemble_joint,
     estimate_covariance,
     geometric_spectrum,

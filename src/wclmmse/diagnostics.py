@@ -14,13 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
-from .filters import (
-    FILTER_CONSTRUCTORS,
-    FilterKind,
-    LinearFilter,
-    SpectralCache,
-    wiener,
-)
+from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, wiener
 from .linalg import matrix_norm
 from .model import CovarianceModel
 
@@ -108,7 +102,7 @@ def truncation_power_loss(spectrum, l: int) -> float:
     return float(spectrum[l:].sum())
 
 
-def filter_power_loss(cache: SpectralCache, kind: FilterKind, l: int) -> float:
+def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float:
     """Truncation-power loss of the spectrum a filter kind truncates at level l.
 
     The rank-truncated family (``lrw``, ``csw``) discards whitened singular
@@ -116,9 +110,9 @@ def filter_power_loss(cache: SpectralCache, kind: FilterKind, l: int) -> float:
     discards the joint-eigenvalue tail beyond l.
     """
     if kind in (FilterKind.LRW, FilterKind.CSW):
-        spectrum = cache.whitened_cross_svd.s
-        return truncation_power_loss(spectrum, min(l, cache.model.n, spectrum.shape[0]))
-    return truncation_power_loss(cache.eig_z.eigenvalues, l)
+        spectrum = model.spectral.whitened_cross_svd.s
+        return truncation_power_loss(spectrum, min(l, model.n, spectrum.shape[0]))
+    return truncation_power_loss(model.spectral.eig_z.eigenvalues, l)
 
 
 @dataclass
@@ -180,7 +174,6 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     reference = wiener(model)
     ref_mse = analytic_mse(model, reference)
     ref_norm = matrix_norm(reference.matrix, norm)
-    cache = SpectralCache(model)
     constructor = FILTER_CONSTRUCTORS[filter_kind]
 
     rho = np.empty(grid.size)
@@ -188,11 +181,11 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     gap = np.empty(grid.size)
     gram = np.empty(grid.size)
     for i, l in enumerate(grid):
-        filt = constructor(model, int(l), cache=cache)
-        rho[i] = filter_power_loss(cache, filter_kind, int(l))
+        filt = constructor(model, int(l))
+        rho[i] = filter_power_loss(model, filter_kind, int(l))
         dist[i] = matrix_norm(filt.matrix - reference.matrix, norm)
         gap[i] = analytic_mse(model, filt) - ref_mse
-        gram[i] = cache.gram_defect(int(l))
+        gram[i] = model.spectral.gram_defect(int(l))
 
     study = ScalingStudy(kind=filter_kind, norm=norm, l=grid, rho_l=rho,
                          dist=dist, mse_gap=gap, gram_defect=gram)
@@ -205,16 +198,15 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
 
 
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
-                  l_min: int, l_max: int, step: int = 1,
-                  cache: SpectralCache | None = None) -> tuple[int, float]:
+                  l_min: int, l_max: int, step: int = 1) -> tuple[int, float]:
     """Grid line search for the truncation level with smallest analytic MSE.
 
     Evaluates the closed-form MSE on the (training) covariances; ties go
     to the smaller level, which is cheaper and better conditioned. Every
-    level is built from ``cache``, the model's decompositions, when given.
-    A level whose filter cannot be built (singular or rank-deficient) is
-    skipped; when none can be, the smallest level comes back with an
-    infinite MSE, and building there reports the failure.
+    level is built from the model's one set of decompositions. A level
+    whose filter cannot be built (singular or rank-deficient) is skipped;
+    when none can be, the smallest level comes back with an infinite MSE,
+    and building there reports the failure.
     """
     filter_kind = FilterKind(filter_kind)
     if step < 1:
@@ -223,11 +215,10 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     if not grid:
         raise DimensionError(f"empty grid: l_min={l_min}, l_max={l_max}")
     constructor = FILTER_CONSTRUCTORS[filter_kind]
-    cache = cache if cache is not None else SpectralCache(model)
     best_l, best_mse = grid[0], np.inf
     for l in grid:
         try:
-            mse = analytic_mse(model, constructor(model, l, cache=cache))
+            mse = analytic_mse(model, constructor(model, l))
         except (SingularMatrixError, RankError):
             continue
         if mse < best_mse:

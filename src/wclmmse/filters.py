@@ -1,7 +1,9 @@
 """Linear MMSE filter constructors.
 
 Builds every estimator supported by the library from a
-:class:`~wclmmse.model.CovarianceModel`:
+:class:`~wclmmse.model.CovarianceModel`; every decomposition a filter
+truncates is read from ``model.spectral``, so each matrix of a model is
+decomposed at most once however many filters and levels are built:
 
 * ``wiener`` -- the unconstrained optimum ``c_xy @ inv(c_y)``.
 * ``wiener_structured`` -- the optimum among filters sharing a prefilter.
@@ -21,14 +23,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionError, InvalidWeightError, ModelError, RankError, SingularMatrixError
-from .linalg import InverseAudit, SymEig, Svd, inv_sqrt_spd, solve_spd, svd, sym_eig
-from .model import CovarianceModel
+from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
+from .linalg import InverseAudit, inv_sqrt_spd, solve_spd
+# SpectralCache, defined in model, stays importable from here as well.
+from .model import CovarianceModel, SpectralCache
 
 __all__ = [
     "FilterKind",
@@ -77,7 +79,6 @@ class LinearFilter:
     kind: FilterKind
     l: int | None = None
     max_inverse_dim: int = 0
-    base_kind: FilterKind | None = None
 
     @property
     def n(self) -> int:
@@ -86,12 +87,6 @@ class LinearFilter:
     @property
     def m(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def label(self) -> str:
-        if self.kind is FilterKind.WEIGHTED and self.base_kind is not None:
-            return f"weighted_{self.base_kind.value}"
-        return self.kind.value
 
     def apply(self, y) -> NDArray[np.float64]:
         """Estimate x from input vectors y of shape (m,) or (k, m)."""
@@ -128,71 +123,6 @@ def _has_full_column_rank(a: np.ndarray) -> bool:
         return True
     s = np.linalg.svd(a, compute_uv=False)
     return s.shape[0] >= a.shape[1] and s[-1] > _RANK_RTOL * s[0]
-
-
-class SpectralCache:
-    """The one owner of a model's decompositions, each made lazily and at most once:
-    the joint ``eig_z``, ``eig_y`` of c_y, and ``whitened_cross_svd``.
-
-    The joint eigenvectors are row-partitioned into the X part (top n
-    rows) and the Y part (bottom m rows); truncations are views of the
-    leading columns. A c_y too singular to whiten re-raises from the
-    stored eigenvalues of ``eig_y`` on every access to ``y_root_inv``.
-    """
-
-    def __init__(self, model: CovarianceModel, eig_z: SymEig | None = None):
-        self.model = model
-        self._given_eig_z = eig_z
-
-    @cached_property
-    def eig_z(self) -> SymEig:
-        """Joint eigendecomposition (the given one, if any), checked to be a
-        full orthonormal basis."""
-        model = self.model
-        eig = self._given_eig_z if self._given_eig_z is not None else sym_eig(model.c_z)
-        if eig.dim != model.dim:
-            raise DimensionError("eigendecomposition dimension does not match model")
-        v_x, v_y = eig.eigenvectors[: model.n, :], eig.eigenvectors[model.n :, :]
-        gram_sum = v_x.T @ v_x + v_y.T @ v_y
-        defect = np.linalg.norm(gram_sum - np.eye(model.dim))
-        if defect > 1e-8:
-            raise ModelError(f"joint eigenbasis is not orthonormal (defect {defect:.3e})")
-        return eig
-
-    def _check_l(self, l: int) -> int:
-        if not 1 <= l <= self.model.m:
-            raise DimensionError(f"truncation level l={l} outside [1, {self.model.m}]")
-        return int(l)
-
-    def x_block(self, l: int) -> NDArray[np.float64]:
-        """Top-n rows of the leading l joint eigenvectors."""
-        return self.eig_z.eigenvectors[: self.model.n, : self._check_l(l)]
-
-    def y_block(self, l: int) -> NDArray[np.float64]:
-        """Bottom-m rows of the leading l joint eigenvectors."""
-        return self.eig_z.eigenvectors[self.model.n :, : self._check_l(l)]
-
-    def leading_eigenvalues(self, l: int) -> NDArray[np.float64]:
-        return self.eig_z.eigenvalues[: self._check_l(l)]
-
-    def gram_defect(self, l: int) -> float:
-        """Frobenius distance of the Y-block Gram matrix from the identity."""
-        y = self.y_block(l)
-        return float(np.linalg.norm(y.T @ y - np.eye(l)))
-
-    @cached_property
-    def eig_y(self) -> SymEig:
-        return sym_eig(self.model.c_y)
-
-    @cached_property
-    def y_root_inv(self) -> NDArray[np.float64]:
-        """Inverse square root of c_y; an M x M spectral inversion."""
-        return self.eig_y.inv_sqrt()
-
-    @cached_property
-    def whitened_cross_svd(self) -> Svd:
-        """SVD of c_xy @ inv_sqrt(c_y)."""
-        return svd(self.model.c_xy @ self.y_root_inv)
 
 
 def _structured_matrix(c_xy, c_y, b, audit: InverseAudit) -> NDArray[np.float64]:
@@ -237,13 +167,13 @@ def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> Line
                         l=b.l, max_inverse_dim=audit.max_dim)
 
 
-def lrw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> LinearFilter:
+def lrw(model: CovarianceModel, l: int) -> LinearFilter:
     """Rank-truncated filter from the SVD of the whitened cross-covariance.
 
     Keeps the first min(l, n) singular triplets; the inverse square root
     of c_y makes this an M-dimensional inversion regardless of l.
     """
-    cache = cache if cache is not None else SpectralCache(model)
+    cache = model.spectral
     cache._check_l(l)
     root_inv = cache.y_root_inv
     decomp = cache.whitened_cross_svd
@@ -256,7 +186,7 @@ def lrw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> L
                         max_inverse_dim=model.m)
 
 
-def csw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> LinearFilter:
+def csw(model: CovarianceModel, l: int) -> LinearFilter:
     """Rank-truncated filter keeping input eigendirections by cross-spectral power.
 
     Components of the c_y eigenbasis are ranked by the score
@@ -264,7 +194,7 @@ def csw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> L
     SVD-based truncation it relies on the full spectrum of c_y, so the
     recorded inverse size is M.
     """
-    cache = cache if cache is not None else SpectralCache(model)
+    cache = model.spectral
     cache._check_l(l)
     eig = cache.eig_y
     eig.check_definite()
@@ -278,39 +208,31 @@ def csw(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> L
                         max_inverse_dim=model.m)
 
 
-def jpc(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> LinearFilter:
+def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
     Only an l x l system is solved, so the filter is computable without
     any inverse larger than l x l no matter how ill-conditioned c_y is.
     """
-    cache = cache if cache is not None else SpectralCache(model)
-    y = cache.y_block(l)
-    if not _has_full_column_rank(y):
-        raise RankError(
-            f"Y rows of the leading {l} joint eigenvectors are rank-deficient"
-            " (degenerate joint spectrum)")
+    model.spectral.check_y_rank(l)
     audit = InverseAudit()
-    matrix = _structured_matrix(model.c_xy, model.c_y, y.T, audit)
+    matrix = _structured_matrix(model.c_xy, model.c_y, model.spectral.y_block(l).T, audit)
     return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
                         max_inverse_dim=audit.max_dim)
 
 
-def lsjpc(model: CovarianceModel, l: int, cache: SpectralCache | None = None) -> LinearFilter:
+def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Least-squares variant of the joint-principal-component filter.
 
     Resolves the input onto the range of the Y-block basis and maps the
     coordinates through the X block: ``x_block @ inv(y'y) @ y'``. Not
     Wiener-structured; also solves nothing larger than l x l.
     """
-    cache = cache if cache is not None else SpectralCache(model)
+    cache = model.spectral
+    cache.check_y_rank(l)
     x = cache.x_block(l)
     y = cache.y_block(l)
-    if not _has_full_column_rank(y):
-        raise RankError(
-            f"Y rows of the leading {l} joint eigenvectors are rank-deficient"
-            " (degenerate joint spectrum)")
     gram = y.T @ y
     gram = 0.5 * (gram + gram.T)
     audit = InverseAudit()
@@ -320,10 +242,9 @@ def lsjpc(model: CovarianceModel, l: int, cache: SpectralCache | None = None) ->
                         max_inverse_dim=audit.max_dim)
 
 
-def jpc_simplified(model: CovarianceModel, l: int,
-                   cache: SpectralCache | None = None) -> LinearFilter:
+def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
     """Inverse-free JPC: replaces the l x l solve by reciprocal joint eigenvalues."""
-    cache = cache if cache is not None else SpectralCache(model)
+    cache = model.spectral
     y = cache.y_block(l)
     s = cache.leading_eigenvalues(l)
     if np.any(s <= 0.0):
@@ -338,17 +259,15 @@ def jpc_simplified(model: CovarianceModel, l: int,
                         max_inverse_dim=0)
 
 
-def lsjpc_simplified(model: CovarianceModel, l: int,
-                     cache: SpectralCache | None = None) -> LinearFilter:
+def lsjpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
     """Inverse-free LSJPC: treats the Y-block Gram matrix as the identity."""
-    cache = cache if cache is not None else SpectralCache(model)
-    matrix = cache.x_block(l) @ cache.y_block(l).T
+    matrix = model.spectral.x_block(l) @ model.spectral.y_block(l).T
     return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC_SIMPLIFIED, l=l,
                         max_inverse_dim=0)
 
 
 FILTER_CONSTRUCTORS = {
-    FilterKind.WIENER: lambda model, l=None, cache=None: wiener(model),
+    FilterKind.WIENER: lambda model, l=None: wiener(model),
     FilterKind.LRW: lrw,
     FilterKind.CSW: csw,
     FilterKind.JPC: jpc,
@@ -391,7 +310,6 @@ def weighted_filter(model: CovarianceModel, g, base: FilterKind,
         kind=FilterKind.WEIGHTED,
         l=inner.l,
         max_inverse_dim=max(inner.max_inverse_dim, model.n),
-        base_kind=base,
     )
 
 

@@ -1,7 +1,9 @@
 """Experiment orchestration: truncation sweeps, window-length sweeps,
 and condition-number reports.
 
-Rows are plot-ready records in the fixed result schema. A construction
+Rows are plot-ready records in the fixed result schema. Every cell of a
+sweep reads the decompositions its model owns (``model.spectral``), so
+each matrix of a model is decomposed once per sweep. A construction
 failure (e.g. a singular input covariance) is captured in its row as NaN
 metrics instead of aborting the sweep: failure regimes are part of what
 these experiments measure. Rows are sorted by (filter, m, l) before
@@ -19,7 +21,7 @@ from . import dataio
 from .dataio import ExperimentResult
 from .diagnostics import analytic_mse, best_l_search, filter_power_loss
 from .errors import DimensionError, SingularMatrixError, WclmmseError
-from .filters import FILTER_CONSTRUCTORS, FilterKind, SpectralCache
+from .filters import FILTER_CONSTRUCTORS, FilterKind
 from .linalg import condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
 
@@ -65,14 +67,13 @@ class LPolicy:
         if self.mode == "fixed" and (self.l is None or self.l < 1):
             raise ValueError("fixed policy needs a positive level")
 
-    def level_for(self, model: CovarianceModel, kind: FilterKind,
-                  cache: SpectralCache | None = None) -> int:
-        """The level for ``kind`` on ``model``; a search builds from ``cache``."""
+    def level_for(self, model: CovarianceModel, kind: FilterKind) -> int:
+        """The level for ``kind`` on ``model``."""
         m = model.m
         if self.mode == "fixed":
             return min(self.l, m)
         best, _ = best_l_search(model, kind, min(max(1, model.n), m), m,
-                                max(1, m // 16), cache=cache)
+                                max(1, m // 16))
         return best
 
 
@@ -96,41 +97,39 @@ def _parse_kinds(filters) -> list[FilterKind]:
 
 
 def _prepare(source, m: int, n: int, seed: int):
-    """Turn a series or model into (the model's cache, test vectors, mean)."""
+    """Turn a series or model into (the model, test vectors, mean)."""
     if isinstance(source, CovarianceModel):
         if source.m != m or source.n != n:
             raise ValueError(
                 f"model has (n, m) = {(source.n, source.m)}, requested {(n, m)}")
-        cache = SpectralCache(source)
-        test = sample_from_model(source, _TEST_DRAWS, seed=seed + 1, eig_z=cache.eig_z)
-        return cache, test, 0.0
+        return source, sample_from_model(source, _TEST_DRAWS, seed=seed + 1), 0.0
     cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
     train, test, mean = dataio.window_samples(source, cfg)
-    return SpectralCache(estimate_covariance(train, n)), test, mean
+    return estimate_covariance(train, n), test, mean
 
 
 def _sweep_model(source, m: int, n: int, seed: int, kinds,
                  levels) -> list[ExperimentResult]:
-    """Score each kind on one model at ``levels(cache, kind)``; wiener once.
+    """Score each kind on one model at ``levels(model, kind)``; wiener once.
 
-    Every cell reads the model's one :class:`SpectralCache`. The
-    decompositions the kinds need are made before any cell is timed: the
-    joint one always, and those of ``c_y`` for ``lrw`` and ``csw``. When
-    ``c_y`` is too singular to whiten, each ``lrw`` and ``csw`` cell fails
-    on its own and its row records the failure.
+    Every cell reads the model's one set of decompositions,
+    ``model.spectral``. Those the kinds need are made before any cell is
+    timed: the joint one always, and those of ``c_y`` for ``lrw`` and
+    ``csw``. When ``c_y`` is too singular to whiten, each ``lrw`` and
+    ``csw`` cell fails on its own and its row records the failure.
     """
-    cache, test_z, mean = _prepare(source, m, n, seed)
-    cache.eig_z
+    model, test_z, mean = _prepare(source, m, n, seed)
+    model.spectral.eig_z
     if FilterKind.LRW in kinds or FilterKind.CSW in kinds:
         try:
-            cache.whitened_cross_svd
+            model.spectral.whitened_cross_svd
         except SingularMatrixError:
             pass
-    cond_cy = condition_number(cache.model.c_y)
+    cond_cy = condition_number(model.c_y)
     rows = []
     for kind in kinds:
-        for l in [None] if kind is FilterKind.WIENER else levels(cache, kind):
-            rows.append(_sweep_cell(kind, cache, l, test_z, mean, cond_cy))
+        for l in [None] if kind is FilterKind.WIENER else levels(model, kind):
+            rows.append(_sweep_cell(kind, model, l, test_z, mean, cond_cy))
     return rows
 
 
@@ -138,20 +137,19 @@ def _sort_key(row: ExperimentResult):
     return (row.filter, row.m, -1 if row.l is None else row.l)
 
 
-def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
+def _sweep_cell(kind: FilterKind, model: CovarianceModel, l: int | None,
                 test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
-    """Build one filter on ``cache.model`` and score it.
+    """Build one filter on ``model`` and score it.
 
     ``wall_ms`` times only building the filter at level ``l`` from the
-    model's shared decompositions in ``cache``; neither the one-time
-    decompositions of the model nor the scoring are in it.
+    model's shared decompositions; neither the one-time decompositions
+    of the model nor the scoring are in it.
     """
     constructor = FILTER_CONSTRUCTORS[kind]
-    model = cache.model
     m, n = model.m, model.n
     started = time.perf_counter()
     try:
-        filt = constructor(model, l, cache=cache)
+        filt = constructor(model, l)
     except WclmmseError:
         filt = None
     wall_ms = (time.perf_counter() - started) * 1e3
@@ -159,7 +157,7 @@ def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
         return ExperimentResult(
             filter=kind.value, m=m, n=n, l=l,
             norm_rms=float("nan"), analytic_mse=float("nan"),
-            rho_l=_rho_for(kind, cache, l),
+            rho_l=_rho_for(kind, model, l),
             cond_cy=cond_cy,
             max_inverse_dim=_NOMINAL_INVERSE[kind](m, l),
             wall_ms=wall_ms,
@@ -168,18 +166,18 @@ def _sweep_cell(kind: FilterKind, cache: SpectralCache, l: int | None,
         filter=kind.value, m=m, n=n, l=l,
         norm_rms=dataio.normalized_rms(filt, test_z, mean),
         analytic_mse=analytic_mse(model, filt),
-        rho_l=_rho_for(kind, cache, l),
+        rho_l=_rho_for(kind, model, l),
         cond_cy=cond_cy,
         max_inverse_dim=filt.max_inverse_dim,
         wall_ms=wall_ms,
     )
 
 
-def _rho_for(kind: FilterKind, cache: SpectralCache, l: int | None) -> float:
+def _rho_for(kind: FilterKind, model: CovarianceModel, l: int | None) -> float:
     if kind is FilterKind.WIENER or l is None:
         return 0.0
     try:
-        return filter_power_loss(cache, kind, l)
+        return filter_power_loss(model, kind, l)
     except WclmmseError:
         return float("nan")
 
@@ -193,7 +191,7 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters,
     outside = [l for l in grid if not 1 <= l <= m]
     if outside:
         raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
-    rows = _sweep_model(source, m, n, seed, kinds, lambda cache, kind: grid)
+    rows = _sweep_model(source, m, n, seed, kinds, lambda model, kind: grid)
     rows.sort(key=_sort_key)
     return rows
 
@@ -203,8 +201,8 @@ def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
     """Re-window the series at each length and score every filter there."""
     kinds = _parse_kinds(filters)
 
-    def chosen_level(cache, kind):
-        return [l_policy.level_for(cache.model, kind, cache)]
+    def chosen_level(model, kind):
+        return [l_policy.level_for(model, kind)]
 
     rows = []
     for m in (int(v) for v in m_grid):

@@ -16,7 +16,7 @@ Determinism conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -82,10 +82,6 @@ class SymEig:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> Matrix:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
     def check_definite(self) -> None:
         """Raise :class:`SingularMatrixError` when the smallest eigenvalue is
         at or below 1e-12 times the largest.
@@ -126,9 +122,6 @@ class Svd:
     s: NDArray[np.float64]
     v: Matrix
 
-    def reconstruct(self) -> Matrix:
-        return (self.u * self.s) @ self.v.T
-
 
 @dataclass
 class InverseAudit:
@@ -139,10 +132,8 @@ class InverseAudit:
     """
 
     max_dim: int = 0
-    dims: list[int] = field(default_factory=list)
 
     def record(self, dim: int) -> None:
-        self.dims.append(int(dim))
         if dim > self.max_dim:
             self.max_dim = int(dim)
 

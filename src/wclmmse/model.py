@@ -6,11 +6,16 @@ Y in the BOTTOM ``m`` coordinates. :func:`assemble_joint` and
 :func:`split_joint` are the single source of truth for that layout.
 Sample vectors, estimated from or drawn for a model, are the rows of a
 plain (k, n+m) array in the same layout.
+
+Each model owns its decompositions: :attr:`CovarianceModel.spectral` is
+the model's one :class:`SpectralCache`, built on first access, and every
+filter, diagnostic and sweep reads from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,11 +26,13 @@ from .errors import (
     InvalidSpectrumError,
     ModelError,
     NumericInputError,
+    RankError,
 )
-from .linalg import SymEig, sym_eig
+from .linalg import Svd, SymEig, svd, sym_eig
 
 __all__ = [
     "CovarianceModel",
+    "SpectralCache",
     "assemble_joint",
     "split_joint",
     "estimate_covariance",
@@ -35,6 +42,9 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-10
+# Floor on sigma_min(Y_l)^2 = 1 - ||X_l||_2^2 below which the Y rows of the
+# leading l joint eigenvectors count as rank-deficient.
+_Y_RANK_FLOOR = 1e-12
 
 
 def assemble_joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
@@ -113,6 +123,89 @@ class CovarianceModel:
         c_x, c_xy, c_y = split_joint(c_z, n)
         return cls(n=n, m=c_y.shape[0], c_x=c_x, c_y=c_y, c_xy=c_xy)
 
+    @cached_property
+    def spectral(self) -> SpectralCache:
+        """The model's one :class:`SpectralCache`, built on first access."""
+        return SpectralCache(self)
+
+
+class SpectralCache:
+    """The one owner of a model's decompositions, each made lazily and at most once:
+    the joint ``eig_z``, ``eig_y`` of c_y, and ``whitened_cross_svd``.
+
+    Read it as ``model.spectral``. It keeps the model's blocks, not the
+    model, so no reference cycle holds the decompositions once the model
+    is gone. The joint eigenvectors are row-partitioned into the X part
+    (top n rows) and the Y part (bottom m rows); truncations are views of
+    the leading columns. A c_y too singular to whiten re-raises from the
+    stored eigenvalues of ``eig_y`` on every access to ``y_root_inv``.
+    """
+
+    def __init__(self, model: CovarianceModel):
+        self.n, self.m = model.n, model.m
+        self.c_z, self.c_y, self.c_xy = model.c_z, model.c_y, model.c_xy
+
+    @cached_property
+    def eig_z(self) -> SymEig:
+        """Joint eigendecomposition, checked to be a full orthonormal basis."""
+        eig = sym_eig(self.c_z)
+        v_x, v_y = eig.eigenvectors[: self.n, :], eig.eigenvectors[self.n :, :]
+        gram_sum = v_x.T @ v_x + v_y.T @ v_y
+        defect = np.linalg.norm(gram_sum - np.eye(self.n + self.m))
+        if defect > 1e-8:
+            raise ModelError(f"joint eigenbasis is not orthonormal (defect {defect:.3e})")
+        return eig
+
+    def _check_l(self, l: int) -> int:
+        if not 1 <= l <= self.m:
+            raise DimensionError(f"truncation level l={l} outside [1, {self.m}]")
+        return int(l)
+
+    def x_block(self, l: int) -> NDArray[np.float64]:
+        """Top-n rows of the leading l joint eigenvectors."""
+        return self.eig_z.eigenvectors[: self.n, : self._check_l(l)]
+
+    def y_block(self, l: int) -> NDArray[np.float64]:
+        """Bottom-m rows of the leading l joint eigenvectors."""
+        return self.eig_z.eigenvectors[self.n :, : self._check_l(l)]
+
+    def leading_eigenvalues(self, l: int) -> NDArray[np.float64]:
+        return self.eig_z.eigenvalues[: self._check_l(l)]
+
+    def gram_defect(self, l: int) -> float:
+        """Frobenius distance of the Y-block Gram matrix from the identity."""
+        y = self.y_block(l)
+        return float(np.linalg.norm(y.T @ y - np.eye(l)))
+
+    def check_y_rank(self, l: int) -> None:
+        """Raise :class:`RankError` when ``y_block(l)`` is rank-deficient.
+
+        The joint basis is orthonormal, so Y_l'Y_l = I - X_l'X_l and
+        sigma_min(Y_l)^2 = 1 - ||X_l||_2^2, which an n x l SVD gives. The
+        floor on it is 1e-12: rounding leaves 1 - ||X_l||^2 uncertain by a
+        few eps, so it cannot resolve a singular-value ratio as small as
+        the 1e-10 an m x l SVD of Y_l can.
+        """
+        x_norm = float(np.linalg.svd(self.x_block(l), compute_uv=False).max(initial=0.0))
+        if 1.0 - x_norm**2 <= _Y_RANK_FLOOR:
+            raise RankError(
+                f"Y rows of the leading {l} joint eigenvectors are rank-deficient"
+                " (degenerate joint spectrum)")
+
+    @cached_property
+    def eig_y(self) -> SymEig:
+        return sym_eig(self.c_y)
+
+    @cached_property
+    def y_root_inv(self) -> NDArray[np.float64]:
+        """Inverse square root of c_y; an M x M spectral inversion."""
+        return self.eig_y.inv_sqrt()
+
+    @cached_property
+    def whitened_cross_svd(self) -> Svd:
+        """SVD of c_xy @ inv_sqrt(c_y)."""
+        return svd(self.c_xy @ self.y_root_inv)
+
 
 def estimate_covariance(samples, n: int) -> CovarianceModel:
     """Empirical covariance of zero-mean sample vectors, (K-1) denominator.
@@ -172,21 +265,18 @@ def synthetic_model(n: int, m: int, spectrum, seed: int = 0) -> CovarianceModel:
     return CovarianceModel.from_joint(c_z, n)
 
 
-def sample_from_model(model: CovarianceModel, k: int, seed: int = 0,
-                      eig_z: SymEig | None = None) -> NDArray[np.float64]:
+def sample_from_model(model: CovarianceModel, k: int, seed: int = 0) -> NDArray[np.float64]:
     """Draw k i.i.d. zero-mean Gaussian vectors with covariance model.c_z.
 
     Returns the (k, n+m) array of draws, one vector per row. Uses the
-    symmetric square root of the joint covariance, from ``eig_z`` when
-    its eigendecomposition is already at hand; negative
+    symmetric square root of the joint covariance from the model's own
+    joint eigendecomposition, the one its filters truncate; negative
     eigenvalues beyond -1e-10 * lambda_max are a model error, smaller
     ones are clipped to zero. Deterministic per seed.
     """
     if k < 0:
         raise DimensionError(f"sample count must be nonnegative, got {k}")
-    eig = eig_z if eig_z is not None else sym_eig(model.c_z)
-    if eig.dim != model.dim:
-        raise DimensionError("eigendecomposition dimension does not match model")
+    eig = model.spectral.eig_z
     vals = eig.eigenvalues
     lam_max = max(float(vals[0]), 0.0) if vals.size else 0.0
     if vals.size and float(vals[-1]) < -1e-10 * lam_max:

@@ -20,7 +20,6 @@ from wclmmse import (
     Prefilter,
     SeriesConfig,
     SingularMatrixError,
-    SpectralCache,
     analytic_mse,
     condition_number,
     csw,
@@ -171,7 +170,7 @@ def test_criterion_4_scaling_law():
         model = synthetic_model(4, 64, geometric_spectrum(68, 1.0, 0.8), seed=0)
         grid = range(8, 57, 8)
         floor = 1e-10 * max(1.0, float(np.trace(model.c_x)))
-        cache = SpectralCache(model)
+        cache = model.spectral
         bound = np.array([
             (1.0 + np.linalg.norm(cache.x_block(l) @ np.linalg.pinv(cache.y_block(l)), 2)) ** 2
             for l in grid])

@@ -8,7 +8,6 @@ from wclmmse import (
     CovarianceModel,
     DimensionError,
     FilterKind,
-    SpectralCache,
     analytic_mse,
     best_l_search,
     det_objective,
@@ -20,7 +19,6 @@ from wclmmse import (
     sample_from_model,
     scaling_study,
     svd,
-    synthetic_model,
     truncation_power_loss,
     weighted_trace_objective,
     wiener,
@@ -139,12 +137,12 @@ class TestTruncationPowerLoss:
         # filter_power_loss picks the spectrum: joint eigenvalues for jpc,
         # whitened singular values, cut at min(l, n), for lrw
         model = haar_model(2, 5, ratio=0.6, seed=12)
-        cache = SpectralCache(model)
-        jpc_losses = [filter_power_loss(cache, FilterKind.JPC, l) for l in range(1, 6)]
+        cache = model.spectral
+        jpc_losses = [filter_power_loss(model, FilterKind.JPC, l) for l in range(1, 6)]
         assert np.all(np.diff(jpc_losses) <= 0)
         assert all(v >= 0 for v in jpc_losses)
         assert jpc_losses[0] == truncation_power_loss(cache.eig_z.eigenvalues, 1)
-        lrw_losses = [filter_power_loss(cache, FilterKind.LRW, l) for l in (1, 2, 5)]
+        lrw_losses = [filter_power_loss(model, FilterKind.LRW, l) for l in (1, 2, 5)]
         assert lrw_losses[0] >= lrw_losses[1] == lrw_losses[2] == 0.0
         assert lrw_losses[0] == truncation_power_loss(cache.whitened_cross_svd.s, 1)
         assert truncation_power_loss(svd(np.diag([3.0, 1.0])).s, 1) == pytest.approx(1.0)
@@ -206,7 +204,7 @@ class TestScalingStudy:
     def test_gram_defect_reported(self):
         model = haar_model(2, 6, ratio=0.6, seed=16)
         study = scaling_study(model, FilterKind.JPC, [2, 4], "frobenius")
-        cache = SpectralCache(model)
+        cache = model.spectral
         np.testing.assert_allclose(study.gram_defect,
                                    [cache.gram_defect(2), cache.gram_defect(4)])
 

@@ -1,5 +1,8 @@
 """Filter constructor tests: closed-form cases, oracles, and invariants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,10 @@ from wclmmse import (
     Prefilter,
     RankError,
     SingularMatrixError,
-    SpectralCache,
     analytic_mse,
+    best_l_search,
     csw,
     det_optimal_weight,
-    geometric_spectrum,
     inv_sqrt_spd,
     is_l_well_conditioned,
     jpc,
@@ -24,8 +26,8 @@ from wclmmse import (
     lsjpc,
     lsjpc_simplified,
     nuclear_norm,
+    scaling_study,
     sym_eig,
-    synthetic_model,
     weighted_filter,
     weighted_trace_objective,
     wiener,
@@ -144,12 +146,6 @@ class TestLrw:
         model = haar_model(2, 5, seed=14)
         assert lrw(model, 2).max_inverse_dim == 5
 
-    def test_cache_path_matches_fresh(self):
-        model = haar_model(2, 5, seed=15)
-        cache = SpectralCache(model)
-        np.testing.assert_allclose(lrw(model, 2, cache=cache).matrix,
-                                   lrw(model, 2).matrix, atol=1e-12)
-
 
 class TestCsw:
     def test_full_basis_equals_wiener(self):
@@ -189,10 +185,9 @@ class TestJpc:
 
     def test_bit_identical_to_structured_path(self):
         model = haar_model(2, 4, ratio=0.6, seed=18)
-        cache = SpectralCache(model)
         for l in (1, 2, 3):
-            direct = jpc(model, l, cache=cache).matrix
-            via_prefilter = wiener_structured(model, Prefilter(cache.y_block(l).T)).matrix
+            direct = jpc(model, l).matrix
+            via_prefilter = wiener_structured(model, Prefilter(model.spectral.y_block(l).T)).matrix
             assert np.array_equal(direct, via_prefilter)
 
     def test_certificate(self):
@@ -222,11 +217,11 @@ class TestLsjpc:
 
     def test_matches_pseudoinverse_path(self):
         model = haar_model(2, 5, ratio=0.7, seed=20)
-        cache = SpectralCache(model)
+        cache = model.spectral
         for l in (1, 3, 5):
             resolution = np.linalg.pinv(cache.y_block(l))
             expected = cache.x_block(l) @ resolution
-            np.testing.assert_allclose(lsjpc(model, l, cache=cache).matrix, expected,
+            np.testing.assert_allclose(lsjpc(model, l).matrix, expected,
                                        atol=1e-10)
 
     def test_certificate(self):
@@ -239,10 +234,9 @@ class TestSimplifiedVariants:
         # leading eigenvectors supported on Y only: the Gram matrix is the
         # identity and the l x l system is already diagonal
         model = tail_mixed_model(2, 6, ratio=0.7, mix=0.0, seed=22)
-        cache = SpectralCache(model)
         for l in (1, 3, 6):
-            np.testing.assert_allclose(jpc_simplified(model, l, cache=cache).matrix,
-                                       jpc(model, l, cache=cache).matrix, atol=1e-8)
+            np.testing.assert_allclose(jpc_simplified(model, l).matrix,
+                                       jpc(model, l).matrix, atol=1e-8)
 
     def test_identity_joint_gives_zero(self):
         model = CovarianceModel.from_joint(np.eye(5), 2)
@@ -253,13 +247,10 @@ class TestSimplifiedVariants:
         # with X-mass confined to the spectral tail both approximations
         # track their exact counterparts at every truncation level
         model = tail_mixed_model(2, 10, ratio=0.7, mix=1e-3, seed=23)
-        cache = SpectralCache(model)
         scale = nuclear_norm(wiener(model).matrix)
         for l in range(1, 11):
-            dj = np.linalg.norm(jpc_simplified(model, l, cache=cache).matrix
-                                - jpc(model, l, cache=cache).matrix)
-            dl = np.linalg.norm(lsjpc_simplified(model, l, cache=cache).matrix
-                                - lsjpc(model, l, cache=cache).matrix)
+            dj = np.linalg.norm(jpc_simplified(model, l).matrix - jpc(model, l).matrix)
+            dl = np.linalg.norm(lsjpc_simplified(model, l).matrix - lsjpc(model, l).matrix)
             assert dj <= 1e-5 * max(scale, 1.0)
             assert dl <= 1e-5 * max(scale, 1.0)
 
@@ -287,11 +278,11 @@ class TestSimplifiedVariants:
 class TestSpectralCache:
     def test_y_root_inv_equals_direct_formula(self):
         model = haar_model(2, 6, seed=27)
-        assert np.array_equal(SpectralCache(model).y_root_inv, inv_sqrt_spd(model.c_y))
+        assert np.array_equal(model.spectral.y_root_inv, inv_sqrt_spd(model.c_y))
 
     def test_singular_c_y_reraises_without_decomposing_again(self, sym_eig_shapes):
         model = haar_model(2, 8, ratio=0.02, seed=3)
-        cache = SpectralCache(model)
+        cache = model.spectral
         raised = []
         for _ in range(3):
             with pytest.raises(SingularMatrixError) as info:
@@ -299,7 +290,7 @@ class TestSpectralCache:
             raised.append((info.value.index, info.value.value))
         for build in (lrw, csw):
             with pytest.raises(SingularMatrixError):
-                build(model, 2, cache=cache)
+                build(model, 2)
         assert raised == [raised[0]] * 3
         assert sym_eig_shapes == [(8, 8)]
         with pytest.raises(SingularMatrixError) as info:
@@ -310,21 +301,58 @@ class TestSpectralCache:
         model = haar_model(2, 6, seed=28)
         lrw(model, 2)
         csw(model, 2)
-        assert sym_eig_shapes == [(6, 6), (6, 6)]
+        assert sym_eig_shapes == [(6, 6)]
+
+    def test_every_caller_shares_the_model_decompositions(self, sym_eig_shapes):
+        model = haar_model(2, 6, seed=28)
+        for kind in (FilterKind.JPC, FilterKind.LSJPC):
+            best_l_search(model, kind, 1, 6)
+        scaling_study(model, FilterKind.JPC, [2, 4])
+        lrw(model, 2)
+        csw(model, 2)
+        assert sym_eig_shapes == [(8, 8), (6, 6)]
+
+    def test_decompositions_freed_with_the_model(self):
+        # With the collector off, only reference counting can free the
+        # cache: a model -> cache -> model cycle would keep it alive.
+        model = haar_model(2, 6, seed=28)
+        jpc(model, 2)
+        lrw(model, 2)
+        cache = weakref.ref(model.spectral)
+        gc.disable()
+        try:
+            del model
+            assert cache() is None
+        finally:
+            gc.enable()
+
+    def test_rank_check_matches_singular_values_of_y_block(self):
+        # sigma_min(Y_l)^2 = 1 - ||X_l||^2 on an orthonormal basis
+        model = haar_model(2, 6, ratio=0.6, seed=30)
+        cache = model.spectral
+        for l in range(1, 7):
+            y_min = np.linalg.svd(cache.y_block(l), compute_uv=False)[-1]
+            x_max = np.linalg.svd(cache.x_block(l), compute_uv=False)[0]
+            assert y_min**2 == pytest.approx(1.0 - x_max**2, abs=1e-14)
+            cache.check_y_rank(l)
+        degenerate = CovarianceModel.from_joint(np.diag([10.0, 1.0, 2.0]), 1)
+        with pytest.raises(RankError):
+            degenerate.spectral.check_y_rank(1)
 
 
 class TestSignInvariance:
     def test_filters_unchanged_by_eigenvector_sign_flips(self):
         model = haar_model(2, 5, ratio=0.6, seed=25)
-        cache = SpectralCache(model)
+        flipped = CovarianceModel(n=model.n, m=model.m, c_x=model.c_x, c_y=model.c_y,
+                                  c_xy=model.c_xy)
         flipped_eig = sym_eig(model.c_z)
         rng = np.random.default_rng(26)
         signs = np.where(rng.random(model.dim) < 0.5, -1.0, 1.0)
         flipped_eig.eigenvectors = flipped_eig.eigenvectors * signs
-        flipped = SpectralCache(model, eig_z=flipped_eig)
+        flipped.spectral.eig_z = flipped_eig
         for build in (jpc, lsjpc, jpc_simplified, lsjpc_simplified):
-            one = build(model, 3, cache=cache).matrix
-            two = build(model, 3, cache=flipped).matrix
+            one = build(model, 3).matrix
+            two = build(flipped, 3).matrix
             np.testing.assert_allclose(one, two, atol=1e-10)
 
 
@@ -333,7 +361,7 @@ class TestWeighted:
         model = haar_model(2, 4, seed=27)
         got = weighted_filter(model, np.eye(2), FilterKind.LRW, l=1)
         np.testing.assert_allclose(got.matrix, lrw(model, 1).matrix, atol=1e-12)
-        assert got.label == "weighted_lrw"
+        assert got.kind is FilterKind.WEIGHTED
 
     def test_wiener_base_is_weight_independent(self):
         model = haar_model(2, 4, seed=28)

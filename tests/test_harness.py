@@ -24,8 +24,6 @@ from wclmmse import (
     run_condition_report,
     run_l_sweep,
     run_m_sweep,
-    synthetic_model,
-    wiener,
     window_samples,
 )
 from wclmmse.harness import parse_l_policy
