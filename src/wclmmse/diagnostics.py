@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
@@ -33,6 +34,14 @@ __all__ = [
 # Distances below this relative floor mean the filter has already
 # converged to the reference; the loss ratio is reported as 0 there.
 _CONVERGED_RTOL = 1e-10
+# How far, relative to tr(c_x), best_l_search trusts an MSE profile value
+# to sit from the analytic MSE of the directly built filter: the
+# tolerance to which the benchmark checks analytic_mse itself.
+_PROFILE_ATOL = 1e-8
+# A level whose rank margin sigma_min(Y_l)^2 is at or below this is always
+# built: its direct build solves a system of condition at least 1/margin,
+# so the build's own rounding can move its MSE by more than _PROFILE_ATOL.
+_TRUSTED_MARGIN = np.finfo(np.float64).eps / _PROFILE_ATOL
 
 
 def _matrix_of(filt) -> NDArray[np.float64]:
@@ -52,6 +61,10 @@ def analytic_mse(model: CovarianceModel, filt) -> float:
     """Mean square error tr(c_x) - 2 tr(c_xy A') + tr(A c_y A')."""
     a = _matrix_of(filt)
     _check_shape(model, a)
+    return _mse(model, a)
+
+
+def _mse(model: CovarianceModel, a: NDArray[np.float64]) -> float:
     cross = float(np.einsum("ij,ij->", model.c_xy, a))
     quad = float(np.einsum("ij,ij->", a @ model.c_y, a))
     return float(np.trace(model.c_x)) - 2.0 * cross + quad
@@ -197,16 +210,89 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     return study
 
 
+def _mse_profile(model: CovarianceModel, kind: FilterKind,
+                 levels: list[int]) -> list[float] | None:
+    """Exact-arithmetic analytic MSE of ``jpc`` or ``lsjpc`` at each level,
+    from one Cholesky factor at the top level.
+
+    The prefilters are nested: level l keeps the first l columns of the
+    top level's Y block, so each level's l x l system is a leading block of
+    one top-level matrix, and so is its Cholesky factor. For ``jpc``, with
+    ``Y' c_y Y = LL'`` and ``B = Y' c_xy'``, the MSE at l is ``tr(c_x)``
+    minus the sum of the first l squared row norms of ``L^-1 B``. For
+    ``lsjpc``, with ``Y'Y = RR'``, the filter at l is ``u_l' Y_l'`` with
+    ``u_l = (R_l R_l')^-1 X_l'``, two l x l triangular solves against n
+    columns; it is scored as an n x m matrix, because expanding its
+    quadratic form through the Gram multiplies the rounding of
+    ``Y_l'(.)Y_l`` by u_l, which is large along Y_l's near-null directions.
+    Returns None when there is no level or the factorization fails.
+    """
+    if not levels:
+        return None
+    y = model.spectral.y_block(max(levels))
+    gram = y.T @ (model.c_y @ y) if kind is FilterKind.JPC else y.T @ y
+    try:
+        factor, _ = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    if kind is FilterKind.JPC:
+        z = scipy.linalg.solve_triangular(factor, (model.c_xy @ y).T, lower=True,
+                                          check_finite=False)
+        explained = np.cumsum(np.einsum("ij,ij->i", z, z))
+        return (float(np.trace(model.c_x)) - explained[np.array(levels) - 1]).tolist()
+    x = model.spectral.x_block(max(levels))
+    profile = []
+    for l in levels:
+        r = factor[:l, :l]
+        w = scipy.linalg.solve_triangular(r, x[:, :l].T, lower=True, check_finite=False)
+        u = scipy.linalg.solve_triangular(r, w, lower=True, trans="T", check_finite=False)
+        profile.append(_mse(model, u.T @ y[:, :l].T))
+    return profile
+
+
+def _build_order(model: CovarianceModel, kind: FilterKind,
+                 grid: list[int]) -> list[tuple[float, int]]:
+    """The grid levels that pass the rank check, as sorted (p(l), l) pairs.
+
+    p(l) is the MSE profile, or -inf where it cannot predict the direct
+    build to ``_PROFILE_ATOL``: at a rank margin of ``_TRUSTED_MARGIN`` or
+    less, and at every level when the factorization fails.
+    """
+    margins = {}
+    for l in grid:
+        try:
+            margins[l] = model.spectral.check_y_rank(l)
+        except RankError:
+            pass
+    profile = _mse_profile(model, kind, list(margins))
+    if profile is None:
+        return [(-np.inf, l) for l in margins]
+    return sorted((p if np.isfinite(p) and margin > _TRUSTED_MARGIN else -np.inf, l)
+                  for p, (l, margin) in zip(profile, margins.items()))
+
+
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
                   l_min: int, l_max: int, step: int = 1) -> tuple[int, float]:
     """Grid line search for the truncation level with smallest analytic MSE.
 
     Evaluates the closed-form MSE on the (training) covariances; ties go
-    to the smaller level, which is cheaper and better conditioned. Every
-    level is built from the model's one set of decompositions. A level
+    to the smaller level, which is cheaper and better conditioned. A level
     whose filter cannot be built (singular or rank-deficient) is skipped;
     when none can be, the smallest level comes back with an infinite MSE,
     and building there reports the failure.
+
+    The returned level and MSE always come from a direct build scored by
+    :func:`analytic_mse`; other levels are only left unbuilt when they
+    cannot win. For ``jpc`` and ``lsjpc`` the search first computes the
+    exact-arithmetic MSE profile p(l) at every grid level that passes the
+    rank check, from one factorization (:func:`_mse_profile`). It then
+    builds levels in increasing (p(l), l) and stops at the first whose
+    p(l) exceeds the best MSE built so far by more than 1e-8 tr(c_x), the
+    tolerance to which p(l) predicts a direct build. Levels it cannot
+    predict to that tolerance come first and are always built: those with
+    a rank margin sigma_min(Y_l)^2 at or below eps / 1e-8, and all of them
+    when the factorization fails. Other kinds build every level in grid
+    order.
     """
     filter_kind = FilterKind(filter_kind)
     if step < 1:
@@ -215,12 +301,18 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     if not grid:
         raise DimensionError(f"empty grid: l_min={l_min}, l_max={l_max}")
     constructor = FILTER_CONSTRUCTORS[filter_kind]
+    order = [(-np.inf, l) for l in grid]
+    if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
+        order = _build_order(model, filter_kind, grid)
+    slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse = grid[0], np.inf
-    for l in grid:
+    for p, l in order:
+        if p > best_mse + slack:
+            break
         try:
             mse = analytic_mse(model, constructor(model, l))
         except (SingularMatrixError, RankError):
             continue
-        if mse < best_mse:
+        if mse < best_mse or (mse == best_mse and l < best_l):
             best_l, best_mse = l, mse
     return best_l, float(best_mse)

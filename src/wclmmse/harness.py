@@ -53,9 +53,14 @@ class LPolicy:
     """Truncation-level policy for window-length sweeps.
 
     ``fixed`` uses the given level everywhere, capped at m. ``best`` runs
-    the analytic-MSE line search on the training covariances over the
-    levels max(1, n), max(1, n) + step, ... up to m, with step
-    max(1, m // 16).
+    :func:`~wclmmse.diagnostics.best_l_search` on the training covariances
+    over the levels max(1, n), max(1, n) + step, ... up to m, with step
+    max(1, m // 16): the level of smallest analytic MSE, ties to the
+    smaller level, always scored from a direct build. For ``jpc`` and
+    ``lsjpc`` an exact-arithmetic MSE profile from one factorization
+    orders the builds, and the search stops at the first level whose
+    profile is more than 1e-8 tr(c_x) above the best MSE built, so a
+    well-conditioned model needs one build.
     """
 
     mode: str = "best"

@@ -177,8 +177,9 @@ class SpectralCache:
         y = self.y_block(l)
         return float(np.linalg.norm(y.T @ y - np.eye(l)))
 
-    def check_y_rank(self, l: int) -> None:
-        """Raise :class:`RankError` when ``y_block(l)`` is rank-deficient.
+    def check_y_rank(self, l: int) -> float:
+        """Return sigma_min(Y_l)^2 for ``Y_l = y_block(l)``; raise
+        :class:`RankError` when Y_l is rank-deficient.
 
         The joint basis is orthonormal, so Y_l'Y_l = I - X_l'X_l and
         sigma_min(Y_l)^2 = 1 - ||X_l||_2^2, which an n x l SVD gives. The
@@ -187,10 +188,12 @@ class SpectralCache:
         the 1e-10 an m x l SVD of Y_l can.
         """
         x_norm = float(np.linalg.svd(self.x_block(l), compute_uv=False).max(initial=0.0))
-        if 1.0 - x_norm**2 <= _Y_RANK_FLOOR:
+        margin = 1.0 - x_norm**2
+        if margin <= _Y_RANK_FLOOR:
             raise RankError(
                 f"Y rows of the leading {l} joint eigenvectors are rank-deficient"
                 " (degenerate joint spectrum)")
+        return margin
 
     @cached_property
     def eig_y(self) -> SymEig:

@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import haar_model
+from conftest import ar1_series, haar_model
 from wclmmse import (
     CovarianceModel,
     DimensionError,
     FilterKind,
+    RankError,
+    SeriesConfig,
+    SingularMatrixError,
     analytic_mse,
     best_l_search,
     det_objective,
     error_covariance,
+    estimate_covariance,
     filter_power_loss,
     geometric_spectrum,
     lrw,
@@ -22,7 +28,10 @@ from wclmmse import (
     truncation_power_loss,
     weighted_trace_objective,
     wiener,
+    window_samples,
 )
+from wclmmse.diagnostics import _mse_profile
+from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
 class TestAnalyticMse:
@@ -215,6 +224,65 @@ class TestScalingStudy:
         assert nuc.dist[0] >= fro.dist[0]
 
 
+def _exhaustive_search(model, kind, l_min, l_max, step):
+    """Reference for best_l_search: build and score every grid level in
+    order; a strictly smaller MSE wins, so ties keep the smaller level."""
+    best_l, best_mse = l_min, np.inf
+    for l in range(l_min, l_max + 1, step):
+        try:
+            mse = analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l))
+        except (SingularMatrixError, RankError):
+            continue
+        if mse < best_mse:
+            best_l, best_mse = l, mse
+    return best_l, float(best_mse)
+
+
+def _policy_grid(model):
+    """The grid of ``--l-policy best``: max(1, n) to m in steps of m // 16."""
+    m = model.m
+    return min(max(1, model.n), m), m, max(1, m // 16)
+
+
+def _grid_levels(model):
+    l_min, l_max, step = _policy_grid(model)
+    return list(range(l_min, l_max + 1, step))
+
+
+def _series_model(length, phi, seed, m, n):
+    """Covariance estimated from the training windows of an AR(1) series."""
+    train, _, _ = window_samples(ar1_series(length, phi=phi, seed=seed),
+                                 SeriesConfig(m=m, n=n, seed=seed))
+    return estimate_covariance(train, n)
+
+
+def _counting_builds(monkeypatch, kind):
+    builds = []
+    constructor = FILTER_CONSTRUCTORS[kind]
+
+    def counting(model, l):
+        builds.append(l)
+        return constructor(model, l)
+
+    monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
+    return builds
+
+
+_SEARCH_MODELS = {
+    # estimated AR(1): the training MSE keeps falling with l
+    "ar1_n7_m200": lambda: _series_model(1500, 0.95, 0, 200, 7),
+    # direct builds are float64 noise near the rank edge, so the profile
+    # orders several levels within its tolerance of the best one
+    "synthetic_0.9_m400": lambda: haar_model(7, 400, ratio=0.9, seed=0),
+    # 38 training windows for d=252: rank-deficient training covariance
+    "rank_deficient_m250": lambda: _series_model(300, 0.8, 0, 250, 2),
+    # 34 training windows for d=57; from l=38 the rank margin of Y_l is
+    # below eps / 1e-8, and lsjpc's direct builds there score as noise
+    # down to -4.7e-7 against tr(c_x) = 2.5
+    "rank_edge_m55": lambda: _series_model(100, 0.8, 0, 55, 2),
+}
+
+
 class TestBestLSearch:
     def test_single_point_grid(self):
         model = haar_model(2, 4, ratio=0.6, seed=18)
@@ -242,3 +310,86 @@ class TestBestLSearch:
             best_l_search(model, FilterKind.JPC, 5, 2)
         with pytest.raises(DimensionError):
             best_l_search(model, FilterKind.JPC, 1, 4, step=0)
+
+    # The profile-ordered search returns what building every level does.
+
+    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
+    @pytest.mark.parametrize("name", sorted(_SEARCH_MODELS))
+    def test_matches_exhaustive_search(self, name, kind):
+        model = _SEARCH_MODELS[name]()
+        grid = _policy_grid(model)
+        assert best_l_search(model, kind, *grid) == _exhaustive_search(model, kind, *grid)
+
+    def test_ill_conditioned_model_needs_several_builds(self, monkeypatch):
+        model = _SEARCH_MODELS["synthetic_0.9_m400"]()
+        builds = _counting_builds(monkeypatch, FilterKind.JPC)
+        best_l_search(model, FilterKind.JPC, *_policy_grid(model))
+        assert 1 < len(builds) < len(_grid_levels(model))
+
+    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
+    def test_well_conditioned_search_builds_one_level(self, monkeypatch, kind):
+        # the exhaustive search builds all 17 grid levels
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        builds = _counting_builds(monkeypatch, kind)
+        l_best, _ = best_l_search(model, kind, *_policy_grid(model))
+        assert builds == [l_best]
+
+    def test_search_without_profile_builds_every_level(self, monkeypatch):
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        builds = _counting_builds(monkeypatch, FilterKind.LRW)
+        best_l_search(model, FilterKind.LRW, *_policy_grid(model))
+        assert builds == _grid_levels(model)
+
+    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
+    def test_profile_matches_direct_builds(self, kind):
+        # within the 1e-8 tr(c_x) the search trusts the profile to; lsjpc's
+        # MSE here grows to 250 tr(c_x), where the two agree to about 1e-12
+        # relative
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        levels = _grid_levels(model)
+        profile = _mse_profile(model, kind, levels)
+        direct = [analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l)) for l in levels]
+        np.testing.assert_allclose(profile, direct, rtol=1e-10,
+                                   atol=1e-8 * np.trace(model.c_x))
+
+    def test_levels_near_the_rank_edge_are_always_built(self, monkeypatch):
+        # their direct builds are rounding noise larger than 1e-8 tr(c_x)
+        model = _SEARCH_MODELS["rank_edge_m55"]()
+        builds = _counting_builds(monkeypatch, FilterKind.LSJPC)
+        best_l_search(model, FilterKind.LSJPC, *_policy_grid(model))
+        edge = []
+        for l in _grid_levels(model):
+            try:
+                margin = model.spectral.check_y_rank(l)
+            except RankError:
+                continue
+            if margin <= np.finfo(float).eps / 1e-8:
+                edge.append(l)
+        assert edge and set(edge) <= set(builds)
+
+    def test_jpc_profile_is_non_increasing(self):
+        # jpc is optimal over the span of Y_l, and those spans are nested
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        profile = _mse_profile(model, FilterKind.JPC, list(range(1, model.m + 1)))
+        assert np.all(np.diff(profile) <= 0.0)
+
+
+@st.composite
+def _small_models(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        m = draw(st.integers(1, 96))
+        ratio = draw(st.floats(0.5, 0.99))
+        return haar_model(n, m, ratio=ratio, seed=draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 4))
+    length = draw(st.integers(40, 200))
+    m = draw(st.integers(1, min(96, length - n - 5)))
+    phi = draw(st.floats(0.3, 0.99))
+    return _series_model(length, phi, draw(st.integers(0, 2**16)), m, n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(model=_small_models(), kind=st.sampled_from([FilterKind.JPC, FilterKind.LSJPC]))
+def test_best_l_search_equals_exhaustive_search(model, kind):
+    grid = _policy_grid(model)
+    assert best_l_search(model, kind, *grid) == _exhaustive_search(model, kind, *grid)
