@@ -15,7 +15,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
-from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, wiener
+from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _effective_level, wiener
 from .linalg import matrix_norm
 from .model import CovarianceModel
 
@@ -119,12 +119,12 @@ def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float
     """Truncation-power loss of the spectrum a filter kind truncates at level l.
 
     The rank-truncated family (``lrw``, ``csw``) discards whitened singular
-    values beyond the effective truncation min(l, n); every other kind
-    discards the joint-eigenvalue tail beyond l.
+    values beyond ``lrw``'s effective truncation min(l, n); every other
+    kind discards the joint-eigenvalue tail beyond l.
     """
     if kind in (FilterKind.LRW, FilterKind.CSW):
-        spectrum = model.spectral.whitened_cross_svd.s
-        return truncation_power_loss(spectrum, min(l, model.n, spectrum.shape[0]))
+        return truncation_power_loss(model.spectral.whitened_cross_svd.s,
+                                     _effective_level(model, FilterKind.LRW, l))
     return truncation_power_loss(model.spectral.eig_z.eigenvalues, l)
 
 
@@ -271,19 +271,23 @@ def _build_order(model: CovarianceModel, kind: FilterKind,
                   for p, (l, margin) in zip(profile, margins.items()))
 
 
-def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
-                  l_min: int, l_max: int, step: int = 1) -> tuple[int, float]:
+def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
+                  l_max: int, step: int = 1) -> tuple[int, float, LinearFilter | None]:
     """Grid line search for the truncation level with smallest analytic MSE.
 
     Evaluates the closed-form MSE on the (training) covariances; ties go
-    to the smaller level, which is cheaper and better conditioned. A level
-    whose filter cannot be built (singular or rank-deficient) is skipped;
-    when none can be, the smallest level comes back with an infinite MSE,
-    and building there reports the failure.
+    to the smaller level, which is cheaper and better conditioned. Returns
+    the level, its MSE and the filter built there, so that a caller never
+    builds it again. A level whose filter cannot be built (singular or
+    rank-deficient) is skipped; when none can be, the smallest level comes
+    back with an infinite MSE and no filter, and building there reports
+    the failure.
 
     The returned level and MSE always come from a direct build scored by
     :func:`analytic_mse`; other levels are only left unbuilt when they
-    cannot win. For ``jpc`` and ``lsjpc`` the search first computes the
+    cannot win. A level whose effective truncation equals that of a level
+    already built (``lrw`` from n up) builds the same filter, and is not
+    built again. For ``jpc`` and ``lsjpc`` the search first computes the
     exact-arithmetic MSE profile p(l) at every grid level that passes the
     rank check, from one factorization (:func:`_mse_profile`). It then
     builds levels in increasing (p(l), l) and stops at the first whose
@@ -291,8 +295,7 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     tolerance to which p(l) predicts a direct build. Levels it cannot
     predict to that tolerance come first and are always built: those with
     a rank margin sigma_min(Y_l)^2 at or below eps / 1e-8, and all of them
-    when the factorization fails. Other kinds build every level in grid
-    order.
+    when the factorization fails. Other kinds build levels in grid order.
     """
     filter_kind = FilterKind(filter_kind)
     if step < 1:
@@ -305,14 +308,20 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind,
     if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
         order = _build_order(model, filter_kind, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
-    best_l, best_mse = grid[0], np.inf
+    best_l, best_mse, best_filt = grid[0], np.inf, None
+    built = set()
     for p, l in order:
         if p > best_mse + slack:
             break
+        level = _effective_level(model, filter_kind, l)
+        if level in built:
+            continue
         try:
-            mse = analytic_mse(model, constructor(model, l))
+            filt = constructor(model, l)
         except (SingularMatrixError, RankError):
             continue
+        built.add(level)
+        mse = analytic_mse(model, filt)
         if mse < best_mse or (mse == best_mse and l < best_l):
-            best_l, best_mse = l, mse
-    return best_l, float(best_mse)
+            best_l, best_mse, best_filt = l, mse, filt
+    return best_l, float(best_mse), best_filt

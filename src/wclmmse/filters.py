@@ -167,17 +167,28 @@ def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> Line
                         l=b.l, max_inverse_dim=audit.max_dim)
 
 
+def _effective_level(model: CovarianceModel, kind: FilterKind, l: int) -> int:
+    """The truncation ``kind`` applies at level ``l``.
+
+    ``lrw`` keeps min(l, n) singular triplets of the whitened
+    cross-covariance (l checked to lie in [1, m]), so every level from n
+    up builds the same filter; every other kind keeps l.
+    """
+    if kind is FilterKind.LRW:
+        return min(model.spectral._check_l(l), model.n)
+    return l
+
+
 def lrw(model: CovarianceModel, l: int) -> LinearFilter:
     """Rank-truncated filter from the SVD of the whitened cross-covariance.
 
     Keeps the first min(l, n) singular triplets; the inverse square root
     of c_y makes this an M-dimensional inversion regardless of l.
     """
+    keep = _effective_level(model, FilterKind.LRW, l)
     cache = model.spectral
-    cache._check_l(l)
     root_inv = cache.y_root_inv
     decomp = cache.whitened_cross_svd
-    keep = min(l, model.n, decomp.s.shape[0])
     u = decomp.u[:, :keep]
     s = decomp.s[:keep]
     v = decomp.v[:, :keep]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import dataio
 from .dataio import ExperimentResult
 from .diagnostics import analytic_mse, best_l_search, filter_power_loss
 from .errors import DimensionError, SingularMatrixError, WclmmseError
-from .filters import FILTER_CONSTRUCTORS, FilterKind
+from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter
 from .linalg import condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
 
@@ -60,7 +61,10 @@ class LPolicy:
     ``lsjpc`` an exact-arithmetic MSE profile from one factorization
     orders the builds, and the search stops at the first level whose
     profile is more than 1e-8 tr(c_x) above the best MSE built, so a
-    well-conditioned model needs one build.
+    well-conditioned model needs one build. The row takes the filter the
+    search built at its level, so its ``wall_ms`` is the time of choosing
+    and building the filter: the search, plus the failing build when no
+    level could be built.
     """
 
     mode: str = "best"
@@ -72,14 +76,16 @@ class LPolicy:
         if self.mode == "fixed" and (self.l is None or self.l < 1):
             raise ValueError("fixed policy needs a positive level")
 
-    def level_for(self, model: CovarianceModel, kind: FilterKind) -> int:
-        """The level for ``kind`` on ``model``."""
+    def choose(self, model: CovarianceModel,
+               kind: FilterKind) -> tuple[int, LinearFilter | None]:
+        """The level for ``kind`` on ``model`` and the filter built there,
+        None when it cannot be built."""
         m = model.m
         if self.mode == "fixed":
-            return min(self.l, m)
-        best, _ = best_l_search(model, kind, min(max(1, model.n), m), m,
-                                max(1, m // 16))
-        return best
+            return _build(kind, model, min(self.l, m))
+        l, _, filt = best_l_search(model, kind, min(max(1, model.n), m), m,
+                                   max(1, m // 16))
+        return (l, filt) if filt is not None else _build(kind, model, l)
 
 
 def parse_l_policy(text: str) -> LPolicy:
@@ -113,9 +119,21 @@ def _prepare(source, m: int, n: int, seed: int):
     return estimate_covariance(train, n), test, mean
 
 
+def _build(kind: FilterKind, model: CovarianceModel,
+           l: int | None) -> tuple[int | None, LinearFilter | None]:
+    """``kind`` built at ``l``: (l, the filter, or None when it cannot be built)."""
+    try:
+        return l, FILTER_CONSTRUCTORS[kind](model, l)
+    except WclmmseError:
+        return l, None
+
+
 def _sweep_model(source, m: int, n: int, seed: int, kinds,
-                 levels) -> list[ExperimentResult]:
-    """Score each kind on one model at ``levels(model, kind)``; wiener once.
+                 cells) -> list[ExperimentResult]:
+    """Score each kind on one model; wiener once.
+
+    ``cells(model, kind)`` gives one callable per row, which returns the
+    row's level and its filter as :func:`_build` does.
 
     Every cell reads the model's one set of decompositions,
     ``model.spectral``. Those the kinds need are made before any cell is
@@ -133,8 +151,12 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     cond_cy = condition_number(model.c_y)
     rows = []
     for kind in kinds:
-        for l in [None] if kind is FilterKind.WIENER else levels(model, kind):
-            rows.append(_sweep_cell(kind, model, l, test_z, mean, cond_cy))
+        if kind is FilterKind.WIENER:
+            makes = [partial(_build, kind, model, None)]
+        else:
+            makes = cells(model, kind)
+        for make in makes:
+            rows.append(_sweep_cell(kind, model, make, test_z, mean, cond_cy))
     return rows
 
 
@@ -142,21 +164,19 @@ def _sort_key(row: ExperimentResult):
     return (row.filter, row.m, -1 if row.l is None else row.l)
 
 
-def _sweep_cell(kind: FilterKind, model: CovarianceModel, l: int | None,
+def _sweep_cell(kind: FilterKind, model: CovarianceModel, make,
                 test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
-    """Build one filter on ``model`` and score it.
+    """Get one filter on ``model`` from ``make()`` and score it.
 
-    ``wall_ms`` times only building the filter at level ``l`` from the
-    model's shared decompositions; neither the one-time decompositions
-    of the model nor the scoring are in it.
+    ``wall_ms`` times only ``make()``, which reads the model's shared
+    decompositions: building the filter at its level, and for an
+    ``--l-policy best`` row also the search that chose the level and
+    built the filter there. Neither the one-time decompositions of the
+    model nor the scoring are in it.
     """
-    constructor = FILTER_CONSTRUCTORS[kind]
     m, n = model.m, model.n
     started = time.perf_counter()
-    try:
-        filt = constructor(model, l)
-    except WclmmseError:
-        filt = None
+    l, filt = make()
     wall_ms = (time.perf_counter() - started) * 1e3
     if filt is None:
         return ExperimentResult(
@@ -196,7 +216,8 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters,
     outside = [l for l in grid if not 1 <= l <= m]
     if outside:
         raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
-    rows = _sweep_model(source, m, n, seed, kinds, lambda model, kind: grid)
+    rows = _sweep_model(source, m, n, seed, kinds, lambda model, kind: [
+        partial(_build, kind, model, l) for l in grid])
     rows.sort(key=_sort_key)
     return rows
 
@@ -205,13 +226,10 @@ def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
                 seed: int = 0) -> list[ExperimentResult]:
     """Re-window the series at each length and score every filter there."""
     kinds = _parse_kinds(filters)
-
-    def chosen_level(model, kind):
-        return [l_policy.level_for(model, kind)]
-
     rows = []
     for m in (int(v) for v in m_grid):
-        rows += _sweep_model(series, m, n, seed, kinds, chosen_level)
+        rows += _sweep_model(series, m, n, seed, kinds, lambda model, kind: [
+            partial(l_policy.choose, model, kind)])
     rows.sort(key=_sort_key)
     return rows
 

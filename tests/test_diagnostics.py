@@ -286,22 +286,23 @@ _SEARCH_MODELS = {
 class TestBestLSearch:
     def test_single_point_grid(self):
         model = haar_model(2, 4, ratio=0.6, seed=18)
-        l_best, mse_best = best_l_search(model, FilterKind.JPC, 2, 2)
+        l_best, mse_best, filt = best_l_search(model, FilterKind.JPC, 2, 2)
         assert l_best == 2
         assert mse_best == pytest.approx(analytic_mse(model, __import__("wclmmse").jpc(model, 2)))
+        assert filt.kind is FilterKind.JPC and filt.l == 2
 
     def test_monotone_training_mse_puts_optimum_at_top(self):
         # in exact arithmetic the training mse of the joint-eigenbasis
         # truncation only improves with more components
         model = haar_model(2, 6, ratio=0.8, seed=19)
-        l_best, _ = best_l_search(model, FilterKind.JPC, 1, 6)
+        l_best, _, _ = best_l_search(model, FilterKind.JPC, 1, 6)
         assert l_best == 6
 
     def test_plateau_breaks_toward_smaller_l(self):
         # the rank of the svd truncation saturates at n=2, so every level
         # from 2 up has bit-identical mse: the search must return 2
         model = haar_model(2, 6, ratio=0.6, seed=20)
-        l_best, _ = best_l_search(model, FilterKind.LRW, 2, 6)
+        l_best, _, _ = best_l_search(model, FilterKind.LRW, 2, 6)
         assert l_best == 2
 
     def test_empty_grid(self):
@@ -318,7 +319,7 @@ class TestBestLSearch:
     def test_matches_exhaustive_search(self, name, kind):
         model = _SEARCH_MODELS[name]()
         grid = _policy_grid(model)
-        assert best_l_search(model, kind, *grid) == _exhaustive_search(model, kind, *grid)
+        assert best_l_search(model, kind, *grid)[:2] == _exhaustive_search(model, kind, *grid)
 
     def test_ill_conditioned_model_needs_several_builds(self, monkeypatch):
         model = _SEARCH_MODELS["synthetic_0.9_m400"]()
@@ -331,14 +332,38 @@ class TestBestLSearch:
         # the exhaustive search builds all 17 grid levels
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, kind)
-        l_best, _ = best_l_search(model, kind, *_policy_grid(model))
+        l_best, _, _ = best_l_search(model, kind, *_policy_grid(model))
         assert builds == [l_best]
 
+    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC, FilterKind.LRW])
+    def test_returns_the_build_it_scored(self, kind):
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        l_best, mse_best, filt = best_l_search(model, kind, *_policy_grid(model))
+        direct = FILTER_CONSTRUCTORS[kind](model, l_best)
+        assert filt.kind is kind and filt.l == l_best
+        assert np.array_equal(filt.matrix, direct.matrix)
+        assert analytic_mse(model, filt) == mse_best
+
+    def test_no_buildable_level_returns_no_filter(self):
+        # c_y is singular in float64, so lrw cannot whiten at any level
+        model = haar_model(2, 8, ratio=0.02, seed=3)
+        assert best_l_search(model, FilterKind.LRW, 1, 8) == (1, np.inf, None)
+
     def test_search_without_profile_builds_every_level(self, monkeypatch):
+        # csw has no profile, and each level keeps one more direction
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        builds = _counting_builds(monkeypatch, FilterKind.CSW)
+        best_l_search(model, FilterKind.CSW, *_policy_grid(model))
+        assert builds == _grid_levels(model)
+
+    def test_lrw_search_builds_each_truncation_once(self, monkeypatch):
+        # lrw keeps min(l, n) = 7 triplets from l = 7 up, so levels 10, 13,
+        # ... build level 7's filter again; the exhaustive loop builds 67
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, FilterKind.LRW)
-        best_l_search(model, FilterKind.LRW, *_policy_grid(model))
-        assert builds == _grid_levels(model)
+        found = best_l_search(model, FilterKind.LRW, 1, model.m, 3)
+        assert builds == [1, 4, 7]
+        assert found[:2] == _exhaustive_search(model, FilterKind.LRW, 1, model.m, 3)
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
     def test_profile_matches_direct_builds(self, kind):
@@ -392,4 +417,4 @@ def _small_models(draw):
 @given(model=_small_models(), kind=st.sampled_from([FilterKind.JPC, FilterKind.LSJPC]))
 def test_best_l_search_equals_exhaustive_search(model, kind):
     grid = _policy_grid(model)
-    assert best_l_search(model, kind, *grid) == _exhaustive_search(model, kind, *grid)
+    assert best_l_search(model, kind, *grid)[:2] == _exhaustive_search(model, kind, *grid)

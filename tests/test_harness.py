@@ -1,5 +1,6 @@
 """Experiment harness tests: sweeps, condition reports, failure capture."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from wclmmse import (
     run_m_sweep,
     window_samples,
 )
+from wclmmse.filters import FILTER_CONSTRUCTORS
 from wclmmse.harness import parse_l_policy
 
 
@@ -145,6 +147,35 @@ class TestRunMSweep:
                            LPolicy(mode="best"), seed=0)
         assert len(rows) == 8
         assert len(cache_builds) == 2
+
+    def test_best_policy_builds_each_row_once(self, monkeypatch):
+        # each search builds its level once, and its row takes that build
+        builds = []
+        for kind in ("jpc", "lsjpc"):
+            constructor = FILTER_CONSTRUCTORS[kind]
+
+            def counting(model, l, kind=kind, constructor=constructor):
+                builds.append((kind, model.m))
+                return constructor(model, l)
+
+            monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
+        series = ar1_series(1500, phi=0.95, seed=0)
+        rows = run_m_sweep(series, [100, 200], 7, ["jpc", "lsjpc"],
+                           LPolicy(mode="best"), seed=0)
+        assert len(rows) == 4 and all(np.isfinite(r.norm_rms) for r in rows)
+        assert sorted(builds) == [("jpc", 100), ("jpc", 200),
+                                  ("lsjpc", 100), ("lsjpc", 200)]
+
+    def test_best_rows_equal_fixed_rows_at_the_chosen_level(self):
+        # wall_ms aside: it also times the search
+        series = ar1_series(1500, phi=0.95, seed=0)
+        kinds = ["wiener", "lrw", "csw", "jpc", "lsjpc"]
+        best = run_m_sweep(series, [50, 100], 7, kinds, LPolicy(mode="best"), seed=0)
+        assert len(best) == 10 and all(np.isfinite(r.norm_rms) for r in best)
+        for row in best:
+            fixed = run_m_sweep(series, [row.m], 7, [row.filter],
+                                parse_l_policy(f"fixed:{row.l or 1}"), seed=0)
+            assert [dataclasses.replace(r, wall_ms=row.wall_ms) for r in fixed] == [row]
 
     def test_best_policy(self):
         # the search runs over max(1, n), ... , m in steps of max(1, m // 16)
