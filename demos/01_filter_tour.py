@@ -36,8 +36,9 @@ print(f"{'filter':<18} {'analytic mse':>14} {'largest inverse':>16}")
 reference = wiener(model)
 print(f"{'wiener':<18} {analytic_mse(model, reference):>14.6f} {reference.max_inverse_dim:>16}")
 
-# Rank-truncated filters: optimal (svd-based) and cross-spectral-ranked.
-# Both still whiten with the full input covariance, so their largest
+# Rank-truncated filters: optimal (the Wiener filter projected onto the
+# leading eigenvectors of c_xy inv(c_y) c_xy') and cross-spectral-ranked.
+# Both still invert the full input covariance, so their largest
 # inversion is m-dimensional no matter how small l is.
 for name, build in (("lrw", lrw), ("csw", csw)):
     filt = build(model, l)

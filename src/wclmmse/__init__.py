@@ -64,13 +64,11 @@ from .harness import (
 from .linalg import (
     InverseAudit,
     SymEig,
-    Svd,
     condition_number,
     inv_sqrt_spd,
     matrix_norm,
     nuclear_norm,
     solve_spd,
-    svd,
     sym_eig,
 )
 from .model import (
@@ -100,8 +98,8 @@ __all__ = [
     "lrw", "lsjpc", "lsjpc_simplified", "weighted_filter", "wiener",
     "wiener_structured",
     "LPolicy", "run_condition_report", "run_l_sweep", "run_m_sweep",
-    "InverseAudit", "SymEig", "Svd", "condition_number", "inv_sqrt_spd",
-    "matrix_norm", "nuclear_norm", "solve_spd", "svd", "sym_eig",
+    "InverseAudit", "SymEig", "condition_number", "inv_sqrt_spd",
+    "matrix_norm", "nuclear_norm", "solve_spd", "sym_eig",
     "CovarianceModel", "assemble_joint", "estimate_covariance",
     "geometric_spectrum", "sample_from_model", "split_joint", "synthetic_model",
     "__version__",

@@ -15,7 +15,14 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
-from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _effective_level, wiener
+from .filters import (
+    FILTER_CONSTRUCTORS,
+    FilterKind,
+    LinearFilter,
+    _csw_ranking,
+    _effective_level,
+    wiener,
+)
 from .linalg import matrix_norm
 from .model import CovarianceModel
 
@@ -118,13 +125,20 @@ def truncation_power_loss(spectrum, l: int) -> float:
 def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float:
     """Truncation-power loss of the spectrum a filter kind truncates at level l.
 
-    The rank-truncated family (``lrw``, ``csw``) discards whitened singular
-    values beyond ``lrw``'s effective truncation min(l, n); every other
-    kind discards the joint-eigenvalue tail beyond l.
+    ``lrw`` discards the singular values of the whitened cross-covariance
+    c_xy c_y^-1/2, the square roots of the eigenvalues of c_xy c_y^-1 c_xy',
+    beyond its effective truncation min(l, n). ``csw`` discards, in the
+    same units, the whitened cross-covariance's column norms
+    ``norm(c_xy @ q_i) / sqrt(lambda_i)`` of the c_y eigendirections it
+    does not keep; both raise as the filter does on a c_y too singular to
+    invert. Every other kind discards the joint-eigenvalue tail beyond l.
     """
-    if kind in (FilterKind.LRW, FilterKind.CSW):
-        return truncation_power_loss(model.spectral.whitened_cross_svd.s,
-                                     _effective_level(model, FilterKind.LRW, l))
+    if kind is FilterKind.LRW:
+        power = np.clip(model.spectral.eig_wiener.eigenvalues, 0.0, None)
+        return truncation_power_loss(np.sqrt(power), _effective_level(model, kind, l))
+    if kind is FilterKind.CSW:
+        _, _, scores, order = _csw_ranking(model)
+        return truncation_power_loss(np.sqrt(scores[order]), l)
     return truncation_power_loss(model.spectral.eig_z.eigenvalues, l)
 
 
@@ -171,12 +185,10 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
                   l_grid, norm: str = "nuclear") -> ScalingStudy:
     """Measure how fast a truncated filter approaches the unconstrained one.
 
-    For each level on the grid, records the truncation-power loss of the
-    relevant spectrum (singular values for the rank-truncated family,
-    joint eigenvalues otherwise), the filter's distance to the
+    For each level on the grid, records the truncation-power loss that
+    :func:`filter_power_loss` gives, the filter's distance to the
     unconstrained filter, the MSE gap, and the Gram defect of the
-    Y-block basis. For the rank-truncated family the loss uses the
-    effective truncation min(l, n), mirroring what the filter discards.
+    Y-block basis.
     """
     filter_kind = FilterKind(filter_kind)
     if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:

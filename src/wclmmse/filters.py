@@ -7,16 +7,19 @@ decomposed at most once however many filters and levels are built:
 
 * ``wiener`` -- the unconstrained optimum ``c_xy @ inv(c_y)``.
 * ``wiener_structured`` -- the optimum among filters sharing a prefilter.
-* ``lrw`` / ``csw`` -- rank-truncated filters built on ``inv_sqrt(c_y)``.
+* ``lrw`` -- the reduced-rank Wiener filter: ``wiener`` projected onto the
+  leading eigenvectors of the n x n matrix ``c_xy @ inv(c_y) @ c_xy'``.
+* ``csw`` -- a rank truncation in the eigenbasis of ``c_y``.
 * ``jpc`` / ``lsjpc`` -- truncations of the joint-covariance eigenbasis
   that never invert anything larger than L x L.
 * ``jpc_simplified`` / ``lsjpc_simplified`` -- inverse-free approximations.
 * ``weighted_filter`` -- any of the above under a weighted-trace objective.
 
 No constructor ever forms an explicit M x M inverse; every ``inv(.) @``
-in the defining formulas is realized as a linear solve whose dimension is
-recorded, so each filter carries an audited ``max_inverse_dim``
-certificate.
+in the defining formulas is realized as a linear solve, and each filter
+carries a ``max_inverse_dim`` certificate: the dimension of the largest
+system its construction solves. ``wiener`` and ``lrw`` read the model's
+one M x M solve, so both certify M.
 """
 
 from __future__ import annotations
@@ -134,20 +137,21 @@ def _structured_matrix(c_xy, c_y, b, audit: InverseAudit) -> NDArray[np.float64]
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:
-    """The unconstrained LMMSE filter c_xy @ inv(c_y), via an M x M solve."""
-    audit = InverseAudit()
+    """The unconstrained LMMSE filter c_xy @ inv(c_y), via the model's one
+    M x M solve (``model.spectral.wiener_solve``)."""
+    cache = model.spectral
     try:
-        matrix = solve_spd(model.c_y, model.c_xy.T, audit=audit).T
+        matrix = cache.wiener_solve.T
     except SingularMatrixError as exc:
-        vals = np.linalg.eigvalsh(0.5 * (model.c_y + model.c_y.T))
-        cond = float("inf") if vals[0] <= 0 else float(vals[-1] / vals[0])
+        vals = cache.eigvals_y
+        cond = float("inf") if vals[-1] <= 0 else float(vals[0] / vals[-1])
         raise SingularMatrixError(
             f"input covariance is singular (condition number {cond:.3e}): {exc}",
             index=exc.index,
             value=exc.value,
         ) from exc
     return LinearFilter(matrix=matrix, kind=FilterKind.WIENER,
-                        max_inverse_dim=audit.max_dim)
+                        max_inverse_dim=model.m)
 
 
 def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> LinearFilter:
@@ -170,8 +174,8 @@ def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> Line
 def _effective_level(model: CovarianceModel, kind: FilterKind, l: int) -> int:
     """The truncation ``kind`` applies at level ``l``.
 
-    ``lrw`` keeps min(l, n) singular triplets of the whitened
-    cross-covariance (l checked to lie in [1, m]), so every level from n
+    ``lrw`` keeps min(l, n) eigenvectors of the n x n matrix
+    c_xy c_y^-1 c_xy' (l checked to lie in [1, m]), so every level from n
     up builds the same filter; every other kind keeps l.
     """
     if kind is FilterKind.LRW:
@@ -180,41 +184,50 @@ def _effective_level(model: CovarianceModel, kind: FilterKind, l: int) -> int:
 
 
 def lrw(model: CovarianceModel, l: int) -> LinearFilter:
-    """Rank-truncated filter from the SVD of the whitened cross-covariance.
+    """Reduced-rank Wiener filter ``U_k U_k' W``.
 
-    Keeps the first min(l, n) singular triplets; the inverse square root
-    of c_y makes this an M-dimensional inversion regardless of l.
+    ``W = c_xy c_y^-1`` is the Wiener filter and ``U_k`` holds the leading
+    k = min(l, n) eigenvectors of ``c_xy c_y^-1 c_xy'`` (Hua, Nikpour &
+    Stoica, "Optimal reduced-rank estimation and filtering", IEEE TSP
+    49(3), 2001). This is the first k singular triplets of the whitened
+    cross-covariance ``c_xy c_y^-1/2``, mapped back through ``c_y^-1/2``,
+    without decomposing c_y. Constraining the rank does not shrink the
+    inversion: ``W`` is the M x M solve ``wiener`` reads, so the
+    certificate is M regardless of l.
     """
     keep = _effective_level(model, FilterKind.LRW, l)
     cache = model.spectral
-    root_inv = cache.y_root_inv
-    decomp = cache.whitened_cross_svd
-    u = decomp.u[:, :keep]
-    s = decomp.s[:keep]
-    v = decomp.v[:, :keep]
-    matrix = (u * s) @ v.T @ root_inv
+    u = cache.eig_wiener.eigenvectors[:, :keep]
+    matrix = u @ (u.T @ cache.wiener_solve.T)
     return LinearFilter(matrix=matrix, kind=FilterKind.LRW, l=l,
                         max_inverse_dim=model.m)
+
+
+def _csw_ranking(model: CovarianceModel):
+    """The eigendecomposition of c_y, ``c_xy`` times its eigenvectors, the
+    scores ``norm(c_xy @ q_i)^2 / lambda_i`` and the order ``csw`` keeps
+    the eigendirections in, highest score first.
+
+    Raises as :meth:`SymEig.check_definite` does on ``eig_y``.
+    """
+    eig = model.spectral.eig_y
+    eig.check_definite()
+    proj = model.c_xy @ eig.eigenvectors
+    scores = np.einsum("ij,ij->j", proj, proj) / eig.eigenvalues
+    return eig, proj, scores, np.argsort(-scores, kind="stable")
 
 
 def csw(model: CovarianceModel, l: int) -> LinearFilter:
     """Rank-truncated filter keeping input eigendirections by cross-spectral power.
 
     Components of the c_y eigenbasis are ranked by the score
-    ``norm(c_xy @ q_i)^2 / lambda_i`` and the top l retained. Like the
-    SVD-based truncation it relies on the full spectrum of c_y, so the
-    recorded inverse size is M.
+    ``norm(c_xy @ q_i)^2 / lambda_i`` and the top l retained. It relies on
+    the full spectrum of c_y, so the recorded inverse size is M.
     """
-    cache = model.spectral
-    cache._check_l(l)
-    eig = cache.eig_y
-    eig.check_definite()
-    vals, q = eig.eigenvalues, eig.eigenvectors
-    proj = model.c_xy @ q
-    scores = np.einsum("ij,ij->j", proj, proj) / vals
-    order = np.argsort(-scores, kind="stable")[: min(l, model.m)]
-    q_kept = q[:, order]
-    matrix = (proj[:, order] / vals[order]) @ q_kept.T
+    model.spectral._check_l(l)
+    eig, proj, _, order = _csw_ranking(model)
+    kept = order[:l]
+    matrix = (proj[:, kept] / eig.eigenvalues[kept]) @ eig.eigenvectors[:, kept].T
     return LinearFilter(matrix=matrix, kind=FilterKind.CSW, l=l,
                         max_inverse_dim=model.m)
 

@@ -48,6 +48,14 @@ _NOMINAL_INVERSE = {
     FilterKind.LSJPC_SIMPLIFIED: lambda m, l: 0,
 }
 
+# The decomposition on ``model.spectral`` each kind reads besides the
+# joint one, made before any of its cells is timed.
+_CACHE_READS = {
+    FilterKind.WIENER: "wiener_solve",
+    FilterKind.LRW: "eig_wiener",
+    FilterKind.CSW: "eig_y",
+}
+
 
 @dataclass
 class LPolicy:
@@ -136,19 +144,23 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     row's level and its filter as :func:`_build` does.
 
     Every cell reads the model's one set of decompositions,
-    ``model.spectral``. Those the kinds need are made before any cell is
-    timed: the joint one always, and those of ``c_y`` for ``lrw`` and
-    ``csw``. When ``c_y`` is too singular to whiten, each ``lrw`` and
-    ``csw`` cell fails on its own and its row records the failure.
+    ``model.spectral``. Those the kinds read are made before any cell is
+    timed: the joint eigendecomposition and the eigenvalues of ``c_y``,
+    which give ``cond_cy``, always; the M x M Wiener solve for ``wiener``;
+    that solve and the n x n ``eig_wiener`` for ``lrw``; the M x M
+    ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a kind,
+    each of its cells fails on its own and its row records the failure.
     """
     model, test_z, mean = _prepare(source, m, n, seed)
-    model.spectral.eig_z
-    if FilterKind.LRW in kinds or FilterKind.CSW in kinds:
-        try:
-            model.spectral.whitened_cross_svd
-        except SingularMatrixError:
-            pass
-    cond_cy = condition_number(model.c_y)
+    cache = model.spectral
+    cache.eig_z
+    cond_cy = cache.cond_y
+    for kind in kinds:
+        if kind in _CACHE_READS:
+            try:
+                getattr(cache, _CACHE_READS[kind])
+            except SingularMatrixError:
+                pass
     rows = []
     for kind in kinds:
         if kind is FilterKind.WIENER:

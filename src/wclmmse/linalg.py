@@ -1,8 +1,8 @@
 """Deterministic dense linear-algebra kernels over real matrices.
 
 Thin, reproducibility-minded wrappers around LAPACK (via numpy/scipy):
-symmetric eigendecomposition, SVD, SPD inverse square root, linear
-solves with an audited system size, condition numbers, and norms.
+symmetric eigendecomposition and eigenvalues, SPD inverse square root,
+linear solves with an audited system size, condition numbers, and norms.
 
 Determinism conventions
 -----------------------
@@ -31,10 +31,9 @@ from .errors import (
 
 __all__ = [
     "SymEig",
-    "Svd",
     "InverseAudit",
     "sym_eig",
-    "svd",
+    "sym_eigvals",
     "inv_sqrt_spd",
     "condition_number",
     "solve_spd",
@@ -84,21 +83,8 @@ class SymEig:
 
     def check_definite(self) -> None:
         """Raise :class:`SingularMatrixError` when the smallest eigenvalue is
-        at or below 1e-12 times the largest.
-
-        The error carries the offending index and value; that error is
-        itself a conditioning diagnostic.
-        """
-        vals = self.eigenvalues
-        floor = 1e-12 * max(vals[0], 0.0) if self.dim else 0.0
-        if self.dim and vals[-1] <= floor:
-            idx = self.dim - 1
-            raise SingularMatrixError(
-                f"matrix is numerically singular: eigenvalue[{idx}] = {vals[idx]:.6e}"
-                f" <= floor {floor:.6e}",
-                index=idx,
-                value=float(vals[idx]),
-            )
+        at or below 1e-12 times the largest; see :func:`_check_definite`."""
+        _check_definite(self.eigenvalues)
 
     def inv_sqrt(self) -> Matrix:
         """Symmetric B with B @ A @ B = I for the decomposed SPD matrix A.
@@ -109,18 +95,6 @@ class SymEig:
         v = self.eigenvectors
         b = (v / np.sqrt(self.eigenvalues)) @ v.T
         return 0.5 * (b + b.T)
-
-
-@dataclass
-class Svd:
-    """Singular value decomposition A = U @ diag(s) @ V.T, s descending.
-
-    ``u`` is N x r and ``v`` is M x r with r = min(M, N).
-    """
-
-    u: Matrix
-    s: NDArray[np.float64]
-    v: Matrix
 
 
 @dataclass
@@ -159,13 +133,30 @@ def sym_eig(a) -> SymEig:
     return SymEig(eigenvalues=vals, eigenvectors=vecs)
 
 
-def svd(a) -> Svd:
-    """Thin SVD with descending singular values and sign-normalized U columns;
-    each right singular vector is flipped with its left one."""
-    a = _as_matrix(a, "svd input")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    signs = _lead_signs(u)
-    return Svd(u=u * signs, s=s, v=vt.T * signs)
+def sym_eigvals(a) -> NDArray[np.float64]:
+    """Eigenvalues of the symmetric part (A + A') / 2 of a square matrix,
+    descending; the values :func:`condition_number` reads."""
+    a = _as_square(a, "sym_eigvals input")
+    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
+
+
+def _check_definite(eigenvalues: NDArray[np.float64]) -> None:
+    """Raise :class:`SingularMatrixError` when the smallest of descending
+    ``eigenvalues`` is at or below 1e-12 times the largest.
+
+    The error carries the offending index and value; that error is
+    itself a conditioning diagnostic.
+    """
+    dim = eigenvalues.shape[0]
+    floor = 1e-12 * max(eigenvalues[0], 0.0) if dim else 0.0
+    if dim and eigenvalues[-1] <= floor:
+        idx = dim - 1
+        raise SingularMatrixError(
+            f"matrix is numerically singular: eigenvalue[{idx}] = {eigenvalues[idx]:.6e}"
+            f" <= floor {floor:.6e}",
+            index=idx,
+            value=float(eigenvalues[idx]),
+        )
 
 
 def inv_sqrt_spd(a) -> Matrix:
@@ -186,8 +177,12 @@ def condition_number(a) -> float:
     a = _as_square(a, "condition_number input")
     if a.size == 0 or not np.any(a):
         raise UndefinedConditionError("condition number of the zero matrix is undefined")
-    vals = np.linalg.eigvalsh(0.5 * (a + a.T))
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
+    return _spectral_condition(sym_eigvals(a))
+
+
+def _spectral_condition(eigenvalues: NDArray[np.float64]) -> float:
+    """:func:`condition_number` from the matrix's descending eigenvalues."""
+    lam_max, lam_min = float(eigenvalues[0]), float(eigenvalues[-1])
     if lam_max <= 0.0:
         raise UndefinedConditionError("matrix has no positive eigenvalue")
     if lam_min <= 0.0:

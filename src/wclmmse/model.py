@@ -28,7 +28,14 @@ from .errors import (
     NumericInputError,
     RankError,
 )
-from .linalg import Svd, SymEig, svd, sym_eig
+from .linalg import (
+    SymEig,
+    _check_definite,
+    _spectral_condition,
+    solve_spd,
+    sym_eig,
+    sym_eigvals,
+)
 
 __all__ = [
     "CovarianceModel",
@@ -130,15 +137,26 @@ class CovarianceModel:
 
 
 class SpectralCache:
-    """The one owner of a model's decompositions, each made lazily and at most once:
-    the joint ``eig_z``, ``eig_y`` of c_y, and ``whitened_cross_svd``.
+    """The one owner of a model's decompositions, each made lazily and at most once.
+
+    * ``eig_z``: the joint eigendecomposition, which ``jpc``, ``lsjpc``,
+      their simplified variants and the sampler truncate.
+    * ``eigvals_y``: the eigenvalues of c_y from one ``eigvalsh``, which
+      ``cond_y`` and the definiteness rule read.
+    * ``wiener_solve``: the m x n solve c_y^-1 c_xy', the Wiener filter's
+      transpose, which ``wiener`` and ``lrw`` read.
+    * ``eig_wiener``: the n x n eigendecomposition of c_xy c_y^-1 c_xy',
+      which ``lrw`` and its ``rho_l`` read.
+    * ``eig_y``: the m x m eigendecomposition of c_y, which only ``csw``
+      reads.
 
     Read it as ``model.spectral``. It keeps the model's blocks, not the
     model, so no reference cycle holds the decompositions once the model
     is gone. The joint eigenvectors are row-partitioned into the X part
     (top n rows) and the Y part (bottom m rows); truncations are views of
-    the leading columns. A c_y too singular to whiten re-raises from the
-    stored eigenvalues of ``eig_y`` on every access to ``y_root_inv``.
+    the leading columns. A c_y too singular to invert re-raises from the
+    stored ``eigvals_y`` on every access to ``eig_wiener``, without
+    solving or decomposing again.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -196,18 +214,37 @@ class SpectralCache:
         return margin
 
     @cached_property
+    def eigvals_y(self) -> NDArray[np.float64]:
+        """Eigenvalues of c_y, descending."""
+        return sym_eigvals(self.c_y)
+
+    @property
+    def cond_y(self) -> float:
+        """Condition number of c_y, bit-identical to ``condition_number(c_y)``."""
+        return _spectral_condition(self.eigvals_y)
+
+    @cached_property
+    def wiener_solve(self) -> NDArray[np.float64]:
+        """c_y^-1 c_xy' (m x n) through ``solve_spd``: the Wiener filter's transpose."""
+        return solve_spd(self.c_y, self.c_xy.T)
+
+    @cached_property
+    def eig_wiener(self) -> SymEig:
+        """Eigendecomposition of c_xy c_y^-1 c_xy' (n x n), the covariance of
+        the Wiener estimate.
+
+        Its eigenvectors are the left singular vectors of the whitened
+        cross-covariance c_xy c_y^-1/2, and its eigenvalues the squares of
+        their singular values. Raises :class:`SingularMatrixError` as
+        :meth:`SymEig.check_definite` does on ``eigvals_y``, before solving.
+        """
+        _check_definite(self.eigvals_y)
+        return sym_eig(self.c_xy @ self.wiener_solve)
+
+    @cached_property
     def eig_y(self) -> SymEig:
+        """The m x m eigendecomposition of c_y, which only ``csw`` reads."""
         return sym_eig(self.c_y)
-
-    @cached_property
-    def y_root_inv(self) -> NDArray[np.float64]:
-        """Inverse square root of c_y; an M x M spectral inversion."""
-        return self.eig_y.inv_sqrt()
-
-    @cached_property
-    def whitened_cross_svd(self) -> Svd:
-        """SVD of c_xy @ inv_sqrt(c_y)."""
-        return svd(self.c_xy @ self.y_root_inv)
 
 
 def estimate_covariance(samples, n: int) -> CovarianceModel:

@@ -20,11 +20,11 @@ from wclmmse import (
     estimate_covariance,
     filter_power_loss,
     geometric_spectrum,
+    inv_sqrt_spd,
     lrw,
     nuclear_norm,
     sample_from_model,
     scaling_study,
-    svd,
     truncation_power_loss,
     weighted_trace_objective,
     wiener,
@@ -144,7 +144,8 @@ class TestTruncationPowerLoss:
 
     def test_monotone_and_flavors(self):
         # filter_power_loss picks the spectrum: joint eigenvalues for jpc,
-        # whitened singular values, cut at min(l, n), for lrw
+        # singular values of the whitened cross-covariance c_xy c_y^-1/2,
+        # cut at min(l, n), for lrw
         model = haar_model(2, 5, ratio=0.6, seed=12)
         cache = model.spectral
         jpc_losses = [filter_power_loss(model, FilterKind.JPC, l) for l in range(1, 6)]
@@ -153,8 +154,17 @@ class TestTruncationPowerLoss:
         assert jpc_losses[0] == truncation_power_loss(cache.eig_z.eigenvalues, 1)
         lrw_losses = [filter_power_loss(model, FilterKind.LRW, l) for l in (1, 2, 5)]
         assert lrw_losses[0] >= lrw_losses[1] == lrw_losses[2] == 0.0
-        assert lrw_losses[0] == truncation_power_loss(cache.whitened_cross_svd.s, 1)
-        assert truncation_power_loss(svd(np.diag([3.0, 1.0])).s, 1) == pytest.approx(1.0)
+        whitened = np.linalg.svd(model.c_xy @ inv_sqrt_spd(model.c_y), compute_uv=False)
+        assert lrw_losses[0] == pytest.approx(truncation_power_loss(whitened, 1), rel=1e-10)
+
+    def test_csw_loses_the_directions_it_discards(self):
+        # the whitened cross-covariance's column norms over the c_y
+        # eigendirections csw does not keep: positive until it keeps all m
+        model = haar_model(2, 40, ratio=0.9, seed=0)
+        losses = [filter_power_loss(model, FilterKind.CSW, l) for l in range(1, 41)]
+        assert all(v > 0.0 for v in losses[:-1])
+        assert np.all(np.diff(losses) <= 0.0)
+        assert losses[-1] == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):

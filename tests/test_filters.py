@@ -18,6 +18,7 @@ from wclmmse import (
     best_l_search,
     csw,
     det_optimal_weight,
+    filter_power_loss,
     inv_sqrt_spd,
     is_l_well_conditioned,
     jpc,
@@ -71,6 +72,21 @@ class TestWiener:
         with pytest.raises(SingularMatrixError, match="condition number"):
             wiener(model)
 
+    def test_failure_message_and_cond_y_share_one_eigvalsh(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        model = CovarianceModel.from_joint(np.diag([1.0, 1.0, 0.0]), 1)
+        with pytest.raises(SingularMatrixError, match="condition number inf"):
+            wiener(model)
+        assert model.spectral.cond_y == np.inf
+        assert shapes == [(2, 2)]
+
 
 class TestWienerStructured:
     def test_identity_prefilter_collapses_to_wiener(self):
@@ -117,7 +133,46 @@ class TestWienerStructured:
         assert filt.max_inverse_dim == 3
 
 
+def lrw_reference(model, l):
+    """The direct formula: the first min(l, n) singular triplets of the
+    whitened cross-covariance c_xy c_y^-1/2, mapped back through c_y^-1/2."""
+    root_inv = inv_sqrt_spd(model.c_y)
+    u, s, vt = np.linalg.svd(model.c_xy @ root_inv, full_matrices=False)
+    keep = min(l, model.n)
+    return (u[:, :keep] * s[:keep]) @ vt[:keep] @ root_inv
+
+
 class TestLrw:
+    @pytest.mark.parametrize("n, m, ratio, seed, rtol", [
+        (2, 6, 0.6, 0, 1e-12),
+        (3, 12, 0.8, 1, 1e-12),
+        (4, 20, 0.7, 2, 1e-12),
+        (2, 40, 0.56, 2, 1e-5),
+    ])
+    def test_matches_whitened_svd_formula(self, n, m, ratio, seed, rtol):
+        # Relative Frobenius distance. Both paths lose about eps * cond(c_y):
+        # cond(c_y) is below 100 on the first three models and 1.1e10 on
+        # the last, where the two paths differ by up to 5e-7.
+        model = haar_model(n, m, ratio=ratio, seed=seed)
+        for l in sorted({1, n - 1, n, n + 1, m}):
+            want = lrw_reference(model, l)
+            assert np.linalg.norm(lrw(model, l).matrix - want) <= rtol * np.linalg.norm(want)
+
+    def test_refuses_c_y_at_the_definiteness_floor(self):
+        # lrw builds while the smallest eigenvalue of c_y is above 1e-12
+        # times the largest, and raises with its index and value at or below
+        for cond, builds in ((0.99e12, True), (1.01e12, False)):
+            model = CovarianceModel(n=1, m=3, c_x=np.eye(1),
+                                    c_y=np.diag([1.0, 0.5, 1.0 / cond]),
+                                    c_xy=np.array([[0.1, 0.1, 1e-7]]))
+            if builds:
+                np.testing.assert_allclose(lrw(model, 1).matrix, wiener(model).matrix,
+                                           rtol=1e-12)
+                continue
+            with pytest.raises(SingularMatrixError) as info:
+                lrw(model, 1)
+            assert (info.value.index, info.value.value) == (2, 1.0 / cond)
+
     def test_no_truncation_equals_wiener(self):
         model = haar_model(2, 4, seed=11)
         for l in (2, 3, 4):
@@ -160,6 +215,8 @@ class TestCsw:
         for l in (1, 2, 3):
             np.testing.assert_allclose(csw(model, l).matrix, lrw(model, l).matrix,
                                        atol=1e-10)
+            assert filter_power_loss(model, FilterKind.CSW, l) == pytest.approx(
+                filter_power_loss(model, FilterKind.LRW, l), abs=1e-12)
 
     def test_never_beats_lrw(self):
         for seed in range(10):
@@ -276,32 +333,33 @@ class TestSimplifiedVariants:
 
 
 class TestSpectralCache:
-    def test_y_root_inv_equals_direct_formula(self):
-        model = haar_model(2, 6, seed=27)
-        assert np.array_equal(model.spectral.y_root_inv, inv_sqrt_spd(model.c_y))
-
     def test_singular_c_y_reraises_without_decomposing_again(self, sym_eig_shapes):
+        # lrw's decomposition re-raises from the stored eigenvalues of c_y,
+        # the smallest of which is eigh's (csw's) to rounding
         model = haar_model(2, 8, ratio=0.02, seed=3)
         cache = model.spectral
         raised = []
         for _ in range(3):
             with pytest.raises(SingularMatrixError) as info:
-                cache.y_root_inv
+                cache.eig_wiener
             raised.append((info.value.index, info.value.value))
         for build in (lrw, csw):
             with pytest.raises(SingularMatrixError):
                 build(model, 2)
         assert raised == [raised[0]] * 3
+        assert raised[0] == (7, float(cache.eigvals_y[-1]))
         assert sym_eig_shapes == [(8, 8)]
         with pytest.raises(SingularMatrixError) as info:
             inv_sqrt_spd(model.c_y)
-        assert (info.value.index, info.value.value) == raised[0]
+        assert info.value.index == raised[0][0]
+        assert info.value.value == pytest.approx(raised[0][1], abs=1e-15 * cache.eigvals_y[0])
 
-    def test_cache_free_rank_truncations_decompose_only_c_y(self, sym_eig_shapes):
+    def test_rank_truncations_decompose_only_what_they_read(self, sym_eig_shapes):
+        # lrw: the n x n c_xy c_y^-1 c_xy'; csw: c_y; neither the joint c_z
         model = haar_model(2, 6, seed=28)
         lrw(model, 2)
         csw(model, 2)
-        assert sym_eig_shapes == [(6, 6)]
+        assert sym_eig_shapes == [(2, 2), (6, 6)]
 
     def test_every_caller_shares_the_model_decompositions(self, sym_eig_shapes):
         model = haar_model(2, 6, seed=28)
@@ -310,7 +368,7 @@ class TestSpectralCache:
         scaling_study(model, FilterKind.JPC, [2, 4])
         lrw(model, 2)
         csw(model, 2)
-        assert sym_eig_shapes == [(8, 8), (6, 6)]
+        assert sym_eig_shapes == [(8, 8), (2, 2), (6, 6)]
 
     def test_decompositions_freed_with_the_model(self):
         # With the collector off, only reference counting can free the

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import wclmmse
 from conftest import ar1_series, haar_model
@@ -19,6 +20,7 @@ from wclmmse import (
     LPolicy,
     SeriesConfig,
     analytic_mse,
+    condition_number,
     estimate_covariance,
     jpc,
     geometric_spectrum,
@@ -27,6 +29,7 @@ from wclmmse import (
     run_m_sweep,
     window_samples,
 )
+from wclmmse import harness
 from wclmmse.filters import FILTER_CONSTRUCTORS
 from wclmmse.harness import parse_l_policy
 
@@ -128,6 +131,7 @@ class TestRunLSweep:
         rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
         failed = [r for r in rows if r.filter in ("lrw", "csw")]
         assert len(failed) == 6 and all(np.isnan(r.norm_rms) for r in failed)
+        assert all(np.isnan(r.rho_l) for r in failed)
         assert sorted(sym_eig_shapes) == [(8, 8), (10, 10)]
 
 
@@ -165,6 +169,34 @@ class TestRunMSweep:
         assert len(rows) == 4 and all(np.isfinite(r.norm_rms) for r in rows)
         assert sorted(builds) == [("jpc", 100), ("jpc", 200),
                                   ("lsjpc", 100), ("lsjpc", 200)]
+
+    def test_best_policy_solves_c_y_once_and_decomposes_no_m_by_m(
+            self, monkeypatch, sym_eig_shapes):
+        # wiener and lrw share one Cholesky solve of c_y; lrw decomposes
+        # only the n x n c_xy c_y^-1 c_xy'; cond_cy reads the eigenvalues
+        # of c_y bit-identically to condition_number
+        models, factored = [], []
+        estimate, cho_factor = harness.estimate_covariance, scipy.linalg.cho_factor
+
+        def recording_estimate(*args, **kwargs):
+            models.append(estimate(*args, **kwargs))
+            return models[-1]
+
+        def recording_cho_factor(a, *args, **kwargs):
+            factored.append(a)
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_covariance", recording_estimate)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
+        series = ar1_series(1500, phi=0.95, seed=0)
+        rows = run_m_sweep(series, [50, 100], 7, ["wiener", "lrw", "jpc", "lsjpc"],
+                           LPolicy(mode="best"), seed=0)
+        assert len(rows) == 8 and all(np.isfinite(r.norm_rms) for r in rows)
+        assert [model.m for model in models] == [50, 100]
+        assert sorted(sym_eig_shapes) == [(7, 7), (7, 7), (57, 57), (107, 107)]
+        for model in models:
+            assert sum(a is model.c_y for a in factored) == 1
+            assert {r.cond_cy for r in rows if r.m == model.m} == {condition_number(model.c_y)}
 
     def test_best_rows_equal_fixed_rows_at_the_chosen_level(self):
         # wall_ms aside: it also times the search

@@ -1,4 +1,4 @@
-"""Kernel tests: eigendecomposition, SVD, inverse roots, solves, norms."""
+"""Kernel tests: eigendecomposition, inverse roots, solves, norms."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from wclmmse import (
     matrix_norm,
     nuclear_norm,
     solve_spd,
-    svd,
     sym_eig,
 )
 
@@ -76,23 +75,6 @@ class TestSymEig:
             sym_eig(np.ones((2, 3)))
         with pytest.raises(NumericInputError):
             sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-
-
-class TestSvd:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 5))
-        out = svd(a)
-        assert np.all(np.diff(out.s) <= 0)
-        assert np.all(out.s >= 0)
-        assert np.linalg.norm((out.u * out.s) @ out.v.T - a) <= 1e-8 * np.linalg.norm(a)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((4, 4))
-        one, two = svd(a), svd(a.copy())
-        assert np.array_equal(one.u, two.u)
-        assert np.array_equal(one.v, two.v)
 
 
 class TestInvSqrtSpd:
