@@ -62,7 +62,6 @@ from .harness import (
     run_m_sweep,
 )
 from .linalg import (
-    InverseAudit,
     SymEig,
     condition_number,
     inv_sqrt_spd,
@@ -98,7 +97,7 @@ __all__ = [
     "lrw", "lsjpc", "lsjpc_simplified", "weighted_filter", "wiener",
     "wiener_structured",
     "LPolicy", "run_condition_report", "run_l_sweep", "run_m_sweep",
-    "InverseAudit", "SymEig", "condition_number", "inv_sqrt_spd",
+    "SymEig", "condition_number", "inv_sqrt_spd",
     "matrix_norm", "nuclear_norm", "solve_spd", "sym_eig",
     "CovarianceModel", "assemble_joint", "estimate_covariance",
     "geometric_spectrum", "sample_from_model", "split_joint", "synthetic_model",

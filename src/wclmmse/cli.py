@@ -2,9 +2,10 @@
 
 Subcommands: ``synth`` (generate a covariance model), ``sweep-l``,
 ``sweep-m``, ``cond``, and ``scaling``. Result CSVs follow the fixed
-schema in :mod:`wclmmse.dataio`, and every CSV is accompanied by an
-equivalent JSON array. ``--seed`` defaults to 0, so a command line
-always prints the same numbers.
+schema in :mod:`wclmmse.dataio`; ``sweep-l``, ``sweep-m`` and ``cond``
+write an equivalent JSON array next to their CSV, ``scaling`` its CSV
+alone. ``--seed`` defaults to 0, so a command line always prints the
+same numbers.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ decomposed at most once however many filters and levels are built:
 No constructor ever forms an explicit M x M inverse; every ``inv(.) @``
 in the defining formulas is realized as a linear solve, and each filter
 carries a ``max_inverse_dim`` certificate: the dimension of the largest
-system its construction solves. ``wiener`` and ``lrw`` read the model's
-one M x M solve, so both certify M.
+system its construction solves, stated once per kind by
+:func:`_certificate`. ``wiener`` and ``lrw`` read the model's one M x M
+solve and ``csw`` the full spectrum of c_y, so all three certify M.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
-from .linalg import InverseAudit, inv_sqrt_spd, solve_spd
+from .linalg import _check_definite, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
 from .model import CovarianceModel, SpectralCache
 
@@ -74,8 +75,9 @@ class LinearFilter:
     """An N x M estimator matrix with its construction certificate.
 
     ``max_inverse_dim`` is the dimension of the largest linear system
-    solved while building the filter; ``is_l_well_conditioned`` checks it
-    against a truncation level.
+    solved while building the filter, as :func:`_certificate` states it
+    for the filter's kind; ``is_l_well_conditioned`` checks it against a
+    truncation level.
     """
 
     matrix: NDArray[np.float64]
@@ -128,11 +130,24 @@ def _has_full_column_rank(a: np.ndarray) -> bool:
     return s.shape[0] >= a.shape[1] and s[-1] > _RANK_RTOL * s[0]
 
 
-def _structured_matrix(c_xy, c_y, b, audit: InverseAudit) -> NDArray[np.float64]:
+def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
+    """The dimension of the largest system ``kind`` solves on an M = ``m``
+    input at level ``l``: the L x L solve of ``jpc``, ``lsjpc`` and
+    ``wiener_structured``; none for the inverse-free simplified kinds; M
+    for the others. Sweep rows state it whether or not the build succeeded.
+    """
+    if kind in (FilterKind.JPC, FilterKind.LSJPC, FilterKind.WIENER_STRUCTURED):
+        return l
+    if kind in (FilterKind.JPC_SIMPLIFIED, FilterKind.LSJPC_SIMPLIFIED):
+        return 0
+    return m
+
+
+def _structured_matrix(c_xy, c_y, b) -> NDArray[np.float64]:
     """c_xy @ b' @ inv(b @ c_y @ b') @ b via an L x L solve."""
     bcb = b @ c_y @ b.T
     bcb = 0.5 * (bcb + bcb.T)
-    w = solve_spd(bcb, b, audit=audit)
+    w = solve_spd(bcb, b)
     return (c_xy @ b.T) @ w
 
 
@@ -151,7 +166,7 @@ def wiener(model: CovarianceModel) -> LinearFilter:
             value=exc.value,
         ) from exc
     return LinearFilter(matrix=matrix, kind=FilterKind.WIENER,
-                        max_inverse_dim=model.m)
+                        max_inverse_dim=_certificate(FilterKind.WIENER, model.m, None))
 
 
 def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> LinearFilter:
@@ -165,10 +180,10 @@ def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> Line
     if b.matrix.shape[1] != model.m:
         raise DimensionError(
             f"prefilter has {b.matrix.shape[1]} columns, expected {model.m}")
-    audit = InverseAudit()
-    matrix = _structured_matrix(model.c_xy, model.c_y, b.matrix, audit)
-    return LinearFilter(matrix=matrix, kind=FilterKind.WIENER_STRUCTURED,
-                        l=b.l, max_inverse_dim=audit.max_dim)
+    kind = FilterKind.WIENER_STRUCTURED
+    matrix = _structured_matrix(model.c_xy, model.c_y, b.matrix)
+    return LinearFilter(matrix=matrix, kind=kind, l=b.l,
+                        max_inverse_dim=_certificate(kind, model.m, b.l))
 
 
 def _effective_level(model: CovarianceModel, kind: FilterKind, l: int) -> int:
@@ -200,7 +215,7 @@ def lrw(model: CovarianceModel, l: int) -> LinearFilter:
     u = cache.eig_wiener.eigenvectors[:, :keep]
     matrix = u @ (u.T @ cache.wiener_solve.T)
     return LinearFilter(matrix=matrix, kind=FilterKind.LRW, l=l,
-                        max_inverse_dim=model.m)
+                        max_inverse_dim=_certificate(FilterKind.LRW, model.m, l))
 
 
 def _csw_ranking(model: CovarianceModel):
@@ -208,10 +223,11 @@ def _csw_ranking(model: CovarianceModel):
     scores ``norm(c_xy @ q_i)^2 / lambda_i`` and the order ``csw`` keeps
     the eigendirections in, highest score first.
 
-    Raises as :meth:`SymEig.check_definite` does on ``eig_y``.
+    Raises as :func:`~wclmmse.linalg._check_definite` does on the
+    eigenvalues of ``eig_y``.
     """
     eig = model.spectral.eig_y
-    eig.check_definite()
+    _check_definite(eig.eigenvalues)
     proj = model.c_xy @ eig.eigenvectors
     scores = np.einsum("ij,ij->j", proj, proj) / eig.eigenvalues
     return eig, proj, scores, np.argsort(-scores, kind="stable")
@@ -229,7 +245,7 @@ def csw(model: CovarianceModel, l: int) -> LinearFilter:
     kept = order[:l]
     matrix = (proj[:, kept] / eig.eigenvalues[kept]) @ eig.eigenvectors[:, kept].T
     return LinearFilter(matrix=matrix, kind=FilterKind.CSW, l=l,
-                        max_inverse_dim=model.m)
+                        max_inverse_dim=_certificate(FilterKind.CSW, model.m, l))
 
 
 def jpc(model: CovarianceModel, l: int) -> LinearFilter:
@@ -240,10 +256,9 @@ def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     any inverse larger than l x l no matter how ill-conditioned c_y is.
     """
     model.spectral.check_y_rank(l)
-    audit = InverseAudit()
-    matrix = _structured_matrix(model.c_xy, model.c_y, model.spectral.y_block(l).T, audit)
+    matrix = _structured_matrix(model.c_xy, model.c_y, model.spectral.y_block(l).T)
     return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
-                        max_inverse_dim=audit.max_dim)
+                        max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
 
 
 def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
@@ -259,11 +274,9 @@ def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
     y = cache.y_block(l)
     gram = y.T @ y
     gram = 0.5 * (gram + gram.T)
-    audit = InverseAudit()
-    resolution = solve_spd(gram, y.T, audit=audit)
-    matrix = x @ resolution
+    matrix = x @ solve_spd(gram, y.T)
     return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC, l=l,
-                        max_inverse_dim=audit.max_dim)
+                        max_inverse_dim=_certificate(FilterKind.LSJPC, model.m, l))
 
 
 def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
@@ -280,14 +293,14 @@ def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
         )
     matrix = (model.c_xy @ y / s) @ y.T
     return LinearFilter(matrix=matrix, kind=FilterKind.JPC_SIMPLIFIED, l=l,
-                        max_inverse_dim=0)
+                        max_inverse_dim=_certificate(FilterKind.JPC_SIMPLIFIED, model.m, l))
 
 
 def lsjpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
     """Inverse-free LSJPC: treats the Y-block Gram matrix as the identity."""
     matrix = model.spectral.x_block(l) @ model.spectral.y_block(l).T
     return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC_SIMPLIFIED, l=l,
-                        max_inverse_dim=0)
+                        max_inverse_dim=_certificate(FilterKind.LSJPC_SIMPLIFIED, model.m, l))
 
 
 FILTER_CONSTRUCTORS = {

@@ -6,15 +6,16 @@ sweep reads the decompositions its model owns (``model.spectral``), so
 each matrix of a model is decomposed once per sweep. A construction
 failure (e.g. a singular input covariance) is captured in its row as NaN
 metrics instead of aborting the sweep: failure regimes are part of what
-these experiments measure. Rows are sorted by (filter, m, l) before
-serialization so ordering never depends on execution order.
+these experiments measure. Built or not, a row's ``max_inverse_dim`` is
+the certificate its filter kind states for its level. Rows are sorted by
+(filter, m, l) before serialization so ordering never depends on
+execution order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import dataio
 from .dataio import ExperimentResult
 from .diagnostics import analytic_mse, best_l_search, filter_power_loss
 from .errors import DimensionError, SingularMatrixError, WclmmseError
-from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter
+from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _certificate
 from .linalg import condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
 
@@ -36,24 +37,16 @@ __all__ = [
 
 _TEST_DRAWS = 1000
 
-# Largest system a construction may nominally touch, used to label rows
-# whose construction failed before an audit was produced.
-_NOMINAL_INVERSE = {
-    FilterKind.WIENER: lambda m, l: m,
-    FilterKind.LRW: lambda m, l: m,
-    FilterKind.CSW: lambda m, l: m,
-    FilterKind.JPC: lambda m, l: l,
-    FilterKind.LSJPC: lambda m, l: l,
-    FilterKind.JPC_SIMPLIFIED: lambda m, l: 0,
-    FilterKind.LSJPC_SIMPLIFIED: lambda m, l: 0,
-}
-
-# The decomposition on ``model.spectral`` each kind reads besides the
-# joint one, made before any of its cells is timed.
+# The decomposition on ``model.spectral`` each kind reads, made before
+# any of its cells is timed.
 _CACHE_READS = {
     FilterKind.WIENER: "wiener_solve",
     FilterKind.LRW: "eig_wiener",
     FilterKind.CSW: "eig_y",
+    FilterKind.JPC: "eig_z",
+    FilterKind.LSJPC: "eig_z",
+    FilterKind.JPC_SIMPLIFIED: "eig_z",
+    FilterKind.LSJPC_SIMPLIFIED: "eig_z",
 }
 
 
@@ -137,38 +130,31 @@ def _build(kind: FilterKind, model: CovarianceModel,
 
 
 def _sweep_model(source, m: int, n: int, seed: int, kinds,
-                 cells) -> list[ExperimentResult]:
-    """Score each kind on one model; wiener once.
-
-    ``cells(model, kind)`` gives one callable per row, which returns the
-    row's level and its filter as :func:`_build` does.
+                 policies: list[LPolicy]) -> list[ExperimentResult]:
+    """Score each kind on one model, one row per policy; wiener once.
 
     Every cell reads the model's one set of decompositions,
-    ``model.spectral``. Those the kinds read are made before any cell is
-    timed: the joint eigendecomposition and the eigenvalues of ``c_y``,
-    which give ``cond_cy``, always; the M x M Wiener solve for ``wiener``;
-    that solve and the n x n ``eig_wiener`` for ``lrw``; the M x M
-    ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a kind,
-    each of its cells fails on its own and its row records the failure.
+    ``model.spectral``. Only those the kinds read are made, all before
+    any cell is timed: the eigenvalues of ``c_y``, which give
+    ``cond_cy``, always; the joint eigendecomposition for ``jpc``,
+    ``lsjpc`` and their simplified variants (and for drawing a model
+    source's test vectors); the M x M Wiener solve for ``wiener``; that
+    solve and the n x n ``eig_wiener`` for ``lrw``; the M x M ``eig_y``
+    only for ``csw``. When ``c_y`` is too singular for a kind, each of
+    its cells fails on its own and its row records the failure.
     """
     model, test_z, mean = _prepare(source, m, n, seed)
     cache = model.spectral
-    cache.eig_z
     cond_cy = cache.cond_y
     for kind in kinds:
-        if kind in _CACHE_READS:
-            try:
-                getattr(cache, _CACHE_READS[kind])
-            except SingularMatrixError:
-                pass
+        try:
+            getattr(cache, _CACHE_READS[kind])
+        except SingularMatrixError:
+            pass
     rows = []
     for kind in kinds:
-        if kind is FilterKind.WIENER:
-            makes = [partial(_build, kind, model, None)]
-        else:
-            makes = cells(model, kind)
-        for make in makes:
-            rows.append(_sweep_cell(kind, model, make, test_z, mean, cond_cy))
+        for policy in [None] if kind is FilterKind.WIENER else policies:
+            rows.append(_sweep_cell(kind, model, policy, test_z, mean, cond_cy))
     return rows
 
 
@@ -176,36 +162,30 @@ def _sort_key(row: ExperimentResult):
     return (row.filter, row.m, -1 if row.l is None else row.l)
 
 
-def _sweep_cell(kind: FilterKind, model: CovarianceModel, make,
+def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy | None,
                 test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
-    """Get one filter on ``model`` from ``make()`` and score it.
+    """The row of ``kind`` on ``model`` at the level ``policy`` chooses;
+    with no policy, the row of ``wiener``, which has no level.
 
-    ``wall_ms`` times only ``make()``, which reads the model's shared
-    decompositions: building the filter at its level, and for an
+    ``wall_ms`` times only getting the filter, which reads the model's
+    shared decompositions: building the filter at its level, and for an
     ``--l-policy best`` row also the search that chose the level and
     built the filter there. Neither the one-time decompositions of the
-    model nor the scoring are in it.
+    model nor the scoring are in it. A filter that cannot be built gives
+    NaN ``norm_rms`` and ``analytic_mse``; every other field is as for a
+    built one.
     """
-    m, n = model.m, model.n
     started = time.perf_counter()
-    l, filt = make()
+    l, filt = _build(kind, model, None) if policy is None else policy.choose(model, kind)
     wall_ms = (time.perf_counter() - started) * 1e3
-    if filt is None:
-        return ExperimentResult(
-            filter=kind.value, m=m, n=n, l=l,
-            norm_rms=float("nan"), analytic_mse=float("nan"),
-            rho_l=_rho_for(kind, model, l),
-            cond_cy=cond_cy,
-            max_inverse_dim=_NOMINAL_INVERSE[kind](m, l),
-            wall_ms=wall_ms,
-        )
+    nan = float("nan")
     return ExperimentResult(
-        filter=kind.value, m=m, n=n, l=l,
-        norm_rms=dataio.normalized_rms(filt, test_z, mean),
-        analytic_mse=analytic_mse(model, filt),
+        filter=kind.value, m=model.m, n=model.n, l=l,
+        norm_rms=nan if filt is None else dataio.normalized_rms(filt, test_z, mean),
+        analytic_mse=nan if filt is None else analytic_mse(model, filt),
         rho_l=_rho_for(kind, model, l),
         cond_cy=cond_cy,
-        max_inverse_dim=filt.max_inverse_dim,
+        max_inverse_dim=_certificate(kind, model.m, l),
         wall_ms=wall_ms,
     )
 
@@ -228,8 +208,8 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters,
     outside = [l for l in grid if not 1 <= l <= m]
     if outside:
         raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
-    rows = _sweep_model(source, m, n, seed, kinds, lambda model, kind: [
-        partial(_build, kind, model, l) for l in grid])
+    rows = _sweep_model(source, m, n, seed, kinds,
+                        [LPolicy(mode="fixed", l=l) for l in grid])
     rows.sort(key=_sort_key)
     return rows
 
@@ -240,8 +220,7 @@ def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
     kinds = _parse_kinds(filters)
     rows = []
     for m in (int(v) for v in m_grid):
-        rows += _sweep_model(series, m, n, seed, kinds, lambda model, kind: [
-            partial(l_policy.choose, model, kind)])
+        rows += _sweep_model(series, m, n, seed, kinds, [l_policy])
     rows.sort(key=_sort_key)
     return rows
 

@@ -2,7 +2,7 @@
 
 Thin, reproducibility-minded wrappers around LAPACK (via numpy/scipy):
 symmetric eigendecomposition and eigenvalues, SPD inverse square root,
-linear solves with an audited system size, condition numbers, and norms.
+SPD linear solves, condition numbers, and norms.
 
 Determinism conventions
 -----------------------
@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "SymEig",
-    "InverseAudit",
     "sym_eig",
     "sym_eigvals",
     "inv_sqrt_spd",
@@ -76,40 +75,6 @@ class SymEig:
 
     eigenvalues: NDArray[np.float64]
     eigenvectors: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def check_definite(self) -> None:
-        """Raise :class:`SingularMatrixError` when the smallest eigenvalue is
-        at or below 1e-12 times the largest; see :func:`_check_definite`."""
-        _check_definite(self.eigenvalues)
-
-    def inv_sqrt(self) -> Matrix:
-        """Symmetric B with B @ A @ B = I for the decomposed SPD matrix A.
-
-        Raises as :meth:`check_definite` does.
-        """
-        self.check_definite()
-        v = self.eigenvectors
-        b = (v / np.sqrt(self.eigenvalues)) @ v.T
-        return 0.5 * (b + b.T)
-
-
-@dataclass
-class InverseAudit:
-    """Records the largest linear-system dimension seen during a construction.
-
-    Filters use this to certify the size of the biggest inverse involved in
-    building them.
-    """
-
-    max_dim: int = 0
-
-    def record(self, dim: int) -> None:
-        if dim > self.max_dim:
-            self.max_dim = int(dim)
 
 
 def sym_eig(a) -> SymEig:
@@ -163,9 +128,14 @@ def inv_sqrt_spd(a) -> Matrix:
     """Inverse square root of an SPD matrix via its eigendecomposition.
 
     Returns symmetric B with B @ A @ B = I; raises
-    :class:`SingularMatrixError` as :meth:`SymEig.check_definite` does.
+    :class:`SingularMatrixError` as :func:`_check_definite` does on the
+    eigenvalues of A.
     """
-    return sym_eig(a).inv_sqrt()
+    eig = sym_eig(a)
+    _check_definite(eig.eigenvalues)
+    v = eig.eigenvectors
+    b = (v / np.sqrt(eig.eigenvalues)) @ v.T
+    return 0.5 * (b + b.T)
 
 
 def condition_number(a) -> float:
@@ -190,15 +160,13 @@ def _spectral_condition(eigenvalues: NDArray[np.float64]) -> float:
     return lam_max / lam_min
 
 
-def solve_spd(a, b, audit: InverseAudit | None = None) -> Matrix:
+def solve_spd(a, b) -> Matrix:
     """Solve A @ X = B for SPD A without forming an explicit inverse.
 
-    Uses a Cholesky factorization; the dimension of A is recorded on
-    ``audit`` so filter constructors can certify the size of their
-    largest inverse. Inputs that violate the SPD assumption but are
-    still invertible fall back to an LU solve (this best-effort path is
-    what covariance-perturbation studies exercise); numerically singular
-    systems raise :class:`SingularMatrixError`.
+    Uses a Cholesky factorization. Inputs that violate the SPD
+    assumption but are still invertible fall back to an LU solve (this
+    best-effort path is what covariance-perturbation studies exercise);
+    numerically singular systems raise :class:`SingularMatrixError`.
     """
     a = _as_square(a, "solve_spd lhs")
     b = np.asarray(b, dtype=np.float64)
@@ -216,8 +184,6 @@ def solve_spd(a, b, audit: InverseAudit | None = None) -> Matrix:
             x = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"linear system is singular: {exc}") from exc
-    if audit is not None:
-        audit.record(a.shape[0])
     return x if b.ndim == 2 else x.ravel()
 
 

@@ -236,7 +236,7 @@ class SpectralCache:
         Its eigenvectors are the left singular vectors of the whitened
         cross-covariance c_xy c_y^-1/2, and its eigenvalues the squares of
         their singular values. Raises :class:`SingularMatrixError` as
-        :meth:`SymEig.check_definite` does on ``eigvals_y``, before solving.
+        ``_check_definite`` does on ``eigvals_y``, before solving.
         """
         _check_definite(self.eigvals_y)
         return sym_eig(self.c_xy @ self.wiener_solve)

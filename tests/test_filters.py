@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import haar_model, tail_mixed_model
 from wclmmse import (
@@ -34,6 +35,7 @@ from wclmmse import (
     wiener,
     wiener_structured,
 )
+from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
 def copy_model(dim=3, seed=5):
@@ -467,6 +469,41 @@ class TestWellConditionedCertificates:
         assert not is_l_well_conditioned(lrw(model, l), l)
         assert not is_l_well_conditioned(csw(model, l), l)
         assert not is_l_well_conditioned(wiener(model), l)
+
+    def test_largest_solve_matches_certificate(self, monkeypatch):
+        # Every system a construction solves goes to cho_factor or the LU
+        # fallback; each build runs on a fresh model, so the model's lazy
+        # solves fall inside the spy too.
+        solved = []
+
+        def spy(name, original):
+            def recording(a, *args, **kwargs):
+                solved.append((name, np.shape(a)[0]))
+                return original(a, *args, **kwargs)
+            return recording
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", spy("cholesky", scipy.linalg.cho_factor))
+        monkeypatch.setattr(np.linalg, "solve", spy("lu", np.linalg.solve))
+        rng = np.random.default_rng(34)
+        builds = dict(FILTER_CONSTRUCTORS)
+        builds[FilterKind.WIENER_STRUCTURED] = lambda model, l: wiener_structured(
+            model, rng.standard_normal((l, model.m)))
+        exact = {FilterKind.WIENER, FilterKind.LRW, FilterKind.JPC, FilterKind.LSJPC,
+                 FilterKind.WIENER_STRUCTURED}
+        for kind, build in builds.items():
+            for l in (1, 2, 6):  # below n, at n and at m
+                solved.clear()
+                filt = build(haar_model(2, 6, ratio=0.7, seed=33), l)
+                largest = max((dim for _, dim in solved), default=0)
+                if kind in exact:
+                    assert largest == filt.max_inverse_dim, (kind, l)
+                else:
+                    assert largest <= filt.max_inverse_dim, (kind, l)
+        # c_y is indefinite in float64, so Cholesky fails and LU solves
+        solved.clear()
+        filt = wiener(haar_model(2, 16, ratio=0.05, seed=0))
+        assert solved == [("cholesky", 16), ("lu", 16)]
+        assert filt.max_inverse_dim == 16
 
     def test_wiener_lower_bounds_all_filters(self):
         for seed in range(8):

@@ -198,6 +198,14 @@ class TestRunMSweep:
             assert sum(a is model.c_y for a in factored) == 1
             assert {r.cond_cy for r in rows if r.m == model.m} == {condition_number(model.c_y)}
 
+    def test_series_sweep_decomposes_only_what_its_kinds_read(self, sym_eig_shapes):
+        # wiener and lrw read no joint eigendecomposition, only lrw's n x n
+        series = ar1_series(1500, phi=0.95, seed=0)
+        rows = run_m_sweep(series, [50, 100], 7, ["wiener", "lrw"],
+                           LPolicy(mode="best"), seed=0)
+        assert len(rows) == 4 and all(np.isfinite(r.norm_rms) for r in rows)
+        assert sym_eig_shapes == [(7, 7), (7, 7)]
+
     def test_best_rows_equal_fixed_rows_at_the_chosen_level(self):
         # wall_ms aside: it also times the search
         series = ar1_series(1500, phi=0.95, seed=0)

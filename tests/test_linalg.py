@@ -5,7 +5,6 @@ import pytest
 
 from wclmmse import (
     DimensionError,
-    InverseAudit,
     NumericInputError,
     SingularMatrixError,
     UndefinedConditionError,
@@ -154,12 +153,6 @@ class TestSolveSpd:
             expected = np.linalg.inv(a) @ b
             got = solve_spd(a, b)
             assert np.linalg.norm(got - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
-
-    def test_audit(self):
-        audit = InverseAudit()
-        solve_spd(np.eye(4), np.ones(4), audit=audit)
-        solve_spd(np.eye(2), np.ones(2), audit=audit)
-        assert audit.max_dim == 4
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
