@@ -208,12 +208,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line of formatted cells per row."""
+    lines = [",".join(header)]
+    lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_results_csv(results, path) -> None:
     """Experiment rows in the fixed result schema; bytes depend only on values."""
-    lines = [",".join(RESULT_FIELDS)]
-    for row in results:
-        lines.append(",".join(_format_cell(getattr(row, f)) for f in RESULT_FIELDS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, RESULT_FIELDS,
+               ([getattr(row, f) for f in RESULT_FIELDS] for row in results))
 
 
 def write_results_json(results, path) -> None:
@@ -224,21 +229,11 @@ def write_results_json(results, path) -> None:
 
 def write_condition_csv(rows, path) -> None:
     """(m, cond_cy) pairs from a condition-number sweep."""
-    lines = ["m,cond_cy"]
-    for m, cond in rows:
-        lines.append(f"{int(m)},{_format_cell(float(cond))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ("m", "cond_cy"), ((int(m), float(cond)) for m, cond in rows))
 
 
 def write_scaling_csv(study, path) -> None:
     """Scaling-study rows: level, loss, distance, MSE gap, Gram defect."""
-    lines = ["l,rho_l,dist,mse_gap,gram_defect"]
-    for i in range(study.l.shape[0]):
-        lines.append(",".join([
-            str(int(study.l[i])),
-            _format_cell(float(study.rho_l[i])),
-            _format_cell(float(study.dist[i])),
-            _format_cell(float(study.mse_gap[i])),
-            _format_cell(float(study.gram_defect[i])),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = zip(study.l, study.rho_l, study.dist, study.mse_gap, study.gram_defect)
+    _write_csv(path, ("l", "rho_l", "dist", "mse_gap", "gram_defect"),
+               ((int(l), *map(float, rest)) for l, *rest in columns))

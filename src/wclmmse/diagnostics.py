@@ -292,24 +292,27 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
     the level, its MSE and the filter built there, so that a caller never
     builds it again. A level whose filter cannot be built (singular or
     rank-deficient) is skipped; when none can be, the smallest level comes
-    back with an infinite MSE and no filter, and building there reports
-    the failure.
+    back with an infinite MSE and no filter. ``wiener`` has no level and
+    is refused, as is any kind outside ``FILTER_CONSTRUCTORS``.
 
     The returned level and MSE always come from a direct build scored by
     :func:`analytic_mse`; other levels are only left unbuilt when they
     cannot win. A level whose effective truncation equals that of a level
-    already built (``lrw`` from n up) builds the same filter, and is not
-    built again. For ``jpc`` and ``lsjpc`` the search first computes the
-    exact-arithmetic MSE profile p(l) at every grid level that passes the
-    rank check, from one factorization (:func:`_mse_profile`). It then
-    builds levels in increasing (p(l), l) and stops at the first whose
-    p(l) exceeds the best MSE built so far by more than 1e-8 tr(c_x), the
-    tolerance to which p(l) predicts a direct build. Levels it cannot
-    predict to that tolerance come first and are always built: those with
-    a rank margin sigma_min(Y_l)^2 at or below eps / 1e-8, and all of them
-    when the factorization fails. Other kinds build levels in grid order.
+    already tried (``lrw`` from n up) builds the same filter or fails the
+    same way, and is not built again. For ``jpc`` and ``lsjpc`` the search
+    first computes the exact-arithmetic MSE profile p(l) at every grid
+    level that passes the rank check, from one factorization
+    (:func:`_mse_profile`). It then builds levels in increasing (p(l), l)
+    and stops at the first whose p(l) exceeds the best MSE built so far by
+    more than 1e-8 tr(c_x), the tolerance to which p(l) predicts a direct
+    build. Levels it cannot predict to that tolerance come first and are
+    always built: those with a rank margin sigma_min(Y_l)^2 at or below
+    eps / 1e-8, and all of them when the factorization fails. Other kinds
+    build levels in grid order.
     """
     filter_kind = FilterKind(filter_kind)
+    if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
+        raise ValueError(f"truncation-level search undefined for kind {filter_kind}")
     if step < 1:
         raise DimensionError(f"step must be >= 1, got {step}")
     grid = list(range(l_min, l_max + 1, step))
@@ -321,18 +324,18 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
         order = _build_order(model, filter_kind, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
-    built = set()
+    tried = set()
     for p, l in order:
         if p > best_mse + slack:
             break
         level = _effective_level(model, filter_kind, l)
-        if level in built:
+        if level in tried:
             continue
+        tried.add(level)
         try:
             filt = constructor(model, l)
         except (SingularMatrixError, RankError):
             continue
-        built.add(level)
         mse = analytic_mse(model, filt)
         if mse < best_mse or (mse == best_mse and l < best_l):
             best_l, best_mse, best_filt = l, mse, filt

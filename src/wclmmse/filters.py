@@ -153,17 +153,15 @@ def _structured_matrix(c_xy, c_y, b) -> NDArray[np.float64]:
 
 def wiener(model: CovarianceModel) -> LinearFilter:
     """The unconstrained LMMSE filter c_xy @ inv(c_y), via the model's one
-    M x M solve (``model.spectral.wiener_solve``)."""
+    M x M solve (``model.spectral.wiener_solve``). A singular c_y raises,
+    naming ``model.spectral.cond_y`` (which raises if c_y has no positive
+    eigenvalue)."""
     cache = model.spectral
     try:
         matrix = cache.wiener_solve.T
     except SingularMatrixError as exc:
-        vals = cache.eigvals_y
-        cond = float("inf") if vals[-1] <= 0 else float(vals[0] / vals[-1])
         raise SingularMatrixError(
-            f"input covariance is singular (condition number {cond:.3e}): {exc}",
-            index=exc.index,
-            value=exc.value,
+            f"input covariance is singular (condition number {cache.cond_y:.3e}): {exc}"
         ) from exc
     return LinearFilter(matrix=matrix, kind=FilterKind.WIENER,
                         max_inverse_dim=_certificate(FilterKind.WIENER, model.m, None))

@@ -64,8 +64,8 @@ class LPolicy:
     profile is more than 1e-8 tr(c_x) above the best MSE built, so a
     well-conditioned model needs one build. The row takes the filter the
     search built at its level, so its ``wall_ms`` is the time of choosing
-    and building the filter: the search, plus the failing build when no
-    level could be built.
+    and building the filter, which is the search. ``wiener`` has no level:
+    either mode builds it once, at ``l=None``.
     """
 
     mode: str = "best"
@@ -78,15 +78,17 @@ class LPolicy:
             raise ValueError("fixed policy needs a positive level")
 
     def choose(self, model: CovarianceModel,
-               kind: FilterKind) -> tuple[int, LinearFilter | None]:
-        """The level for ``kind`` on ``model`` and the filter built there,
-        None when it cannot be built."""
+               kind: FilterKind) -> tuple[int | None, LinearFilter | None]:
+        """The level for ``kind`` on ``model`` (None for ``wiener``) and the
+        filter built there, None when it cannot be built."""
         m = model.m
+        if kind is FilterKind.WIENER:
+            return _build(kind, model, None)
         if self.mode == "fixed":
             return _build(kind, model, min(self.l, m))
         l, _, filt = best_l_search(model, kind, min(max(1, model.n), m), m,
                                    max(1, m // 16))
-        return (l, filt) if filt is not None else _build(kind, model, l)
+        return l, filt
 
 
 def parse_l_policy(text: str) -> LPolicy:
@@ -131,7 +133,7 @@ def _build(kind: FilterKind, model: CovarianceModel,
 
 def _sweep_model(source, m: int, n: int, seed: int, kinds,
                  policies: list[LPolicy]) -> list[ExperimentResult]:
-    """Score each kind on one model, one row per policy; wiener once.
+    """Score each kind on one model: one row per policy, ``wiener``'s from the first.
 
     Every cell reads the model's one set of decompositions,
     ``model.spectral``. Only those the kinds read are made, all before
@@ -151,21 +153,20 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
             getattr(cache, _CACHE_READS[kind])
         except SingularMatrixError:
             pass
-    rows = []
-    for kind in kinds:
-        for policy in [None] if kind is FilterKind.WIENER else policies:
-            rows.append(_sweep_cell(kind, model, policy, test_z, mean, cond_cy))
-    return rows
+    return [_sweep_cell(kind, model, policy, test_z, mean, cond_cy)
+            for kind in kinds
+            for policy in (policies[:1] if kind is FilterKind.WIENER else policies)]
 
 
 def _sort_key(row: ExperimentResult):
     return (row.filter, row.m, -1 if row.l is None else row.l)
 
 
-def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy | None,
+def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy,
                 test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
-    """The row of ``kind`` on ``model`` at the level ``policy`` chooses;
-    with no policy, the row of ``wiener``, which has no level.
+    """The row of ``kind`` on ``model`` at the level ``policy`` chooses,
+    through :meth:`LPolicy.choose`; for ``wiener``, which has no level,
+    the row at ``l=None``.
 
     ``wall_ms`` times only getting the filter, which reads the model's
     shared decompositions: building the filter at its level, and for an
@@ -176,7 +177,7 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy | None
     built one.
     """
     started = time.perf_counter()
-    l, filt = _build(kind, model, None) if policy is None else policy.choose(model, kind)
+    l, filt = policy.choose(model, kind)
     wall_ms = (time.perf_counter() - started) * 1e3
     nan = float("nan")
     return ExperimentResult(
@@ -191,7 +192,7 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy | None
 
 
 def _rho_for(kind: FilterKind, model: CovarianceModel, l: int | None) -> float:
-    if kind is FilterKind.WIENER or l is None:
+    if l is None:
         return 0.0
     try:
         return filter_power_loss(model, kind, l)
@@ -202,9 +203,12 @@ def _rho_for(kind: FilterKind, model: CovarianceModel, l: int | None) -> float:
 def run_l_sweep(source, m: int, n: int, l_grid, filters,
                 seed: int = 0) -> list[ExperimentResult]:
     """One row per (filter, truncation level); the unconstrained filter
-    appears once with the level omitted. Every level must lie in [1, m]."""
+    appears once with the level omitted. The grid must not be empty, and
+    every level must lie in [1, m]."""
     kinds = _parse_kinds(filters)
     grid = [int(l) for l in l_grid]
+    if not grid:
+        raise DimensionError("empty truncation grid")
     outside = [l for l in grid if not 1 <= l <= m]
     if outside:
         raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
@@ -230,18 +234,17 @@ def run_condition_report(source, m_grid, n: int, seed: int = 0) -> list[tuple[in
 
     For a covariance model the length-m input covariance is the trailing
     principal m x m block (the coordinates nearest the target block);
-    for a series the covariance is re-estimated at each length.
+    for a series it is re-estimated at each length, and its condition
+    number is the ``cond_cy`` of a ``sweep-m`` row at that length.
     """
     rows = []
     for m in (int(v) for v in m_grid):
         if isinstance(source, CovarianceModel):
             if m > source.m:
                 raise ValueError(f"m={m} exceeds model input dimension {source.m}")
-            c_y = source.c_y[source.m - m :, source.m - m :]
+            cond = condition_number(source.c_y[source.m - m :, source.m - m :])
         else:
-            cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
-            train, _, _ = dataio.window_samples(source, cfg)
-            c_y = estimate_covariance(train, n).c_y
-        rows.append((m, condition_number(c_y)))
+            cond = _prepare(source, m, n, seed)[0].spectral.cond_y
+        rows.append((m, cond))
     return rows
 

@@ -6,12 +6,10 @@ SPD linear solves, condition numbers, and norms.
 
 Determinism conventions
 -----------------------
-* Eigen/singular values are returned in descending order. Descending
-  order is obtained by reversing LAPACK's ascending output, so ties keep
-  the backend's stable order reversed.
-* Each eigenvector / left singular vector is sign-normalized so that its
-  largest-magnitude entry is positive, making outputs a pure function of
-  the input bits.
+* Eigenvalues are returned in descending order, obtained by reversing
+  LAPACK's ascending output, so ties keep the backend's order reversed.
+* Each eigenvector is sign-normalized so that its largest-magnitude
+  entry is positive, making outputs a pure function of the input bits.
 """
 
 from __future__ import annotations

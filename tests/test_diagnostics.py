@@ -322,6 +322,16 @@ class TestBestLSearch:
         with pytest.raises(DimensionError):
             best_l_search(model, FilterKind.JPC, 1, 4, step=0)
 
+    @pytest.mark.parametrize("kind", [FilterKind.WIENER, FilterKind.WIENER_STRUCTURED,
+                                      FilterKind.WEIGHTED])
+    def test_refuses_kinds_without_a_level_to_search(self, monkeypatch, kind):
+        # wiener has no level; the other two are not in FILTER_CONSTRUCTORS
+        model = haar_model(2, 8, seed=21)
+        builds = _counting_builds(monkeypatch, FilterKind.WIENER)
+        with pytest.raises(ValueError, match="undefined"):
+            best_l_search(model, kind, 1, 8)
+        assert builds == []
+
     # The profile-ordered search returns what building every level does.
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])

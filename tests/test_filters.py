@@ -15,6 +15,7 @@ from wclmmse import (
     Prefilter,
     RankError,
     SingularMatrixError,
+    UndefinedConditionError,
     analytic_mse,
     best_l_search,
     csw,
@@ -72,6 +73,14 @@ class TestWiener:
         model = CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=np.diag([1.0, 0.0]),
                                 c_xy=np.array([[0.5, 0.5]]))
         with pytest.raises(SingularMatrixError, match="condition number"):
+            wiener(model)
+
+    def test_input_covariance_without_positive_eigenvalue_has_no_condition(self):
+        # the failure message reads cond_y, which every sweep of this
+        # model raises on too
+        model = CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=np.zeros((2, 2)),
+                                c_xy=np.zeros((1, 2)))
+        with pytest.raises(UndefinedConditionError):
             wiener(model)
 
     def test_failure_message_and_cond_y_share_one_eigvalsh(self, monkeypatch):

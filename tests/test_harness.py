@@ -16,6 +16,7 @@ from conftest import ar1_series, haar_model
 from wclmmse import (
     CovarianceModel,
     DimensionError,
+    FilterKind,
     LinearFilter,
     LPolicy,
     SeriesConfig,
@@ -90,6 +91,11 @@ class TestRunLSweep:
         for row in rows:
             assert row.norm_rms < 1.0
             assert row.cond_cy > 1.0
+
+    def test_empty_grid_rejected(self):
+        model = haar_model(2, 6, ratio=0.7, seed=0)
+        with pytest.raises(DimensionError, match="empty truncation grid"):
+            run_l_sweep(model, 6, 2, [], ["wiener", "jpc"], seed=0)
 
     def test_dimension_mismatch_rejected(self):
         model = haar_model(2, 6, seed=5)
@@ -229,16 +235,43 @@ class TestRunMSweep:
             mse = {l: analytic_mse(model, jpc(model, l)) for l in grid}
             assert rows[0].l == min(mse, key=lambda l: (mse[l], l))
 
-    def test_best_policy_skips_levels_it_cannot_build(self):
+    def test_best_policy_skips_levels_it_cannot_build(self, monkeypatch):
         # at m=250 only ~40 training windows remain, so c_y cannot be
         # whitened: lrw's search has no level to build and its row records
-        # the failure; every other row is built
+        # the failure; every other row is built. Every grid level there
+        # keeps min(l, n) = 2 triplets, so the search tries to build once,
+        # and the row does not build again
+        builds = []
+        constructor = FILTER_CONSTRUCTORS["lrw"]
+
+        def counting(model, l):
+            builds.append((model.m, l))
+            return constructor(model, l)
+
+        monkeypatch.setitem(FILTER_CONSTRUCTORS, "lrw", counting)
         series = ar1_series(300, phi=0.8, seed=0)
         rows = run_m_sweep(series, [50, 250], 2, ["wiener", "lrw", "jpc", "lsjpc"],
                            LPolicy(mode="best"), seed=0)
         assert len(rows) == 8
         failed = [(r.filter, r.m, r.l) for r in rows if np.isnan(r.norm_rms)]
         assert failed == [("lrw", 250, 2)]
+        assert [l for m, l in builds if m == 250] == [2]
+
+    @pytest.mark.parametrize("policy", [LPolicy(mode="fixed", l=5), LPolicy(mode="best")],
+                             ids=["fixed", "best"])
+    def test_policy_builds_wiener_once_without_a_level(self, monkeypatch, policy):
+        builds = []
+        constructor = FILTER_CONSTRUCTORS[FilterKind.WIENER]
+
+        def counting(model, l=None):
+            builds.append(l)
+            return constructor(model, l)
+
+        monkeypatch.setitem(FILTER_CONSTRUCTORS, FilterKind.WIENER, counting)
+        model = haar_model(2, 64)
+        l, filt = policy.choose(model, FilterKind.WIENER)
+        assert l is None and filt.kind is FilterKind.WIENER
+        assert builds == [None]
 
     def test_policy_parsing(self):
         assert parse_l_policy("best").mode == "best"
@@ -269,6 +302,12 @@ class TestRunConditionReport:
         series = ar1_series(400, phi=0.9, seed=8)
         rows = run_condition_report(series, [2, 6], 2, seed=0)
         assert rows[0][1] >= 1.0 and rows[1][1] >= rows[0][1]
+
+    def test_series_report_equals_the_sweep_rows_cond_cy(self):
+        series = ar1_series(1500, phi=0.95, seed=0)
+        report = run_condition_report(series, [50, 100], 7)
+        rows = run_m_sweep(series, [50, 100], 7, ["wiener"], LPolicy(mode="best"))
+        assert report == [(r.m, r.cond_cy) for r in rows]
 
     def test_m_exceeding_model_rejected(self):
         model = haar_model(2, 4, seed=9)
