@@ -21,9 +21,10 @@ from .filters import (
     LinearFilter,
     _csw_ranking,
     _effective_level,
+    _structured_system,
     wiener,
 )
-from .linalg import matrix_norm
+from .linalg import SPDFactor, matrix_norm
 from .model import CovarianceModel
 
 __all__ = [
@@ -222,36 +223,45 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     return study
 
 
-def _mse_profile(model: CovarianceModel, kind: FilterKind,
-                 levels: list[int]) -> list[float] | None:
+def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
+                 ) -> tuple[list[float] | None, SPDFactor | None]:
     """Exact-arithmetic analytic MSE of ``jpc`` or ``lsjpc`` at each level,
-    from one Cholesky factor at the top level.
+    from one Cholesky factor at the top level, and for ``jpc`` the factored
+    top-level system itself.
 
     The prefilters are nested: level l keeps the first l columns of the
     top level's Y block, so each level's l x l system is a leading block of
-    one top-level matrix, and so is its Cholesky factor. For ``jpc``, with
-    ``Y' c_y Y = LL'`` and ``B = Y' c_xy'``, the MSE at l is ``tr(c_x)``
-    minus the sum of the first l squared row norms of ``L^-1 B``. For
-    ``lsjpc``, with ``Y'Y = RR'``, the filter at l is ``u_l' Y_l'`` with
-    ``u_l = (R_l R_l')^-1 X_l'``, two l x l triangular solves against n
-    columns; it is scored as an n x m matrix, because expanding its
+    one top-level matrix, and so is its Cholesky factor. For ``jpc`` that
+    matrix is the system the build at the top level solves, formed and
+    factored by the same :func:`~wclmmse.filters._structured_system`:
+    with ``(Y' c_y) Y = U'U`` and ``B = Y' c_xy'``, the MSE at l is
+    ``tr(c_x)`` minus the sum of the first l squared row norms of
+    ``U^-T B``. That factored system is returned so that the top level's
+    build solves it instead of forming it again; where its Cholesky fails
+    it holds the matrix for the build's LU solve, and the profile is None.
+    For ``lsjpc``, with ``Y'Y = RR'``, the filter at l is ``u_l' Y_l'``
+    with ``u_l = (R_l R_l')^-1 X_l'``, two l x l triangular solves against
+    n columns; it is scored as an n x m matrix, because expanding its
     quadratic form through the Gram multiplies the rounding of
     ``Y_l'(.)Y_l`` by u_l, which is large along Y_l's near-null directions.
-    Returns None when there is no level or the factorization fails.
+    Returns (None, None) when there is no level, and a None profile when
+    the factorization fails.
     """
     if not levels:
-        return None
+        return None, None
     y = model.spectral.y_block(max(levels))
-    gram = y.T @ (model.c_y @ y) if kind is FilterKind.JPC else y.T @ y
-    try:
-        factor, _ = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None
     if kind is FilterKind.JPC:
-        z = scipy.linalg.solve_triangular(factor, (model.c_xy @ y).T, lower=True,
+        system = _structured_system(model.c_y, y.T)
+        if system.cholesky is None:
+            return None, system
+        z = scipy.linalg.solve_triangular(system.cholesky[0], (model.c_xy @ y).T, trans="T",
                                           check_finite=False)
         explained = np.cumsum(np.einsum("ij,ij->i", z, z))
-        return (float(np.trace(model.c_x)) - explained[np.array(levels) - 1]).tolist()
+        return (float(np.trace(model.c_x)) - explained[np.array(levels) - 1]).tolist(), system
+    try:
+        factor, _ = scipy.linalg.cho_factor(y.T @ y, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None, None
     x = model.spectral.x_block(max(levels))
     profile = []
     for l in levels:
@@ -259,12 +269,14 @@ def _mse_profile(model: CovarianceModel, kind: FilterKind,
         w = scipy.linalg.solve_triangular(r, x[:, :l].T, lower=True, check_finite=False)
         u = scipy.linalg.solve_triangular(r, w, lower=True, trans="T", check_finite=False)
         profile.append(_mse(model, u.T @ y[:, :l].T))
-    return profile
+    return profile, None
 
 
-def _build_order(model: CovarianceModel, kind: FilterKind,
-                 grid: list[int]) -> list[tuple[float, int]]:
-    """The grid levels that pass the rank check, as sorted (p(l), l) pairs.
+def _build_order(model: CovarianceModel, kind: FilterKind, grid: list[int]
+                 ) -> tuple[list[tuple[float, int]], dict[int, dict]]:
+    """The grid levels that pass the rank check, as sorted (p(l), l) pairs,
+    and what the build at a level reads from the profile: for ``jpc``,
+    ``{top level: {"system": the factored top-level system}}``.
 
     p(l) is the MSE profile, or -inf where it cannot predict the direct
     build to ``_PROFILE_ATOL``: at a rank margin of ``_TRUSTED_MARGIN`` or
@@ -276,11 +288,12 @@ def _build_order(model: CovarianceModel, kind: FilterKind,
             margins[l] = model.spectral.check_y_rank(l)
         except RankError:
             pass
-    profile = _mse_profile(model, kind, list(margins))
+    profile, system = _mse_profile(model, kind, list(margins))
+    handoff = {} if system is None else {max(margins): {"system": system}}
     if profile is None:
-        return [(-np.inf, l) for l in margins]
+        return [(-np.inf, l) for l in margins], handoff
     return sorted((p if np.isfinite(p) and margin > _TRUSTED_MARGIN else -np.inf, l)
-                  for p, (l, margin) in zip(profile, margins.items()))
+                  for p, (l, margin) in zip(profile, margins.items())), handoff
 
 
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
@@ -307,8 +320,12 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
     more than 1e-8 tr(c_x), the tolerance to which p(l) predicts a direct
     build. Levels it cannot predict to that tolerance come first and are
     always built: those with a rank margin sigma_min(Y_l)^2 at or below
-    eps / 1e-8, and all of them when the factorization fails. Other kinds
-    build levels in grid order.
+    eps / 1e-8, and all of them when the factorization fails. For ``jpc``
+    the profile's factored top-level system is the one the build at the
+    top level solves: the search hands it to that build, which then
+    neither forms nor factors it again and returns the bits a build of
+    its own would, and drops it after that build. Other kinds build
+    levels in grid order.
     """
     filter_kind = FilterKind(filter_kind)
     if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
@@ -319,9 +336,9 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
     if not grid:
         raise DimensionError(f"empty grid: l_min={l_min}, l_max={l_max}")
     constructor = FILTER_CONSTRUCTORS[filter_kind]
-    order = [(-np.inf, l) for l in grid]
+    order, handoff = [(-np.inf, l) for l in grid], {}
     if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
-        order = _build_order(model, filter_kind, grid)
+        order, handoff = _build_order(model, filter_kind, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()
@@ -333,7 +350,8 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
             continue
         tried.add(level)
         try:
-            filt = constructor(model, l)
+            # pop: the search holds the profile's system only until its build
+            filt = constructor(model, l, **handoff.pop(l, {}))
         except (SingularMatrixError, RankError):
             continue
         mse = analytic_mse(model, filt)

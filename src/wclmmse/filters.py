@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
-from .linalg import _check_definite, inv_sqrt_spd, solve_spd
+from .linalg import SPDFactor, _check_definite, factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
 from .model import CovarianceModel, SpectralCache
 
@@ -143,12 +143,12 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     return m
 
 
-def _structured_matrix(c_xy, c_y, b) -> NDArray[np.float64]:
-    """c_xy @ b' @ inv(b @ c_y @ b') @ b via an L x L solve."""
+def _structured_system(c_y, b) -> SPDFactor:
+    """The L x L system ``b @ c_y @ b'`` that a filter factoring through
+    prefilter ``b`` solves, symmetrized and factored as :func:`solve_spd`
+    factors it. The filter is then ``(c_xy @ b') @ system.solve(b)``."""
     bcb = b @ c_y @ b.T
-    bcb = 0.5 * (bcb + bcb.T)
-    w = solve_spd(bcb, b)
-    return (c_xy @ b.T) @ w
+    return factor_spd(0.5 * (bcb + bcb.T))
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:
@@ -179,7 +179,8 @@ def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> Line
         raise DimensionError(
             f"prefilter has {b.matrix.shape[1]} columns, expected {model.m}")
     kind = FilterKind.WIENER_STRUCTURED
-    matrix = _structured_matrix(model.c_xy, model.c_y, b.matrix)
+    p = b.matrix
+    matrix = (model.c_xy @ p.T) @ _structured_system(model.c_y, p).solve(p)
     return LinearFilter(matrix=matrix, kind=kind, l=b.l,
                         max_inverse_dim=_certificate(kind, model.m, b.l))
 
@@ -246,15 +247,22 @@ def csw(model: CovarianceModel, l: int) -> LinearFilter:
                         max_inverse_dim=_certificate(FilterKind.CSW, model.m, l))
 
 
-def jpc(model: CovarianceModel, l: int) -> LinearFilter:
+def jpc(model: CovarianceModel, l: int, system: SPDFactor | None = None) -> LinearFilter:
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
     Only an l x l system is solved, so the filter is computable without
     any inverse larger than l x l no matter how ill-conditioned c_y is.
+    ``system`` is that system already formed and factored by
+    :func:`_structured_system` on ``y_block(l)'``, as the ``best`` search's
+    profile does at its top level; the filter is then bit for bit the one
+    built without it. When None, the build forms and factors it.
     """
     model.spectral.check_y_rank(l)
-    matrix = _structured_matrix(model.c_xy, model.c_y, model.spectral.y_block(l).T)
+    b = model.spectral.y_block(l).T
+    if system is None:
+        system = _structured_system(model.c_y, b)
+    matrix = (model.c_xy @ b.T) @ system.solve(b)
     return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
                         max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
 

@@ -62,7 +62,9 @@ class LPolicy:
     ``lsjpc`` an exact-arithmetic MSE profile from one factorization
     orders the builds, and the search stops at the first level whose
     profile is more than 1e-8 tr(c_x) above the best MSE built, so a
-    well-conditioned model needs one build. The row takes the filter the
+    well-conditioned model needs one build; for ``jpc`` that profile's
+    factored top-level system is the one the build at the top level
+    solves, so it is formed and factored once. The row takes the filter the
     search built at its level, so its ``wall_ms`` is the time of choosing
     and building the filter, which is the search. ``wiener`` has no level:
     either mode builds it once, at ``l=None``.

@@ -270,9 +270,9 @@ def _counting_builds(monkeypatch, kind):
     builds = []
     constructor = FILTER_CONSTRUCTORS[kind]
 
-    def counting(model, l):
+    def counting(model, l, **handoff):
         builds.append(l)
-        return constructor(model, l)
+        return constructor(model, l, **handoff)
 
     monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
     return builds
@@ -392,7 +392,7 @@ class TestBestLSearch:
         # relative
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         levels = _grid_levels(model)
-        profile = _mse_profile(model, kind, levels)
+        profile, _ = _mse_profile(model, kind, levels)
         direct = [analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l)) for l in levels]
         np.testing.assert_allclose(profile, direct, rtol=1e-10,
                                    atol=1e-8 * np.trace(model.c_x))
@@ -415,7 +415,7 @@ class TestBestLSearch:
     def test_jpc_profile_is_non_increasing(self):
         # jpc is optimal over the span of Y_l, and those spans are nested
         model = _SEARCH_MODELS["ar1_n7_m200"]()
-        profile = _mse_profile(model, FilterKind.JPC, list(range(1, model.m + 1)))
+        profile, _ = _mse_profile(model, FilterKind.JPC, list(range(1, model.m + 1)))
         assert np.all(np.diff(profile) <= 0.0)
 
 

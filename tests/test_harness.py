@@ -21,6 +21,7 @@ from wclmmse import (
     LPolicy,
     SeriesConfig,
     analytic_mse,
+    best_l_search,
     condition_number,
     estimate_covariance,
     jpc,
@@ -36,6 +37,44 @@ from wclmmse.harness import parse_l_policy
 
 
 ALL_KINDS = ["wiener", "lrw", "csw", "jpc", "lsjpc", "jpc_simplified", "lsjpc_simplified"]
+
+
+def _record_models(monkeypatch):
+    """The models a sweep estimates, in order."""
+    models, estimate = [], harness.estimate_covariance
+
+    def recording(*args, **kwargs):
+        models.append(estimate(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(harness, "estimate_covariance", recording)
+    return models
+
+
+def _record_cho_factor(monkeypatch):
+    """Every matrix handed to cho_factor, failed factorizations included."""
+    factored, cho_factor = [], scipy.linalg.cho_factor
+
+    def recording(a, *args, **kwargs):
+        factored.append(a)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    return factored
+
+
+def _jpc_system(model, l):
+    """jpc's l x l system Y_l' c_y Y_l, formed afresh."""
+    y = model.spectral.y_block(l)
+    return y.T @ model.c_y @ y
+
+
+def _factorizations_of(factored, system):
+    """How many of the factored matrices are ``system`` up to rounding; the
+    tolerance is far below what tells it from any other matrix factored."""
+    atol = 1e-8 * np.abs(system).max()
+    return sum(np.shape(a) == system.shape and np.allclose(a, system, rtol=0.0, atol=atol)
+               for a in factored)
 
 
 class TestRunLSweep:
@@ -164,9 +203,9 @@ class TestRunMSweep:
         for kind in ("jpc", "lsjpc"):
             constructor = FILTER_CONSTRUCTORS[kind]
 
-            def counting(model, l, kind=kind, constructor=constructor):
+            def counting(model, l, kind=kind, constructor=constructor, **handoff):
                 builds.append((kind, model.m))
-                return constructor(model, l)
+                return constructor(model, l, **handoff)
 
             monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
         series = ar1_series(1500, phi=0.95, seed=0)
@@ -180,20 +219,11 @@ class TestRunMSweep:
             self, monkeypatch, sym_eig_shapes):
         # wiener and lrw share one Cholesky solve of c_y; lrw decomposes
         # only the n x n c_xy c_y^-1 c_xy'; cond_cy reads the eigenvalues
-        # of c_y bit-identically to condition_number
-        models, factored = [], []
-        estimate, cho_factor = harness.estimate_covariance, scipy.linalg.cho_factor
-
-        def recording_estimate(*args, **kwargs):
-            models.append(estimate(*args, **kwargs))
-            return models[-1]
-
-        def recording_cho_factor(a, *args, **kwargs):
-            factored.append(a)
-            return cho_factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "estimate_covariance", recording_estimate)
-        monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
+        # of c_y bit-identically to condition_number. jpc's search picks
+        # its top level, and the search's profile and the row's build share
+        # one Cholesky factorization of that level's system.
+        models = _record_models(monkeypatch)
+        factored = _record_cho_factor(monkeypatch)
         series = ar1_series(1500, phi=0.95, seed=0)
         rows = run_m_sweep(series, [50, 100], 7, ["wiener", "lrw", "jpc", "lsjpc"],
                            LPolicy(mode="best"), seed=0)
@@ -203,6 +233,46 @@ class TestRunMSweep:
         for model in models:
             assert sum(a is model.c_y for a in factored) == 1
             assert {r.cond_cy for r in rows if r.m == model.m} == {condition_number(model.c_y)}
+            (l_top,) = [r.l for r in rows if r.m == model.m and r.filter == "jpc"]
+            assert l_top == range(7, model.m + 1, model.m // 16)[-1]
+            assert _factorizations_of(factored, _jpc_system(model, l_top)) == 1
+
+    def test_best_policy_factors_a_failing_jpc_system_once(self, monkeypatch):
+        # the m=250 model below: the top level's jpc system is indefinite
+        # in float64, so the search's profile fails to factor it and the
+        # build at that level solves the same matrix by LU, without a
+        # second Cholesky attempt; that build is bit for bit a fixed build
+        models = _record_models(monkeypatch)
+        factored = _record_cho_factor(monkeypatch)
+        built = {}
+        constructor = FILTER_CONSTRUCTORS["jpc"]
+
+        def recording(model, l, **handoff):
+            built[l] = constructor(model, l, **handoff)
+            return built[l]
+
+        monkeypatch.setitem(FILTER_CONSTRUCTORS, "jpc", recording)
+        series = ar1_series(300, phi=0.8, seed=0)
+        (row,) = run_m_sweep(series, [250], 2, ["jpc"], LPolicy(mode="best"), seed=0)
+        (model,) = models
+        assert np.isfinite(row.norm_rms)
+        assert _factorizations_of(factored, _jpc_system(model, 242)) == 1
+        assert np.array_equal(built[242].matrix, jpc(model, 242).matrix)
+        fixed = run_m_sweep(series, [250], 2, ["jpc"], parse_l_policy(f"fixed:{row.l}"),
+                            seed=0)
+        assert fixed == [dataclasses.replace(row, wall_ms=fixed[0].wall_ms)]
+
+    def test_nothing_is_memoized_across_calls(self, monkeypatch):
+        # the search drops the system it handed to its build: a fixed build
+        # on the searched model factors its own system, to the same bits
+        series = ar1_series(1500, phi=0.95, seed=0)
+        train, _, _ = window_samples(series, SeriesConfig(m=100, n=7, seed=0))
+        model = estimate_covariance(train, 7)
+        l, _, searched = best_l_search(model, FilterKind.JPC, 7, 100, 6)
+        factored = _record_cho_factor(monkeypatch)
+        fixed = jpc(model, l)
+        assert [np.shape(a) for a in factored] == [(l, l)]
+        assert np.array_equal(fixed.matrix, searched.matrix)
 
     def test_series_sweep_decomposes_only_what_its_kinds_read(self, sym_eig_shapes):
         # wiener and lrw read no joint eigendecomposition, only lrw's n x n

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import haar_model
 from wclmmse import (
     DimensionError,
     NumericInputError,
@@ -15,6 +17,7 @@ from wclmmse import (
     solve_spd,
     sym_eig,
 )
+from wclmmse.linalg import factor_spd
 
 
 def random_spd(dim, seed, spread=1.0):
@@ -162,6 +165,46 @@ class TestSolveSpd:
         a = np.diag([1.0, -1.0])
         out = solve_spd(a, np.array([2.0, 2.0]))
         np.testing.assert_allclose(out, [2.0, -2.0], atol=1e-12)
+
+
+class TestFactorThenSolve:
+    # factor_spd(a).solve(b) is solve_spd's path, and a caller that hands a
+    # factored system on gets the bits solve_spd would have returned
+
+    def test_spd_takes_cholesky(self):
+        a = random_spd(7, 51)
+        b = np.random.default_rng(52).standard_normal((7, 3))
+        factor = factor_spd(a)
+        assert factor.cholesky is not None
+        direct = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+        for rhs in (b, b[:, 0]):
+            assert np.array_equal(factor.solve(rhs), solve_spd(a, rhs))
+        assert np.array_equal(factor.solve(b), direct)
+
+    def test_indefinite_takes_lu(self):
+        # c_y is indefinite in float64, so Cholesky fails
+        c_y = haar_model(2, 16, ratio=0.05, seed=0).c_y
+        b = np.random.default_rng(53).standard_normal((16, 2))
+        factor = factor_spd(c_y)
+        assert factor.cholesky is None
+        assert np.array_equal(factor.solve(b), solve_spd(c_y, b))
+        assert np.array_equal(factor.solve(b), np.linalg.solve(c_y, b))
+
+    def test_singular_raises_as_solve_spd_does(self):
+        a, b = np.diag([1.0, 0.0]), np.ones(2)
+        with pytest.raises(SingularMatrixError) as direct:
+            solve_spd(a, b)
+        factor = factor_spd(a)
+        with pytest.raises(SingularMatrixError) as split:
+            factor.solve(b)
+        assert str(split.value) == str(direct.value)
+
+    def test_rhs_checked_against_the_factored_dimension(self):
+        factor = factor_spd(np.eye(3))
+        with pytest.raises(DimensionError):
+            factor.solve(np.ones(2))
+        with pytest.raises(NumericInputError):
+            factor.solve(np.array([1.0, np.nan, 0.0]))
 
 
 class TestNorms:
