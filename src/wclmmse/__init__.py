@@ -64,6 +64,7 @@ from .harness import (
 from .linalg import (
     SymEig,
     condition_number,
+    factor_spd,
     inv_sqrt_spd,
     matrix_norm,
     nuclear_norm,
@@ -97,7 +98,7 @@ __all__ = [
     "lrw", "lsjpc", "lsjpc_simplified", "weighted_filter", "wiener",
     "wiener_structured",
     "LPolicy", "run_condition_report", "run_l_sweep", "run_m_sweep",
-    "SymEig", "condition_number", "inv_sqrt_spd",
+    "SymEig", "condition_number", "factor_spd", "inv_sqrt_spd",
     "matrix_norm", "nuclear_norm", "solve_spd", "sym_eig",
     "CovarianceModel", "assemble_joint", "estimate_covariance",
     "geometric_spectrum", "sample_from_model", "split_joint", "synthetic_model",

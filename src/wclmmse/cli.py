@@ -38,16 +38,19 @@ def _parse_spectrum(text: str, size: int) -> np.ndarray:
     return geometric_spectrum(size, scale=scale, ratio=ratio)
 
 
+def _grid(start: int, stop: int, step: int) -> range:
+    if step < 1:
+        raise ValueError("grid step must be >= 1")
+    return range(start, stop + 1, step)
+
+
 def _parse_grid(text: str) -> list[int]:
     """``start:stop:step`` (inclusive stop) or a comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (int(p) for p in parts)
-        if step < 1:
-            raise ValueError("grid step must be >= 1")
-        return list(range(start, stop + 1, step))
+        return list(_grid(*(int(p) for p in parts)))
     return [int(p) for p in text.split(",") if p]
 
 
@@ -98,7 +101,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_sweep_l(args) -> int:
     source = _load_source(args)
-    grid = range(args.l_min, args.l_max + 1, args.l_step)
+    grid = _grid(args.l_min, args.l_max, args.l_step)
     rows = harness.run_l_sweep(source, args.m, args.n, grid,
                                args.filters.split(","), seed=args.seed)
     _write_rows(rows, args.out)
@@ -137,7 +140,7 @@ def _cmd_scaling(args) -> int:
         l_max = args.l_max
         l_min = args.l_min if args.l_min is not None else 1
         step = args.l_step if args.l_step is not None else 1
-    grid = range(l_min, l_max + 1, step)
+    grid = _grid(l_min, l_max, step)
     study = scaling_study(model, args.filter, grid, norm=args.norm)
     dataio.write_scaling_csv(study, args.out)
     print(f"wrote {args.out} ({study.l.shape[0]} rows;"

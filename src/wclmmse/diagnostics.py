@@ -21,6 +21,7 @@ from .filters import (
     LinearFilter,
     _csw_ranking,
     _effective_level,
+    _lsjpc_system,
     _structured_system,
     wiener,
 )
@@ -226,57 +227,47 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
 def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
                  ) -> tuple[list[float] | None, SPDFactor | None]:
     """Exact-arithmetic analytic MSE of ``jpc`` or ``lsjpc`` at each level,
-    from one Cholesky factor at the top level, and for ``jpc`` the factored
-    top-level system itself.
+    and the top level's system as the filter's own helper forms and
+    factors it (:func:`~wclmmse.filters._structured_system`,
+    :func:`~wclmmse.filters._lsjpc_system`); see :func:`best_l_search`.
 
-    The prefilters are nested: level l keeps the first l columns of the
-    top level's Y block, so each level's l x l system is a leading block of
-    one top-level matrix, and so is its Cholesky factor. For ``jpc`` that
-    matrix is the system the build at the top level solves, formed and
-    factored by the same :func:`~wclmmse.filters._structured_system`:
-    with ``(Y' c_y) Y = U'U`` and ``B = Y' c_xy'``, the MSE at l is
-    ``tr(c_x)`` minus the sum of the first l squared row norms of
-    ``U^-T B``. That factored system is returned so that the top level's
-    build solves it instead of forming it again; where its Cholesky fails
-    it holds the matrix for the build's LU solve, and the profile is None.
-    For ``lsjpc``, with ``Y'Y = RR'``, the filter at l is ``u_l' Y_l'``
-    with ``u_l = (R_l R_l')^-1 X_l'``, two l x l triangular solves against
-    n columns; it is scored as an n x m matrix, because expanding its
-    quadratic form through the Gram multiplies the rounding of
-    ``Y_l'(.)Y_l`` by u_l, which is large along Y_l's near-null directions.
-    Returns (None, None) when there is no level, and a None profile when
-    the factorization fails.
+    The prefilters are nested, so each level's l x l system is a leading
+    block of the top level's, and so is its upper Cholesky factor U_l.
+    For ``jpc``, with ``(Y' c_y) Y = U'U`` and ``B = Y' c_xy'``, the MSE
+    at l is ``tr(c_x)`` minus the sum of the first l squared row norms of
+    ``U^-T B``. For ``lsjpc``, with ``Y'Y = U'U``, the filter at l is
+    ``u_l' Y_l'`` with ``u_l = U_l^-1 U_l^-T X_l'``; it is scored as an
+    n x m matrix, because expanding its quadratic form through the Gram
+    multiplies the rounding of ``Y_l'(.)Y_l`` by u_l, which is large along
+    Y_l's near-null directions. Returns (None, None) when there is no
+    level, and a None profile when the Cholesky fails.
     """
     if not levels:
         return None, None
     y = model.spectral.y_block(max(levels))
+    system = (_structured_system(model.c_y, y.T) if kind is FilterKind.JPC
+              else _lsjpc_system(y))
+    if system.cholesky is None:
+        return None, system
+    u = system.cholesky[0]
     if kind is FilterKind.JPC:
-        system = _structured_system(model.c_y, y.T)
-        if system.cholesky is None:
-            return None, system
-        z = scipy.linalg.solve_triangular(system.cholesky[0], (model.c_xy @ y).T, trans="T",
-                                          check_finite=False)
+        z = scipy.linalg.solve_triangular(u, (model.c_xy @ y).T, trans="T", check_finite=False)
         explained = np.cumsum(np.einsum("ij,ij->i", z, z))
         return (float(np.trace(model.c_x)) - explained[np.array(levels) - 1]).tolist(), system
-    try:
-        factor, _ = scipy.linalg.cho_factor(y.T @ y, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None, None
     x = model.spectral.x_block(max(levels))
     profile = []
     for l in levels:
-        r = factor[:l, :l]
-        w = scipy.linalg.solve_triangular(r, x[:, :l].T, lower=True, check_finite=False)
-        u = scipy.linalg.solve_triangular(r, w, lower=True, trans="T", check_finite=False)
-        profile.append(_mse(model, u.T @ y[:, :l].T))
-    return profile, None
+        w = scipy.linalg.solve_triangular(u[:l, :l], x[:, :l].T, trans="T", check_finite=False)
+        v = scipy.linalg.solve_triangular(u[:l, :l], w, check_finite=False)
+        profile.append(_mse(model, v.T @ y[:, :l].T))
+    return profile, system
 
 
 def _build_order(model: CovarianceModel, kind: FilterKind, grid: list[int]
-                 ) -> tuple[list[tuple[float, int]], dict[int, dict]]:
-    """The grid levels that pass the rank check, as sorted (p(l), l) pairs,
-    and what the build at a level reads from the profile: for ``jpc``,
-    ``{top level: {"system": the factored top-level system}}``.
+                 ) -> tuple[list[tuple[float, int]], int | None, SPDFactor | None]:
+    """The grid levels that pass the rank check, as sorted (p(l), l)
+    pairs; the top one of them; and the factored system of the build
+    there, from :func:`_mse_profile`.
 
     p(l) is the MSE profile, or -inf where it cannot predict the direct
     build to ``_PROFILE_ATOL``: at a rank margin of ``_TRUSTED_MARGIN`` or
@@ -289,11 +280,11 @@ def _build_order(model: CovarianceModel, kind: FilterKind, grid: list[int]
         except RankError:
             pass
     profile, system = _mse_profile(model, kind, list(margins))
-    handoff = {} if system is None else {max(margins): {"system": system}}
+    top = max(margins, default=None)
     if profile is None:
-        return [(-np.inf, l) for l in margins], handoff
+        return [(-np.inf, l) for l in margins], top, system
     return sorted((p if np.isfinite(p) and margin > _TRUSTED_MARGIN else -np.inf, l)
-                  for p, (l, margin) in zip(profile, margins.items())), handoff
+                  for p, (l, margin) in zip(profile, margins.items())), top, system
 
 
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
@@ -311,21 +302,21 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
     The returned level and MSE always come from a direct build scored by
     :func:`analytic_mse`; other levels are only left unbuilt when they
     cannot win. A level whose effective truncation equals that of a level
-    already tried (``lrw`` from n up) builds the same filter or fails the
-    same way, and is not built again. For ``jpc`` and ``lsjpc`` the search
-    first computes the exact-arithmetic MSE profile p(l) at every grid
-    level that passes the rank check, from one factorization
-    (:func:`_mse_profile`). It then builds levels in increasing (p(l), l)
-    and stops at the first whose p(l) exceeds the best MSE built so far by
-    more than 1e-8 tr(c_x), the tolerance to which p(l) predicts a direct
-    build. Levels it cannot predict to that tolerance come first and are
-    always built: those with a rank margin sigma_min(Y_l)^2 at or below
-    eps / 1e-8, and all of them when the factorization fails. For ``jpc``
-    the profile's factored top-level system is the one the build at the
-    top level solves: the search hands it to that build, which then
-    neither forms nor factors it again and returns the bits a build of
-    its own would, and drops it after that build. Other kinds build
-    levels in grid order.
+    already tried (``lrw`` from n up) is not built again. Other kinds
+    build levels in grid order. ``jpc`` and ``lsjpc`` first compute the
+    exact-arithmetic MSE profile p(l) at every grid level that passes the
+    rank check (:func:`_mse_profile`), then build levels in increasing
+    (p(l), l) and stop at the first whose p(l) exceeds the best MSE built
+    so far by more than 1e-8 tr(c_x), the tolerance to which p(l) predicts
+    a direct build. Levels it cannot predict to that tolerance come first
+    and are always built: those with a rank margin sigma_min(Y_l)^2 at or
+    below eps / 1e-8, and all of them when the factorization fails.
+
+    The profile reads the factored system of the build at the top level.
+    The search hands it to that one build as ``system=`` and then drops
+    it: the build neither forms nor factors it again and returns the bits
+    of a build of its own (by LU on the same matrix where the Cholesky
+    failed). Nothing is kept on the model.
     """
     filter_kind = FilterKind(filter_kind)
     if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
@@ -336,9 +327,9 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
     if not grid:
         raise DimensionError(f"empty grid: l_min={l_min}, l_max={l_max}")
     constructor = FILTER_CONSTRUCTORS[filter_kind]
-    order, handoff = [(-np.inf, l) for l in grid], {}
+    order, top, system = [(-np.inf, l) for l in grid], None, None
     if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
-        order, handoff = _build_order(model, filter_kind, grid)
+        order, top, system = _build_order(model, filter_kind, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()
@@ -350,8 +341,11 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
             continue
         tried.add(level)
         try:
-            # pop: the search holds the profile's system only until its build
-            filt = constructor(model, l, **handoff.pop(l, {}))
+            if l == top:
+                # the search holds the profile's system only until its build
+                system, filt = None, constructor(model, l, system=system)
+            else:
+                filt = constructor(model, l)
         except (SingularMatrixError, RankError):
             continue
         mse = analytic_mse(model, filt)

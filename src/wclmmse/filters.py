@@ -145,10 +145,17 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
 
 def _structured_system(c_y, b) -> SPDFactor:
     """The L x L system ``b @ c_y @ b'`` that a filter factoring through
-    prefilter ``b`` solves, symmetrized and factored as :func:`solve_spd`
-    factors it. The filter is then ``(c_xy @ b') @ system.solve(b)``."""
+    prefilter ``b`` solves, symmetrized and factored by :func:`factor_spd`."""
     bcb = b @ c_y @ b.T
     return factor_spd(0.5 * (bcb + bcb.T))
+
+
+def _structured_filter(model: CovarianceModel, b, system: SPDFactor | None = None):
+    """``(c_xy @ b') @ inv(S) @ b``, S the factored :func:`_structured_system`
+    (formed here when ``system`` is None): the filter through prefilter b."""
+    if system is None:
+        system = _structured_system(model.c_y, b)
+    return (model.c_xy @ b.T) @ solve_spd(system, b)
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:
@@ -179,8 +186,7 @@ def wiener_structured(model: CovarianceModel, b: Prefilter | np.ndarray) -> Line
         raise DimensionError(
             f"prefilter has {b.matrix.shape[1]} columns, expected {model.m}")
     kind = FilterKind.WIENER_STRUCTURED
-    p = b.matrix
-    matrix = (model.c_xy @ p.T) @ _structured_system(model.c_y, p).solve(p)
+    matrix = _structured_filter(model, b.matrix)
     return LinearFilter(matrix=matrix, kind=kind, l=b.l,
                         max_inverse_dim=_certificate(kind, model.m, b.l))
 
@@ -251,36 +257,38 @@ def jpc(model: CovarianceModel, l: int, system: SPDFactor | None = None) -> Line
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
-    Only an l x l system is solved, so the filter is computable without
-    any inverse larger than l x l no matter how ill-conditioned c_y is.
-    ``system`` is that system already formed and factored by
-    :func:`_structured_system` on ``y_block(l)'``, as the ``best`` search's
-    profile does at its top level; the filter is then bit for bit the one
-    built without it. When None, the build forms and factors it.
+    Only the l x l :func:`_structured_system` is solved, so the filter is
+    computable without any inverse larger than l x l no matter how
+    ill-conditioned c_y is. ``system`` is that system already factored
+    (see :func:`~wclmmse.diagnostics.best_l_search`): the same bits.
     """
     model.spectral.check_y_rank(l)
-    b = model.spectral.y_block(l).T
-    if system is None:
-        system = _structured_system(model.c_y, b)
-    matrix = (model.c_xy @ b.T) @ system.solve(b)
+    matrix = _structured_filter(model, model.spectral.y_block(l).T, system)
     return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
                         max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
 
 
-def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
+def _lsjpc_system(y) -> SPDFactor:
+    """The L x L system ``y' @ y`` that ``lsjpc`` solves on Y block ``y``,
+    symmetrized and factored by :func:`factor_spd`."""
+    gram = y.T @ y
+    return factor_spd(0.5 * (gram + gram.T))
+
+
+def lsjpc(model: CovarianceModel, l: int, system: SPDFactor | None = None) -> LinearFilter:
     """Least-squares variant of the joint-principal-component filter.
 
     Resolves the input onto the range of the Y-block basis and maps the
     coordinates through the X block: ``x_block @ inv(y'y) @ y'``. Not
-    Wiener-structured; also solves nothing larger than l x l.
+    Wiener-structured; also solves nothing larger than l x l, the system
+    :func:`_lsjpc_system`, which ``system`` holds already factored (as for ``jpc``).
     """
     cache = model.spectral
     cache.check_y_rank(l)
-    x = cache.x_block(l)
     y = cache.y_block(l)
-    gram = y.T @ y
-    gram = 0.5 * (gram + gram.T)
-    matrix = x @ solve_spd(gram, y.T)
+    if system is None:
+        system = _lsjpc_system(y)
+    matrix = cache.x_block(l) @ solve_spd(system, y.T)
     return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC, l=l,
                         max_inverse_dim=_certificate(FilterKind.LSJPC, model.m, l))
 

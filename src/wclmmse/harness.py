@@ -58,15 +58,11 @@ class LPolicy:
     :func:`~wclmmse.diagnostics.best_l_search` on the training covariances
     over the levels max(1, n), max(1, n) + step, ... up to m, with step
     max(1, m // 16): the level of smallest analytic MSE, ties to the
-    smaller level, always scored from a direct build. For ``jpc`` and
-    ``lsjpc`` an exact-arithmetic MSE profile from one factorization
-    orders the builds, and the search stops at the first level whose
-    profile is more than 1e-8 tr(c_x) above the best MSE built, so a
-    well-conditioned model needs one build; for ``jpc`` that profile's
-    factored top-level system is the one the build at the top level
-    solves, so it is formed and factored once. The row takes the filter the
-    search built at its level, so its ``wall_ms`` is the time of choosing
-    and building the filter, which is the search. ``wiener`` has no level:
+    smaller level, always scored from a direct build; for ``jpc`` and
+    ``lsjpc`` a well-conditioned model needs one build, and the top
+    level's system is factored once. The row takes the filter the search
+    built at its level, so its ``wall_ms`` is the time of choosing and
+    building the filter, which is the search. ``wiener`` has no level:
     either mode builds it once, at ``l=None``.
     """
 
@@ -202,15 +198,20 @@ def _rho_for(kind: FilterKind, model: CovarianceModel, l: int | None) -> float:
         return float("nan")
 
 
+def _nonempty(values, name: str) -> list[int]:
+    grid = [int(v) for v in values]
+    if not grid:
+        raise DimensionError(f"empty {name} grid")
+    return grid
+
+
 def run_l_sweep(source, m: int, n: int, l_grid, filters,
                 seed: int = 0) -> list[ExperimentResult]:
     """One row per (filter, truncation level); the unconstrained filter
     appears once with the level omitted. The grid must not be empty, and
     every level must lie in [1, m]."""
     kinds = _parse_kinds(filters)
-    grid = [int(l) for l in l_grid]
-    if not grid:
-        raise DimensionError("empty truncation grid")
+    grid = _nonempty(l_grid, "truncation")
     outside = [l for l in grid if not 1 <= l <= m]
     if outside:
         raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
@@ -222,10 +223,11 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters,
 
 def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
                 seed: int = 0) -> list[ExperimentResult]:
-    """Re-window the series at each length and score every filter there."""
+    """Re-window the series at each length and score every filter there.
+    The grid must not be empty."""
     kinds = _parse_kinds(filters)
     rows = []
-    for m in (int(v) for v in m_grid):
+    for m in _nonempty(m_grid, "window-length"):
         rows += _sweep_model(series, m, n, seed, kinds, [l_policy])
     rows.sort(key=_sort_key)
     return rows
@@ -237,10 +239,11 @@ def run_condition_report(source, m_grid, n: int, seed: int = 0) -> list[tuple[in
     For a covariance model the length-m input covariance is the trailing
     principal m x m block (the coordinates nearest the target block);
     for a series it is re-estimated at each length, and its condition
-    number is the ``cond_cy`` of a ``sweep-m`` row at that length.
+    number is the ``cond_cy`` of a ``sweep-m`` row at that length. The
+    grid must not be empty.
     """
     rows = []
-    for m in (int(v) for v in m_grid):
+    for m in _nonempty(m_grid, "window-length"):
         if isinstance(source, CovarianceModel):
             if m > source.m:
                 raise ValueError(f"m={m} exceeds model input dimension {source.m}")

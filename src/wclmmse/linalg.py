@@ -2,8 +2,8 @@
 
 Thin, reproducibility-minded wrappers around LAPACK (via numpy/scipy):
 symmetric eigendecomposition and eigenvalues, SPD inverse square root,
-SPD linear solves (one factorization, any number of solves), condition
-numbers, and norms.
+SPD systems (factored by :func:`factor_spd`, solved by :func:`solve_spd`,
+Cholesky or LU), condition numbers, and norms.
 
 Determinism conventions
 -----------------------
@@ -163,41 +163,20 @@ def _spectral_condition(eigenvalues: NDArray[np.float64]) -> float:
 
 @dataclass(frozen=True)
 class SPDFactor:
-    """A square system A, factored once by :func:`factor_spd` for any
-    number of :meth:`solve` calls.
-
-    ``cholesky`` is ``scipy.linalg.cho_factor``'s upper factor of A. Where
-    that factorization fails it is None, and ``lhs`` keeps A for the LU
-    solve that :func:`solve_spd` falls back to.
-    """
+    """A square system A as :func:`factor_spd` factors it, for any number
+    of :func:`solve_spd` calls: ``cholesky`` is ``scipy.linalg.cho_factor``'s
+    upper factor of A, or None where that fails; ``lhs`` then keeps A for
+    the LU solve that :func:`solve_spd` falls back to."""
 
     dim: int
     cholesky: tuple[Matrix, bool] | None
     lhs: Matrix | None = None
 
-    def solve(self, b) -> Matrix:
-        """X with A @ X = B; :class:`SingularMatrixError` when the LU
-        fallback finds A singular."""
-        b = np.asarray(b, dtype=np.float64)
-        rhs = b if b.ndim == 2 else b.reshape(-1, 1)
-        if rhs.shape[0] != self.dim:
-            raise DimensionError(f"rhs has {rhs.shape[0]} rows, expected {self.dim}")
-        if not np.all(np.isfinite(rhs)):
-            raise NumericInputError("solve_spd rhs contains non-finite entries")
-        if self.cholesky is not None:
-            x = scipy.linalg.cho_solve(self.cholesky, rhs, check_finite=False)
-        else:
-            try:
-                x = np.linalg.solve(self.lhs, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(f"linear system is singular: {exc}") from exc
-        return x if b.ndim == 2 else x.ravel()
-
 
 def factor_spd(a) -> SPDFactor:
-    """The factor step of :func:`solve_spd`: an upper Cholesky factor of A,
+    """The one factor step of an SPD system: an upper Cholesky factor of A,
     or, where A is not positive definite in floating point, A itself for
-    an LU solve."""
+    :func:`solve_spd`'s LU solve."""
     a = _as_square(a, "solve_spd lhs")
     try:
         return SPDFactor(a.shape[0], scipy.linalg.cho_factor(a, check_finite=False))
@@ -205,18 +184,29 @@ def factor_spd(a) -> SPDFactor:
         return SPDFactor(a.shape[0], None, a)
 
 
-def solve_spd(a, b) -> Matrix:
-    """Solve A @ X = B for SPD A without forming an explicit inverse:
-    ``factor_spd(a).solve(b)``.
+def solve_spd(system: SPDFactor, b) -> Matrix:
+    """The one solve step: X with A @ X = B, for the system A that
+    :func:`factor_spd` factored, without forming an explicit inverse.
 
-    Uses a Cholesky factorization. Inputs that violate the SPD
+    Solves through the Cholesky factor. Inputs that violate the SPD
     assumption but are still invertible fall back to an LU solve (this
     best-effort path is what covariance-perturbation studies exercise);
-    numerically singular systems raise :class:`SingularMatrixError`. A
-    caller that solves one system against several right-hand sides, or
-    hands it on, factors it once with :func:`factor_spd`.
+    numerically singular systems raise :class:`SingularMatrixError`.
     """
-    return factor_spd(a).solve(b)
+    b = np.asarray(b, dtype=np.float64)
+    rhs = b if b.ndim == 2 else b.reshape(-1, 1)
+    if rhs.shape[0] != system.dim:
+        raise DimensionError(f"rhs has {rhs.shape[0]} rows, expected {system.dim}")
+    if not np.all(np.isfinite(rhs)):
+        raise NumericInputError("solve_spd rhs contains non-finite entries")
+    if system.cholesky is not None:
+        x = scipy.linalg.cho_solve(system.cholesky, rhs, check_finite=False)
+    else:
+        try:
+            x = np.linalg.solve(system.lhs, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"linear system is singular: {exc}") from exc
+    return x if b.ndim == 2 else x.ravel()
 
 
 def nuclear_norm(a) -> float:

@@ -32,6 +32,7 @@ from .linalg import (
     SymEig,
     _check_definite,
     _spectral_condition,
+    factor_spd,
     solve_spd,
     sym_eig,
     sym_eigvals,
@@ -225,8 +226,8 @@ class SpectralCache:
 
     @cached_property
     def wiener_solve(self) -> NDArray[np.float64]:
-        """c_y^-1 c_xy' (m x n) through ``solve_spd``: the Wiener filter's transpose."""
-        return solve_spd(self.c_y, self.c_xy.T)
+        """c_y^-1 c_xy' (m x n), c_y factored and solved once: the Wiener filter's transpose."""
+        return solve_spd(factor_spd(self.c_y), self.c_xy.T)
 
     @cached_property
     def eig_wiener(self) -> SymEig:

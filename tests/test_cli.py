@@ -91,6 +91,15 @@ class TestSweepL:
             assert "error:" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_zero_step_is_an_error(self, tmp_path, capsys):
+        data = write_series_csv(tmp_path / "series.csv")
+        out = tmp_path / "zero.csv"
+        rc = main(["sweep-l", "--data", str(data), "--m", "6", "--n", "2",
+                   "--l-min", "1", "--l-max", "4", "--l-step", "0", "--out", str(out)])
+        assert rc == 2
+        assert "error: grid step must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_source_required(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep-l", "--m", "4", "--n", "1", "--l-min", "1", "--l-max", "2",
@@ -114,6 +123,18 @@ class TestSweepM:
         rc = main(["sweep-m", "--data", str(data), "--m-grid", "4,6", "--n", "2",
                    "--l-policy", "best", "--filters", "jpc", "--out", str(out)])
         assert rc == 0
+
+
+    def test_empty_grid_is_an_error(self, tmp_path, capsys):
+        data = write_series_csv(tmp_path / "series.csv")
+        for command in ("sweep-m", "cond"):
+            for grid in ("", "5:1:1"):
+                out = tmp_path / f"{command}.csv"
+                rc = main([command, "--data", str(data), "--m-grid", grid, "--n", "2",
+                           "--out", str(out)])
+                assert rc == 2
+                assert "error: empty window-length grid" in capsys.readouterr().err
+                assert not out.exists()
 
 
 class TestCond:

@@ -1,6 +1,7 @@
 """Filter constructor tests: closed-form cases, oracles, and invariants."""
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from wclmmse import (
     RankError,
     SingularMatrixError,
     UndefinedConditionError,
+    WclmmseError,
     analytic_mse,
     best_l_search,
     csw,
@@ -36,6 +38,7 @@ from wclmmse import (
     wiener,
     wiener_structured,
 )
+from wclmmse import linalg
 from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
@@ -513,6 +516,35 @@ class TestWellConditionedCertificates:
         filt = wiener(haar_model(2, 16, ratio=0.05, seed=0))
         assert solved == [("cholesky", 16), ("lu", 16)]
         assert filt.max_inverse_dim == 16
+
+    def test_every_solve_goes_through_solve_spd(self, monkeypatch):
+        # what the traced linalg.solve_spd metrics count: every Cholesky or
+        # LU solve a sweepable kind makes, a best search's included, is
+        # made by linalg.solve_spd itself
+        callers = []
+
+        def spy(name, original):
+            def recording(*args, **kwargs):
+                callers.append((name, sys._getframe(1).f_code))
+                return original(*args, **kwargs)
+            return recording
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", spy("cholesky", scipy.linalg.cho_solve))
+        monkeypatch.setattr(np.linalg, "solve", spy("lu", np.linalg.solve))
+        # the second c_y is indefinite in float64, so its solves take LU
+        for model in (haar_model(2, 6, ratio=0.7, seed=33),
+                      haar_model(2, 16, ratio=0.05, seed=0)):
+            for build in FILTER_CONSTRUCTORS.values():
+                for l in (1, 2, model.m):
+                    try:
+                        build(model, l)
+                    except WclmmseError:
+                        pass
+        model = haar_model(2, 6, ratio=0.7, seed=33)
+        for kind in (FilterKind.JPC, FilterKind.LSJPC):
+            assert best_l_search(model, kind, 1, model.m)[2] is not None
+        assert {name for name, _ in callers} == {"cholesky", "lu"}
+        assert {code for _, code in callers} == {linalg.solve_spd.__code__}
 
     def test_wiener_lower_bounds_all_filters(self):
         for seed in range(8):

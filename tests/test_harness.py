@@ -69,6 +69,33 @@ def _jpc_system(model, l):
     return y.T @ model.c_y @ y
 
 
+def _search_rank_deficient_m250(monkeypatch, kind):
+    """A best-policy ``kind`` row on the m=250 model (300-point AR(1), phi
+    0.8, seed 0, n=2: 38 training windows for d=252), the model, the
+    matrices handed to cho_factor and the filters the search built."""
+    models = _record_models(monkeypatch)
+    factored = _record_cho_factor(monkeypatch)
+    built = {}
+    constructor = FILTER_CONSTRUCTORS[kind]
+
+    def recording(model, l, **handoff):
+        built[l] = constructor(model, l, **handoff)
+        return built[l]
+
+    monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, recording)
+    (row,) = run_m_sweep(ar1_series(300, phi=0.8, seed=0), [250], 2, [kind],
+                         LPolicy(mode="best"), seed=0)
+    (model,) = models
+    return row, model, factored, built
+
+
+def _assert_is_the_fixed_row(row):
+    """The m=250 row equals the fixed-level row at its level, wall_ms aside."""
+    fixed = run_m_sweep(ar1_series(300, phi=0.8, seed=0), [row.m], row.n, [row.filter],
+                        parse_l_policy(f"fixed:{row.l}"), seed=0)
+    assert fixed == [dataclasses.replace(row, wall_ms=fixed[0].wall_ms)]
+
+
 def _factorizations_of(factored, system):
     """How many of the factored matrices are ``system`` up to rounding; the
     tolerance is far below what tells it from any other matrix factored."""
@@ -190,6 +217,14 @@ class TestRunMSweep:
         assert all(r.l == 2 for r in jpc_rows)
         assert {r.m for r in rows} == {4, 8}
 
+    def test_empty_window_length_grid_rejected(self):
+        series = ar1_series(300, phi=0.8, seed=0)
+        for report in (lambda grid: run_m_sweep(series, grid, 2, ["jpc"], LPolicy()),
+                       lambda grid: run_condition_report(series, grid, 2)):
+            for grid in ([], range(5, 2)):
+                with pytest.raises(DimensionError, match="empty window-length grid"):
+                    report(grid)
+
     def test_best_policy_decomposes_each_window_length_once(self, cache_builds):
         series = ar1_series(300, phi=0.8, seed=7)
         rows = run_m_sweep(series, [6, 8], 2, ["wiener", "lrw", "jpc", "lsjpc"],
@@ -242,25 +277,21 @@ class TestRunMSweep:
         # in float64, so the search's profile fails to factor it and the
         # build at that level solves the same matrix by LU, without a
         # second Cholesky attempt; that build is bit for bit a fixed build
-        models = _record_models(monkeypatch)
-        factored = _record_cho_factor(monkeypatch)
-        built = {}
-        constructor = FILTER_CONSTRUCTORS["jpc"]
-
-        def recording(model, l, **handoff):
-            built[l] = constructor(model, l, **handoff)
-            return built[l]
-
-        monkeypatch.setitem(FILTER_CONSTRUCTORS, "jpc", recording)
-        series = ar1_series(300, phi=0.8, seed=0)
-        (row,) = run_m_sweep(series, [250], 2, ["jpc"], LPolicy(mode="best"), seed=0)
-        (model,) = models
+        row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "jpc")
         assert np.isfinite(row.norm_rms)
         assert _factorizations_of(factored, _jpc_system(model, 242)) == 1
         assert np.array_equal(built[242].matrix, jpc(model, 242).matrix)
-        fixed = run_m_sweep(series, [250], 2, ["jpc"], parse_l_policy(f"fixed:{row.l}"),
-                            seed=0)
-        assert fixed == [dataclasses.replace(row, wall_ms=fixed[0].wall_ms)]
+        _assert_is_the_fixed_row(row)
+
+    def test_best_policy_factors_lsjpcs_top_system_once(self, monkeypatch):
+        # on the same model lsjpc's top-level Y'Y is definite and the search
+        # picks that level: its profile and its build there share one
+        # Cholesky factorization, and the row is bit for bit a fixed row
+        row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "lsjpc")
+        assert row.l == 242 and 242 in built
+        y = model.spectral.y_block(242)
+        assert _factorizations_of(factored, y.T @ y) == 1
+        _assert_is_the_fixed_row(row)
 
     def test_nothing_is_memoized_across_calls(self, monkeypatch):
         # the search drops the system it handed to its build: a fixed build

@@ -11,13 +11,13 @@ from wclmmse import (
     SingularMatrixError,
     UndefinedConditionError,
     condition_number,
+    factor_spd,
     inv_sqrt_spd,
     matrix_norm,
     nuclear_norm,
     solve_spd,
     sym_eig,
 )
-from wclmmse.linalg import factor_spd
 
 
 def random_spd(dim, seed, spread=1.0):
@@ -133,10 +133,10 @@ class TestSolveSpd:
     def test_identity(self):
         rng = np.random.default_rng(31)
         b = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(solve_spd(np.eye(3), b), b, atol=1e-14)
+        np.testing.assert_allclose(solve_spd(factor_spd(np.eye(3)), b), b, atol=1e-14)
 
     def test_diagonal_vector(self):
-        out = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        out = solve_spd(factor_spd(np.diag([2.0, 4.0])), np.array([2.0, 4.0]))
         np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-14)
 
     def test_against_explicit_inverse(self):
@@ -144,7 +144,7 @@ class TestSolveSpd:
         rng = np.random.default_rng(33)
         b = rng.standard_normal((6, 3))
         expected = np.linalg.inv(a) @ b
-        got = solve_spd(a, b)
+        got = solve_spd(factor_spd(a), b)
         assert np.linalg.norm(a @ got - b) <= 1e-8 * np.linalg.norm(b)
         np.testing.assert_allclose(got, expected, atol=1e-8)
 
@@ -154,22 +154,22 @@ class TestSolveSpd:
             rng = np.random.default_rng(200 + dim)
             b = rng.standard_normal((dim, 2))
             expected = np.linalg.inv(a) @ b
-            got = solve_spd(a, b)
+            got = solve_spd(factor_spd(a), b)
             assert np.linalg.norm(got - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            solve_spd(np.diag([1.0, 0.0]), np.ones(2))
+            solve_spd(factor_spd(np.diag([1.0, 0.0])), np.ones(2))
 
     def test_indefinite_falls_back_to_lu(self):
         a = np.diag([1.0, -1.0])
-        out = solve_spd(a, np.array([2.0, 2.0]))
+        out = solve_spd(factor_spd(a), np.array([2.0, 2.0]))
         np.testing.assert_allclose(out, [2.0, -2.0], atol=1e-12)
 
 
 class TestFactorThenSolve:
-    # factor_spd(a).solve(b) is solve_spd's path, and a caller that hands a
-    # factored system on gets the bits solve_spd would have returned
+    # a system factored once gives, in every solve, the bits of a solve
+    # that factors it afresh
 
     def test_spd_takes_cholesky(self):
         a = random_spd(7, 51)
@@ -178,8 +178,8 @@ class TestFactorThenSolve:
         assert factor.cholesky is not None
         direct = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
         for rhs in (b, b[:, 0]):
-            assert np.array_equal(factor.solve(rhs), solve_spd(a, rhs))
-        assert np.array_equal(factor.solve(b), direct)
+            assert np.array_equal(solve_spd(factor, rhs), solve_spd(factor_spd(a), rhs))
+        assert np.array_equal(solve_spd(factor, b), direct)
 
     def test_indefinite_takes_lu(self):
         # c_y is indefinite in float64, so Cholesky fails
@@ -187,24 +187,25 @@ class TestFactorThenSolve:
         b = np.random.default_rng(53).standard_normal((16, 2))
         factor = factor_spd(c_y)
         assert factor.cholesky is None
-        assert np.array_equal(factor.solve(b), solve_spd(c_y, b))
-        assert np.array_equal(factor.solve(b), np.linalg.solve(c_y, b))
+        assert np.array_equal(solve_spd(factor, b), np.linalg.solve(c_y, b))
 
     def test_singular_raises_as_solve_spd_does(self):
+        # on the LU path too, every solve of a factored system raises alike
         a, b = np.diag([1.0, 0.0]), np.ones(2)
-        with pytest.raises(SingularMatrixError) as direct:
-            solve_spd(a, b)
         factor = factor_spd(a)
-        with pytest.raises(SingularMatrixError) as split:
-            factor.solve(b)
-        assert str(split.value) == str(direct.value)
+        assert factor.cholesky is None
+        with pytest.raises(SingularMatrixError) as first:
+            solve_spd(factor, b)
+        with pytest.raises(SingularMatrixError) as second:
+            solve_spd(factor, b[:, None])
+        assert str(second.value) == str(first.value)
 
     def test_rhs_checked_against_the_factored_dimension(self):
         factor = factor_spd(np.eye(3))
         with pytest.raises(DimensionError):
-            factor.solve(np.ones(2))
+            solve_spd(factor, np.ones(2))
         with pytest.raises(NumericInputError):
-            factor.solve(np.array([1.0, np.nan, 0.0]))
+            solve_spd(factor, np.array([1.0, np.nan, 0.0]))
 
 
 class TestNorms:
