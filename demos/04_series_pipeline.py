@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from wclmmse import (
-    SeriesConfig,
     estimate_covariance,
     condition_number,
     jpc,
@@ -37,13 +36,13 @@ for i in range(1, length):
 series = values + 20.0
 
 # --- window, split, estimate -------------------------------------------
-cfg = SeriesConfig(m=12, n=3, seed=0)
-train, test_z, mean = window_samples(series, cfg)
-print(f"{len(train) + len(test_z)} windows of length {cfg.m + cfg.n};"
+m, n = 12, 3
+train, test_z, mean = window_samples(series, m, n, seed=0)
+print(f"{len(train) + len(test_z)} windows of length {m + n};"
       f" {len(train)} train / {len(test_z)} test;"
       f" subtracted mean {mean:.3f}")
 
-model = estimate_covariance(train, cfg.n)
+model = estimate_covariance(train, n)
 print(f"condition number of the input covariance: {condition_number(model.c_y):.2e}")
 
 # --- score filters out of sample ----------------------------------------
@@ -53,7 +52,7 @@ for name, filt in (("wiener", wiener(model)),
     print(f"  {name:<10} normalized rms = {normalized_rms(filt, test_z, mean):.4f}")
 
 # --- the harness produces the same numbers as plot-ready rows -----------
-rows = run_l_sweep(series, cfg.m, cfg.n, [3, 6, 9, 12], ["wiener", "jpc"], seed=0)
+rows = run_l_sweep(series, m, n, [3, 6, 9, 12], ["wiener", "jpc"], seed=0)
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "l_sweep.csv"
     write_results_csv(rows, out)

@@ -21,7 +21,6 @@ from .diagnostics import (
 )
 from .dataio import (
     ExperimentResult,
-    SeriesConfig,
     load_csv,
     normalized_rms,
     window_samples,
@@ -88,7 +87,7 @@ __all__ = [
     "ScalingStudy", "analytic_mse", "best_l_search", "det_objective",
     "error_covariance", "filter_power_loss", "scaling_study", "truncation_power_loss",
     "weighted_trace_objective",
-    "ExperimentResult", "SeriesConfig", "load_csv", "normalized_rms", "window_samples",
+    "ExperimentResult", "load_csv", "normalized_rms", "window_samples",
     "DegenerateDataError", "DimensionError", "InsufficientDataError",
     "InvalidSpectrumError", "InvalidWeightError", "ModelError",
     "NumericInputError", "RankError", "SingularMatrixError",

@@ -1,13 +1,14 @@
 """Time-series ingestion, windowing, train/test split, and result files.
 
-A daily-valued series is a plain 1-D array of values in date order. It
-is cut into overlapping windows of m + n consecutive values; the n later
-values form the prediction target X (stored in the TOP coordinates,
-matching the model module's stacking convention) and the m earlier
-values form the input Y below. The training and test windows are the
-rows of two plain arrays. A scalar global mean, computed over the
-training windows only, is subtracted from every entry and kept for
-adding back at evaluation time.
+A daily-valued series is a plain 1-D array of values in date order.
+``window_samples(series, m, n, seed)`` cuts it into overlapping windows
+of m + n consecutive values; the n later values form the prediction
+target X (stored in the TOP coordinates, matching the model module's
+stacking convention) and the m earlier values form the input Y below.
+The seed alone decides which windows are held out for testing. The
+training and test windows are the rows of two plain arrays. A scalar
+global mean, computed over the training windows only, is subtracted
+from every entry and kept for adding back at evaluation time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
 from .filters import LinearFilter
 
 __all__ = [
-    "SeriesConfig",
     "load_csv",
     "window_samples",
     "normalized_rms",
@@ -45,23 +45,6 @@ __all__ = [
 
 # Share of windows reserved for out-of-sample evaluation.
 _TEST_FRACTION = 0.2
-
-
-@dataclass
-class SeriesConfig:
-    """Windowing and split parameters for one experiment.
-
-    m: input window length (days), n: prediction length (days),
-    seed: partition seed.
-    """
-
-    m: int
-    n: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise DimensionError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
 
 
 def _parse_date(text: str) -> datetime.date:
@@ -115,31 +98,33 @@ def load_csv(path, date_column: str = "date",
     return np.array([v for _, v in rows], dtype=np.float64)
 
 
-def window_samples(series, cfg: SeriesConfig):
+def window_samples(series, m: int, n: int, seed: int):
     """Cut a 1-D series into K = len - (m+n) overlapping windows.
 
     Window i covers series[i : i+m+n]; its n later values go on top (X)
     and its m earlier values below (Y). A uniform without-replacement
-    draw, deterministic per ``cfg.seed``, reserves a fifth of the windows
+    draw, deterministic per ``seed``, reserves a fifth of the windows
     (``_TEST_FRACTION``) for testing. Returns ``(train, test, mean)``:
     the training and test windows as C-contiguous rows in increasing
     window order, with ``mean``, the scalar mean of the training
-    windows, subtracted from every entry.
+    windows, subtracted from every entry. Raises
+    :class:`DimensionError` for m or n below 1.
     """
+    if m < 1 or n < 1:
+        raise DimensionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     values = np.asarray(series, dtype=np.float64)
     if values.ndim != 1:
         raise DimensionError(f"series must be 1-D, got ndim={values.ndim}")
     if not np.all(np.isfinite(values)):
         raise NumericInputError("series contains non-finite values")
     length = values.shape[0]
-    m, n = cfg.m, cfg.n
     if length < m + n + 1:
         raise DegenerateDataError(
             f"series of length {length} too short for m+n = {m + n}")
     k = length - (m + n)
     if k < 5:
         raise DegenerateDataError(f"need at least 5 windows to split, got {k}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     test_size = int(round(_TEST_FRACTION * k))
     test_rows = np.sort(rng.choice(k, size=test_size, replace=False))
     mask = np.ones(k, dtype=bool)

@@ -263,11 +263,17 @@ def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
     return profile, system
 
 
-def _build_order(model: CovarianceModel, kind: FilterKind, grid: list[int]
-                 ) -> tuple[list[tuple[float, int]], int | None, SPDFactor | None]:
+def _search_grid(model: CovarianceModel) -> range:
+    """The levels :func:`best_l_search` tries on ``model``."""
+    m = model.m
+    return range(min(max(1, model.n), m), m + 1, max(1, m // 16))
+
+
+def _build_order(model: CovarianceModel, kind: FilterKind, grid: range
+                 ) -> tuple[list[tuple[float, int]], SPDFactor | None]:
     """The grid levels that pass the rank check, as sorted (p(l), l)
-    pairs; the top one of them; and the factored system of the build
-    there, from :func:`_mse_profile`.
+    pairs, and the factored system of the build at the top one of them,
+    from :func:`_mse_profile`.
 
     p(l) is the MSE profile, or -inf where it cannot predict the direct
     build to ``_PROFILE_ATOL``: at a rank margin of ``_TRUSTED_MARGIN`` or
@@ -280,24 +286,25 @@ def _build_order(model: CovarianceModel, kind: FilterKind, grid: list[int]
         except RankError:
             pass
     profile, system = _mse_profile(model, kind, list(margins))
-    top = max(margins, default=None)
     if profile is None:
-        return [(-np.inf, l) for l in margins], top, system
+        return [(-np.inf, l) for l in margins], system
     return sorted((p if np.isfinite(p) and margin > _TRUSTED_MARGIN else -np.inf, l)
-                  for p, (l, margin) in zip(profile, margins.items())), top, system
+                  for p, (l, margin) in zip(profile, margins.items())), system
 
 
-def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
-                  l_max: int, step: int = 1) -> tuple[int, float, LinearFilter | None]:
+def best_l_search(model: CovarianceModel, filter_kind: FilterKind
+                  ) -> tuple[int, float, LinearFilter | None]:
     """Grid line search for the truncation level with smallest analytic MSE.
 
-    Evaluates the closed-form MSE on the (training) covariances; ties go
-    to the smaller level, which is cheaper and better conditioned. Returns
-    the level, its MSE and the filter built there, so that a caller never
-    builds it again. A level whose filter cannot be built (singular or
-    rank-deficient) is skipped; when none can be, the smallest level comes
-    back with an infinite MSE and no filter. ``wiener`` has no level and
-    is refused, as is any kind outside ``FILTER_CONSTRUCTORS``.
+    The grid runs from min(max(1, n), m) up to m in steps of
+    max(1, m // 16), so it is never empty. Evaluates the closed-form MSE
+    on the (training) covariances; ties go to the smaller level, which is
+    cheaper and better conditioned. Returns the level, its MSE and the
+    filter built there, so that a caller never builds it again. A level
+    whose filter cannot be built (singular or rank-deficient) is skipped;
+    when none can be, the grid's first level comes back with an infinite
+    MSE and no filter. ``wiener`` has no level and is refused, as is any
+    kind outside ``FILTER_CONSTRUCTORS``.
 
     The returned level and MSE always come from a direct build scored by
     :func:`analytic_mse`; other levels are only left unbuilt when they
@@ -312,24 +319,21 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
     and are always built: those with a rank margin sigma_min(Y_l)^2 at or
     below eps / 1e-8, and all of them when the factorization fails.
 
-    The profile reads the factored system of the build at the top level.
-    The search hands it to that one build as ``system=`` and then drops
-    it: the build neither forms nor factors it again and returns the bits
-    of a build of its own (by LU on the same matrix where the Cholesky
-    failed). Nothing is kept on the model.
+    The profile reads the factored system of the build at the top level
+    that passes the rank check, the level ``system.dim``. The search hands
+    it to that one build as ``system=`` and then drops it: the build
+    neither forms nor factors it again and returns the bits of a build of
+    its own (by LU on the same matrix where the Cholesky failed). Nothing
+    is kept on the model.
     """
     filter_kind = FilterKind(filter_kind)
     if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
         raise ValueError(f"truncation-level search undefined for kind {filter_kind}")
-    if step < 1:
-        raise DimensionError(f"step must be >= 1, got {step}")
-    grid = list(range(l_min, l_max + 1, step))
-    if not grid:
-        raise DimensionError(f"empty grid: l_min={l_min}, l_max={l_max}")
+    grid = _search_grid(model)
     constructor = FILTER_CONSTRUCTORS[filter_kind]
-    order, top, system = [(-np.inf, l) for l in grid], None, None
+    order, system = [(-np.inf, l) for l in grid], None
     if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
-        order, top, system = _build_order(model, filter_kind, grid)
+        order, system = _build_order(model, filter_kind, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()
@@ -341,7 +345,7 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind, l_min: int,
             continue
         tried.add(level)
         try:
-            if l == top:
+            if system is not None and l == system.dim:
                 # the search holds the profile's system only until its build
                 system, filt = None, constructor(model, l, system=system)
             else:

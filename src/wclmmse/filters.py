@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
-from .linalg import SPDFactor, _check_definite, factor_spd, inv_sqrt_spd, solve_spd
+from .linalg import SPDFactor, factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
 from .model import CovarianceModel, SpectralCache
 
@@ -228,11 +228,10 @@ def _csw_ranking(model: CovarianceModel):
     scores ``norm(c_xy @ q_i)^2 / lambda_i`` and the order ``csw`` keeps
     the eigendirections in, highest score first.
 
-    Raises as :func:`~wclmmse.linalg._check_definite` does on the
-    eigenvalues of ``eig_y``.
+    Raises :class:`SingularMatrixError` where ``model.spectral.eig_y``
+    refuses a c_y too singular to invert.
     """
     eig = model.spectral.eig_y
-    _check_definite(eig.eigenvalues)
     proj = model.c_xy @ eig.eigenvectors
     scores = np.einsum("ij,ij->j", proj, proj) / eig.eigenvalues
     return eig, proj, scores, np.argsort(-scores, kind="stable")
@@ -341,8 +340,7 @@ def weighted_filter(model: CovarianceModel, g, base: FilterKind,
     if g.shape != (model.n, model.n):
         raise InvalidWeightError(
             f"weight must be {model.n} x {model.n}, got {g.shape}")
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
+    if not _has_full_column_rank(g):
         raise InvalidWeightError("weight matrix is numerically singular")
     if base not in FILTER_CONSTRUCTORS:
         raise ValueError(f"unsupported base filter kind: {base}")

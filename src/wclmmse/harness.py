@@ -54,16 +54,13 @@ _CACHE_READS = {
 class LPolicy:
     """Truncation-level policy for window-length sweeps.
 
-    ``fixed`` uses the given level everywhere, capped at m. ``best`` runs
-    :func:`~wclmmse.diagnostics.best_l_search` on the training covariances
-    over the levels max(1, n), max(1, n) + step, ... up to m, with step
-    max(1, m // 16): the level of smallest analytic MSE, ties to the
-    smaller level, always scored from a direct build; for ``jpc`` and
-    ``lsjpc`` a well-conditioned model needs one build, and the top
-    level's system is factored once. The row takes the filter the search
-    built at its level, so its ``wall_ms`` is the time of choosing and
-    building the filter, which is the search. ``wiener`` has no level:
-    either mode builds it once, at ``l=None``.
+    ``fixed`` uses the given level everywhere, capped at m. ``best`` takes
+    the level and the filter that
+    :func:`~wclmmse.diagnostics.best_l_search` finds on the training
+    covariances; its docstring gives the grid and the search. The row's
+    ``wall_ms`` is then the time of choosing and building the filter,
+    which is the search. ``wiener`` has no level: either mode builds it
+    once, at ``l=None``.
     """
 
     mode: str = "best"
@@ -79,13 +76,11 @@ class LPolicy:
                kind: FilterKind) -> tuple[int | None, LinearFilter | None]:
         """The level for ``kind`` on ``model`` (None for ``wiener``) and the
         filter built there, None when it cannot be built."""
-        m = model.m
         if kind is FilterKind.WIENER:
             return _build(kind, model, None)
         if self.mode == "fixed":
-            return _build(kind, model, min(self.l, m))
-        l, _, filt = best_l_search(model, kind, min(max(1, model.n), m), m,
-                                   max(1, m // 16))
+            return _build(kind, model, min(self.l, model.m))
+        l, _, filt = best_l_search(model, kind)
         return l, filt
 
 
@@ -115,8 +110,7 @@ def _prepare(source, m: int, n: int, seed: int):
             raise ValueError(
                 f"model has (n, m) = {(source.n, source.m)}, requested {(n, m)}")
         return source, sample_from_model(source, _TEST_DRAWS, seed=seed + 1), 0.0
-    cfg = dataio.SeriesConfig(m=m, n=n, seed=seed)
-    train, test, mean = dataio.window_samples(source, cfg)
+    train, test, mean = dataio.window_samples(source, m, n, seed)
     return estimate_covariance(train, n), test, mean
 
 
@@ -240,13 +234,13 @@ def run_condition_report(source, m_grid, n: int, seed: int = 0) -> list[tuple[in
     principal m x m block (the coordinates nearest the target block);
     for a series it is re-estimated at each length, and its condition
     number is the ``cond_cy`` of a ``sweep-m`` row at that length. The
-    grid must not be empty.
+    grid must not be empty, and for a model its lengths lie in [1, M].
     """
     rows = []
     for m in _nonempty(m_grid, "window-length"):
         if isinstance(source, CovarianceModel):
-            if m > source.m:
-                raise ValueError(f"m={m} exceeds model input dimension {source.m}")
+            if not 1 <= m <= source.m:
+                raise DimensionError(f"window length m={m} outside [1, {source.m}]")
             cond = condition_number(source.c_y[source.m - m :, source.m - m :])
         else:
             cond = _prepare(source, m, n, seed)[0].spectral.cond_y

@@ -156,8 +156,8 @@ class SpectralCache:
     is gone. The joint eigenvectors are row-partitioned into the X part
     (top n rows) and the Y part (bottom m rows); truncations are views of
     the leading columns. A c_y too singular to invert re-raises from the
-    stored ``eigvals_y`` on every access to ``eig_wiener``, without
-    solving or decomposing again.
+    stored ``eigvals_y`` on every access to ``eig_wiener`` or ``eig_y``,
+    without solving or decomposing.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -244,7 +244,13 @@ class SpectralCache:
 
     @cached_property
     def eig_y(self) -> SymEig:
-        """The m x m eigendecomposition of c_y, which only ``csw`` reads."""
+        """The m x m eigendecomposition of c_y, which only ``csw`` reads.
+
+        Raises :class:`SingularMatrixError` as ``_check_definite`` does on
+        ``eigvals_y``, before decomposing, so a c_y too singular to invert
+        is refused by the same rule as in ``eig_wiener``.
+        """
+        _check_definite(self.eigvals_y)
         return sym_eig(self.c_y)
 
 

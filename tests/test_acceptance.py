@@ -18,7 +18,6 @@ from wclmmse import (
     DimensionError,
     FilterKind,
     Prefilter,
-    SeriesConfig,
     SingularMatrixError,
     analytic_mse,
     condition_number,
@@ -279,20 +278,17 @@ def test_criterion_8_real_data_pipeline():
             series = load_csv(path, date_column="date", value_column="close")
         assert len(series) == 7923
 
-        cfg = SeriesConfig(m=2000, n=7, seed=0)
-        train, test, _ = window_samples(series, cfg)
+        train, test, _ = window_samples(series, 2000, 7, 0)
         assert abs(train.shape[0] + test.shape[0] - 5917) <= 1
         assert abs(train.shape[0] - 4733) <= 1
         assert abs(test.shape[0] - 1184) <= 1
 
-        cfg1600 = SeriesConfig(m=1600, n=7, seed=0)
-        train1600, _, _ = window_samples(series, cfg1600)
+        train1600, _, _ = window_samples(series, 1600, 7, 0)
         model1600 = estimate_covariance(train1600, 7)
         cond = condition_number(model1600.c_y)
         assert 5e4 <= cond <= 1e6, f"cond at m=1600: {cond:.3e}"
 
-        cfg3200 = SeriesConfig(m=3200, n=7, seed=0)
-        train3200, test_z, mean3200 = window_samples(series, cfg3200)
+        train3200, test_z, mean3200 = window_samples(series, 3200, 7, 0)
         model3200 = estimate_covariance(train3200, 7)
         rms_wiener = normalized_rms(wiener(model3200), test_z, mean3200)
         # truncation level inside the reported flat region around the optimum

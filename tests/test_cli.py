@@ -157,6 +157,17 @@ class TestCond:
                    "--out", str(out)])
         assert rc == 0
 
+    def test_model_window_length_below_one_is_an_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.bin"
+        main(["synth", "--n", "2", "--m", "8", "--seed", "2", "--out", str(model_path)])
+        capsys.readouterr()
+        out = tmp_path / "cond.csv"
+        rc = main(["cond", "--model", str(model_path), "--m-grid", "0,4",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: window length m=0 outside [1, 8]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScaling:
     def test_study_csv(self, tmp_path):

@@ -14,7 +14,6 @@ from wclmmse import (
     LinearFilter,
     ModelError,
     NumericInputError,
-    SeriesConfig,
     estimate_covariance,
     load_csv,
     normalized_rms,
@@ -83,16 +82,15 @@ class TestLoadCsv:
 class TestWindowSamples:
     def test_window_count(self):
         series = ar1_series(10, seed=0)
-        train, test, _ = window_samples(series, SeriesConfig(m=2, n=1, seed=0))
+        train, test, _ = window_samples(series, 2, 1, 0)
         assert train.shape[0] + test.shape[0] == 7
         assert train.shape[1] == test.shape[1] == 3
 
     def test_later_values_on_top(self):
         series = ar1_series(12, seed=1)
-        cfg = SeriesConfig(m=3, n=2, seed=0)
-        train, test, mean = window_samples(series, cfg)
+        train, test, mean = window_samples(series, 3, 2, 0)
         windows = np.concatenate([train, test])
-        starts = window_starts(series, windows, mean, cfg.n)
+        starts = window_starts(series, windows, mean, 2)
         # window i = [values[i+3 : i+5] | values[i : i+3]], mean-shifted
         for i in (0, 4):
             expected = np.concatenate([series[i + 3 : i + 5], series[i : i + 3]])
@@ -101,14 +99,14 @@ class TestWindowSamples:
 
     def test_rows_in_increasing_window_order(self):
         series = ar1_series(60, seed=6)
-        train, test, mean = window_samples(series, SeriesConfig(m=4, n=2, seed=3))
+        train, test, mean = window_samples(series, 4, 2, 3)
         for rows in (train, test):
             assert rows.flags["C_CONTIGUOUS"]
             assert np.all(np.diff(window_starts(series, rows, mean, 2)) > 0)
 
     def test_constant_series_centers_to_zero(self):
         series = ar1_series(20, sigma=0.0, phi=0.0, level=20.0, seed=2)
-        train, test, _ = window_samples(series, SeriesConfig(m=3, n=1, seed=0))
+        train, test, _ = window_samples(series, 3, 1, 0)
         np.testing.assert_array_equal(train, np.zeros_like(train))
         np.testing.assert_array_equal(test, np.zeros_like(test))
         model = estimate_covariance(train, n=1)
@@ -116,18 +114,17 @@ class TestWindowSamples:
 
     def test_training_mean_is_zero_after_subtraction(self):
         series = ar1_series(200, seed=3)
-        train, _, _ = window_samples(series, SeriesConfig(m=5, n=2, seed=1))
+        train, _, _ = window_samples(series, 5, 2, 1)
         assert abs(train.mean()) <= 1e-10
 
     def test_round_trip_reassembles_series(self):
         # the K = len - (m+n) window count leaves the final value uncovered
         series = ar1_series(40, seed=4)
-        cfg = SeriesConfig(m=4, n=2, seed=0)
-        train, test, mean = window_samples(series, cfg)
+        train, test, mean = window_samples(series, 4, 2, 0)
         windows = np.concatenate([train, test])
         centered = series - mean
         rebuilt = np.full(40, np.nan)
-        for i, row in zip(window_starts(series, windows, mean, cfg.n), windows):
+        for i, row in zip(window_starts(series, windows, mean, 2), windows):
             rebuilt[i : i + 4] = row[2:]      # earlier block
             rebuilt[i + 4 : i + 6] = row[:2]  # later block
         assert np.array_equal(rebuilt[:-1], centered[:-1])
@@ -136,16 +133,18 @@ class TestWindowSamples:
     def test_too_short(self):
         series = ar1_series(6, seed=5)
         with pytest.raises(DegenerateDataError):
-            window_samples(series, SeriesConfig(m=4, n=2, seed=0))
+            window_samples(series, 4, 2, 0)
 
     def test_rejects_series_not_1d_or_not_finite(self):
         series = ar1_series(40, seed=5)
-        cfg = SeriesConfig(m=4, n=2, seed=0)
         with pytest.raises(DimensionError):
-            window_samples(series.reshape(2, 20), cfg)
+            window_samples(series.reshape(2, 20), 4, 2, 0)
+        for m, n in ((0, 2), (4, 0)):
+            with pytest.raises(DimensionError):
+                window_samples(series, m, n, 0)
         series[17] = np.nan
         with pytest.raises(NumericInputError):
-            window_samples(series, cfg)
+            window_samples(series, 4, 2, 0)
 
     def test_peak_memory_is_the_returned_windows(self):
         # k = 2200 windows of m + n = 207 values: the windows are gathered
@@ -154,7 +153,7 @@ class TestWindowSamples:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            train, test, _ = window_samples(series, SeriesConfig(m=200, n=7, seed=0))
+            train, test, _ = window_samples(series, 200, 7, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -164,34 +163,33 @@ class TestWindowSamples:
 class TestSplit:
     def test_sizes(self):
         series = ar1_series(16, seed=6)
-        train, test, _ = window_samples(series, SeriesConfig(m=4, n=2, seed=0))
+        train, test, _ = window_samples(series, 4, 2, 0)
         assert train.shape[0] + test.shape[0] == 10
         assert test.shape[0] == 2 and train.shape[0] == 8
 
     def test_deterministic_and_disjoint(self):
         series = ar1_series(30, seed=7)
-        cfg = SeriesConfig(m=4, n=2, seed=11)
-        one = window_samples(series, cfg)
-        two = window_samples(series, cfg)
+        one = window_samples(series, 4, 2, 11)
+        two = window_samples(series, 4, 2, 11)
         assert np.array_equal(one[0], two[0])
         assert np.array_equal(one[1], two[1])
         assert one[2] == two[2]
-        train = window_starts(series, one[0], one[2], cfg.n)
-        test = window_starts(series, one[1], one[2], cfg.n)
+        train = window_starts(series, one[0], one[2], 2)
+        test = window_starts(series, one[1], one[2], 2)
         assert np.intersect1d(train, test).size == 0
         assert train.size + test.size == 30 - 6
 
     def test_seed_changes_partition(self):
         series = ar1_series(30, seed=8)
-        _, one, mean_one = window_samples(series, SeriesConfig(m=4, n=2, seed=1))
-        _, two, mean_two = window_samples(series, SeriesConfig(m=4, n=2, seed=2))
+        _, one, mean_one = window_samples(series, 4, 2, 1)
+        _, two, mean_two = window_samples(series, 4, 2, 2)
         assert not np.array_equal(window_starts(series, one, mean_one, 2),
                                   window_starts(series, two, mean_two, 2))
 
     def test_degenerate_count(self):
         series = ar1_series(8, seed=9)
         with pytest.raises(DegenerateDataError):
-            window_samples(series, SeriesConfig(m=3, n=1, seed=0))
+            window_samples(series, 3, 1, 0)
 
 
 class TestNormalizedRms:

@@ -11,7 +11,6 @@ from wclmmse import (
     DimensionError,
     FilterKind,
     RankError,
-    SeriesConfig,
     SingularMatrixError,
     analytic_mse,
     best_l_search,
@@ -30,7 +29,7 @@ from wclmmse import (
     wiener,
     window_samples,
 )
-from wclmmse.diagnostics import _mse_profile
+from wclmmse.diagnostics import _mse_profile, _search_grid
 from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
@@ -234,11 +233,12 @@ class TestScalingStudy:
         assert nuc.dist[0] >= fro.dist[0]
 
 
-def _exhaustive_search(model, kind, l_min, l_max, step):
+def _exhaustive_search(model, kind):
     """Reference for best_l_search: build and score every grid level in
     order; a strictly smaller MSE wins, so ties keep the smaller level."""
-    best_l, best_mse = l_min, np.inf
-    for l in range(l_min, l_max + 1, step):
+    grid = _search_grid(model)
+    best_l, best_mse = grid[0], np.inf
+    for l in grid:
         try:
             mse = analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l))
         except (SingularMatrixError, RankError):
@@ -248,21 +248,9 @@ def _exhaustive_search(model, kind, l_min, l_max, step):
     return best_l, float(best_mse)
 
 
-def _policy_grid(model):
-    """The grid of ``--l-policy best``: max(1, n) to m in steps of m // 16."""
-    m = model.m
-    return min(max(1, model.n), m), m, max(1, m // 16)
-
-
-def _grid_levels(model):
-    l_min, l_max, step = _policy_grid(model)
-    return list(range(l_min, l_max + 1, step))
-
-
 def _series_model(length, phi, seed, m, n):
     """Covariance estimated from the training windows of an AR(1) series."""
-    train, _, _ = window_samples(ar1_series(length, phi=phi, seed=seed),
-                                 SeriesConfig(m=m, n=n, seed=seed))
+    train, _, _ = window_samples(ar1_series(length, phi=phi, seed=seed), m, n, seed)
     return estimate_covariance(train, n)
 
 
@@ -294,33 +282,34 @@ _SEARCH_MODELS = {
 
 
 class TestBestLSearch:
+    def test_grid_runs_from_n_to_m_in_sixteenths(self):
+        # min(max(1, n), m) to m in steps of max(1, m // 16)
+        assert list(_search_grid(haar_model(7, 400, seed=0))) == [
+            7, 32, 57, 82, 107, 132, 157, 182, 207, 232, 257, 282, 307, 332, 357, 382]
+        assert list(_search_grid(haar_model(2, 4, seed=0))) == [2, 3, 4]
+        assert list(_search_grid(haar_model(4, 3, seed=0))) == [3]
+
     def test_single_point_grid(self):
-        model = haar_model(2, 4, ratio=0.6, seed=18)
-        l_best, mse_best, filt = best_l_search(model, FilterKind.JPC, 2, 2)
-        assert l_best == 2
-        assert mse_best == pytest.approx(analytic_mse(model, __import__("wclmmse").jpc(model, 2)))
-        assert filt.kind is FilterKind.JPC and filt.l == 2
+        # n > m: the grid is the one level m
+        model = haar_model(4, 3, ratio=0.6, seed=18)
+        l_best, mse_best, filt = best_l_search(model, FilterKind.JPC)
+        assert l_best == 3
+        assert mse_best == pytest.approx(analytic_mse(model, __import__("wclmmse").jpc(model, 3)))
+        assert filt.kind is FilterKind.JPC and filt.l == 3
 
     def test_monotone_training_mse_puts_optimum_at_top(self):
         # in exact arithmetic the training mse of the joint-eigenbasis
         # truncation only improves with more components
         model = haar_model(2, 6, ratio=0.8, seed=19)
-        l_best, _, _ = best_l_search(model, FilterKind.JPC, 1, 6)
+        l_best, _, _ = best_l_search(model, FilterKind.JPC)
         assert l_best == 6
 
     def test_plateau_breaks_toward_smaller_l(self):
         # the rank of the svd truncation saturates at n=2, so every level
         # from 2 up has bit-identical mse: the search must return 2
         model = haar_model(2, 6, ratio=0.6, seed=20)
-        l_best, _, _ = best_l_search(model, FilterKind.LRW, 2, 6)
+        l_best, _, _ = best_l_search(model, FilterKind.LRW)
         assert l_best == 2
-
-    def test_empty_grid(self):
-        model = haar_model(2, 4, seed=21)
-        with pytest.raises(DimensionError):
-            best_l_search(model, FilterKind.JPC, 5, 2)
-        with pytest.raises(DimensionError):
-            best_l_search(model, FilterKind.JPC, 1, 4, step=0)
 
     @pytest.mark.parametrize("kind", [FilterKind.WIENER, FilterKind.WIENER_STRUCTURED,
                                       FilterKind.WEIGHTED])
@@ -329,7 +318,7 @@ class TestBestLSearch:
         model = haar_model(2, 8, seed=21)
         builds = _counting_builds(monkeypatch, FilterKind.WIENER)
         with pytest.raises(ValueError, match="undefined"):
-            best_l_search(model, kind, 1, 8)
+            best_l_search(model, kind)
         assert builds == []
 
     # The profile-ordered search returns what building every level does.
@@ -338,27 +327,26 @@ class TestBestLSearch:
     @pytest.mark.parametrize("name", sorted(_SEARCH_MODELS))
     def test_matches_exhaustive_search(self, name, kind):
         model = _SEARCH_MODELS[name]()
-        grid = _policy_grid(model)
-        assert best_l_search(model, kind, *grid)[:2] == _exhaustive_search(model, kind, *grid)
+        assert best_l_search(model, kind)[:2] == _exhaustive_search(model, kind)
 
     def test_ill_conditioned_model_needs_several_builds(self, monkeypatch):
         model = _SEARCH_MODELS["synthetic_0.9_m400"]()
         builds = _counting_builds(monkeypatch, FilterKind.JPC)
-        best_l_search(model, FilterKind.JPC, *_policy_grid(model))
-        assert 1 < len(builds) < len(_grid_levels(model))
+        best_l_search(model, FilterKind.JPC)
+        assert 1 < len(builds) < len(_search_grid(model))
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
     def test_well_conditioned_search_builds_one_level(self, monkeypatch, kind):
         # the exhaustive search builds all 17 grid levels
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, kind)
-        l_best, _, _ = best_l_search(model, kind, *_policy_grid(model))
+        l_best, _, _ = best_l_search(model, kind)
         assert builds == [l_best]
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC, FilterKind.LRW])
     def test_returns_the_build_it_scored(self, kind):
         model = _SEARCH_MODELS["ar1_n7_m200"]()
-        l_best, mse_best, filt = best_l_search(model, kind, *_policy_grid(model))
+        l_best, mse_best, filt = best_l_search(model, kind)
         direct = FILTER_CONSTRUCTORS[kind](model, l_best)
         assert filt.kind is kind and filt.l == l_best
         assert np.array_equal(filt.matrix, direct.matrix)
@@ -367,23 +355,24 @@ class TestBestLSearch:
     def test_no_buildable_level_returns_no_filter(self):
         # c_y is singular in float64, so lrw cannot whiten at any level
         model = haar_model(2, 8, ratio=0.02, seed=3)
-        assert best_l_search(model, FilterKind.LRW, 1, 8) == (1, np.inf, None)
+        assert best_l_search(model, FilterKind.LRW) == (2, np.inf, None)
 
     def test_search_without_profile_builds_every_level(self, monkeypatch):
         # csw has no profile, and each level keeps one more direction
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, FilterKind.CSW)
-        best_l_search(model, FilterKind.CSW, *_policy_grid(model))
-        assert builds == _grid_levels(model)
+        best_l_search(model, FilterKind.CSW)
+        assert builds == list(_search_grid(model))
 
     def test_lrw_search_builds_each_truncation_once(self, monkeypatch):
-        # lrw keeps min(l, n) = 7 triplets from l = 7 up, so levels 10, 13,
-        # ... build level 7's filter again; the exhaustive loop builds 67
+        # lrw keeps min(l, n) = 7 triplets at every level of the grid 7, 19,
+        # ..., 199, so the other levels would build level 7's filter again;
+        # the exhaustive loop builds all 17
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, FilterKind.LRW)
-        found = best_l_search(model, FilterKind.LRW, 1, model.m, 3)
-        assert builds == [1, 4, 7]
-        assert found[:2] == _exhaustive_search(model, FilterKind.LRW, 1, model.m, 3)
+        found = best_l_search(model, FilterKind.LRW)
+        assert builds == [7]
+        assert found[:2] == _exhaustive_search(model, FilterKind.LRW)
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
     def test_profile_matches_direct_builds(self, kind):
@@ -391,7 +380,7 @@ class TestBestLSearch:
         # MSE here grows to 250 tr(c_x), where the two agree to about 1e-12
         # relative
         model = _SEARCH_MODELS["ar1_n7_m200"]()
-        levels = _grid_levels(model)
+        levels = list(_search_grid(model))
         profile, _ = _mse_profile(model, kind, levels)
         direct = [analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l)) for l in levels]
         np.testing.assert_allclose(profile, direct, rtol=1e-10,
@@ -401,9 +390,9 @@ class TestBestLSearch:
         # their direct builds are rounding noise larger than 1e-8 tr(c_x)
         model = _SEARCH_MODELS["rank_edge_m55"]()
         builds = _counting_builds(monkeypatch, FilterKind.LSJPC)
-        best_l_search(model, FilterKind.LSJPC, *_policy_grid(model))
+        best_l_search(model, FilterKind.LSJPC)
         edge = []
-        for l in _grid_levels(model):
+        for l in _search_grid(model):
             try:
                 margin = model.spectral.check_y_rank(l)
             except RankError:
@@ -436,5 +425,4 @@ def _small_models(draw):
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(model=_small_models(), kind=st.sampled_from([FilterKind.JPC, FilterKind.LSJPC]))
 def test_best_l_search_equals_exhaustive_search(model, kind):
-    grid = _policy_grid(model)
-    assert best_l_search(model, kind, *grid)[:2] == _exhaustive_search(model, kind, *grid)
+    assert best_l_search(model, kind)[:2] == _exhaustive_search(model, kind)

@@ -348,8 +348,8 @@ class TestSimplifiedVariants:
 
 class TestSpectralCache:
     def test_singular_c_y_reraises_without_decomposing_again(self, sym_eig_shapes):
-        # lrw's decomposition re-raises from the stored eigenvalues of c_y,
-        # the smallest of which is eigh's (csw's) to rounding
+        # lrw's and csw's decompositions both re-raise from the stored
+        # eigenvalues of c_y, before either decomposes anything
         model = haar_model(2, 8, ratio=0.02, seed=3)
         cache = model.spectral
         raised = []
@@ -362,7 +362,7 @@ class TestSpectralCache:
                 build(model, 2)
         assert raised == [raised[0]] * 3
         assert raised[0] == (7, float(cache.eigvals_y[-1]))
-        assert sym_eig_shapes == [(8, 8)]
+        assert sym_eig_shapes == []
         with pytest.raises(SingularMatrixError) as info:
             inv_sqrt_spd(model.c_y)
         assert info.value.index == raised[0][0]
@@ -378,7 +378,7 @@ class TestSpectralCache:
     def test_every_caller_shares_the_model_decompositions(self, sym_eig_shapes):
         model = haar_model(2, 6, seed=28)
         for kind in (FilterKind.JPC, FilterKind.LSJPC):
-            best_l_search(model, kind, 1, 6)
+            best_l_search(model, kind)
         scaling_study(model, FilterKind.JPC, [2, 4])
         lrw(model, 2)
         csw(model, 2)
@@ -542,7 +542,7 @@ class TestWellConditionedCertificates:
                         pass
         model = haar_model(2, 6, ratio=0.7, seed=33)
         for kind in (FilterKind.JPC, FilterKind.LSJPC):
-            assert best_l_search(model, kind, 1, model.m)[2] is not None
+            assert best_l_search(model, kind)[2] is not None
         assert {name for name, _ in callers} == {"cholesky", "lu"}
         assert {code for _, code in callers} == {linalg.solve_spd.__code__}
 

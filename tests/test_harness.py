@@ -19,19 +19,22 @@ from wclmmse import (
     FilterKind,
     LinearFilter,
     LPolicy,
-    SeriesConfig,
+    RankError,
+    SingularMatrixError,
     analytic_mse,
     best_l_search,
     condition_number,
     estimate_covariance,
     jpc,
     geometric_spectrum,
+    lsjpc,
     run_condition_report,
     run_l_sweep,
     run_m_sweep,
     window_samples,
 )
 from wclmmse import harness
+from wclmmse.diagnostics import _search_grid
 from wclmmse.filters import FILTER_CONSTRUCTORS
 from wclmmse.harness import parse_l_policy
 
@@ -198,13 +201,14 @@ class TestRunLSweep:
 
     def test_singular_c_y_is_decomposed_once(self, sym_eig_shapes):
         # c_y is singular in float64, so lrw and csw fail at every level;
-        # their rows must not decompose c_y again
+        # both are refused from the eigenvalues of c_y, and only the joint
+        # c_z is decomposed
         model = haar_model(2, 8, ratio=0.02, seed=3)
         rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
         failed = [r for r in rows if r.filter in ("lrw", "csw")]
         assert len(failed) == 6 and all(np.isnan(r.norm_rms) for r in failed)
         assert all(np.isnan(r.rho_l) for r in failed)
-        assert sorted(sym_eig_shapes) == [(8, 8), (10, 10)]
+        assert sorted(sym_eig_shapes) == [(10, 10)]
 
 
 class TestRunMSweep:
@@ -285,21 +289,31 @@ class TestRunMSweep:
 
     def test_best_policy_factors_lsjpcs_top_system_once(self, monkeypatch):
         # on the same model lsjpc's top-level Y'Y is definite and the search
-        # picks that level: its profile and its build there share one
-        # Cholesky factorization, and the row is bit for bit a fixed row
+        # builds every level up to it: its profile and its build there share
+        # one Cholesky factorization, and the row is bit for bit a fixed row.
+        # The MSEs there are rounding noise, so the level picked depends on
+        # the BLAS thread count; it must be the one building and scoring
+        # every grid level here picks
         row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "lsjpc")
-        assert row.l == 242 and 242 in built
+        assert 242 in built
         y = model.spectral.y_block(242)
         assert _factorizations_of(factored, y.T @ y) == 1
+        mse = {}
+        for l in _search_grid(model):
+            try:
+                mse[l] = analytic_mse(model, lsjpc(model, l))
+            except (SingularMatrixError, RankError):
+                pass
+        assert row.l == min(mse, key=lambda l: (mse[l], l))
         _assert_is_the_fixed_row(row)
 
     def test_nothing_is_memoized_across_calls(self, monkeypatch):
         # the search drops the system it handed to its build: a fixed build
         # on the searched model factors its own system, to the same bits
         series = ar1_series(1500, phi=0.95, seed=0)
-        train, _, _ = window_samples(series, SeriesConfig(m=100, n=7, seed=0))
+        train, _, _ = window_samples(series, 100, 7, 0)
         model = estimate_covariance(train, 7)
-        l, _, searched = best_l_search(model, FilterKind.JPC, 7, 100, 6)
+        l, _, searched = best_l_search(model, FilterKind.JPC)
         factored = _record_cho_factor(monkeypatch)
         fixed = jpc(model, l)
         assert [np.shape(a) for a in factored] == [(l, l)]
@@ -331,7 +345,7 @@ class TestRunMSweep:
         for m, grid in ((6, range(2, 7)), (64, range(2, 65, 4))):
             rows = run_m_sweep(series, [m], 2, ["jpc"], LPolicy(mode="best"), seed=0)
             assert len(rows) == 1
-            train, _, _ = window_samples(series, SeriesConfig(m=m, n=2, seed=0))
+            train, _, _ = window_samples(series, m, 2, 0)
             model = estimate_covariance(train, 2)
             mse = {l: analytic_mse(model, jpc(model, l)) for l in grid}
             assert rows[0].l == min(mse, key=lambda l: (mse[l], l))
@@ -411,9 +425,11 @@ class TestRunConditionReport:
         assert report == [(r.m, r.cond_cy) for r in rows]
 
     def test_m_exceeding_model_rejected(self):
+        # and m below 1, whose trailing block would be empty
         model = haar_model(2, 4, seed=9)
-        with pytest.raises(ValueError):
-            run_condition_report(model, [8], 2)
+        for m in (8, 0, -3):
+            with pytest.raises(DimensionError, match=rf"window length m={m} outside \[1, 4\]"):
+                run_condition_report(model, [m], 2)
 
 
 _TIMING_CHILD = """

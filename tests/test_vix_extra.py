@@ -11,7 +11,6 @@ import pytest
 from test_acceptance import _vix_path
 from wclmmse import (
     DimensionError,
-    SeriesConfig,
     estimate_covariance,
     jpc,
     load_csv,
@@ -38,8 +37,7 @@ def test_condition_number_grows_two_orders(vix_series):
 
 
 def test_jpc_insensitive_to_truncation_level_at_m3200(vix_series):
-    cfg = SeriesConfig(m=3200, n=7, seed=0)
-    train, test_z, mean = window_samples(vix_series, cfg)
+    train, test_z, mean = window_samples(vix_series, 3200, 7, 0)
     model = estimate_covariance(train, 7)
     rms = [normalized_rms(jpc(model, l), test_z, mean)
            for l in (300, 400, 500)]
