@@ -26,7 +26,7 @@ from wclmmse import (
 # spectrum that decays geometrically. The random eigenbasis is seeded,
 # so every run of this script prints the same numbers.
 n, m, l = 4, 32, 8
-model = synthetic_model(n, m, geometric_spectrum(n + m, scale=1.0, ratio=0.8), seed=42)
+model = synthetic_model(n, geometric_spectrum(n + m, scale=1.0, ratio=0.8), seed=42)
 
 print(f"model: n={n}, m={m}, truncation level l={l}")
 print(f"{'filter':<18} {'analytic mse':>14} {'largest inverse':>16}")

@@ -24,7 +24,7 @@ from wclmmse import (
 )
 
 n, m = 4, 256
-model = synthetic_model(n, m, geometric_spectrum(n + m, 1.0, 0.91), seed=7)
+model = synthetic_model(n, geometric_spectrum(n + m, 1.0, 0.91), seed=7)
 
 # Condition number of the trailing k x k input covariance block as the
 # effective window grows.
@@ -44,7 +44,6 @@ def perturb(a):
 c_y_p = perturb(model.c_y)
 c_x_p = perturb(model.c_x)
 perturbed = CovarianceModel(
-    n=n, m=m,
     c_x=0.5 * (c_x_p + c_x_p.T),
     c_y=0.5 * (c_y_p + c_y_p.T),
     c_xy=perturb(model.c_xy),

@@ -11,7 +11,7 @@ gap, and the Gram defect of the kept basis on a well-conditioned model.
 from wclmmse import FilterKind, geometric_spectrum, scaling_study, synthetic_model
 
 n, m = 2, 12
-model = synthetic_model(n, m, geometric_spectrum(n + m, 1.0, 0.5), seed=3)
+model = synthetic_model(n, geometric_spectrum(n + m, 1.0, 0.5), seed=3)
 
 for kind in (FilterKind.JPC, FilterKind.LSJPC, FilterKind.LRW):
     study = scaling_study(model, kind, range(1, m + 1), norm="nuclear")

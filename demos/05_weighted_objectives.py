@@ -26,7 +26,7 @@ from wclmmse import (
     wiener,
 )
 
-model = synthetic_model(3, 8, geometric_spectrum(11, 1.0, 0.7), seed=21)
+model = synthetic_model(3, geometric_spectrum(11, 1.0, 0.7), seed=21)
 l = 2
 
 # Weighting can never move the unconstrained optimum: inv(g) g cancels.

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dataio, harness
 from .diagnostics import scaling_study
+from .errors import ModelError
 from .model import CovarianceModel, geometric_spectrum, synthetic_model
 
 __all__ = ["main"]
@@ -55,17 +56,22 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def save_model(model: CovarianceModel, path) -> None:
+    """Write the model's three blocks, and nothing else, as an ``.npz`` archive."""
     with open(path, "wb") as handle:
-        np.savez(handle, n=model.n, m=model.m, c_x=model.c_x,
-                 c_xy=model.c_xy, c_y=model.c_y)
+        np.savez(handle, c_x=model.c_x, c_xy=model.c_xy, c_y=model.c_y)
 
 
 def load_model(path) -> CovarianceModel:
-    with np.load(path) as data:
-        return CovarianceModel(
-            n=int(data["n"]), m=int(data["m"]),
-            c_x=data["c_x"], c_y=data["c_y"], c_xy=data["c_xy"],
-        )
+    """The model of the archive's ``c_x``, ``c_xy`` and ``c_y``; other arrays
+    are ignored, and a file without all three raises :class:`ModelError`."""
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ModelError(f"{path} is not a model archive")
+    with data:
+        missing = [name for name in ("c_x", "c_xy", "c_y") if name not in data.files]
+        if missing:
+            raise ModelError(f"{path} has no {', '.join(missing)} block")
+        return CovarianceModel(data["c_x"], data["c_y"], data["c_xy"])
 
 
 def _load_source(args):
@@ -93,7 +99,7 @@ def _write_rows(rows, out: str) -> None:
 
 def _cmd_synth(args) -> int:
     spectrum = _parse_spectrum(args.spectrum, args.n + args.m)
-    model = synthetic_model(args.n, args.m, spectrum, seed=args.seed)
+    model = synthetic_model(args.n, spectrum, seed=args.seed)
     save_model(model, args.out)
     print(f"wrote {args.out} (n={model.n}, m={model.m})")
     return 0

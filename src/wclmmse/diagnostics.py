@@ -25,7 +25,7 @@ from .filters import (
     _structured_system,
     wiener,
 )
-from .linalg import SPDFactor, matrix_norm
+from .linalg import SPDFactor, matrix_norm, solve_spd
 from .model import CovarianceModel
 
 __all__ = [
@@ -236,11 +236,12 @@ def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
     For ``jpc``, with ``(Y' c_y) Y = U'U`` and ``B = Y' c_xy'``, the MSE
     at l is ``tr(c_x)`` minus the sum of the first l squared row norms of
     ``U^-T B``. For ``lsjpc``, with ``Y'Y = U'U``, the filter at l is
-    ``u_l' Y_l'`` with ``u_l = U_l^-1 U_l^-T X_l'``; it is scored as an
-    n x m matrix, because expanding its quadratic form through the Gram
-    multiplies the rounding of ``Y_l'(.)Y_l`` by u_l, which is large along
-    Y_l's near-null directions. Returns (None, None) when there is no
-    level, and a None profile when the Cholesky fails.
+    ``u_l' Y_l'``, u_l the :func:`solve_spd` of ``SPDFactor((U_l, False))``
+    against X_l'; it is scored as an n x m matrix, because expanding its
+    quadratic form through the Gram multiplies the rounding of
+    ``Y_l'(.)Y_l`` by u_l, which is large along Y_l's near-null
+    directions. Returns (None, None) when there is no level, and a None
+    profile when the Cholesky fails.
     """
     if not levels:
         return None, None
@@ -257,8 +258,7 @@ def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
     x = model.spectral.x_block(max(levels))
     profile = []
     for l in levels:
-        w = scipy.linalg.solve_triangular(u[:l, :l], x[:, :l].T, trans="T", check_finite=False)
-        v = scipy.linalg.solve_triangular(u[:l, :l], w, check_finite=False)
+        v = solve_spd(SPDFactor((u[:l, :l], False)), x[:, :l].T)
         profile.append(_mse(model, v.T @ y[:, :l].T))
     return profile, system
 

@@ -82,8 +82,8 @@ class LinearFilter:
 
     matrix: NDArray[np.float64]
     kind: FilterKind
+    max_inverse_dim: int
     l: int | None = None
-    max_inverse_dim: int = 0
 
     @property
     def n(self) -> int:
@@ -338,28 +338,17 @@ def weighted_filter(model: CovarianceModel, g, base: FilterKind,
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (model.n, model.n):
-        raise InvalidWeightError(
-            f"weight must be {model.n} x {model.n}, got {g.shape}")
+        raise InvalidWeightError(f"weight must be {model.n} x {model.n}, got {g.shape}")
     if not _has_full_column_rank(g):
         raise InvalidWeightError("weight matrix is numerically singular")
     if base not in FILTER_CONSTRUCTORS:
         raise ValueError(f"unsupported base filter kind: {base}")
     c_x_t = g @ model.c_x @ g.T
-    transformed = CovarianceModel(
-        n=model.n,
-        m=model.m,
-        c_x=0.5 * (c_x_t + c_x_t.T),
-        c_y=model.c_y,
-        c_xy=g @ model.c_xy,
-    )
+    transformed = CovarianceModel(0.5 * (c_x_t + c_x_t.T), model.c_y, g @ model.c_xy)
     inner = FILTER_CONSTRUCTORS[base](transformed, l)
     matrix = np.linalg.solve(g, inner.matrix)
-    return LinearFilter(
-        matrix=matrix,
-        kind=FilterKind.WEIGHTED,
-        l=inner.l,
-        max_inverse_dim=max(inner.max_inverse_dim, model.n),
-    )
+    return LinearFilter(matrix=matrix, kind=FilterKind.WEIGHTED, l=inner.l,
+                        max_inverse_dim=max(inner.max_inverse_dim, model.n))
 
 
 def det_optimal_weight(model: CovarianceModel) -> NDArray[np.float64]:

@@ -166,11 +166,16 @@ class SPDFactor:
     """A square system A as :func:`factor_spd` factors it, for any number
     of :func:`solve_spd` calls: ``cholesky`` is ``scipy.linalg.cho_factor``'s
     upper factor of A, or None where that fails; ``lhs`` then keeps A for
-    the LU solve that :func:`solve_spd` falls back to."""
+    the LU solve that :func:`solve_spd` falls back to. The leading l x l
+    block u[:l, :l] of an upper factor u of A is the upper factor of A's
+    leading l x l block, so ``SPDFactor((u[:l, :l], False))`` is that block."""
 
-    dim: int
     cholesky: tuple[Matrix, bool] | None
     lhs: Matrix | None = None
+
+    @property
+    def dim(self) -> int:
+        return (self.lhs if self.cholesky is None else self.cholesky[0]).shape[0]
 
 
 def factor_spd(a) -> SPDFactor:
@@ -179,9 +184,9 @@ def factor_spd(a) -> SPDFactor:
     :func:`solve_spd`'s LU solve."""
     a = _as_square(a, "solve_spd lhs")
     try:
-        return SPDFactor(a.shape[0], scipy.linalg.cho_factor(a, check_finite=False))
+        return SPDFactor(scipy.linalg.cho_factor(a, check_finite=False))
     except scipy.linalg.LinAlgError:
-        return SPDFactor(a.shape[0], None, a)
+        return SPDFactor(None, a)
 
 
 def solve_spd(system: SPDFactor, b) -> Matrix:

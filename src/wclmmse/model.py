@@ -5,7 +5,8 @@ holds the target block X in its TOP ``n`` coordinates and the input block
 Y in the BOTTOM ``m`` coordinates. :func:`assemble_joint` and
 :func:`split_joint` are the single source of truth for that layout.
 Sample vectors, estimated from or drawn for a model, are the rows of a
-plain (k, n+m) array in the same layout.
+plain (k, n+m) array in the same layout. A model is given by its three
+blocks alone: n and m are read from their shapes.
 
 Each model owns its decompositions: :attr:`CovarianceModel.spectral` is
 the model's one :class:`SpectralCache`, built on first access, and every
@@ -91,34 +92,33 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
 class CovarianceModel:
     """The covariance triple (c_x, c_y, c_xy) plus the assembled joint c_z.
 
-    ``n`` is the dimension of the estimated block X, ``m`` of the input
-    block Y. Instances are treated as immutable after construction; the
-    joint covariance ``c_z`` is always the exact block assembly of the
-    triple, never an independent estimate.
+    ``n``, the dimension of the estimated block X, is read from ``c_x``,
+    and ``m``, that of the input block Y, from ``c_y``; c_x and c_y must
+    be square and symmetric, c_xy n x m, and all three finite. Instances
+    are treated as immutable after construction; the joint covariance
+    ``c_z`` is always the exact block assembly of the triple.
     """
 
-    n: int
-    m: int
     c_x: NDArray[np.float64]
     c_y: NDArray[np.float64]
     c_xy: NDArray[np.float64]
+    n: int = field(init=False)
+    m: int = field(init=False)
     c_z: NDArray[np.float64] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.c_x = np.asarray(self.c_x, dtype=np.float64)
-        self.c_y = np.asarray(self.c_y, dtype=np.float64)
-        self.c_xy = np.asarray(self.c_xy, dtype=np.float64)
-        n, m = self.n, self.m
-        if self.c_x.shape != (n, n):
-            raise DimensionError(f"c_x has shape {self.c_x.shape}, expected {(n, n)}")
-        if self.c_y.shape != (m, m):
-            raise DimensionError(f"c_y has shape {self.c_y.shape}, expected {(m, m)}")
-        if self.c_xy.shape != (n, m):
-            raise DimensionError(f"c_xy has shape {self.c_xy.shape}, expected {(n, m)}")
-        for block, name in ((self.c_x, "c_x"), (self.c_y, "c_y")):
-            if block.size and not np.all(np.isfinite(block)):
+        self.c_x, self.c_y, self.c_xy = (np.asarray(block, dtype=np.float64)
+                                         for block in (self.c_x, self.c_y, self.c_xy))
+        self.n, self.m = (block.shape[0] if block.ndim else 0 for block in (self.c_x, self.c_y))
+        expected = {"c_x": (self.n, self.n), "c_y": (self.m, self.m), "c_xy": (self.n, self.m)}
+        for name, shape in expected.items():
+            block = getattr(self, name)
+            if block.shape != shape:
+                raise DimensionError(f"{name} has shape {block.shape}, expected {shape}")
+            if not np.all(np.isfinite(block)):
                 raise NumericInputError(f"{name} contains non-finite entries")
-            _check_symmetric(block, name)
+        _check_symmetric(self.c_x, "c_x")
+        _check_symmetric(self.c_y, "c_y")
         self.c_z = assemble_joint(self.c_x, self.c_xy, self.c_y)
 
     @property
@@ -129,7 +129,7 @@ class CovarianceModel:
     def from_joint(cls, c_z, n: int) -> "CovarianceModel":
         """Model from the blocks of a joint covariance; X is its top ``n``."""
         c_x, c_xy, c_y = split_joint(c_z, n)
-        return cls(n=n, m=c_y.shape[0], c_x=c_x, c_y=c_y, c_xy=c_xy)
+        return cls(c_x, c_y, c_xy)
 
     @cached_property
     def spectral(self) -> SpectralCache:
@@ -284,26 +284,25 @@ def geometric_spectrum(size: int, scale: float = 1.0, ratio: float = 0.6) -> NDA
     return scale * ratio ** np.arange(size, dtype=np.float64)
 
 
-def synthetic_model(n: int, m: int, spectrum, seed: int = 0) -> CovarianceModel:
+def synthetic_model(n: int, spectrum, *, seed: int = 0) -> CovarianceModel:
     """Random covariance model with a prescribed joint spectrum.
 
-    Draws a Haar-like orthonormal basis from the QR of a seeded Gaussian
-    matrix, forms the joint covariance from the (descending-sorted)
+    The spectrum, 1-D and positive, has length n + m, so m is its length
+    less n. Draws a Haar-like orthonormal basis from the QR of a seeded
+    Gaussian matrix, forms the joint covariance from the descending-sorted
     spectrum, and partitions it. Deterministic per seed.
     """
-    if n < 1 or m < 1:
-        raise DimensionError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     spec = np.asarray(spectrum, dtype=np.float64)
-    if spec.shape != (n + m,):
-        raise InvalidSpectrumError(
-            f"spectrum must have length n+m={n + m}, got shape {spec.shape}")
+    if n < 1 or spec.ndim != 1 or spec.shape[0] <= n:
+        raise DimensionError(
+            f"need n >= 1 and a 1-D spectrum longer than n={n}, got shape {spec.shape}")
     if not np.all(spec > 0.0):
         bad = int(np.argmin(spec))
         raise InvalidSpectrumError(
             f"spectrum entry {bad} is nonpositive ({spec[bad]:g})")
     spec = np.sort(spec)[::-1]
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n + m, n + m)))
+    q, r = np.linalg.qr(rng.standard_normal((spec.size, spec.size)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     q = q * signs

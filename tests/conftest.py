@@ -12,7 +12,7 @@ def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
     """Random-basis covariance model with a geometric joint spectrum."""
     from wclmmse import geometric_spectrum, synthetic_model
 
-    return synthetic_model(n, m, geometric_spectrum(n + m, scale, ratio), seed=seed)
+    return synthetic_model(n, geometric_spectrum(n + m, scale, ratio), seed=seed)
 
 
 def tail_mixed_model(n, m, ratio=0.7, mix=1e-3, seed=0):

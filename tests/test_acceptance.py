@@ -166,7 +166,7 @@ def test_criterion_4_scaling_law():
     float64 reference W is far less accurate than K_l rho_l at l=56.
     """
     with criterion(4, "excess mse of truncated filters is bounded by the truncation loss", 5.0) as c:
-        model = synthetic_model(4, 64, geometric_spectrum(68, 1.0, 0.8), seed=0)
+        model = synthetic_model(4, geometric_spectrum(68, 1.0, 0.8), seed=0)
         grid = range(8, 57, 8)
         floor = 1e-10 * max(1.0, float(np.trace(model.c_x)))
         cache = model.spectral
@@ -303,7 +303,7 @@ def test_criterion_8_real_data_pipeline():
 def test_criterion_9_ill_conditioning_mechanism():
     with criterion(9, "covariance noise wrecks the unconstrained filter, not the truncated one", 30.0) as c:
         n, m = 4, 256
-        model = synthetic_model(n, m, geometric_spectrum(n + m, 1.0, 0.91), seed=7)
+        model = synthetic_model(n, geometric_spectrum(n + m, 1.0, 0.91), seed=7)
         assert condition_number(model.c_y) >= 1e10
 
         rng = np.random.default_rng(123)
@@ -314,7 +314,6 @@ def test_criterion_9_ill_conditioning_mechanism():
         c_y_p = perturb(model.c_y)
         c_x_p = perturb(model.c_x)
         perturbed = CovarianceModel(
-            n=n, m=m,
             c_x=0.5 * (c_x_p + c_x_p.T),
             c_y=0.5 * (c_y_p + c_y_p.T),
             c_xy=perturb(model.c_xy),

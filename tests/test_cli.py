@@ -33,7 +33,7 @@ class TestSynth:
         assert main(["synth", "--n", "2", "--m", "6", "--spectrum", "geometric:1.0,0.7",
                      "--seed", "3", "--out", str(out)]) == 0
         model = load_model(out)
-        expected = synthetic_model(2, 6, geometric_spectrum(8, 1.0, 0.7), seed=3)
+        expected = synthetic_model(2, geometric_spectrum(8, 1.0, 0.7), seed=3)
         assert np.array_equal(model.c_z, expected.c_z)
 
     def test_bad_spectrum_spec(self, tmp_path, capsys):
@@ -43,11 +43,44 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
 
     def test_save_load_helpers(self, tmp_path):
-        model = synthetic_model(2, 3, geometric_spectrum(5, 1.0, 0.5), seed=1)
+        model = synthetic_model(2, geometric_spectrum(5, 1.0, 0.5), seed=1)
         path = tmp_path / "m.bin"
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.c_z, model.c_z)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["c_x", "c_xy", "c_y"]
+
+    def test_loads_file_with_size_arrays(self, tmp_path):
+        # files that also hold the sizes n and m load to the same model
+        model = synthetic_model(2, geometric_spectrum(5, 1.0, 0.5), seed=1)
+        path = tmp_path / "m.bin"
+        with open(path, "wb") as handle:
+            np.savez(handle, n=model.n, m=model.m, c_x=model.c_x,
+                     c_xy=model.c_xy, c_y=model.c_y)
+        assert np.array_equal(load_model(path).c_z, model.c_z)
+
+
+class TestMalformedModelFile:
+    def _sweep(self, path, tmp_path):
+        return main(["sweep-l", "--model", str(path), "--m", "3", "--n", "2",
+                     "--l-min", "1", "--l-max", "3", "--out", str(tmp_path / "r.csv")])
+
+    def test_archive_without_a_block(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        with open(path, "wb") as handle:
+            np.savez(handle, c_x=np.eye(2), c_xy=np.zeros((2, 3)))
+        assert self._sweep(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "c_y" in err
+
+    def test_plain_array_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        with open(path, "wb") as handle:
+            np.save(handle, np.eye(5))
+        assert self._sweep(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a model archive" in err
 
 
 class TestSweepL:

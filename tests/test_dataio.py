@@ -198,13 +198,13 @@ class TestNormalizedRms:
         a = rng.standard_normal((2, 3))
         y = rng.standard_normal((6, 3))
         z = np.concatenate([y @ a.T, y], axis=1)
-        filt = LinearFilter(matrix=a, kind=FilterKind.WIENER)
+        filt = LinearFilter(matrix=a, kind=FilterKind.WIENER, max_inverse_dim=3)
         assert normalized_rms(filt, z, mean=1.3) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_filter_with_zero_mean_is_one(self):
         rng = np.random.default_rng(11)
         z = rng.standard_normal((40, 4))
-        filt = LinearFilter(matrix=np.zeros((1, 3)), kind=FilterKind.WIENER)
+        filt = LinearFilter(matrix=np.zeros((1, 3)), kind=FilterKind.WIENER, max_inverse_dim=3)
         assert normalized_rms(filt, z, mean=0.0) == pytest.approx(1.0)
 
     def test_hand_computed_three_samples(self):
@@ -215,11 +215,15 @@ class TestNormalizedRms:
         num = sum(np.sum((a @ zi[1:] - zi[:1]) ** 2) for zi in z) / 3.0
         den = sum(np.sum((zi[:1] + mean) ** 2) for zi in z) / 3.0
         expected = np.sqrt(num) / np.sqrt(den)
-        filt = LinearFilter(matrix=a, kind=FilterKind.WIENER)
+        filt = LinearFilter(matrix=a, kind=FilterKind.WIENER, max_inverse_dim=2)
         assert normalized_rms(filt, z, mean) == pytest.approx(expected, rel=1e-12)
 
+    def test_certificate_is_required(self):
+        with pytest.raises(TypeError):
+            LinearFilter(matrix=np.eye(3), kind=FilterKind.WIENER)
+
     def test_zero_denominator(self):
-        filt = LinearFilter(matrix=np.zeros((1, 2)), kind=FilterKind.WIENER)
+        filt = LinearFilter(matrix=np.zeros((1, 2)), kind=FilterKind.WIENER, max_inverse_dim=2)
         z = np.zeros((3, 3))
         with pytest.raises(DegenerateDataError):
             normalized_rms(filt, z, mean=0.0)

@@ -83,7 +83,7 @@ class TestWeightedTrace:
         a = rng.standard_normal((2, 3))
         g = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
         c_x_t = g @ model.c_x @ g.T
-        transformed = CovarianceModel(n=2, m=3, c_x=0.5 * (c_x_t + c_x_t.T),
+        transformed = CovarianceModel(c_x=0.5 * (c_x_t + c_x_t.T),
                                       c_y=model.c_y, c_xy=g @ model.c_xy)
         assert weighted_trace_objective(model, a, g) == pytest.approx(
             analytic_mse(transformed, g @ a), rel=1e-10)
@@ -92,14 +92,14 @@ class TestWeightedTrace:
 class TestDetObjective:
     def test_zero_cross_zero_filter(self):
         c_x = np.diag([2.0, 3.0])
-        model = CovarianceModel(n=2, m=2, c_x=c_x, c_y=np.eye(2), c_xy=np.zeros((2, 2)))
+        model = CovarianceModel(c_x=c_x, c_y=np.eye(2), c_xy=np.zeros((2, 2)))
         assert det_objective(model, np.zeros((2, 2))) == pytest.approx(6.0)
 
     def test_perfect_copy(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3))
         c = a @ a.T + np.eye(3)
-        model = CovarianceModel(n=3, m=3, c_x=c, c_y=c, c_xy=c)
+        model = CovarianceModel(c_x=c, c_y=c, c_xy=c)
         assert det_objective(model, np.eye(3)) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_cofactor_expansion(self):

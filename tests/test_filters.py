@@ -47,17 +47,17 @@ def copy_model(dim=3, seed=5):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     c = a @ a.T + 3.0 * np.eye(dim)
-    return CovarianceModel(n=dim, m=dim, c_x=c, c_y=c, c_xy=c)
+    return CovarianceModel(c_x=c, c_y=c, c_xy=c)
 
 
 class TestWiener:
     def test_identity_input_covariance(self):
-        model = CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=np.eye(2),
+        model = CovarianceModel(c_x=np.eye(1), c_y=np.eye(2),
                                 c_xy=np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(wiener(model).matrix, [[1.0, 0.0]], atol=1e-14)
 
     def test_scaled_input_covariance(self):
-        model = CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=2.0 * np.eye(2),
+        model = CovarianceModel(c_x=np.eye(1), c_y=2.0 * np.eye(2),
                                 c_xy=np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(wiener(model).matrix, [[0.5, 0.0]], atol=1e-14)
 
@@ -73,7 +73,7 @@ class TestWiener:
         assert filt.l is None
 
     def test_singular_input_raises(self):
-        model = CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=np.diag([1.0, 0.0]),
+        model = CovarianceModel(c_x=np.eye(1), c_y=np.diag([1.0, 0.0]),
                                 c_xy=np.array([[0.5, 0.5]]))
         with pytest.raises(SingularMatrixError, match="condition number"):
             wiener(model)
@@ -81,7 +81,7 @@ class TestWiener:
     def test_input_covariance_without_positive_eigenvalue_has_no_condition(self):
         # the failure message reads cond_y, which every sweep of this
         # model raises on too
-        model = CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=np.zeros((2, 2)),
+        model = CovarianceModel(c_x=np.eye(1), c_y=np.zeros((2, 2)),
                                 c_xy=np.zeros((1, 2)))
         with pytest.raises(UndefinedConditionError):
             wiener(model)
@@ -176,7 +176,7 @@ class TestLrw:
         # lrw builds while the smallest eigenvalue of c_y is above 1e-12
         # times the largest, and raises with its index and value at or below
         for cond, builds in ((0.99e12, True), (1.01e12, False)):
-            model = CovarianceModel(n=1, m=3, c_x=np.eye(1),
+            model = CovarianceModel(c_x=np.eye(1),
                                     c_y=np.diag([1.0, 0.5, 1.0 / cond]),
                                     c_xy=np.array([[0.1, 0.1, 1e-7]]))
             if builds:
@@ -196,7 +196,7 @@ class TestLrw:
     def test_rank_one_example_mse(self):
         # c_y = I3, c_xy keeps singular values (3, 1); truncating to the
         # sigma=3 direction leaves mse = tr(c_x) - 9 = 11.
-        model = CovarianceModel(n=2, m=3, c_x=np.diag([10.0, 10.0]), c_y=np.eye(3),
+        model = CovarianceModel(c_x=np.diag([10.0, 10.0]), c_y=np.eye(3),
                                 c_xy=np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         filt = lrw(model, 1)
         assert np.linalg.matrix_rank(filt.matrix) == 1
@@ -224,7 +224,7 @@ class TestCsw:
     def test_equals_lrw_when_orderings_agree(self):
         # White input, axis-aligned cross-covariance: eigen order and
         # cross-spectral order coincide and both truncations keep axes.
-        model = CovarianceModel(n=2, m=3, c_x=np.diag([10.0, 10.0]), c_y=np.eye(3),
+        model = CovarianceModel(c_x=np.diag([10.0, 10.0]), c_y=np.eye(3),
                                 c_xy=np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         for l in (1, 2, 3):
             np.testing.assert_allclose(csw(model, l).matrix, lrw(model, l).matrix,
@@ -239,7 +239,7 @@ class TestCsw:
 
     def test_ranks_by_cross_spectral_power(self):
         # second eigendirection has lower variance but much higher score
-        model = CovarianceModel(n=1, m=2, c_x=np.array([[5.0]]), c_y=np.diag([4.0, 1.0]),
+        model = CovarianceModel(c_x=np.array([[5.0]]), c_y=np.diag([4.0, 1.0]),
                                 c_xy=np.array([[0.2, 0.9]]))
         got = csw(model, 1).matrix
         np.testing.assert_allclose(got, [[0.0, 0.9]], atol=1e-12)
@@ -415,8 +415,7 @@ class TestSpectralCache:
 class TestSignInvariance:
     def test_filters_unchanged_by_eigenvector_sign_flips(self):
         model = haar_model(2, 5, ratio=0.6, seed=25)
-        flipped = CovarianceModel(n=model.n, m=model.m, c_x=model.c_x, c_y=model.c_y,
-                                  c_xy=model.c_xy)
+        flipped = CovarianceModel(c_x=model.c_x, c_y=model.c_y, c_xy=model.c_xy)
         flipped_eig = sym_eig(model.c_z)
         rng = np.random.default_rng(26)
         signs = np.where(rng.random(model.dim) < 0.5, -1.0, 1.0)
@@ -459,9 +458,9 @@ class TestWeighted:
 
     def test_det_optimal_weight(self):
         np.testing.assert_allclose(det_optimal_weight(
-            CovarianceModel(n=2, m=1, c_x=np.eye(2), c_y=np.eye(1), c_xy=np.zeros((2, 1)))),
+            CovarianceModel(c_x=np.eye(2), c_y=np.eye(1), c_xy=np.zeros((2, 1)))),
             np.eye(2), atol=1e-14)
-        model = CovarianceModel(n=2, m=1, c_x=np.diag([4.0, 9.0]), c_y=np.eye(1),
+        model = CovarianceModel(c_x=np.diag([4.0, 9.0]), c_y=np.eye(1),
                                 c_xy=np.zeros((2, 1)))
         np.testing.assert_allclose(det_optimal_weight(model), np.diag([0.5, 1.0 / 3.0]),
                                    atol=1e-14)

@@ -18,6 +18,7 @@ from wclmmse import (
     solve_spd,
     sym_eig,
 )
+from wclmmse.linalg import SPDFactor
 
 
 def random_spd(dim, seed, spread=1.0):
@@ -206,6 +207,18 @@ class TestFactorThenSolve:
             solve_spd(factor, np.ones(2))
         with pytest.raises(NumericInputError):
             solve_spd(factor, np.array([1.0, np.nan, 0.0]))
+
+    def test_dim_is_read_from_the_factor_or_the_matrix(self):
+        assert factor_spd(random_spd(4, 54)).dim == 4
+        assert factor_spd(np.diag([1.0, -1.0, 2.0])).dim == 3
+
+    def test_leading_block_of_a_factor_factors_the_leading_block(self):
+        a = random_spd(6, 55)
+        b = np.random.default_rng(56).standard_normal((4, 2))
+        block = SPDFactor((factor_spd(a).cholesky[0][:4, :4], False))
+        assert block.dim == 4
+        np.testing.assert_allclose(solve_spd(block, b), np.linalg.solve(a[:4, :4], b),
+                                   rtol=1e-10)
 
 
 class TestNorms:

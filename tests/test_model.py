@@ -9,6 +9,7 @@ from wclmmse import (
     InsufficientDataError,
     InvalidSpectrumError,
     ModelError,
+    NumericInputError,
     assemble_joint,
     condition_number,
     estimate_covariance,
@@ -41,12 +42,27 @@ class TestCovarianceModel:
 
     def test_rejects_asymmetric_block(self):
         with pytest.raises(ModelError):
-            CovarianceModel(n=1, m=2, c_x=np.eye(1), c_y=np.array([[1.0, 0.5], [0.0, 1.0]]),
+            CovarianceModel(c_x=np.eye(1), c_y=np.array([[1.0, 0.5], [0.0, 1.0]]),
                             c_xy=np.zeros((1, 2)))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
-            CovarianceModel(n=2, m=2, c_x=np.eye(3), c_y=np.eye(2), c_xy=np.zeros((2, 2)))
+            CovarianceModel(c_x=np.eye(3), c_y=np.eye(2), c_xy=np.zeros((2, 2)))
+
+    def test_sizes_come_from_the_blocks(self):
+        model = CovarianceModel(np.eye(2), np.eye(3), np.zeros((2, 3)))
+        assert (model.n, model.m, model.dim) == (2, 3, 5)
+        with pytest.raises(DimensionError, match="c_y"):
+            CovarianceModel(np.eye(2), np.ones((3, 2)), np.zeros((2, 3)))
+        with pytest.raises(TypeError):
+            CovarianceModel(n=2, m=3, c_x=np.eye(2), c_y=np.eye(3), c_xy=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_cross_covariance(self, bad):
+        c_xy = np.zeros((1, 2))
+        c_xy[0, 1] = bad
+        with pytest.raises(NumericInputError, match="c_xy"):
+            CovarianceModel(c_x=np.eye(1), c_y=np.eye(2), c_xy=c_xy)
 
 
 class TestEstimateCovariance:
@@ -100,41 +116,49 @@ class TestEstimateCovariance:
 
 class TestSyntheticModel:
     def test_isotropic_spectrum_gives_identity(self):
-        model = synthetic_model(2, 4, np.ones(6), seed=0)
+        model = synthetic_model(2, np.ones(6), seed=0)
         np.testing.assert_allclose(model.c_z, np.eye(6), atol=1e-12)
         np.testing.assert_allclose(model.c_xy, 0.0, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         spec = geometric_spectrum(6, 1.0, 0.5)
-        one = synthetic_model(2, 4, spec, seed=9)
-        two = synthetic_model(2, 4, spec, seed=9)
+        one = synthetic_model(2, spec, seed=9)
+        two = synthetic_model(2, spec, seed=9)
         assert np.array_equal(one.c_z, two.c_z)
-        other = synthetic_model(2, 4, spec, seed=10)
+        other = synthetic_model(2, spec, seed=10)
         assert not np.array_equal(one.c_z, other.c_z)
 
     def test_condition_grows_with_decay(self):
-        sharp = synthetic_model(2, 4, geometric_spectrum(6, 1.0, 0.1), seed=1)
-        gentle = synthetic_model(2, 4, geometric_spectrum(6, 1.0, 0.9), seed=1)
+        sharp = synthetic_model(2, geometric_spectrum(6, 1.0, 0.1), seed=1)
+        gentle = synthetic_model(2, geometric_spectrum(6, 1.0, 0.9), seed=1)
         assert condition_number(sharp.c_y) > condition_number(gentle.c_y)
 
     def test_spectrum_recovered(self):
         spec = geometric_spectrum(8, 2.0, 0.6)
-        model = synthetic_model(3, 5, spec, seed=2)
+        model = synthetic_model(3, spec, seed=2)
         eig = sym_eig(model.c_z)
         np.testing.assert_allclose(eig.eigenvalues, np.sort(spec)[::-1], rtol=1e-10)
 
     def test_invalid_spectrum(self):
         with pytest.raises(InvalidSpectrumError):
-            synthetic_model(1, 2, [1.0, 0.0, 0.5], seed=0)
+            synthetic_model(1, [1.0, 0.0, 0.5], seed=0)
         with pytest.raises(InvalidSpectrumError):
             geometric_spectrum(4, scale=-1.0)
-        with pytest.raises(InvalidSpectrumError):
-            synthetic_model(1, 2, [1.0, 0.5], seed=0)
+        with pytest.raises(DimensionError):
+            synthetic_model(2, [1.0, 0.5], seed=0)
+        with pytest.raises(DimensionError):
+            synthetic_model(1, np.ones((2, 2)), seed=0)
+
+    def test_size_comes_from_the_spectrum(self):
+        model = synthetic_model(2, geometric_spectrum(7, 1.0, 0.5), seed=3)
+        assert (model.n, model.m) == (2, 5)
+        with pytest.raises(TypeError):
+            synthetic_model(2, 5, geometric_spectrum(7, 1.0, 0.5), seed=3)
 
 
 class TestSampleFromModel:
     def test_empty_draw(self):
-        model = synthetic_model(1, 2, np.ones(3), seed=0)
+        model = synthetic_model(1, np.ones(3), seed=0)
         out = sample_from_model(model, 0, seed=0)
         assert out.shape == (0, 3)
 
@@ -146,7 +170,7 @@ class TestSampleFromModel:
         assert np.abs(cov - np.eye(4)).max() < 5.0 * np.sqrt(2.0 / k)
 
     def test_deterministic(self):
-        model = synthetic_model(2, 3, geometric_spectrum(5, 1.0, 0.5), seed=1)
+        model = synthetic_model(2, geometric_spectrum(5, 1.0, 0.5), seed=1)
         one = sample_from_model(model, 10, seed=3)
         two = sample_from_model(model, 10, seed=3)
         assert np.array_equal(one, two)
@@ -158,7 +182,7 @@ class TestSampleFromModel:
             sample_from_model(model, 5, seed=0)
 
     def test_general_covariance_recovered(self):
-        model = synthetic_model(2, 2, [4.0, 2.0, 1.0, 0.5], seed=8)
+        model = synthetic_model(2, [4.0, 2.0, 1.0, 0.5], seed=8)
         out = sample_from_model(model, 50000, seed=9)
         k = out.shape[0]
         cov = out.T @ out / k
