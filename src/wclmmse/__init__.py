@@ -73,11 +73,9 @@ from .linalg import (
 from .model import (
     CovarianceModel,
     SpectralCache,
-    assemble_joint,
     estimate_covariance,
     geometric_spectrum,
     sample_from_model,
-    split_joint,
     synthetic_model,
 )
 
@@ -99,7 +97,7 @@ __all__ = [
     "LPolicy", "run_condition_report", "run_l_sweep", "run_m_sweep",
     "SymEig", "condition_number", "factor_spd", "inv_sqrt_spd",
     "matrix_norm", "nuclear_norm", "solve_spd", "sym_eig",
-    "CovarianceModel", "assemble_joint", "estimate_covariance",
-    "geometric_spectrum", "sample_from_model", "split_joint", "synthetic_model",
+    "CovarianceModel", "estimate_covariance",
+    "geometric_spectrum", "sample_from_model", "synthetic_model",
     "__version__",
 ]

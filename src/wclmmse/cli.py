@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .model import CovarianceModel, geometric_spectrum, synthetic_model
 __all__ = ["main"]
 
 _DEFAULT_FILTERS = "wiener,lrw,jpc,lsjpc"
+_BLOCKS = ("c_x", "c_xy", "c_y")
 
 
 def _parse_spectrum(text: str, size: int) -> np.ndarray:
@@ -63,15 +65,22 @@ def save_model(model: CovarianceModel, path) -> None:
 
 def load_model(path) -> CovarianceModel:
     """The model of the archive's ``c_x``, ``c_xy`` and ``c_y``; other arrays
-    are ignored, and a file without all three raises :class:`ModelError`."""
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
+    are ignored. A file that is not a readable ``.npz`` archive, or lacks one
+    of the three blocks, raises :class:`ModelError`."""
+    blocks = None
+    try:
+        data = np.load(path)
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                blocks = {name: data[name] for name in _BLOCKS if name in data.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path} is not a model archive") from exc
+    if blocks is None:
         raise ModelError(f"{path} is not a model archive")
-    with data:
-        missing = [name for name in ("c_x", "c_xy", "c_y") if name not in data.files]
-        if missing:
-            raise ModelError(f"{path} has no {', '.join(missing)} block")
-        return CovarianceModel(data["c_x"], data["c_y"], data["c_xy"])
+    missing = [name for name in _BLOCKS if name not in blocks]
+    if missing:
+        raise ModelError(f"{path} has no {', '.join(missing)} block")
+    return CovarianceModel(blocks["c_x"], blocks["c_y"], blocks["c_xy"])
 
 
 def _load_source(args):

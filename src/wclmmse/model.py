@@ -2,11 +2,11 @@
 
 The stacking convention used everywhere in this package: the joint vector
 holds the target block X in its TOP ``n`` coordinates and the input block
-Y in the BOTTOM ``m`` coordinates. :func:`assemble_joint` and
-:func:`split_joint` are the single source of truth for that layout.
-Sample vectors, estimated from or drawn for a model, are the rows of a
-plain (k, n+m) array in the same layout. A model is given by its three
-blocks alone: n and m are read from their shapes.
+Y in the BOTTOM ``m`` coordinates; :meth:`CovarianceModel.from_joint`
+and :attr:`CovarianceModel.c_z` state that layout. Sample vectors,
+estimated from or drawn for a model, are the rows of a plain (k, n+m)
+array in the same layout. A model holds its three blocks alone, its only
+covariance arrays: n and m are read from their shapes.
 
 Each model owns its decompositions: :attr:`CovarianceModel.spectral` is
 the model's one :class:`SpectralCache`, built on first access, and every
@@ -42,8 +42,6 @@ from .linalg import (
 __all__ = [
     "CovarianceModel",
     "SpectralCache",
-    "assemble_joint",
-    "split_joint",
     "estimate_covariance",
     "geometric_spectrum",
     "synthetic_model",
@@ -56,26 +54,9 @@ _SYM_RTOL = 1e-10
 _Y_RANK_FLOOR = 1e-12
 
 
-def assemble_joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
+def _joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
     """Joint covariance [[c_x, c_xy], [c_xy', c_y]] (X block on top)."""
     return np.block([[c_x, c_xy], [c_xy.T, c_y]])
-
-
-def split_joint(c_z, n: int):
-    """Extract (c_x, c_xy, c_y) blocks from a joint covariance.
-
-    ``n`` is the dimension of the X block, which occupies the top-left
-    corner; the remainder is Y.
-    """
-    c_z = np.asarray(c_z, dtype=np.float64)
-    d = c_z.shape[0]
-    if not 0 <= n <= d:
-        raise DimensionError(f"block size n={n} outside [0, {d}]")
-    return (
-        c_z[:n, :n].copy(),
-        c_z[:n, n:].copy(),
-        c_z[n:, n:].copy(),
-    )
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
@@ -90,13 +71,13 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
 
 @dataclass
 class CovarianceModel:
-    """The covariance triple (c_x, c_y, c_xy) plus the assembled joint c_z.
+    """The covariance triple (c_x, c_y, c_xy), the model's only covariance arrays.
 
     ``n``, the dimension of the estimated block X, is read from ``c_x``,
     and ``m``, that of the input block Y, from ``c_y``; c_x and c_y must
     be square and symmetric, c_xy n x m, and all three finite. Instances
-    are treated as immutable after construction; the joint covariance
-    ``c_z`` is always the exact block assembly of the triple.
+    are treated as immutable after construction. The joint covariance is
+    not stored: :attr:`c_z` assembles it from the blocks on each read.
     """
 
     c_x: NDArray[np.float64]
@@ -104,7 +85,6 @@ class CovarianceModel:
     c_xy: NDArray[np.float64]
     n: int = field(init=False)
     m: int = field(init=False)
-    c_z: NDArray[np.float64] = field(init=False)
 
     def __post_init__(self) -> None:
         self.c_x, self.c_y, self.c_xy = (np.asarray(block, dtype=np.float64)
@@ -119,17 +99,26 @@ class CovarianceModel:
                 raise NumericInputError(f"{name} contains non-finite entries")
         _check_symmetric(self.c_x, "c_x")
         _check_symmetric(self.c_y, "c_y")
-        self.c_z = assemble_joint(self.c_x, self.c_xy, self.c_y)
 
     @property
     def dim(self) -> int:
         return self.n + self.m
 
+    @property
+    def c_z(self) -> NDArray[np.float64]:
+        """The joint covariance [[c_x, c_xy], [c_xy', c_y]], assembled anew on
+        each read; the library itself does not read it."""
+        return _joint(self.c_x, self.c_xy, self.c_y)
+
     @classmethod
     def from_joint(cls, c_z, n: int) -> "CovarianceModel":
-        """Model from the blocks of a joint covariance; X is its top ``n``."""
-        c_x, c_xy, c_y = split_joint(c_z, n)
-        return cls(c_x, c_y, c_xy)
+        """Model from copies (not views) of the blocks of a square joint
+        covariance ``c_z``; X is its top ``n`` coordinates, 0 <= n <= d."""
+        c_z = np.asarray(c_z, dtype=np.float64)
+        if c_z.ndim != 2 or c_z.shape[0] != c_z.shape[1] or not 0 <= n <= c_z.shape[0]:
+            raise DimensionError(f"need a square 2-D joint covariance and 0 <= n <= d,"
+                                 f" got shape {c_z.shape} and n={n}")
+        return cls(c_z[:n, :n].copy(), c_z[n:, n:].copy(), c_z[:n, n:].copy())
 
     @cached_property
     def spectral(self) -> SpectralCache:
@@ -151,26 +140,27 @@ class SpectralCache:
     * ``eig_y``: the m x m eigendecomposition of c_y, which only ``csw``
       reads.
 
-    Read it as ``model.spectral``. It keeps the model's blocks, not the
-    model, so no reference cycle holds the decompositions once the model
-    is gone. The joint eigenvectors are row-partitioned into the X part
-    (top n rows) and the Y part (bottom m rows); truncations are views of
-    the leading columns. A c_y too singular to invert re-raises from the
-    stored ``eigvals_y`` on every access to ``eig_wiener`` or ``eig_y``,
-    without solving or decomposing.
+    Read it as ``model.spectral``. It keeps the model's three blocks, not
+    the model, so no reference cycle holds the decompositions once the
+    model is gone; the joint covariance exists only while ``eig_z``
+    decomposes it. The joint eigenvectors are row-partitioned into the X
+    part (top n rows) and the Y part (bottom m rows); truncations are
+    views of the leading columns. A c_y too singular to invert re-raises
+    from the stored ``eigvals_y`` on every access to ``eig_wiener`` or
+    ``eig_y``, without solving or decomposing.
     """
 
     def __init__(self, model: CovarianceModel):
         self.n, self.m = model.n, model.m
-        self.c_z, self.c_y, self.c_xy = model.c_z, model.c_y, model.c_xy
+        self.c_x, self.c_y, self.c_xy = model.c_x, model.c_y, model.c_xy
 
     @cached_property
     def eig_z(self) -> SymEig:
-        """Joint eigendecomposition, checked to be a full orthonormal basis."""
-        eig = sym_eig(self.c_z)
-        v_x, v_y = eig.eigenvectors[: self.n, :], eig.eigenvectors[self.n :, :]
-        gram_sum = v_x.T @ v_x + v_y.T @ v_y
-        defect = np.linalg.norm(gram_sum - np.eye(self.n + self.m))
+        """Joint eigendecomposition of the blocks, assembled for it and then
+        dropped, checked to be a full orthonormal basis."""
+        eig = sym_eig(_joint(self.c_x, self.c_xy, self.c_y))
+        v = eig.eigenvectors
+        defect = np.linalg.norm(v.T @ v - np.eye(self.n + self.m))
         if defect > 1e-8:
             raise ModelError(f"joint eigenbasis is not orthonormal (defect {defect:.3e})")
         return eig
@@ -312,11 +302,12 @@ def synthetic_model(n: int, spectrum, *, seed: int = 0) -> CovarianceModel:
 
 
 def sample_from_model(model: CovarianceModel, k: int, seed: int = 0) -> NDArray[np.float64]:
-    """Draw k i.i.d. zero-mean Gaussian vectors with covariance model.c_z.
+    """Draw k i.i.d. zero-mean Gaussian vectors with the model's joint covariance.
 
     Returns the (k, n+m) array of draws, one vector per row. Uses the
     symmetric square root of the joint covariance from the model's own
-    joint eigendecomposition, the one its filters truncate; negative
+    joint eigendecomposition (``model.spectral.eig_z``, the one its
+    filters truncate), not an assembled ``c_z``; negative
     eigenvalues beyond -1e-10 * lambda_max are a model error, smaller
     ones are clipped to zero. Deterministic per seed.
     """

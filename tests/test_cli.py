@@ -74,6 +74,15 @@ class TestMalformedModelFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and "c_y" in err
 
+    @pytest.mark.parametrize("contents", ["empty", "truncated"])
+    def test_unreadable_archive(self, tmp_path, capsys, contents):
+        path = tmp_path / "bad.bin"
+        save_model(synthetic_model(2, geometric_spectrum(5, 1.0, 0.5)), path)
+        path.write_bytes(path.read_bytes()[:100] if contents == "truncated" else b"")
+        assert self._sweep(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a model archive" in err
+
     def test_plain_array_file(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         with open(path, "wb") as handle:

@@ -10,12 +10,10 @@ from wclmmse import (
     InvalidSpectrumError,
     ModelError,
     NumericInputError,
-    assemble_joint,
     condition_number,
     estimate_covariance,
     geometric_spectrum,
     sample_from_model,
-    split_joint,
     sym_eig,
     synthetic_model,
 )
@@ -29,16 +27,36 @@ class TestCovarianceModel:
         model = CovarianceModel.from_joint(c_z, 2)
         assert model.n == 2 and model.m == 3
         assert np.array_equal(model.c_z, c_z)
-        c_x, c_xy, c_y = split_joint(c_z, 2)
-        assert np.array_equal(assemble_joint(c_x, c_xy, c_y), c_z)
+        again = CovarianceModel.from_joint(model.c_z, 2)
+        for name in ("c_x", "c_y", "c_xy"):
+            assert np.array_equal(getattr(again, name), getattr(model, name))
 
     def test_top_block_is_x(self):
         c_z = np.arange(16.0).reshape(4, 4)
         c_z = 0.5 * (c_z + c_z.T)
-        c_x, c_xy, c_y = split_joint(c_z, 1)
-        assert c_x.shape == (1, 1) and c_x[0, 0] == c_z[0, 0]
-        assert c_xy.shape == (1, 3)
-        np.testing.assert_array_equal(c_xy[0], c_z[0, 1:])
+        model = CovarianceModel.from_joint(c_z, 1)
+        assert model.c_x.shape == (1, 1) and model.c_x[0, 0] == c_z[0, 0]
+        assert model.c_xy.shape == (1, 3)
+        np.testing.assert_array_equal(model.c_xy[0], c_z[0, 1:])
+
+    def test_holds_only_its_three_blocks(self):
+        model = CovarianceModel.from_joint(np.eye(5), 2)
+        arrays = {name for name, value in vars(model).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"c_x", "c_y", "c_xy"}
+        assert all(getattr(model, name).flags.c_contiguous for name in arrays)
+
+    @pytest.mark.parametrize("c_z, n", [(np.ones(4), 2), (np.ones((3, 4)), 1),
+                                        (np.eye(3), 4), (np.eye(3), -1)])
+    def test_from_joint_rejects_a_non_square_joint_or_a_bad_n(self, c_z, n):
+        with pytest.raises(DimensionError):
+            CovarianceModel.from_joint(c_z, n)
+
+    def test_joint_eigendecomposition_is_that_of_c_z(self):
+        rng = np.random.default_rng(6)
+        model = estimate_covariance(rng.standard_normal((40, 9)), n=2)
+        eig, direct = model.spectral.eig_z, sym_eig(model.c_z)
+        assert np.array_equal(eig.eigenvalues, direct.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, direct.eigenvectors)
 
     def test_rejects_asymmetric_block(self):
         with pytest.raises(ModelError):
@@ -98,7 +116,8 @@ class TestEstimateCovariance:
         rng = np.random.default_rng(4)
         z = rng.standard_normal((30, 5))
         model = estimate_covariance(z, n=2)
-        assert np.array_equal(assemble_joint(model.c_x, model.c_xy, model.c_y), model.c_z)
+        c_z = z.T @ z / 29
+        assert np.array_equal(model.c_z, 0.5 * (c_z + c_z.T))
 
     def test_estimated_joint_is_psd(self):
         rng = np.random.default_rng(5)

@@ -1,0 +1,159 @@
+"""Check that this checkout prints the same result bytes as a git revision.
+
+    python3 tools/same_outputs.py REV [--seeds 0,1,5,7]
+
+Exports REV's ``src/`` with ``git archive`` and runs the same ``wclmmse``
+command lines against it and against this checkout's ``src/``, each in a
+fresh process with BLAS pinned to one thread, at every seed:
+
+* the benchmark's three workloads (``synth`` or the series CSV, then the
+  sweep), with inputs and argv from ``perfbench/workloads.py``;
+* ``cond`` on the series and on the ``sweep-l-m400`` model;
+* ``scaling`` of ``jpc`` and of ``lsjpc`` on that model;
+* ``sweep-m --l-policy fixed:20`` and ``sweep-l --data`` on the series.
+
+Every CSV and JSON is compared with its ``wall_ms`` dropped, and every
+``synth`` model file array by array, bit for bit. It prints one line per
+file and exits 1 on any difference or failed command. Run it from any
+directory; nothing is written inside the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+sys.dont_write_bytecode = True  # import the benchmark's workloads without writing beside them
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """Unpack REV's ``src/`` under ``dest`` and return that ``src`` directory."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def command_lines(seed: int, series: Path, out: Path) -> list[list[str]]:
+    """Every command line run at ``seed``, writing under ``out``."""
+    lines = []
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = series
+        if workload.kind == "sweep-l":
+            inputs = out / f"{name}.bin"
+            lines.append(workload.synth_argv(seed, inputs))
+        lines.append(workload.sweep_argv(seed, inputs, out / f"{name}.csv"))
+    model = out / "sweep-l-m400.bin"
+    n, m_grid = str(workloads.N), ",".join(map(str, workloads.SWEEP_M_GRID))
+    l_grid = workloads.SWEEP_L_GRID
+    seeded = ["--n", n, "--seed", str(seed)]
+    lines += [
+        ["cond", "--data", series, "--m-grid", m_grid, *seeded, "--out", out / "cond-data.csv"],
+        ["cond", "--model", model, "--m-grid", "100:400:100", *seeded,
+         "--out", out / "cond-model.csv"],
+        ["scaling", "--model", model, "--filter", "jpc", "--out", out / "scaling-jpc.csv"],
+        ["scaling", "--model", model, "--filter", "lsjpc", "--out", out / "scaling-lsjpc.csv"],
+        ["sweep-m", "--data", series, "--m-grid", m_grid, "--l-policy", "fixed:20", *seeded,
+         "--out", out / "sweep-m-fixed.csv"],
+        ["sweep-l", "--data", series, "--m", str(workloads.SWEEP_L_M), *seeded,
+         "--l-min", str(l_grid[0]), "--l-max", str(l_grid[-1]),
+         "--l-step", str(l_grid[1] - l_grid[0]), "--out", out / "sweep-l-data.csv"],
+    ]
+    return [[str(a) for a in line] for line in lines]
+
+
+def tree_env(src: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.update({name: "1" for name in BLAS_ENV})
+    return env
+
+
+def check_import(src: Path) -> None:
+    """Refuse to compare when ``wclmmse`` would not be imported from ``src``."""
+    found = subprocess.run([sys.executable, "-c", "import wclmmse; print(wclmmse.__file__)"],
+                           env=tree_env(src), capture_output=True, text=True, check=True)
+    if not Path(found.stdout.strip()).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"wclmmse imports from {found.stdout.strip()}, not from {src}")
+
+
+def without_wall_ms_csv(path: Path) -> list[list[str]]:
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    keep = [i for i, name in enumerate(rows[0]) if name != "wall_ms"]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def without_wall_ms_json(path: Path) -> str:
+    records = json.loads(path.read_text(encoding="utf-8"))
+    records = [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+    # text, not objects: NaN != NaN, but its JSON spelling is stable
+    return json.dumps(records, sort_keys=True)
+
+
+def same_arrays(a: Path, b: Path) -> bool:
+    with np.load(a) as left, np.load(b) as right:
+        if sorted(left.files) != sorted(right.files):
+            return False
+        return all(left[k].dtype == right[k].dtype and left[k].shape == right[k].shape
+                   and left[k].tobytes() == right[k].tobytes() for k in left.files)
+
+
+def same_file(a: Path, b: Path) -> bool:
+    if a.suffix == ".csv":
+        return without_wall_ms_csv(a) == without_wall_ms_csv(b)
+    if a.suffix == ".json":
+        return without_wall_ms_json(a) == without_wall_ms_json(b)
+    return same_arrays(a, b)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare this checkout with")
+    parser.add_argument("--seeds", default="0,1,5,7", help="comma list of seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    differences = 0
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        work = Path(tmp)
+        trees = {"rev": export_src(args.rev, work / "rev"), "here": ROOT / "src"}
+        for src in trees.values():
+            check_import(src)
+        for seed in seeds:
+            series = work / f"series-seed{seed}.csv"
+            workloads.write_series_csv(seed, series)
+            outs = {tree: work / tree / f"seed{seed}" for tree in trees}
+            for tree, src in trees.items():
+                outs[tree].mkdir(parents=True)
+                for line in command_lines(seed, series, outs[tree]):
+                    run = subprocess.run([sys.executable, "-m", "wclmmse.cli", *line],
+                                         env=tree_env(src), capture_output=True, text=True)
+                    if run.returncode != 0:
+                        differences += 1
+                        last = (run.stderr.strip().splitlines() or [""])[-1]
+                        print(f"FAILED     {tree} seed {seed}: wclmmse {' '.join(line)}: {last}")
+            for name in sorted({p.name for out in outs.values() for p in out.iterdir()}):
+                a, b = (out / name for out in outs.values())
+                same = a.exists() and b.exists() and same_file(a, b)
+                differences += not same
+                print(f"{'identical' if same else 'DIFFERENT':10} seed{seed}/{name}", flush=True)
+    print(f"{differences} difference(s) against {args.rev} at seeds {args.seeds}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
