@@ -70,6 +70,14 @@ def _lead_signs(vectors: Matrix) -> NDArray[np.float64]:
     return signs
 
 
+def _symmetric_part(a: Matrix) -> Matrix:
+    """(A + A') / 2, halved in place: one temporary the size of A, and the
+    bits of ``0.5 * (a + a.T)``."""
+    sym = a + a.T
+    sym *= 0.5
+    return sym
+
+
 @dataclass
 class SymEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
@@ -89,8 +97,7 @@ def sym_eig(a) -> SymEig:
     input bits.
     """
     a = _as_square(a, "sym_eig input")
-    sym = 0.5 * (a + a.T)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(_symmetric_part(a))
     # eigh returns ascending order; reverse rather than argsort so that
     # repeated eigenvalues come out in reversed backend order.
     vals = vals[::-1].copy()
@@ -103,7 +110,7 @@ def sym_eigvals(a) -> NDArray[np.float64]:
     """Eigenvalues of the symmetric part (A + A') / 2 of a square matrix,
     descending; the values :func:`condition_number` reads."""
     a = _as_square(a, "sym_eigvals input")
-    return np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
+    return np.linalg.eigvalsh(_symmetric_part(a))[::-1]
 
 
 def _check_definite(eigenvalues: NDArray[np.float64]) -> None:

@@ -262,8 +262,10 @@ def estimate_covariance(samples, n: int) -> CovarianceModel:
         raise InsufficientDataError(f"need at least 2 samples, got {k}")
     if not np.all(np.isfinite(z)):
         raise NumericInputError("samples contain non-finite entries")
-    c_z = z.T @ z / (k - 1)
-    c_z = 0.5 * (c_z + c_z.T)
+    gram = z.T @ z
+    gram /= k - 1
+    c_z = gram + gram.T
+    c_z *= 0.5
     return CovarianceModel.from_joint(c_z, n)
 
 
