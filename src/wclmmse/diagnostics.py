@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
@@ -21,12 +20,11 @@ from .filters import (
     LinearFilter,
     _csw_ranking,
     _effective_level,
-    _lsjpc_system,
-    _structured_system,
+    _ladder,
     wiener,
 )
-from .linalg import SPDFactor, matrix_norm, solve_spd
-from .model import CovarianceModel
+from .linalg import matrix_norm
+from .model import CovarianceModel, _search_grid
 
 __all__ = [
     "ScalingStudy",
@@ -44,12 +42,12 @@ __all__ = [
 # converged to the reference; the loss ratio is reported as 0 there.
 _CONVERGED_RTOL = 1e-10
 # How far, relative to tr(c_x), best_l_search trusts an MSE profile value
-# to sit from the analytic MSE of the directly built filter: the
-# tolerance to which the benchmark checks analytic_mse itself.
+# to sit from the analytic MSE of the built filter: the tolerance to
+# which the benchmark checks analytic_mse itself.
 _PROFILE_ATOL = 1e-8
 # A level whose rank margin sigma_min(Y_l)^2 is at or below this is always
-# built: its direct build solves a system of condition at least 1/margin,
-# so the build's own rounding can move its MSE by more than _PROFILE_ATOL.
+# built: its build solves a system of condition at least 1/margin, so the
+# build's own rounding can move its MSE by more than _PROFILE_ATOL.
 _TRUSTED_MARGIN = np.finfo(np.float64).eps / _PROFILE_ATOL
 
 
@@ -225,59 +223,36 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
 
 
 def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
-                 ) -> tuple[list[float] | None, SPDFactor | None]:
-    """Exact-arithmetic analytic MSE of ``jpc`` or ``lsjpc`` at each level,
-    and the top level's system as the filter's own helper forms and
-    factors it (:func:`~wclmmse.filters._structured_system`,
-    :func:`~wclmmse.filters._lsjpc_system`); see :func:`best_l_search`.
+                 ) -> list[float] | None:
+    """Exact-arithmetic analytic MSE of ``jpc`` or ``lsjpc`` at each of
+    ``levels`` (none above the top), from the model's ladder for the kind
+    (:class:`~wclmmse.model.Ladder`); see :func:`best_l_search`. None
+    when the ladder's Cholesky failed.
 
-    The prefilters are nested, so each level's l x l system is a leading
-    block of the top level's, and so is its upper Cholesky factor U_l.
-    For ``jpc``, with ``(Y' c_y) Y = U'U`` and ``B = Y' c_xy'``, the MSE
-    at l is ``tr(c_x)`` minus the sum of the first l squared row norms of
-    ``U^-T B``. For ``lsjpc``, with ``Y'Y = U'U``, the filter at l is
-    ``u_l' Y_l'``, u_l the :func:`solve_spd` of ``SPDFactor((U_l, False))``
-    against X_l'; it is scored as an n x m matrix, because expanding its
-    quadratic form through the Gram multiplies the rounding of
-    ``Y_l'(.)Y_l`` by u_l, which is large along Y_l's near-null
-    directions. Returns (None, None) when there is no level, and a None
-    profile when the Cholesky fails.
+    With the ladder's ``z = U^-T B``, the ``jpc`` MSE at l is ``tr(c_x)``
+    minus the sum of the first l squared row norms of z. ``lsjpc`` is
+    scored as the n x m matrix ``(U_l^-1 z[:l])' Y_l'``, the ladder's
+    build, because expanding its quadratic form through the Gram
+    multiplies the rounding of ``Y_l'(.)Y_l`` by ``S_l^-1``, which is
+    large along Y_l's near-null directions.
     """
-    if not levels:
-        return None, None
-    y = model.spectral.y_block(max(levels))
-    system = (_structured_system(model.c_y, y.T) if kind is FilterKind.JPC
-              else _lsjpc_system(y))
-    if system.cholesky is None:
-        return None, system
-    u = system.cholesky[0]
+    ladder = _ladder(model, kind)
+    if ladder.z is None:
+        return None
     if kind is FilterKind.JPC:
-        z = scipy.linalg.solve_triangular(u, (model.c_xy @ y).T, trans="T", check_finite=False)
-        explained = np.cumsum(np.einsum("ij,ij->i", z, z))
-        return (float(np.trace(model.c_x)) - explained[np.array(levels) - 1]).tolist(), system
-    x = model.spectral.x_block(max(levels))
-    profile = []
-    for l in levels:
-        v = solve_spd(SPDFactor((u[:l, :l], False)), x[:, :l].T)
-        profile.append(_mse(model, v.T @ y[:, :l].T))
-    return profile, system
-
-
-def _search_grid(model: CovarianceModel) -> range:
-    """The levels :func:`best_l_search` tries on ``model``."""
-    m = model.m
-    return range(min(max(1, model.n), m), m + 1, max(1, m // 16))
+        explained = np.cumsum(np.einsum("ij,ij->i", ladder.z, ladder.z))
+        at = np.array(levels, dtype=np.intp) - 1
+        return (float(np.trace(model.c_x)) - explained[at]).tolist()
+    return [_mse(model, ladder.solve(l).T @ model.spectral.y_block(l).T) for l in levels]
 
 
 def _build_order(model: CovarianceModel, kind: FilterKind, grid: range
-                 ) -> tuple[list[tuple[float, int]], SPDFactor | None]:
-    """The grid levels that pass the rank check, as sorted (p(l), l)
-    pairs, and the factored system of the build at the top one of them,
-    from :func:`_mse_profile`.
+                 ) -> list[tuple[float, int]]:
+    """The grid levels that pass the rank check, as sorted (p(l), l) pairs.
 
-    p(l) is the MSE profile, or -inf where it cannot predict the direct
+    p(l) is the :func:`_mse_profile`, or -inf where it cannot predict the
     build to ``_PROFILE_ATOL``: at a rank margin of ``_TRUSTED_MARGIN`` or
-    less, and at every level when the factorization fails.
+    less, and at every level when the ladder's factorization fails.
     """
     margins = {}
     for l in grid:
@@ -285,11 +260,11 @@ def _build_order(model: CovarianceModel, kind: FilterKind, grid: range
             margins[l] = model.spectral.check_y_rank(l)
         except RankError:
             pass
-    profile, system = _mse_profile(model, kind, list(margins))
+    profile = _mse_profile(model, kind, list(margins))
     if profile is None:
-        return [(-np.inf, l) for l in margins], system
+        return [(-np.inf, l) for l in margins]
     return sorted((p if np.isfinite(p) and margin > _TRUSTED_MARGIN else -np.inf, l)
-                  for p, (l, margin) in zip(profile, margins.items())), system
+                  for p, (l, margin) in zip(profile, margins.items()))
 
 
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind
@@ -306,34 +281,30 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     MSE and no filter. ``wiener`` has no level and is refused, as is any
     kind outside ``FILTER_CONSTRUCTORS``.
 
-    The returned level and MSE always come from a direct build scored by
-    :func:`analytic_mse`; other levels are only left unbuilt when they
+    The returned level and MSE always come from a build by the kind's
+    constructor, scored by :func:`analytic_mse`, so they are those of a
+    fixed-level build there; other levels are only left unbuilt when they
     cannot win. A level whose effective truncation equals that of a level
     already tried (``lrw`` from n up) is not built again. Other kinds
     build levels in grid order. ``jpc`` and ``lsjpc`` first compute the
     exact-arithmetic MSE profile p(l) at every grid level that passes the
-    rank check (:func:`_mse_profile`), then build levels in increasing
-    (p(l), l) and stop at the first whose p(l) exceeds the best MSE built
-    so far by more than 1e-8 tr(c_x), the tolerance to which p(l) predicts
-    a direct build. Levels it cannot predict to that tolerance come first
-    and are always built: those with a rank margin sigma_min(Y_l)^2 at or
-    below eps / 1e-8, and all of them when the factorization fails.
-
-    The profile reads the factored system of the build at the top level
-    that passes the rank check, the level ``system.dim``. The search hands
-    it to that one build as ``system=`` and then drops it: the build
-    neither forms nor factors it again and returns the bits of a build of
-    its own (by LU on the same matrix where the Cholesky failed). Nothing
-    is kept on the model.
+    rank check (:func:`_mse_profile`), from the model's one ladder for
+    the kind (:class:`~wclmmse.model.Ladder`), which their builds read
+    too. They then build levels in increasing (p(l), l) and stop at the
+    first whose p(l) exceeds the best MSE built so far by more than
+    1e-8 tr(c_x), the tolerance to which p(l) predicts a build. Levels it
+    cannot predict to that tolerance come first and are always built:
+    those with a rank margin sigma_min(Y_l)^2 at or below eps / 1e-8, and
+    all of them when the ladder's factorization fails.
     """
     filter_kind = FilterKind(filter_kind)
     if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
         raise ValueError(f"truncation-level search undefined for kind {filter_kind}")
     grid = _search_grid(model)
     constructor = FILTER_CONSTRUCTORS[filter_kind]
-    order, system = [(-np.inf, l) for l in grid], None
+    order = [(-np.inf, l) for l in grid]
     if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
-        order, system = _build_order(model, filter_kind, grid)
+        order = _build_order(model, filter_kind, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()
@@ -345,11 +316,7 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
             continue
         tried.add(level)
         try:
-            if system is not None and l == system.dim:
-                # the search holds the profile's system only until its build
-                system, filt = None, constructor(model, l, system=system)
-            else:
-                filt = constructor(model, l)
+            filt = constructor(model, l)
         except (SingularMatrixError, RankError):
             continue
         mse = analytic_mse(model, filt)

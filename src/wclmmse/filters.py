@@ -34,7 +34,13 @@ from numpy.typing import NDArray
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
 from .linalg import SPDFactor, factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
-from .model import CovarianceModel, SpectralCache
+from .model import (
+    CovarianceModel,
+    Ladder,
+    SpectralCache,
+    _lsjpc_system,
+    _structured_system,
+)
 
 __all__ = [
     "FilterKind",
@@ -135,6 +141,11 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     input at level ``l``: the L x L solve of ``jpc``, ``lsjpc`` and
     ``wiener_structured``; none for the inverse-free simplified kinds; M
     for the others. Sweep rows state it whether or not the build succeeded.
+
+    For ``jpc`` and ``lsjpc`` it stays L where a level is built from the
+    model's ladder: the factor call there is top x top, but level L reads
+    only U_L, the factor of its own L x L system (see
+    :class:`~wclmmse.model.Ladder`).
     """
     if kind in (FilterKind.JPC, FilterKind.LSJPC, FilterKind.WIENER_STRUCTURED):
         return l
@@ -143,19 +154,19 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     return m
 
 
-def _structured_system(c_y, b) -> SPDFactor:
-    """The L x L system ``b @ c_y @ b'`` that a filter factoring through
-    prefilter ``b`` solves, symmetrized and factored by :func:`factor_spd`."""
-    bcb = b @ c_y @ b.T
-    return factor_spd(0.5 * (bcb + bcb.T))
-
-
 def _structured_filter(model: CovarianceModel, b, system: SPDFactor | None = None):
-    """``(c_xy @ b') @ inv(S) @ b``, S the factored :func:`_structured_system`
-    (formed here when ``system`` is None): the filter through prefilter b."""
+    """``(c_xy @ b') @ inv(S) @ b``, S the :func:`~wclmmse.model._structured_system`
+    through prefilter b, factored by :func:`factor_spd` (here when
+    ``system`` is None): the filter through prefilter b."""
     if system is None:
-        system = _structured_system(model.c_y, b)
+        system = factor_spd(_structured_system(model.c_y, b))
     return (model.c_xy @ b.T) @ solve_spd(system, b)
+
+
+def _ladder(model: CovarianceModel, kind: FilterKind) -> Ladder:
+    """The model's :class:`~wclmmse.model.Ladder` for ``jpc`` or ``lsjpc``."""
+    cache = model.spectral
+    return cache.jpc_ladder if kind is FilterKind.JPC else cache.lsjpc_ladder
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:
@@ -252,42 +263,48 @@ def csw(model: CovarianceModel, l: int) -> LinearFilter:
                         max_inverse_dim=_certificate(FilterKind.CSW, model.m, l))
 
 
-def jpc(model: CovarianceModel, l: int, system: SPDFactor | None = None) -> LinearFilter:
+def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
-    Only the l x l :func:`_structured_system` is solved, so the filter is
+    Only the l x l system ``Y_l' c_y Y_l`` is solved, so the filter is
     computable without any inverse larger than l x l no matter how
-    ill-conditioned c_y is. ``system`` is that system already factored
-    (see :func:`~wclmmse.diagnostics.best_l_search`): the same bits.
-    """
-    model.spectral.check_y_rank(l)
-    matrix = _structured_filter(model, model.spectral.y_block(l).T, system)
-    return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
-                        max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
-
-
-def _lsjpc_system(y) -> SPDFactor:
-    """The L x L system ``y' @ y`` that ``lsjpc`` solves on Y block ``y``,
-    symmetrized and factored by :func:`factor_spd`."""
-    gram = y.T @ y
-    return factor_spd(0.5 * (gram + gram.T))
-
-
-def lsjpc(model: CovarianceModel, l: int, system: SPDFactor | None = None) -> LinearFilter:
-    """Least-squares variant of the joint-principal-component filter.
-
-    Resolves the input onto the range of the Y-block basis and maps the
-    coordinates through the X block: ``x_block @ inv(y'y) @ y'``. Not
-    Wiener-structured; also solves nothing larger than l x l, the system
-    :func:`_lsjpc_system`, which ``system`` holds already factored (as for ``jpc``).
+    ill-conditioned c_y is. A level that ``model.spectral.jpc_ladder``
+    reaches is ``(S_l^-1 Y_l' c_xy')' Y_l'`` from that one factor; any
+    other level is built directly, solving its own system against Y_l'
+    (at the ladder's top, the ladder's factored system).
     """
     cache = model.spectral
     cache.check_y_rank(l)
     y = cache.y_block(l)
-    if system is None:
-        system = _lsjpc_system(y)
-    matrix = cache.x_block(l) @ solve_spd(system, y.T)
+    ladder = cache.jpc_ladder
+    if ladder.reaches(l):
+        matrix = ladder.solve(l).T @ y.T
+    else:
+        matrix = _structured_filter(model, y.T, ladder.system_at(l))
+    return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
+                        max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
+
+
+def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
+    """Least-squares variant of the joint-principal-component filter.
+
+    Resolves the input onto the range of the Y-block basis and maps the
+    coordinates through the X block: ``x_block @ inv(y'y) @ y'``. Not
+    Wiener-structured; also solves nothing larger than l x l. As for
+    ``jpc``, a level ``model.spectral.lsjpc_ladder`` reaches is
+    ``(S_l^-1 X_l')' Y_l'`` from its one factor, and any other is built
+    directly.
+    """
+    cache = model.spectral
+    cache.check_y_rank(l)
+    y = cache.y_block(l)
+    ladder = cache.lsjpc_ladder
+    if ladder.reaches(l):
+        matrix = ladder.solve(l).T @ y.T
+    else:
+        system = ladder.system_at(l) or factor_spd(_lsjpc_system(y))
+        matrix = cache.x_block(l) @ solve_spd(system, y.T)
     return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC, l=l,
                         max_inverse_dim=_certificate(FilterKind.LSJPC, model.m, l))
 
@@ -358,6 +375,12 @@ def det_optimal_weight(model: CovarianceModel) -> NDArray[np.float64]:
 
 
 def is_l_well_conditioned(filt: LinearFilter, l: int) -> bool:
-    """True when the filter was built without any inverse larger than l x l."""
+    """True when the filter was built without any inverse larger than l x l.
+
+    A ``jpc`` or ``lsjpc`` level built from the model's ladder counts as
+    l: the ladder's one factorization is top x top, but the level reads
+    only the leading l x l block of its factor, which is the factor of
+    the level's own l x l system.
+    """
     return filt.max_inverse_dim <= l
 

@@ -37,16 +37,16 @@ __all__ = [
 
 _TEST_DRAWS = 1000
 
-# The decomposition on ``model.spectral`` each kind reads, made before
+# The decompositions on ``model.spectral`` each kind reads, made before
 # any of its cells is timed.
 _CACHE_READS = {
-    FilterKind.WIENER: "wiener_solve",
-    FilterKind.LRW: "eig_wiener",
-    FilterKind.CSW: "eig_y",
-    FilterKind.JPC: "eig_z",
-    FilterKind.LSJPC: "eig_z",
-    FilterKind.JPC_SIMPLIFIED: "eig_z",
-    FilterKind.LSJPC_SIMPLIFIED: "eig_z",
+    FilterKind.WIENER: ("wiener_solve",),
+    FilterKind.LRW: ("eig_wiener",),
+    FilterKind.CSW: ("eig_y",),
+    FilterKind.JPC: ("eig_z", "jpc_ladder"),
+    FilterKind.LSJPC: ("eig_z", "lsjpc_ladder"),
+    FilterKind.JPC_SIMPLIFIED: ("eig_z",),
+    FilterKind.LSJPC_SIMPLIFIED: ("eig_z",),
 }
 
 
@@ -132,19 +132,21 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     any cell is timed: the eigenvalues of ``c_y``, which give
     ``cond_cy``, always; the joint eigendecomposition for ``jpc``,
     ``lsjpc`` and their simplified variants (and for drawing a model
-    source's test vectors); the M x M Wiener solve for ``wiener``; that
-    solve and the n x n ``eig_wiener`` for ``lrw``; the M x M ``eig_y``
-    only for ``csw``. When ``c_y`` is too singular for a kind, each of
+    source's test vectors); the ladder, its one factored top-level
+    system, of ``jpc`` and of ``lsjpc``; the M x M Wiener solve for
+    ``wiener``; that solve and the n x n ``eig_wiener`` for ``lrw``; the
+    M x M ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a kind, each of
     its cells fails on its own and its row records the failure.
     """
     model, test_z, mean = _prepare(source, m, n, seed)
     cache = model.spectral
     cond_cy = cache.cond_y
     for kind in kinds:
-        try:
-            getattr(cache, _CACHE_READS[kind])
-        except SingularMatrixError:
-            pass
+        for name in _CACHE_READS[kind]:
+            try:
+                getattr(cache, name)
+            except SingularMatrixError:
+                pass
     return [_sweep_cell(kind, model, policy, test_z, mean, cond_cy)
             for kind in kinds
             for policy in (policies[:1] if kind is FilterKind.WIENER else policies)]
@@ -164,7 +166,8 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy,
     shared decompositions: building the filter at its level, and for an
     ``--l-policy best`` row also the search that chose the level and
     built the filter there. Neither the one-time decompositions of the
-    model nor the scoring are in it. A filter that cannot be built gives
+    model (a ``jpc`` or ``lsjpc`` ladder's factorization among them) nor
+    the scoring are in it. A filter that cannot be built gives
     NaN ``norm_rms`` and ``analytic_mse``; every other field is as for a
     built one.
     """

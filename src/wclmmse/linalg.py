@@ -38,6 +38,7 @@ __all__ = [
     "factor_spd",
     "solve_spd",
     "nuclear_norm",
+    "spectral_norm",
     "matrix_norm",
 ]
 
@@ -173,9 +174,13 @@ class SPDFactor:
     """A square system A as :func:`factor_spd` factors it, for any number
     of :func:`solve_spd` calls: ``cholesky`` is ``scipy.linalg.cho_factor``'s
     upper factor of A, or None where that fails; ``lhs`` then keeps A for
-    the LU solve that :func:`solve_spd` falls back to. The leading l x l
-    block u[:l, :l] of an upper factor u of A is the upper factor of A's
-    leading l x l block, so ``SPDFactor((u[:l, :l], False))`` is that block."""
+    the LU solve that :func:`solve_spd` falls back to.
+
+    The leading l x l block u[:l, :l] of an upper factor u of A is the
+    upper factor of A's leading l x l block. A model's ladders
+    (:class:`~wclmmse.model.Ladder`) rest on this: their factor call is
+    top x top, but level l reads only u[:l, :l], the factor of its own
+    l x l system."""
 
     cholesky: tuple[Matrix, bool] | None
     lhs: Matrix | None = None
@@ -227,6 +232,12 @@ def nuclear_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def spectral_norm(a) -> float:
+    """Largest singular value; 0 for an empty matrix."""
+    a = _as_matrix(a, "spectral_norm input")
+    return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
 
 
 def matrix_norm(a, kind: str = "nuclear") -> float:

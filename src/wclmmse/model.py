@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import (
@@ -30,11 +31,13 @@ from .errors import (
     RankError,
 )
 from .linalg import (
+    SPDFactor,
     SymEig,
     _check_definite,
     _spectral_condition,
     factor_spd,
     solve_spd,
+    spectral_norm,
     sym_eig,
     sym_eigvals,
 )
@@ -42,6 +45,7 @@ from .linalg import (
 __all__ = [
     "CovarianceModel",
     "SpectralCache",
+    "Ladder",
     "estimate_covariance",
     "geometric_spectrum",
     "synthetic_model",
@@ -52,6 +56,11 @@ _SYM_RTOL = 1e-10
 # Floor on sigma_min(Y_l)^2 = 1 - ||X_l||_2^2 below which the Y rows of the
 # leading l joint eigenvectors count as rank-deficient.
 _Y_RANK_FLOOR = 1e-12
+# A level whose system has a reciprocal condition estimate at or below
+# this is not built from a ladder. It is the bound best_l_search puts on
+# the rank margin: past it, a direct build's own rounding moves its MSE by
+# more than 1e-8 tr(c_x), so only the direct build reproduces its bits.
+_LADDER_RCOND = np.finfo(np.float64).eps / 1e-8
 
 
 def _joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
@@ -126,6 +135,104 @@ class CovarianceModel:
         return SpectralCache(self)
 
 
+def _search_grid(model) -> range:
+    """The levels :func:`~wclmmse.diagnostics.best_l_search` tries on a
+    model (or its :class:`SpectralCache`): min(max(1, n), m) up to m in
+    steps of max(1, m // 16). The top one that passes the rank check is
+    the top of the model's ladders."""
+    m = model.m
+    return range(min(max(1, model.n), m), m + 1, max(1, m // 16))
+
+
+def _structured_system(c_y, b) -> NDArray[np.float64]:
+    """The L x L system ``b @ c_y @ b'`` that a filter factoring through
+    prefilter ``b`` solves, symmetrized."""
+    bcb = b @ c_y @ b.T
+    return 0.5 * (bcb + bcb.T)
+
+
+def _lsjpc_system(y) -> NDArray[np.float64]:
+    """The L x L system ``y' @ y`` that ``lsjpc`` solves on Y block ``y``,
+    symmetrized."""
+    gram = y.T @ y
+    return 0.5 * (gram + gram.T)
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """One kind's system at the model's top level, factored once, from
+    which every level up to the top is solved.
+
+    The prefilters of ``jpc`` and ``lsjpc`` are nested, so level l's
+    l x l system S_l is the leading block of the top system S, and its
+    upper Cholesky factor U_l is the leading block of S's factor U.
+    Forward substitution is prefix-stable, so with the kind's right-hand
+    side B (top x n), ``z = U^-T B`` gives ``S_l^-1 B[:l] = U_l^-1 z[:l]``
+    at every level: l^2 n work and no solve against m columns. This is
+    the multistage form of the Wiener filter (Goldstein, Reed & Scharf,
+    IEEE Trans. Inf. Theory 44(7), 1998).
+
+    Where S's Cholesky succeeded, ``u`` holds U in LAPACK's packed upper
+    storage, column after column, so U_l is its first l(l+1)/2 entries;
+    ``z`` is U^-T B, and ``norms[l - 1]`` the 1-norm of S_l, for the
+    condition estimate :meth:`reaches` reads. Where it failed, those are
+    None and ``failed`` keeps S as :func:`~wclmmse.linalg.factor_spd`
+    left it, for the LU solve. At top 0, when no grid level passes the
+    rank check, there is no system.
+    """
+
+    top: int
+    u: NDArray[np.float64] | None = None
+    z: NDArray[np.float64] | None = None
+    norms: NDArray[np.float64] | None = None
+    failed: SPDFactor | None = None
+
+    def _leading(self, l: int) -> NDArray[np.float64]:
+        return self.u[: l * (l + 1) // 2]
+
+    def reaches(self, l: int) -> bool:
+        """Whether level l is solved from the factor: l is at most the
+        top, the top's Cholesky succeeded, and LAPACK's ``dppcon``
+        estimate of S_l's reciprocal 1-norm condition number, from U_l, is
+        above eps / 1e-8."""
+        if self.u is None or l > self.top:
+            return False
+        rcond, _ = scipy.linalg.lapack.dppcon(l, self._leading(l), self.norms[l - 1])
+        return rcond > _LADDER_RCOND
+
+    def solve(self, l: int) -> NDArray[np.float64]:
+        """``S_l^-1 B[:l]`` (l x n), as ``U_l^-1 z[:l]``, for a level it reaches."""
+        u_l = self._leading(l)
+        out = np.empty((l, self.z.shape[1]))
+        for j in range(out.shape[1]):
+            out[:, j] = scipy.linalg.blas.dtpsv(l, u_l, self.z[:l, j])
+        return out
+
+    def system_at(self, l: int) -> SPDFactor | None:
+        """The factored system of level l where the ladder holds it (the
+        top level), else None: a direct build at the top reuses it."""
+        if l != self.top:
+            return None
+        if self.failed is not None:
+            return self.failed
+        return SPDFactor((scipy.linalg.lapack.dtpttr(self.top, self.u)[0], False))
+
+
+def _factor_ladder(top: int, system, b) -> Ladder:
+    """The :class:`Ladder` of the top x top ``system`` and right-hand side ``b``."""
+    sums = np.abs(system)
+    np.cumsum(sums, axis=0, out=sums)
+    sums *= np.tri(top, dtype=bool)  # row l - 1: the column sums of S_l
+    norms = sums.max(axis=1)
+    del sums
+    factor = factor_spd(system)
+    if factor.cholesky is None:
+        return Ladder(top, failed=factor)
+    u = factor.cholesky[0]
+    z = scipy.linalg.solve_triangular(u, b, trans="T", check_finite=False)
+    return Ladder(top, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
+
+
 class SpectralCache:
     """The one owner of a model's decompositions, each made lazily and at most once.
 
@@ -139,6 +246,9 @@ class SpectralCache:
       which ``lrw`` and its ``rho_l`` read.
     * ``eig_y``: the m x m eigendecomposition of c_y, which only ``csw``
       reads.
+    * ``jpc_ladder`` and ``lsjpc_ladder``: each kind's :class:`Ladder`,
+      its system at ``ladder_top`` factored once, from which ``jpc`` and
+      ``lsjpc`` build the levels it reaches.
 
     Read it as ``model.spectral``. It keeps the model's three blocks, not
     the model, so no reference cycle holds the decompositions once the
@@ -196,13 +306,42 @@ class SpectralCache:
         few eps, so it cannot resolve a singular-value ratio as small as
         the 1e-10 an m x l SVD of Y_l can.
         """
-        x_norm = float(np.linalg.svd(self.x_block(l), compute_uv=False).max(initial=0.0))
-        margin = 1.0 - x_norm**2
+        margin = 1.0 - spectral_norm(self.x_block(l))**2
         if margin <= _Y_RANK_FLOOR:
             raise RankError(
                 f"Y rows of the leading {l} joint eigenvectors are rank-deficient"
                 " (degenerate joint spectrum)")
         return margin
+
+    @cached_property
+    def ladder_top(self) -> int:
+        """The highest level of the ``best`` search grid that passes
+        :meth:`check_y_rank`, 0 when none does: the top of both ladders,
+        fixed by the model alone."""
+        for l in reversed(_search_grid(self)):
+            try:
+                self.check_y_rank(l)
+            except RankError:
+                continue
+            return l
+        return 0
+
+    @cached_property
+    def jpc_ladder(self) -> Ladder:
+        """``jpc``'s ladder: S = Y' c_y Y and B = Y' c_xy' at ``ladder_top``."""
+        top = self.ladder_top
+        if not top:
+            return Ladder(0)
+        y = self.y_block(top)
+        return _factor_ladder(top, _structured_system(self.c_y, y.T), (self.c_xy @ y).T)
+
+    @cached_property
+    def lsjpc_ladder(self) -> Ladder:
+        """``lsjpc``'s ladder: S = Y'Y and B = X' at ``ladder_top``."""
+        top = self.ladder_top
+        if not top:
+            return Ladder(0)
+        return _factor_ladder(top, _lsjpc_system(self.y_block(top)), self.x_block(top).T)
 
     @cached_property
     def eigvals_y(self) -> NDArray[np.float64]:

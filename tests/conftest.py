@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from wclmmse import CovarianceModel, SpectralCache, linalg
+from wclmmse import CovarianceModel, FilterKind, SpectralCache, linalg
+from wclmmse.filters import _structured_filter
+from wclmmse.model import _lsjpc_system
 
 
 def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
@@ -50,6 +52,16 @@ def ar1_model(n, m, phi=0.9, noise=0.0):
     time_cov = phi ** np.abs(t[:, None] - t[None, :]) + noise * np.eye(d)
     order = np.concatenate([np.arange(m, d), np.arange(m)])
     return CovarianceModel.from_joint(time_cov[np.ix_(order, order)], n)
+
+
+def direct_joint_build(model, kind, l):
+    """``jpc`` or ``lsjpc`` at level l built without the model's ladder:
+    level l's own system formed, factored and solved against Y_l'."""
+    y = model.spectral.y_block(l)
+    if FilterKind(kind) is FilterKind.JPC:
+        return _structured_filter(model, y.T)
+    system = linalg.factor_spd(_lsjpc_system(y))
+    return model.spectral.x_block(l) @ linalg.solve_spd(system, y.T)
 
 
 def ar1_series(length, phi=0.8, level=20.0, sigma=1.0, seed=0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ar1_series, haar_model
+from conftest import ar1_series, direct_joint_build, haar_model
 from wclmmse import (
     CovarianceModel,
     DimensionError,
@@ -30,7 +30,7 @@ from wclmmse import (
     window_samples,
 )
 from wclmmse.diagnostics import _mse_profile, _search_grid
-from wclmmse.filters import FILTER_CONSTRUCTORS
+from wclmmse.filters import FILTER_CONSTRUCTORS, _ladder
 
 
 class TestAnalyticMse:
@@ -258,9 +258,9 @@ def _counting_builds(monkeypatch, kind):
     builds = []
     constructor = FILTER_CONSTRUCTORS[kind]
 
-    def counting(model, l, **handoff):
+    def counting(model, l):
         builds.append(l)
-        return constructor(model, l, **handoff)
+        return constructor(model, l)
 
     monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
     return builds
@@ -378,10 +378,12 @@ class TestBestLSearch:
     def test_profile_matches_direct_builds(self, kind):
         # within the 1e-8 tr(c_x) the search trusts the profile to; lsjpc's
         # MSE here grows to 250 tr(c_x), where the two agree to about 1e-12
-        # relative
+        # relative. The profile reads the model's ladder; jpc builds its
+        # levels from 163 up directly (their rcond is below eps / 1e-8),
+        # every other level here from the ladder
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         levels = list(_search_grid(model))
-        profile, _ = _mse_profile(model, kind, levels)
+        profile = _mse_profile(model, kind, levels)
         direct = [analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l)) for l in levels]
         np.testing.assert_allclose(profile, direct, rtol=1e-10,
                                    atol=1e-8 * np.trace(model.c_x))
@@ -404,8 +406,9 @@ class TestBestLSearch:
     def test_jpc_profile_is_non_increasing(self):
         # jpc is optimal over the span of Y_l, and those spans are nested
         model = _SEARCH_MODELS["ar1_n7_m200"]()
-        profile, _ = _mse_profile(model, FilterKind.JPC, list(range(1, model.m + 1)))
-        assert np.all(np.diff(profile) <= 0.0)
+        top = model.spectral.ladder_top
+        profile = _mse_profile(model, FilterKind.JPC, list(range(1, top + 1)))
+        assert top == 199 and np.all(np.diff(profile) <= 0.0)
 
 
 @st.composite
@@ -426,3 +429,31 @@ def _small_models(draw):
 @given(model=_small_models(), kind=st.sampled_from([FilterKind.JPC, FilterKind.LSJPC]))
 def test_best_l_search_equals_exhaustive_search(model, kind):
     assert best_l_search(model, kind)[:2] == _exhaustive_search(model, kind)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(model=_small_models(), kind=st.sampled_from([FilterKind.JPC, FilterKind.LSJPC]))
+def test_ladder_builds_match_direct_builds(model, kind):
+    # Every level that passes the rank check. Where the model's ladder
+    # reaches a level, the build's analytic MSE agrees with the direct
+    # formula's to 1e-8 tr(c_x), the benchmark's analytic_mse tolerance;
+    # at every other level the build is the direct one, bit for bit, and
+    # fails where it fails.
+    ladder = _ladder(model, kind)
+    tol = 1e-8 * np.trace(model.c_x)
+    for l in range(1, model.m + 1):
+        try:
+            model.spectral.check_y_rank(l)
+        except RankError:
+            continue
+        try:
+            expected = direct_joint_build(model, kind, l)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                FILTER_CONSTRUCTORS[kind](model, l)
+            continue
+        filt = FILTER_CONSTRUCTORS[kind](model, l)
+        if ladder.reaches(l):
+            assert abs(analytic_mse(model, filt) - analytic_mse(model, expected)) <= tol, l
+        else:
+            assert np.array_equal(filt.matrix, expected), l

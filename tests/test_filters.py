@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import haar_model, tail_mixed_model
+from conftest import ar1_series, direct_joint_build, haar_model, tail_mixed_model
 from wclmmse import (
     CovarianceModel,
     FilterKind,
@@ -22,6 +22,7 @@ from wclmmse import (
     best_l_search,
     csw,
     det_optimal_weight,
+    estimate_covariance,
     filter_power_loss,
     inv_sqrt_spd,
     is_l_well_conditioned,
@@ -37,9 +38,10 @@ from wclmmse import (
     weighted_trace_objective,
     wiener,
     wiener_structured,
+    window_samples,
 )
 from wclmmse import linalg
-from wclmmse.filters import FILTER_CONSTRUCTORS
+from wclmmse.filters import FILTER_CONSTRUCTORS, _ladder
 
 
 def copy_model(dim=3, seed=5):
@@ -255,8 +257,12 @@ class TestJpc:
         np.testing.assert_array_equal(jpc(model, 3).matrix, np.zeros((2, 4)))
 
     def test_bit_identical_to_structured_path(self):
-        model = haar_model(2, 4, ratio=0.6, seed=18)
-        for l in (1, 2, 3):
+        # where jpc builds a level directly (here above the ladder's top,
+        # 47 on the grid 2, 5, ..., 47), it is the structured path bit for
+        # bit; where its ladder reaches a level, TestLadder checks it
+        model = haar_model(2, 49, ratio=0.6, seed=18)
+        assert model.spectral.ladder_top == 47
+        for l in (48, 49):
             direct = jpc(model, l).matrix
             via_prefilter = wiener_structured(model, Prefilter(model.spectral.y_block(l).T)).matrix
             assert np.array_equal(direct, via_prefilter)
@@ -272,6 +278,64 @@ class TestJpc:
         model = CovarianceModel.from_joint(np.diag([10.0, 1.0, 2.0]), 1)
         with pytest.raises(RankError):
             jpc(model, 1)
+
+
+class TestLadder:
+    # Every level from 1 to m. Where the model's ladder reaches a level,
+    # the build's analytic MSE agrees with the direct formula's to
+    # 1e-8 tr(c_x), the tolerance the benchmark checks analytic_mse to;
+    # every other level (rcond at or below eps / 1e-8, or above the top)
+    # is the direct build, bit for bit. At ratio 0.9 jpc's systems pass
+    # that rcond from l=134 on.
+
+    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
+    @pytest.mark.parametrize("ratio", [0.97, 0.9])
+    def test_every_level_matches_the_direct_build(self, ratio, kind):
+        model = haar_model(7, 160, ratio=ratio, seed=0)
+        ladder = _ladder(model, kind)
+        tol = 1e-8 * np.trace(model.c_x)
+        reached, direct = [], []
+        for l in range(1, model.m + 1):
+            filt = FILTER_CONSTRUCTORS[kind](model, l)
+            expected = direct_joint_build(model, kind, l)
+            if ladder.reaches(l):
+                reached.append(l)
+                assert abs(analytic_mse(model, filt) - analytic_mse(model, expected)) <= tol, l
+            else:
+                direct.append(l)
+                assert np.array_equal(filt.matrix, expected), l
+        assert ladder.top == 157 and reached
+        gated = [l for l in direct if l <= ladder.top]
+        assert direct[-3:] == [158, 159, 160]
+        assert (len(gated) > 10) == ((ratio, kind) == (0.9, FilterKind.JPC))
+
+    def test_built_once_per_model_and_kind(self, monkeypatch):
+        model = haar_model(7, 120, ratio=0.9, seed=1)
+        factored = []
+        original = linalg.factor_spd
+
+        def recording(a):
+            factored.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(sys.modules["wclmmse.model"], "factor_spd", recording)
+        for l in (10, 50, 100):
+            jpc(model, l)
+            lsjpc(model, l)
+        top = model.spectral.ladder_top
+        assert factored == [(top, top), (top, top)]
+
+    def test_failed_top_factorization_builds_every_level_directly(self):
+        # d = 252 from 38 training windows: the top jpc system is indefinite
+        # in float64, so the ladder keeps it for the LU solve and reaches
+        # no level
+        train, _, _ = window_samples(ar1_series(300, phi=0.8, seed=0), 250, 2, 0)
+        model = estimate_covariance(train, 2)
+        ladder = model.spectral.jpc_ladder
+        assert ladder.failed.cholesky is None and ladder.u is None
+        for l in (10, ladder.top):
+            assert not ladder.reaches(l)
+            assert np.array_equal(jpc(model, l).matrix, direct_joint_build(model, "jpc", l))
 
 
 class TestLsjpc:
@@ -482,19 +546,23 @@ class TestWellConditionedCertificates:
         assert not is_l_well_conditioned(wiener(model), l)
 
     def test_largest_solve_matches_certificate(self, monkeypatch):
-        # Every system a construction solves goes to cho_factor or the LU
-        # fallback; each build runs on a fresh model, so the model's lazy
-        # solves fall inside the spy too.
+        # Every system a construction solves goes to cho_factor, the LU
+        # fallback or, for a level a ladder reaches, the packed triangular
+        # solve with that level's own factor U_l, of order its first
+        # argument. Each build runs on a fresh model, so the model's lazy
+        # solves fall inside the spy too, except its ladders: their one
+        # top x top factorization is made before.
         solved = []
 
         def spy(name, original):
             def recording(a, *args, **kwargs):
-                solved.append((name, np.shape(a)[0]))
+                solved.append((name, a if isinstance(a, int) else np.shape(a)[0]))
                 return original(a, *args, **kwargs)
             return recording
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", spy("cholesky", scipy.linalg.cho_factor))
         monkeypatch.setattr(np.linalg, "solve", spy("lu", np.linalg.solve))
+        monkeypatch.setattr(scipy.linalg.blas, "dtpsv", spy("triangular", scipy.linalg.blas.dtpsv))
         rng = np.random.default_rng(34)
         builds = dict(FILTER_CONSTRUCTORS)
         builds[FilterKind.WIENER_STRUCTURED] = lambda model, l: wiener_structured(
@@ -502,9 +570,11 @@ class TestWellConditionedCertificates:
         exact = {FilterKind.WIENER, FilterKind.LRW, FilterKind.JPC, FilterKind.LSJPC,
                  FilterKind.WIENER_STRUCTURED}
         for kind, build in builds.items():
-            for l in (1, 2, 6):  # below n, at n and at m
+            for l in (1, 2, 6):  # below n, at n and at m, the ladders' top
+                model = haar_model(2, 6, ratio=0.7, seed=33)
+                assert model.spectral.jpc_ladder.top == model.spectral.lsjpc_ladder.top == 6
                 solved.clear()
-                filt = build(haar_model(2, 6, ratio=0.7, seed=33), l)
+                filt = build(model, l)
                 largest = max((dim for _, dim in solved), default=0)
                 if kind in exact:
                     assert largest == filt.max_inverse_dim, (kind, l)

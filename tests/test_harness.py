@@ -72,6 +72,12 @@ def _jpc_system(model, l):
     return y.T @ model.c_y @ y
 
 
+def _lsjpc_system(model, l):
+    """lsjpc's l x l system Y_l'Y_l, formed afresh."""
+    y = model.spectral.y_block(l)
+    return y.T @ y
+
+
 def _search_rank_deficient_m250(monkeypatch, kind):
     """A best-policy ``kind`` row on the m=250 model (300-point AR(1), phi
     0.8, seed 0, n=2: 38 training windows for d=252), the model, the
@@ -81,8 +87,8 @@ def _search_rank_deficient_m250(monkeypatch, kind):
     built = {}
     constructor = FILTER_CONSTRUCTORS[kind]
 
-    def recording(model, l, **handoff):
-        built[l] = constructor(model, l, **handoff)
+    def recording(model, l):
+        built[l] = constructor(model, l)
         return built[l]
 
     monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, recording)
@@ -171,6 +177,33 @@ class TestRunLSweep:
         with pytest.raises(ValueError):
             run_l_sweep(model, 5, 2, [1], ["wiener"], seed=0)
 
+    @pytest.mark.parametrize("ratio", [0.97, 0.9])
+    def test_l_sweep_factors_one_top_system_per_kind(self, monkeypatch, ratio):
+        # cho_factor sees each kind's ladder, its system at the top level,
+        # once; then only the systems of levels built directly: those below
+        # the top the ladder does not reach (none at ratio 0.97), and those
+        # above it
+        model = haar_model(7, 400, ratio=ratio, seed=0)
+        grid = range(10, 401, 10)
+        factored = _record_cho_factor(monkeypatch)
+        rows = run_l_sweep(model, 400, 7, grid, ["jpc", "lsjpc"], seed=0)
+        assert len(rows) == 80
+        expected = []
+        cache = model.spectral
+        for ladder, system_of in ((cache.jpc_ladder, _jpc_system),
+                                  (cache.lsjpc_ladder, _lsjpc_system)):
+            expected.append(system_of(model, ladder.top))
+            for l in grid:
+                try:
+                    cache.check_y_rank(l)
+                except RankError:
+                    continue
+                if not ladder.reaches(l):
+                    expected.append(system_of(model, l))
+        assert (len(expected) > 10) == (ratio == 0.9)
+        assert len(factored) == len(expected)
+        assert all(_factorizations_of(factored, system) == 1 for system in expected)
+
     def test_l_sweep_decomposes_the_model_once(self, cache_builds):
         model = haar_model(2, 8, ratio=0.8, seed=14)
         rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
@@ -242,9 +275,9 @@ class TestRunMSweep:
         for kind in ("jpc", "lsjpc"):
             constructor = FILTER_CONSTRUCTORS[kind]
 
-            def counting(model, l, kind=kind, constructor=constructor, **handoff):
+            def counting(model, l, kind=kind, constructor=constructor):
                 builds.append((kind, model.m))
-                return constructor(model, l, **handoff)
+                return constructor(model, l)
 
             monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
         series = ar1_series(1500, phi=0.95, seed=0)
@@ -259,8 +292,9 @@ class TestRunMSweep:
         # wiener and lrw share one Cholesky solve of c_y; lrw decomposes
         # only the n x n c_xy c_y^-1 c_xy'; cond_cy reads the eigenvalues
         # of c_y bit-identically to condition_number. jpc's search picks
-        # its top level, and the search's profile and the row's build share
-        # one Cholesky factorization of that level's system.
+        # its top level, the top of the model's jpc ladder: the search's
+        # profile and the row's build read that level's system, factored
+        # once.
         models = _record_models(monkeypatch)
         factored = _record_cho_factor(monkeypatch)
         series = ar1_series(1500, phi=0.95, seed=0)
@@ -278,9 +312,10 @@ class TestRunMSweep:
 
     def test_best_policy_factors_a_failing_jpc_system_once(self, monkeypatch):
         # the m=250 model below: the top level's jpc system is indefinite
-        # in float64, so the search's profile fails to factor it and the
-        # build at that level solves the same matrix by LU, without a
-        # second Cholesky attempt; that build is bit for bit a fixed build
+        # in float64, so the model's jpc ladder fails to factor it, and the
+        # build at that level solves the matrix the ladder keeps by LU,
+        # without a second Cholesky attempt; that build is bit for bit a
+        # fixed build
         row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "jpc")
         assert np.isfinite(row.norm_rms)
         assert _factorizations_of(factored, _jpc_system(model, 242)) == 1
@@ -289,8 +324,9 @@ class TestRunMSweep:
 
     def test_best_policy_factors_lsjpcs_top_system_once(self, monkeypatch):
         # on the same model lsjpc's top-level Y'Y is definite and the search
-        # builds every level up to it: its profile and its build there share
-        # one Cholesky factorization, and the row is bit for bit a fixed row.
+        # builds every level up to it: its profile and its builds read the
+        # model's lsjpc ladder, that system factored once, and the row is
+        # bit for bit a fixed row.
         # The MSEs there are rounding noise, so the level picked depends on
         # the BLAS thread count; it must be the one building and scoring
         # every grid level here picks
@@ -307,16 +343,19 @@ class TestRunMSweep:
         assert row.l == min(mse, key=lambda l: (mse[l], l))
         _assert_is_the_fixed_row(row)
 
-    def test_nothing_is_memoized_across_calls(self, monkeypatch):
-        # the search drops the system it handed to its build: a fixed build
-        # on the searched model factors its own system, to the same bits
+    def test_fixed_and_searched_builds_share_the_ladder(self, monkeypatch):
+        # the search factors the model's one jpc ladder and builds its level
+        # from it; a fixed build there reads the same factor, factoring
+        # nothing, to the same bits
         series = ar1_series(1500, phi=0.95, seed=0)
         train, _, _ = window_samples(series, 100, 7, 0)
         model = estimate_covariance(train, 7)
-        l, _, searched = best_l_search(model, FilterKind.JPC)
         factored = _record_cho_factor(monkeypatch)
+        l, _, searched = best_l_search(model, FilterKind.JPC)
+        top = model.spectral.jpc_ladder.top
+        assert l == top and [np.shape(a) for a in factored] == [(top, top)]
         fixed = jpc(model, l)
-        assert [np.shape(a) for a in factored] == [(l, l)]
+        assert len(factored) == 1
         assert np.array_equal(fixed.matrix, searched.matrix)
 
     def test_series_sweep_decomposes_only_what_its_kinds_read(self, sym_eig_shapes):
@@ -434,15 +473,19 @@ class TestRunConditionReport:
 
 _TIMING_CHILD = """
 import json
+import time
 from conftest import haar_model
-from wclmmse import run_l_sweep
+from wclmmse import jpc, lsjpc
 
-model = haar_model(2, 96, ratio=0.95, seed=10)
+builds = {"jpc": jpc, "lsjpc": lsjpc}
 times = {"jpc": [], "lsjpc": []}
 for rep in range(8):
-    order = ["jpc", "lsjpc"] if rep % 2 == 0 else ["lsjpc", "jpc"]
-    for row in run_l_sweep(model, 96, 2, [24], order, seed=rep):
-        times[row.filter].append(row.wall_ms)
+    for kind in (["jpc", "lsjpc"] if rep % 2 == 0 else ["lsjpc", "jpc"]):
+        model = haar_model(2, 200, ratio=0.95, seed=10)
+        model.spectral.eig_z
+        started = time.perf_counter()
+        builds[kind](model, 24)
+        times[kind].append((time.perf_counter() - started) * 1e3)
 print(json.dumps(times))
 """
 
@@ -450,9 +493,12 @@ print(json.dumps(times))
 class TestTiming:
     def test_lsjpc_not_slower_than_jpc(self):
         # fewer multiplications: no input-covariance products, median over
-        # repeated runs with 1.2x slack. wall_ms times only the build at
-        # the level; the shared decompositions and the apply are not in it.
-        # The sweeps run in a child process with BLAS pinned to one thread
+        # repeated runs with 1.2x slack. Every level of a kind is built
+        # from its ladder, the model's one factored top-level system, so
+        # the products differ only there: each build is timed on a fresh
+        # model whose joint eigendecomposition is made before the clock
+        # starts, and the time covers the ladder and the build at l=24.
+        # The builds run in a child process with BLAS pinned to one thread
         # before numpy loads: with a multi-threaded pool, the first Cholesky
         # after other BLAS work can stall for milliseconds, more than the
         # whole build. The order alternates over an even number of

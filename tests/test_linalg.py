@@ -18,7 +18,7 @@ from wclmmse import (
     solve_spd,
     sym_eig,
 )
-from wclmmse.linalg import SPDFactor
+from wclmmse.linalg import SPDFactor, spectral_norm
 
 
 def random_spd(dim, seed, spread=1.0):
@@ -241,6 +241,10 @@ class TestNorms:
         assert matrix_norm(a, "frobenius") == pytest.approx(5.0)
         with pytest.raises(ValueError):
             matrix_norm(a, "spectral")
+
+    def test_spectral_norm(self):
+        assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+        assert spectral_norm(np.zeros((0, 3))) == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericInputError):

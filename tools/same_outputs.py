@@ -14,8 +14,14 @@ fresh process with BLAS pinned to one thread, at every seed:
 
 Every CSV and JSON is compared with its ``wall_ms`` dropped, and every
 ``synth`` model file array by array, bit for bit. It prints one line per
-file and exits 1 on any difference or failed command. Run it from any
-directory; nothing is written inside the checkout.
+file and exits 1 on any difference or failed command. For a CSV that
+differs, the line also says how many rows differ and, for each float
+field, the largest |change| as a fraction of that field's tolerance in
+``perfbench/spec.json`` (the file's raw largest |change| for a field that
+has none there). A tolerance per tr(c_x) uses the trace of the row's
+model: the model file, or the training covariance of the series at the
+row's m. Run it from any directory; nothing is written inside the
+checkout.
 """
 
 from __future__ import annotations
@@ -35,9 +41,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SPEC = ROOT / "perfbench" / "spec.json"
+TOLERANCES = json.loads(SPEC.read_text(encoding="utf-8"))["tolerances"]
+# CSV columns compared as text only: they name a row, or count
+TEXT_FIELDS = ("filter", "m", "n", "l", "max_inverse_dim")
 
 sys.dont_write_bytecode = True  # import the benchmark's workloads without writing beside them
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(1, str(ROOT / "src"))  # wclmmse, for the windowing of series_trace_cx
 import workloads  # noqa: E402
 
 
@@ -113,6 +124,75 @@ def same_arrays(a: Path, b: Path) -> bool:
                    and left[k].tobytes() == right[k].tobytes() for k in left.files)
 
 
+def model_file(name: str, out: Path) -> Path | None:
+    """The model file the rows of CSV ``name`` were built on; None for the series."""
+    stem = name.removesuffix(".csv")
+    if stem.startswith("scaling-") or stem == "cond-model":
+        stem = "sweep-l-m400"
+    path = out / f"{stem}.bin"
+    return path if path.exists() else None
+
+
+def series_trace_cx(series: Path, m: int, n: int, seed: int) -> float:
+    """tr(c_x) of the training covariance that ``sweep-m``/``sweep-l --data``
+    estimate from the series at window length m."""
+    from wclmmse import window_samples
+
+    train, _, _ = window_samples(workloads.read_series_csv(series), m, n, seed)
+    return float(np.einsum("ij,ij->", train[:, :n], train[:, :n]) / (train.shape[0] - 1))
+
+
+def field_tolerance(field: str, reference: float, trace_cx) -> float | None:
+    """``spec.json``'s tolerance for ``field`` at a row whose rev value is
+    ``reference``; ``trace_cx()`` gives the row's tr(c_x). None without one."""
+    tol = TOLERANCES.get(field)
+    if tol is None:
+        return None
+    if "atol_per_trace_cx" in tol:
+        return tol["atol_per_trace_cx"] * trace_cx()
+    return tol.get("atol", 0.0) + tol.get("rtol", 0.0) * abs(reference)
+
+
+def csv_difference(rev: Path, here: Path, series: Path, seed: int) -> str:
+    """How many rows of two differing CSVs differ, and per float field the
+    largest |change| as a fraction of its spec tolerance."""
+    header, *old = without_wall_ms_csv(rev)
+    new = without_wall_ms_csv(here)[1:]
+    if len(old) != len(new):
+        return f"{len(old)} rows at the rev, {len(new)} here"
+    model = model_file(rev.name, rev.parent)
+    traces: dict[int, float] = {}
+
+    def trace_cx(row: dict[str, str]) -> float:
+        m = int(row.get("m") or workloads.SWEEP_L_M)
+        if m not in traces:
+            if model is not None:
+                with np.load(model) as arrays:
+                    traces[m] = float(np.trace(arrays["c_x"]))
+            else:
+                traces[m] = series_trace_cx(series, m, int(row["n"]), seed)
+        return traces[m]
+
+    fields = [f for f in header if f not in TEXT_FIELDS]
+    worst = dict.fromkeys(fields, 0.0)
+    changed = 0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        changed += 1
+        row = dict(zip(header, a))
+        for field, x, y in zip(header, a, b):
+            if field in TEXT_FIELDS or x == y:
+                continue
+            x, y = float(x), float(y)
+            delta = abs(x - y) if x == x and y == y else float("inf")
+            tol = field_tolerance(field, x, lambda: trace_cx(row))
+            worst[field] = max(worst[field], delta / tol if tol else delta)
+    spelled = ", ".join(f"{f} {worst[f]:.3g}" + ("" if f in TOLERANCES else " (|change|)")
+                        for f in fields)
+    return f"{changed} of {len(old)} rows differ; largest |change|/tolerance: {spelled}"
+
+
 def same_file(a: Path, b: Path) -> bool:
     if a.suffix == ".csv":
         return without_wall_ms_csv(a) == without_wall_ms_csv(b)
@@ -150,7 +230,11 @@ def main(argv=None) -> int:
                 a, b = (out / name for out in outs.values())
                 same = a.exists() and b.exists() and same_file(a, b)
                 differences += not same
-                print(f"{'identical' if same else 'DIFFERENT':10} seed{seed}/{name}", flush=True)
+                detail = ""
+                if not same and a.exists() and b.exists() and a.suffix == ".csv":
+                    detail = f": {csv_difference(a, b, series, seed)}"
+                print(f"{'identical' if same else 'DIFFERENT':10} seed{seed}/{name}{detail}",
+                      flush=True)
     print(f"{differences} difference(s) against {args.rev} at seeds {args.seeds}")
     return 1 if differences else 0
 
