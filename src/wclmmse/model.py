@@ -35,6 +35,7 @@ from .linalg import (
     SymEig,
     _check_definite,
     _spectral_condition,
+    _symmetric_part,
     factor_spd,
     solve_spd,
     spectral_norm,
@@ -147,15 +148,13 @@ def _search_grid(model) -> range:
 def _structured_system(c_y, b) -> NDArray[np.float64]:
     """The L x L system ``b @ c_y @ b'`` that a filter factoring through
     prefilter ``b`` solves, symmetrized."""
-    bcb = b @ c_y @ b.T
-    return 0.5 * (bcb + bcb.T)
+    return _symmetric_part(b @ c_y @ b.T)
 
 
 def _lsjpc_system(y) -> NDArray[np.float64]:
     """The L x L system ``y' @ y`` that ``lsjpc`` solves on Y block ``y``,
     symmetrized."""
-    gram = y.T @ y
-    return 0.5 * (gram + gram.T)
+    return _symmetric_part(y.T @ y)
 
 
 @dataclass(frozen=True)
@@ -403,9 +402,7 @@ def estimate_covariance(samples, n: int) -> CovarianceModel:
         raise NumericInputError("samples contain non-finite entries")
     gram = z.T @ z
     gram /= k - 1
-    c_z = gram + gram.T
-    c_z *= 0.5
-    return CovarianceModel.from_joint(c_z, n)
+    return CovarianceModel.from_joint(_symmetric_part(gram), n)
 
 
 def geometric_spectrum(size: int, scale: float = 1.0, ratio: float = 0.6) -> NDArray[np.float64]:
