@@ -20,7 +20,6 @@ from .filters import (
     LinearFilter,
     _csw_ranking,
     _effective_level,
-    _ladder,
     wiener,
 )
 from .linalg import matrix_norm
@@ -41,14 +40,10 @@ __all__ = [
 # Distances below this relative floor mean the filter has already
 # converged to the reference; the loss ratio is reported as 0 there.
 _CONVERGED_RTOL = 1e-10
-# How far, relative to tr(c_x), best_l_search trusts an MSE profile value
-# to sit from the analytic MSE of the built filter: the tolerance to
+# How far, relative to tr(c_x), rounding may put the analytic MSE of a
+# jpc build below its lower bound p(l) (see _jpc_order): the tolerance to
 # which the benchmark checks analytic_mse itself.
 _PROFILE_ATOL = 1e-8
-# A level whose rank margin sigma_min(Y_l)^2 is at or below this is always
-# built: its build solves a system of condition at least 1/margin, so the
-# build's own rounding can move its MSE by more than _PROFILE_ATOL.
-_TRUSTED_MARGIN = np.finfo(np.float64).eps / _PROFILE_ATOL
 
 
 def _matrix_of(filt) -> NDArray[np.float64]:
@@ -222,49 +217,20 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     return study
 
 
-def _mse_profile(model: CovarianceModel, kind: FilterKind, levels: list[int]
-                 ) -> list[float] | None:
-    """Exact-arithmetic analytic MSE of ``jpc`` or ``lsjpc`` at each of
-    ``levels`` (none above the top), from the model's ladder for the kind
-    (:class:`~wclmmse.model.Ladder`); see :func:`best_l_search`. None
-    when the ladder's Cholesky failed.
+def _jpc_order(model: CovarianceModel, grid: range) -> list[tuple[float, int]]:
+    """The grid levels up to the ``jpc`` ladder's top as sorted (p(l), l) pairs.
 
-    With the ladder's ``z = U^-T B``, the ``jpc`` MSE at l is ``tr(c_x)``
-    minus the sum of the first l squared row norms of z. ``lsjpc`` is
-    scored as the n x m matrix ``(U_l^-1 z[:l])' Y_l'``, the ladder's
-    build, because expanding its quadratic form through the Gram
-    multiplies the rounding of ``Y_l'(.)Y_l`` by ``S_l^-1``, which is
-    large along Y_l's near-null directions.
+    With the ladder's ``z = U^-T Y' c_xy'``, p(l) = tr(c_x) minus the sum
+    of the first l squared row norms of z: the MSE of the optimum over
+    the span of Y_l', so a lower bound on any build of level l. Every
+    level is at -inf when the ladder's Cholesky failed.
     """
-    ladder = _ladder(model, kind)
+    ladder = model.spectral.jpc_ladder
+    levels = [l for l in grid if l <= ladder.top]
     if ladder.z is None:
-        return None
-    if kind is FilterKind.JPC:
-        explained = np.cumsum(np.einsum("ij,ij->i", ladder.z, ladder.z))
-        at = np.array(levels, dtype=np.intp) - 1
-        return (float(np.trace(model.c_x)) - explained[at]).tolist()
-    return [_mse(model, ladder.solve(l).T @ model.spectral.y_block(l).T) for l in levels]
-
-
-def _build_order(model: CovarianceModel, kind: FilterKind, grid: range
-                 ) -> list[tuple[float, int]]:
-    """The grid levels that pass the rank check, as sorted (p(l), l) pairs.
-
-    p(l) is the :func:`_mse_profile`, or -inf where it cannot predict the
-    build to ``_PROFILE_ATOL``: at a rank margin of ``_TRUSTED_MARGIN`` or
-    less, and at every level when the ladder's factorization fails.
-    """
-    margins = {}
-    for l in grid:
-        try:
-            margins[l] = model.spectral.check_y_rank(l)
-        except RankError:
-            pass
-    profile = _mse_profile(model, kind, list(margins))
-    if profile is None:
-        return [(-np.inf, l) for l in margins]
-    return sorted((p if np.isfinite(p) and margin > _TRUSTED_MARGIN else -np.inf, l)
-                  for p, (l, margin) in zip(profile, margins.items()))
+        return [(-np.inf, l) for l in levels]
+    p = float(np.trace(model.c_x)) - np.cumsum(np.einsum("ij,ij->i", ladder.z, ladder.z))
+    return sorted((float(p[l - 1]), l) for l in levels)
 
 
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind
@@ -281,21 +247,13 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     MSE and no filter. ``wiener`` has no level and is refused, as is any
     kind outside ``FILTER_CONSTRUCTORS``.
 
-    The returned level and MSE always come from a build by the kind's
-    constructor, scored by :func:`analytic_mse`, so they are those of a
-    fixed-level build there; other levels are only left unbuilt when they
-    cannot win. A level whose effective truncation equals that of a level
-    already tried (``lrw`` from n up) is not built again. Other kinds
-    build levels in grid order. ``jpc`` and ``lsjpc`` first compute the
-    exact-arithmetic MSE profile p(l) at every grid level that passes the
-    rank check (:func:`_mse_profile`), from the model's one ladder for
-    the kind (:class:`~wclmmse.model.Ladder`), which their builds read
-    too. They then build levels in increasing (p(l), l) and stop at the
-    first whose p(l) exceeds the best MSE built so far by more than
-    1e-8 tr(c_x), the tolerance to which p(l) predicts a build. Levels it
-    cannot predict to that tolerance come first and are always built:
-    those with a rank margin sigma_min(Y_l)^2 at or below eps / 1e-8, and
-    all of them when the ladder's factorization fails.
+    Every level is built by the kind's constructor and scored by
+    :func:`analytic_mse`, in grid order, except that a level whose
+    effective truncation equals one already tried (``lrw`` from n up) is
+    not built again. ``jpc`` builds in increasing (p(l), l) instead, p(l)
+    its lower bound from :func:`_jpc_order`, and stops at the first level
+    whose p(l) exceeds the best MSE built so far by more than
+    1e-8 tr(c_x), since that level cannot win.
     """
     filter_kind = FilterKind(filter_kind)
     if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
@@ -303,8 +261,8 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     grid = _search_grid(model)
     constructor = FILTER_CONSTRUCTORS[filter_kind]
     order = [(-np.inf, l) for l in grid]
-    if filter_kind in (FilterKind.JPC, FilterKind.LSJPC):
-        order = _build_order(model, filter_kind, grid)
+    if filter_kind is FilterKind.JPC:
+        order = _jpc_order(model, grid)
     slack = _PROFILE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()

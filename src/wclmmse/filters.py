@@ -36,7 +36,6 @@ from .linalg import SPDFactor, factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
 from .model import (
     CovarianceModel,
-    Ladder,
     SpectralCache,
     _lsjpc_system,
     _structured_system,
@@ -161,12 +160,6 @@ def _structured_filter(model: CovarianceModel, b, system: SPDFactor | None = Non
     if system is None:
         system = factor_spd(_structured_system(model.c_y, b))
     return (model.c_xy @ b.T) @ solve_spd(system, b)
-
-
-def _ladder(model: CovarianceModel, kind: FilterKind) -> Ladder:
-    """The model's :class:`~wclmmse.model.Ladder` for ``jpc`` or ``lsjpc``."""
-    cache = model.spectral
-    return cache.jpc_ladder if kind is FilterKind.JPC else cache.lsjpc_ladder
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:

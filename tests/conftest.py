@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wclmmse import CovarianceModel, FilterKind, SpectralCache, linalg
+from wclmmse.diagnostics import _jpc_order
 from wclmmse.filters import _structured_filter
 from wclmmse.model import _lsjpc_system
 
@@ -62,6 +63,20 @@ def direct_joint_build(model, kind, l):
         return _structured_filter(model, y.T)
     system = linalg.factor_spd(_lsjpc_system(y))
     return model.spectral.x_block(l) @ linalg.solve_spd(system, y.T)
+
+
+def ladder_of(model, kind):
+    """The model's ladder for ``jpc`` or ``lsjpc``."""
+    cache = model.spectral
+    return cache.jpc_ladder if FilterKind(kind) is FilterKind.JPC else cache.lsjpc_ladder
+
+
+def jpc_bounds(model):
+    """{l: p(l)} at every level up to the ``jpc`` ladder's top, p(l) the
+    lower bound on the analytic MSE of ``jpc`` that ``best_l_search``
+    orders its builds by (-inf where the ladder's Cholesky failed), in
+    level order."""
+    return dict(sorted((l, p) for p, l in _jpc_order(model, range(1, model.m + 1))))
 
 
 def ar1_series(length, phi=0.8, level=20.0, sigma=1.0, seed=0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ar1_series, direct_joint_build, haar_model
+from conftest import ar1_series, direct_joint_build, haar_model, jpc_bounds, ladder_of
 from wclmmse import (
     CovarianceModel,
     DimensionError,
@@ -29,8 +29,8 @@ from wclmmse import (
     wiener,
     window_samples,
 )
-from wclmmse.diagnostics import _mse_profile, _search_grid
-from wclmmse.filters import FILTER_CONSTRUCTORS, _ladder
+from wclmmse.diagnostics import _search_grid
+from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
 class TestAnalyticMse:
@@ -269,8 +269,8 @@ def _counting_builds(monkeypatch, kind):
 _SEARCH_MODELS = {
     # estimated AR(1): the training MSE keeps falling with l
     "ar1_n7_m200": lambda: _series_model(1500, 0.95, 0, 200, 7),
-    # direct builds are float64 noise near the rank edge, so the profile
-    # orders several levels within its tolerance of the best one
+    # direct builds are float64 noise near the rank edge, so jpc's lower
+    # bound orders several levels within 1e-8 tr(c_x) of the best one
     "synthetic_0.9_m400": lambda: haar_model(7, 400, ratio=0.9, seed=0),
     # 38 training windows for d=252: rank-deficient training covariance
     "rank_deficient_m250": lambda: _series_model(300, 0.8, 0, 250, 2),
@@ -321,7 +321,7 @@ class TestBestLSearch:
             best_l_search(model, kind)
         assert builds == []
 
-    # The profile-ordered search returns what building every level does.
+    # The search returns what building every level does.
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
     @pytest.mark.parametrize("name", sorted(_SEARCH_MODELS))
@@ -335,13 +335,22 @@ class TestBestLSearch:
         best_l_search(model, FilterKind.JPC)
         assert 1 < len(builds) < len(_search_grid(model))
 
-    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
+    @pytest.mark.parametrize("kind", [FilterKind.JPC])
     def test_well_conditioned_search_builds_one_level(self, monkeypatch, kind):
-        # the exhaustive search builds all 17 grid levels
+        # the exhaustive search builds all 17 grid levels; jpc's lower bound
+        # rules out every level but the one it picks
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, kind)
         l_best, _, _ = best_l_search(model, kind)
         assert builds == [l_best]
+
+    def test_lsjpc_search_builds_each_grid_level_once(self, monkeypatch):
+        # lsjpc has no bound to order by: its search is the exhaustive one
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        builds = _counting_builds(monkeypatch, FilterKind.LSJPC)
+        found = best_l_search(model, FilterKind.LSJPC)
+        assert builds == list(_search_grid(model))
+        assert found[:2] == _exhaustive_search(model, FilterKind.LSJPC)
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC, FilterKind.LRW])
     def test_returns_the_build_it_scored(self, kind):
@@ -374,16 +383,16 @@ class TestBestLSearch:
         assert builds == [7]
         assert found[:2] == _exhaustive_search(model, FilterKind.LRW)
 
-    @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
+    @pytest.mark.parametrize("kind", [FilterKind.JPC])
     def test_profile_matches_direct_builds(self, kind):
-        # within the 1e-8 tr(c_x) the search trusts the profile to; lsjpc's
-        # MSE here grows to 250 tr(c_x), where the two agree to about 1e-12
-        # relative. The profile reads the model's ladder; jpc builds its
-        # levels from 163 up directly (their rcond is below eps / 1e-8),
-        # every other level here from the ladder
+        # jpc's lower bound p(l) is its exact-arithmetic MSE, which the
+        # builds reach within 1e-8 tr(c_x). jpc builds its levels from 163
+        # up directly (their rcond is below eps / 1e-8), every other level
+        # here from the ladder
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         levels = list(_search_grid(model))
-        profile = _mse_profile(model, kind, levels)
+        bounds = jpc_bounds(model)
+        profile = [bounds[l] for l in levels]
         direct = [analytic_mse(model, FILTER_CONSTRUCTORS[kind](model, l)) for l in levels]
         np.testing.assert_allclose(profile, direct, rtol=1e-10,
                                    atol=1e-8 * np.trace(model.c_x))
@@ -406,9 +415,13 @@ class TestBestLSearch:
     def test_jpc_profile_is_non_increasing(self):
         # jpc is optimal over the span of Y_l, and those spans are nested
         model = _SEARCH_MODELS["ar1_n7_m200"]()
-        top = model.spectral.ladder_top
-        profile = _mse_profile(model, FilterKind.JPC, list(range(1, top + 1)))
-        assert top == 199 and np.all(np.diff(profile) <= 0.0)
+        bounds = jpc_bounds(model)
+        assert list(bounds) == list(range(1, 200))
+        assert np.all(np.diff(list(bounds.values())) <= 0.0)
+
+    @pytest.mark.parametrize("name", sorted(_SEARCH_MODELS))
+    def test_jpc_bound_is_a_lower_bound(self, name):
+        _assert_jpc_bound_holds(_SEARCH_MODELS[name]())
 
 
 @st.composite
@@ -439,7 +452,7 @@ def test_ladder_builds_match_direct_builds(model, kind):
     # formula's to 1e-8 tr(c_x), the benchmark's analytic_mse tolerance;
     # at every other level the build is the direct one, bit for bit, and
     # fails where it fails.
-    ladder = _ladder(model, kind)
+    ladder = ladder_of(model, kind)
     tol = 1e-8 * np.trace(model.c_x)
     for l in range(1, model.m + 1):
         try:
@@ -457,3 +470,25 @@ def test_ladder_builds_match_direct_builds(model, kind):
             assert abs(analytic_mse(model, filt) - analytic_mse(model, expected)) <= tol, l
         else:
             assert np.array_equal(filt.matrix, expected), l
+
+
+def _assert_jpc_bound_holds(model):
+    """At every level up to the jpc ladder's top, the analytic MSE of jpc
+    is at least its lower bound p(l), less the 1e-8 tr(c_x) by which
+    best_l_search lets rounding put a build below it. A level whose
+    bound is -inf (the ladder's Cholesky failed) needs no build."""
+    tol = 1e-8 * np.trace(model.c_x)
+    for l, p in jpc_bounds(model).items():
+        if p == -np.inf:
+            continue
+        try:
+            filt = FILTER_CONSTRUCTORS[FilterKind.JPC](model, l)
+        except RankError:
+            continue
+        assert analytic_mse(model, filt) >= p - tol, l
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(model=_small_models())
+def test_jpc_bound_is_a_lower_bound_on_small_models(model):
+    _assert_jpc_bound_holds(model)

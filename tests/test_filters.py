@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import ar1_series, direct_joint_build, haar_model, tail_mixed_model
+from conftest import ar1_series, direct_joint_build, haar_model, ladder_of, tail_mixed_model
 from wclmmse import (
     CovarianceModel,
     FilterKind,
@@ -41,7 +41,7 @@ from wclmmse import (
     window_samples,
 )
 from wclmmse import linalg
-from wclmmse.filters import FILTER_CONSTRUCTORS, _ladder
+from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
 def copy_model(dim=3, seed=5):
@@ -292,7 +292,7 @@ class TestLadder:
     @pytest.mark.parametrize("ratio", [0.97, 0.9])
     def test_every_level_matches_the_direct_build(self, ratio, kind):
         model = haar_model(7, 160, ratio=ratio, seed=0)
-        ladder = _ladder(model, kind)
+        ladder = ladder_of(model, kind)
         tol = 1e-8 * np.trace(model.c_x)
         reached, direct = [], []
         for l in range(1, model.m + 1):
@@ -474,6 +474,30 @@ class TestSpectralCache:
         degenerate = CovarianceModel.from_joint(np.diag([10.0, 1.0, 2.0]), 1)
         with pytest.raises(RankError):
             degenerate.spectral.check_y_rank(1)
+
+    def test_rank_check_computes_each_level_once(self, monkeypatch):
+        # jpc and lsjpc at one level share its SVD; a level at or below the
+        # floor still raises on every call
+        norms = []
+        original = linalg.spectral_norm
+
+        def counting(a):
+            norms.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(sys.modules["wclmmse.model"], "spectral_norm", counting)
+        model = haar_model(2, 6, ratio=0.6, seed=30)
+        for _ in range(2):
+            jpc(model, 3)
+            lsjpc(model, 3)
+        assert model.spectral.check_y_rank(3) == model.spectral.check_y_rank(3)
+        degenerate = CovarianceModel.from_joint(np.diag([10.0, 1.0, 2.0]), 1)
+        for _ in range(2):
+            with pytest.raises(RankError):
+                degenerate.spectral.check_y_rank(1)
+        # level 3's X block, then the ladder top 6's, then the degenerate one
+        assert model.spectral.ladder_top == 6
+        assert norms == [(2, 3), (2, 6), (1, 1)]
 
 
 class TestSignInvariance:

@@ -270,13 +270,14 @@ class TestRunMSweep:
         assert len(cache_builds) == 2
 
     def test_best_policy_builds_each_row_once(self, monkeypatch):
-        # each search builds its level once, and its row takes that build
+        # jpc's search builds the one level it picks and lsjpc's each grid
+        # level once; each row takes its search's build, building nothing
         builds = []
         for kind in ("jpc", "lsjpc"):
             constructor = FILTER_CONSTRUCTORS[kind]
 
             def counting(model, l, kind=kind, constructor=constructor):
-                builds.append((kind, model.m))
+                builds.append((kind, model.m, l))
                 return constructor(model, l)
 
             monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, counting)
@@ -284,8 +285,12 @@ class TestRunMSweep:
         rows = run_m_sweep(series, [100, 200], 7, ["jpc", "lsjpc"],
                            LPolicy(mode="best"), seed=0)
         assert len(rows) == 4 and all(np.isfinite(r.norm_rms) for r in rows)
-        assert sorted(builds) == [("jpc", 100), ("jpc", 200),
-                                  ("lsjpc", 100), ("lsjpc", 200)]
+        expected = []
+        for m in (100, 200):
+            (jpc_l,) = [r.l for r in rows if r.m == m and r.filter == "jpc"]
+            expected.append(("jpc", m, jpc_l))
+            expected += [("lsjpc", m, l) for l in range(7, m + 1, m // 16)]
+        assert sorted(builds) == sorted(expected)
 
     def test_best_policy_solves_c_y_once_and_decomposes_no_m_by_m(
             self, monkeypatch, sym_eig_shapes):
@@ -293,7 +298,7 @@ class TestRunMSweep:
         # only the n x n c_xy c_y^-1 c_xy'; cond_cy reads the eigenvalues
         # of c_y bit-identically to condition_number. jpc's search picks
         # its top level, the top of the model's jpc ladder: the search's
-        # profile and the row's build read that level's system, factored
+        # order and the row's build read that level's system, factored
         # once.
         models = _record_models(monkeypatch)
         factored = _record_cho_factor(monkeypatch)
@@ -324,8 +329,8 @@ class TestRunMSweep:
 
     def test_best_policy_factors_lsjpcs_top_system_once(self, monkeypatch):
         # on the same model lsjpc's top-level Y'Y is definite and the search
-        # builds every level up to it: its profile and its builds read the
-        # model's lsjpc ladder, that system factored once, and the row is
+        # builds every level up to it from the model's lsjpc ladder, that
+        # system factored once, and the row is
         # bit for bit a fixed row.
         # The MSEs there are rounding noise, so the level picked depends on
         # the BLAS thread count; it must be the one building and scoring
