@@ -330,8 +330,7 @@ class TestRunMSweep:
     def test_best_policy_factors_lsjpcs_top_system_once(self, monkeypatch):
         # on the same model lsjpc's top-level Y'Y is definite and the search
         # builds every level up to it from the model's lsjpc ladder, that
-        # system factored once, and the row is
-        # bit for bit a fixed row.
+        # system factored once, and the row is bit for bit a fixed row.
         # The MSEs there are rounding noise, so the level picked depends on
         # the BLAS thread count; it must be the one building and scoring
         # every grid level here picks
