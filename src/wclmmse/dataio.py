@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .errors import (
     ModelError,
     NumericInputError,
 )
-from .filters import LinearFilter
+from .filters import LinearFilter, _stacked
 
 __all__ = [
     "load_csv",
@@ -141,29 +142,45 @@ def window_samples(series, m: int, n: int, seed: int):
     return train, test, mean
 
 
-def normalized_rms(filt: LinearFilter, test_samples, mean: float) -> float:
+def normalized_rms(filt: LinearFilter | Sequence[LinearFilter], test_samples,
+                   mean: float) -> float | list[float]:
     """RMS prediction error over the RMS magnitude of the (un-centered) targets.
 
     Each test vector holds the target block x in its top coordinates and
     the input block y below; ``mean`` is added back in the denominator
     so the normalization reflects the original scale of the data.
+    ``filt`` is one filter, or a sequence of filters of one shape, for
+    which one value per filter comes back, in order: the predictions of
+    all of them are one product of the test inputs with their stacked
+    matrices, and the denominator is computed once. A single filter is
+    the stack of one. An empty sequence, or filters of mixed shapes,
+    raise :class:`DimensionError`.
     """
+    one = isinstance(filt, LinearFilter)
+    filters = [filt] if one else list(filt)
+    stack = _stacked([f.matrix for f in filters])
     z = np.asarray(test_samples, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0:
         raise DegenerateDataError("test set must be a nonempty 2-D array")
-    n = filt.n
-    if z.shape[1] != n + filt.m:
+    n, m = filters[0].n, filters[0].m
+    if z.shape[1] != n + m:
         raise DimensionError(
-            f"test vectors have length {z.shape[1]}, expected {n + filt.m}")
+            f"test vectors have length {z.shape[1]}, expected {n + m}")
     x = z[:, :n]
-    y = z[:, n:]
-    err = filt.apply(y) - x
-    num = float(np.mean(np.einsum("ij,ij->i", err, err)))
     shifted = x + mean
     den = float(np.mean(np.einsum("ij,ij->i", shifted, shifted)))
     if den <= 0.0:
         raise DegenerateDataError("zero-magnitude targets: normalization undefined")
-    return float(np.sqrt(num) / np.sqrt(den))
+    # On the benchmark's test sets (1000 draws, or 1519 windows, of 400 to
+    # 1200 inputs) OpenBLAS gives each filter's columns of y @ stack' the
+    # bits of its own y @ A'; stack @ y' moves some at 1519 windows
+    predictions = z[:, n:] @ stack.T
+    values = []
+    for i in range(len(filters)):
+        err = predictions[:, i * n:(i + 1) * n] - x
+        num = float(np.mean(np.einsum("ij,ij->i", err, err)))
+        values.append(float(np.sqrt(num) / np.sqrt(den)))
+    return values[0] if one else values
 
 
 @dataclass

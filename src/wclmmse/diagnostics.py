@@ -20,6 +20,7 @@ from .filters import (
     LinearFilter,
     _csw_ranking,
     _effective_level,
+    _stacked,
     wiener,
 )
 from .linalg import matrix_norm
@@ -59,17 +60,26 @@ def _check_shape(model: CovarianceModel, a: np.ndarray) -> None:
             f"filter has shape {a.shape}, expected {(model.n, model.m)}")
 
 
-def analytic_mse(model: CovarianceModel, filt) -> float:
-    """Mean square error tr(c_x) - 2 tr(c_xy A') + tr(A c_y A')."""
-    a = _matrix_of(filt)
-    _check_shape(model, a)
-    return _mse(model, a)
+def analytic_mse(model: CovarianceModel, filt) -> float | list[float]:
+    """Mean square error tr(c_x) - 2 tr(c_xy A') + tr(A c_y A').
 
-
-def _mse(model: CovarianceModel, a: NDArray[np.float64]) -> float:
-    cross = float(np.einsum("ij,ij->", model.c_xy, a))
-    quad = float(np.einsum("ij,ij->", a @ model.c_y, a))
-    return float(np.trace(model.c_x)) - 2.0 * cross + quad
+    ``filt`` is one filter (a :class:`LinearFilter` or an N x M array),
+    or a sequence of filters of that shape, for which one MSE per filter
+    comes back, in order. The products A c_y of all of them are one
+    product of their stacked matrices with c_y; a single filter is the
+    stack of one. An empty sequence, or filters of mixed shapes, raise
+    :class:`DimensionError`.
+    """
+    one = isinstance(filt, (LinearFilter, np.ndarray))
+    matrices = [_matrix_of(f) for f in ([filt] if one else filt)]
+    stack = _stacked(matrices)
+    _check_shape(model, matrices[0])
+    n, trace = model.n, float(np.trace(model.c_x))
+    quads = stack @ model.c_y
+    mse = [trace - 2.0 * float(np.einsum("ij,ij->", model.c_xy, a))
+           + float(np.einsum("ij,ij->", quads[i * n:(i + 1) * n], a))
+           for i, a in enumerate(matrices)]
+    return mse[0] if one else mse
 
 
 def error_covariance(model: CovarianceModel, filt) -> NDArray[np.float64]:

@@ -106,6 +106,18 @@ class LinearFilter:
         return y @ self.matrix.T
 
 
+def _stacked(matrices: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """k filter matrices of one N x M shape as one kN x M block, filter i
+    in rows iN to (i+1)N. Raises :class:`DimensionError` on none or on
+    mixed shapes."""
+    if not matrices:
+        raise DimensionError("no filters to score")
+    shapes = sorted({a.shape for a in matrices})
+    if len(shapes) > 1:
+        raise DimensionError(f"filters of mixed shapes {shapes}")
+    return np.concatenate(matrices)
+
+
 @dataclass
 class Prefilter:
     """A full-row-rank L x M matrix applied to the input before estimation."""

@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 _TEST_DRAWS = 1000
+# Built filters scored per stacked product: a chunk predicts a model
+# source's 1000 test vectors as one 1000 x 16n block. In-process medians
+# of the seed-7 sweep-l-m400 sweep (10 alternating rounds, 2-vCPU Xeon VM,
+# one BLAS thread): 0.340 s with chunks of 1; 0.270 / 0.262 / 0.255 /
+# 0.263 / 0.257 s with chunks of 4 / 8 / 16 / 24 / 40. Past 16 the blocks
+# grow for no further gain.
+_SCORE_CHUNK = 16
 
 # The decompositions on ``model.spectral`` each kind reads, made before
 # any of its cells is timed.
@@ -137,6 +144,12 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     ``wiener``; that solve and the n x n ``eig_wiener`` for ``lrw``; the
     M x M ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a kind, each of
     its cells fails on its own and its row records the failure.
+
+    Each cell's build is timed alone (:func:`_sweep_cell`). A kind's
+    built filters are then scored in chunks of ``_SCORE_CHUNK``, each
+    chunk by one call of :func:`~wclmmse.dataio.normalized_rms` and one
+    of :func:`~wclmmse.diagnostics.analytic_mse` on its filters, which
+    are dropped once scored.
     """
     model, test_z, mean = _prepare(source, m, n, seed)
     cache = model.spectral
@@ -147,9 +160,31 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
                 getattr(cache, name)
             except SingularMatrixError:
                 pass
-    return [_sweep_cell(kind, model, policy, test_z, mean, cond_cy)
-            for kind in kinds
-            for policy in (policies[:1] if kind is FilterKind.WIENER else policies)]
+    rows = []
+    for kind in kinds:
+        built = []
+        for policy in (policies[:1] if kind is FilterKind.WIENER else policies):
+            row, filt = _sweep_cell(kind, model, policy, cond_cy)
+            rows.append(row)
+            if filt is not None:
+                built.append((row, filt))
+            if len(built) == _SCORE_CHUNK:
+                _score(built, model, test_z, mean)
+                built = []
+        if built:
+            _score(built, model, test_z, mean)
+    return rows
+
+
+def _score(built: list[tuple[ExperimentResult, LinearFilter]], model: CovarianceModel,
+           test_z: np.ndarray, mean: float) -> None:
+    """Fill in the ``norm_rms`` and ``analytic_mse`` of each built row
+    from its filter, all filters in one stacked call of each."""
+    filters = [filt for _, filt in built]
+    rms = dataio.normalized_rms(filters, test_z, mean)
+    mse = analytic_mse(model, filters)
+    for (row, _), row_rms, row_mse in zip(built, rms, mse):
+        row.norm_rms, row.analytic_mse = row_rms, row_mse
 
 
 def _sort_key(row: ExperimentResult):
@@ -157,19 +192,21 @@ def _sort_key(row: ExperimentResult):
 
 
 def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy,
-                test_z: np.ndarray, mean: float, cond_cy: float) -> ExperimentResult:
+                cond_cy: float) -> tuple[ExperimentResult, LinearFilter | None]:
     """The row of ``kind`` on ``model`` at the level ``policy`` chooses,
-    through :meth:`LPolicy.choose`; for ``wiener``, which has no level,
-    the row at ``l=None``.
+    through :meth:`LPolicy.choose`, and the filter built there (None when
+    it cannot be built); for ``wiener``, which has no level, the row at
+    ``l=None``.
 
     ``wall_ms`` times only getting the filter, which reads the model's
     shared decompositions: building the filter at its level, and for an
     ``--l-policy best`` row also the search that chose the level and
     built the filter there. Neither the one-time decompositions of the
     model (a ``jpc`` or ``lsjpc`` ladder's factorization among them) nor
-    the scoring are in it. A filter that cannot be built gives
-    NaN ``norm_rms`` and ``analytic_mse``; every other field is as for a
-    built one.
+    the scoring are in it. The row's ``norm_rms`` and ``analytic_mse``
+    are NaN here; :func:`_sweep_model` scores a built filter afterwards,
+    so they stay NaN only for a filter that cannot be built. Every other
+    field is as for a built one.
     """
     started = time.perf_counter()
     l, filt = policy.choose(model, kind)
@@ -177,13 +214,12 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy,
     nan = float("nan")
     return ExperimentResult(
         filter=kind.value, m=model.m, n=model.n, l=l,
-        norm_rms=nan if filt is None else dataio.normalized_rms(filt, test_z, mean),
-        analytic_mse=nan if filt is None else analytic_mse(model, filt),
+        norm_rms=nan, analytic_mse=nan,
         rho_l=_rho_for(kind, model, l),
         cond_cy=cond_cy,
         max_inverse_dim=_certificate(kind, model.m, l),
         wall_ms=wall_ms,
-    )
+    ), filt
 
 
 def _rho_for(kind: FilterKind, model: CovarianceModel, l: int | None) -> float:

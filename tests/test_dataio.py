@@ -229,6 +229,38 @@ class TestNormalizedRms:
             normalized_rms(filt, z, mean=0.0)
 
 
+class TestStackedNormalizedRms:
+    def _filters(self, shapes, seed=13):
+        rng = np.random.default_rng(seed)
+        return [LinearFilter(matrix=rng.standard_normal(shape), kind=FilterKind.JPC,
+                             max_inverse_dim=shape[1]) for shape in shapes]
+
+    def test_one_value_per_filter_as_each_scored_alone(self):
+        filters = self._filters([(2, 5)] * 20)
+        z = np.random.default_rng(14).standard_normal((50, 7))
+        got = normalized_rms(filters, z, mean=0.4)
+        assert isinstance(got, list) and len(got) == 20
+        for filt, value in zip(filters, got):
+            assert isinstance(value, float)
+            assert value == pytest.approx(normalized_rms(filt, z, 0.4), rel=1e-12, abs=0.0)
+
+    def test_one_filter_in_a_sequence_is_the_single_call(self):
+        filt, = self._filters([(2, 5)])
+        z = np.random.default_rng(15).standard_normal((50, 7))
+        assert normalized_rms((filt,), z, mean=0.4) == [normalized_rms(filt, z, mean=0.4)]
+
+    def test_empty_sequence_rejected(self):
+        z = np.random.default_rng(16).standard_normal((50, 7))
+        with pytest.raises(DimensionError, match="no filters"):
+            normalized_rms([], z, mean=0.0)
+
+    def test_mixed_shapes_rejected(self):
+        z = np.random.default_rng(17).standard_normal((50, 7))
+        for shapes in ([(2, 5), (1, 6)], [(2, 5), (2, 5), (3, 5)]):
+            with pytest.raises(DimensionError, match="mixed shapes"):
+                normalized_rms(self._filters(shapes), z, mean=0.0)
+
+
 class TestResultFiles:
     def rows(self):
         return [

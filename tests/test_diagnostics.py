@@ -61,6 +61,36 @@ class TestAnalyticMse:
             analytic_mse(model, np.zeros((3, 3)))
 
 
+class TestStackedAnalyticMse:
+    def test_one_value_per_filter_as_each_scored_alone(self):
+        model = haar_model(3, 12, ratio=0.8, seed=6)
+        rng = np.random.default_rng(7)
+        filters = [lrw(model, 2), wiener(model)] + [rng.standard_normal((3, 12))
+                                                     for _ in range(18)]
+        got = analytic_mse(model, filters)
+        assert isinstance(got, list) and len(got) == 20
+        for filt, value in zip(filters, got):
+            assert isinstance(value, float)
+            assert value == pytest.approx(analytic_mse(model, filt), rel=1e-12, abs=0.0)
+
+    def test_one_filter_in_a_sequence_is_the_single_call(self):
+        model = haar_model(3, 12, ratio=0.8, seed=6)
+        filt = lrw(model, 2)
+        assert analytic_mse(model, [filt]) == [analytic_mse(model, filt)]
+        assert analytic_mse(model, (filt.matrix,)) == [analytic_mse(model, filt.matrix)]
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(DimensionError, match="no filters"):
+            analytic_mse(haar_model(2, 3, seed=0), [])
+
+    def test_mixed_shapes_rejected(self):
+        model = haar_model(2, 3, seed=0)
+        with pytest.raises(DimensionError, match="mixed shapes"):
+            analytic_mse(model, [np.zeros((2, 3)), np.zeros((3, 3))])
+        with pytest.raises(DimensionError, match="expected"):
+            analytic_mse(model, [np.zeros((3, 3)), np.zeros((3, 3))])
+
+
 class TestWeightedTrace:
     def test_identity_weight_equals_mse(self):
         model = haar_model(2, 4, seed=6)

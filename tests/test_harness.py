@@ -17,7 +17,6 @@ from wclmmse import (
     CovarianceModel,
     DimensionError,
     FilterKind,
-    LinearFilter,
     LPolicy,
     RankError,
     SingularMatrixError,
@@ -40,6 +39,11 @@ from wclmmse.harness import parse_l_policy
 
 
 ALL_KINDS = ["wiener", "lrw", "csw", "jpc", "lsjpc", "jpc_simplified", "lsjpc_simplified"]
+
+
+# 1..40 in the order 1, 40, 2, 39, ...: on a model whose top levels fail,
+# failed cells fall between built ones of the same chunk
+_INTERLEAVED_40 = [l for pair in zip(range(1, 21), range(40, 20, -1)) for l in pair]
 
 
 def _record_models(monkeypatch):
@@ -217,20 +221,34 @@ class TestRunLSweep:
                 run_l_sweep(model, 6, 2, grid, ["wiener", "jpc"], seed=0)
         assert cache_builds == []
 
-    def test_one_apply_per_built_row(self, monkeypatch):
-        applied = []
-        apply = LinearFilter.apply
+    def test_each_built_row_scored_once_in_chunks_of_one_kind(self, monkeypatch):
+        # the ratio-0.3 model's jpc fails from l=37 up, and its c_y is too
+        # singular for lrw and csw
+        chunks = {"rms": [], "mse": []}
+        normalized_rms, analytic_mse_ = wclmmse.dataio.normalized_rms, harness.analytic_mse
 
-        def counting_apply(self, y):
-            applied.append(self.kind)
-            return apply(self, y)
+        def recording(name, score):
+            def wrapper(*args):
+                filters = args[0] if name == "rms" else args[1]
+                chunks[name].append([(f.kind.value, f.l) for f in filters])
+                return score(*args)
+            return wrapper
 
-        monkeypatch.setattr(LinearFilter, "apply", counting_apply)
-        model = haar_model(2, 8, ratio=0.02, seed=3)
-        rows = run_l_sweep(model, 8, 2, [2, 4, 8], ALL_KINDS, seed=0)
-        built = [r for r in rows if np.isfinite(r.norm_rms)]
+        monkeypatch.setattr(wclmmse.dataio, "normalized_rms", recording("rms", normalized_rms))
+        monkeypatch.setattr(harness, "analytic_mse", recording("mse", analytic_mse_))
+        model = haar_model(2, 40, ratio=0.3, seed=3)
+        rows = run_l_sweep(model, 40, 2, _INTERLEAVED_40, ALL_KINDS, seed=0)
+        built = sorted((r.filter, r.l) for r in rows if np.isfinite(r.norm_rms))
         assert 0 < len(built) < len(rows)
-        assert len(applied) == len(built)
+        assert {("jpc", l) for l in range(37, 41)} <= {
+            (r.filter, r.l) for r in rows if np.isnan(r.norm_rms)}
+        assert chunks["rms"] == chunks["mse"]
+        assert sorted(cell for chunk in chunks["rms"] for cell in chunk) == built
+        for chunk in chunks["rms"]:
+            assert 1 <= len(chunk) <= harness._SCORE_CHUNK
+            assert len({kind for kind, _ in chunk}) == 1
+        jpc_chunks = [len(c) for c in chunks["rms"] if c[0][0] == "jpc"]
+        assert jpc_chunks == [16, 16, 4]
 
     def test_singular_c_y_is_decomposed_once(self, sym_eig_shapes):
         # c_y is singular in float64, so lrw and csw fail at every level;
@@ -242,6 +260,70 @@ class TestRunLSweep:
         assert len(failed) == 6 and all(np.isnan(r.norm_rms) for r in failed)
         assert all(np.isnan(r.rho_l) for r in failed)
         assert sorted(sym_eig_shapes) == [(10, 10)]
+
+
+def _inline_scores(model, test_z, mean, filt):
+    """A row's norm_rms and analytic_mse by the single-filter formulas,
+    with the reductions the scoring makes."""
+    x, y = test_z[:, :model.n], test_z[:, model.n:]
+    err = filt.apply(y) - x
+    shifted = x + mean
+    rms = np.sqrt(np.mean(np.einsum("ij,ij->i", err, err))
+                  / np.mean(np.einsum("ij,ij->i", shifted, shifted)))
+    a = filt.matrix
+    mse = (np.trace(model.c_x) - 2.0 * np.einsum("ij,ij->", model.c_xy, a)
+           + np.einsum("ij,ij->", a @ model.c_y, a))
+    return rms, mse
+
+
+class TestStackedScoring:
+    """A kind's built filters are scored together, in chunks of
+    ``harness._SCORE_CHUNK``, after its cells' timed builds."""
+
+    @pytest.mark.parametrize("source, grid", [
+        # a model source, its grid longer than two chunks
+        (haar_model(2, 40, ratio=0.9, seed=0), range(1, 41)),
+        # a series source
+        (ar1_series(400, phi=0.9, seed=0), range(1, 41)),
+        # c_y too singular for lrw and csw, and jpc failing from l=37 up
+        (haar_model(2, 40, ratio=0.3, seed=3), _INTERLEAVED_40),
+    ], ids=["model", "series", "illcond"])
+    def test_rows_equal_the_single_filter_formulas(self, source, grid):
+        rows = run_l_sweep(source, 40, 2, grid, ALL_KINDS, seed=0)
+        model, test_z, mean = harness._prepare(source, 40, 2, 0)
+        scored = 0
+        for row in rows:
+            try:
+                filt = FILTER_CONSTRUCTORS[FilterKind(row.filter)](model, row.l)
+            except (RankError, SingularMatrixError):
+                assert np.isnan(row.norm_rms) and np.isnan(row.analytic_mse)
+                continue
+            rms, mse = _inline_scores(model, test_z, mean, filt)
+            assert row.norm_rms == pytest.approx(rms, rel=1e-12, abs=0.0)
+            assert row.analytic_mse == pytest.approx(mse, rel=1e-12, abs=0.0)
+            scored += 1
+        assert scored > 2 * harness._SCORE_CHUNK
+
+    def test_chunked_rows_are_the_bits_of_rows_swept_alone_on_a_model(self):
+        # the benchmark's model shape: 1000 test draws of 400 inputs, n=7.
+        # Here OpenBLAS gives each filter's columns of the stacked product
+        # the bits of its own product
+        model = haar_model(7, 400, ratio=0.97, seed=0)
+        rows = run_l_sweep(model, 400, 7, range(10, 401, 10), ["jpc", "lsjpc"], seed=0)
+        for row in rows:
+            if row.l in (10, 160, 170, 330, 400):
+                alone = run_l_sweep(model, 400, 7, [row.l], [row.filter], seed=0)
+                assert alone == [dataclasses.replace(row, wall_ms=alone[0].wall_ms)]
+
+    def test_chunked_rows_agree_with_rows_swept_alone_on_a_series(self):
+        # 72 test windows of 40 inputs: OpenBLAS sums the stacked product
+        # in another order than a lone filter's, so only 1e-12 holds
+        series = ar1_series(400, phi=0.9, seed=0)
+        rows = run_l_sweep(series, 40, 2, range(1, 41), ["jpc", "lsjpc"], seed=0)
+        for row in rows:
+            alone = run_l_sweep(series, 40, 2, [row.l], [row.filter], seed=0)[0]
+            assert alone.norm_rms == pytest.approx(row.norm_rms, rel=1e-12, abs=0.0)
+            assert alone.analytic_mse == pytest.approx(row.analytic_mse, rel=1e-12, abs=0.0)
 
 
 class TestRunMSweep:

@@ -1,10 +1,11 @@
 """Check that this checkout prints the same result bytes as a git revision.
 
-    python3 tools/same_outputs.py REV [--seeds 0,1,5,7]
+    python3 tools/same_outputs.py REV [--seeds 0,1,5,7] [--blas-threads 1]
 
 Exports REV's ``src/`` with ``git archive`` and runs the same ``wclmmse``
 command lines against it and against this checkout's ``src/``, each in a
-fresh process with BLAS pinned to one thread, at every seed:
+fresh process with BLAS pinned to ``--blas-threads`` threads (default 1),
+at every seed:
 
 * the benchmark's three workloads (``synth`` or the series CSV, then the
   sweep), with inputs and argv from ``perfbench/workloads.py``;
@@ -89,16 +90,16 @@ def command_lines(seed: int, series: Path, out: Path) -> list[list[str]]:
     return [[str(a) for a in line] for line in lines]
 
 
-def tree_env(src: Path) -> dict[str, str]:
+def tree_env(src: Path, blas_threads: int) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    env.update({name: "1" for name in BLAS_ENV})
+    env.update({name: str(blas_threads) for name in BLAS_ENV})
     return env
 
 
 def check_import(src: Path) -> None:
     """Refuse to compare when ``wclmmse`` would not be imported from ``src``."""
     found = subprocess.run([sys.executable, "-c", "import wclmmse; print(wclmmse.__file__)"],
-                           env=tree_env(src), capture_output=True, text=True, check=True)
+                           env=tree_env(src, 1), capture_output=True, text=True, check=True)
     if not Path(found.stdout.strip()).resolve().is_relative_to(src.resolve()):
         sys.exit(f"wclmmse imports from {found.stdout.strip()}, not from {src}")
 
@@ -205,7 +206,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare this checkout with")
     parser.add_argument("--seeds", default="0,1,5,7", help="comma list of seeds")
+    parser.add_argument("--blas-threads", type=int, default=1,
+                        help="BLAS threads in every wclmmse process (default 1)")
     args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be at least 1")
     seeds = [int(s) for s in args.seeds.split(",") if s]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
@@ -221,7 +226,8 @@ def main(argv=None) -> int:
                 outs[tree].mkdir(parents=True)
                 for line in command_lines(seed, series, outs[tree]):
                     run = subprocess.run([sys.executable, "-m", "wclmmse.cli", *line],
-                                         env=tree_env(src), capture_output=True, text=True)
+                                         env=tree_env(src, args.blas_threads),
+                                         capture_output=True, text=True)
                     if run.returncode != 0:
                         differences += 1
                         last = (run.stderr.strip().splitlines() or [""])[-1]
@@ -235,7 +241,8 @@ def main(argv=None) -> int:
                     detail = f": {csv_difference(a, b, series, seed)}"
                 print(f"{'identical' if same else 'DIFFERENT':10} seed{seed}/{name}{detail}",
                       flush=True)
-    print(f"{differences} difference(s) against {args.rev} at seeds {args.seeds}")
+    print(f"{differences} difference(s) against {args.rev} at seeds {args.seeds},"
+          f" {args.blas_threads} BLAS thread(s)")
     return 1 if differences else 0
 
 
