@@ -63,14 +63,14 @@ def _check_shape(model: CovarianceModel, a: np.ndarray) -> None:
 def analytic_mse(model: CovarianceModel, filt) -> float | list[float]:
     """Mean square error tr(c_x) - 2 tr(c_xy A') + tr(A c_y A').
 
-    ``filt`` is one filter (a :class:`LinearFilter` or an N x M array),
-    or a sequence of filters of that shape, for which one MSE per filter
-    comes back, in order. The products A c_y of all of them are one
-    product of their stacked matrices with c_y; a single filter is the
-    stack of one. An empty sequence, or filters of mixed shapes, raise
-    :class:`DimensionError`.
+    ``filt`` is one filter (a :class:`LinearFilter` or any N x M array-like,
+    nested lists included), or a sequence of filters of that shape, for
+    which one MSE per filter comes back, in order. The products A c_y of
+    all of them are one product of their stacked matrices with c_y; a
+    single filter is the stack of one. An empty sequence, or filters of
+    mixed shapes, raise :class:`DimensionError`.
     """
-    one = isinstance(filt, (LinearFilter, np.ndarray))
+    one = isinstance(filt, LinearFilter) or np.ndim(filt[:1]) == 2  # 2-D: row 0 is 1 x M
     matrices = [_matrix_of(f) for f in ([filt] if one else filt)]
     stack = _stacked(matrices)
     _check_shape(model, matrices[0])

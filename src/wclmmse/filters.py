@@ -11,8 +11,11 @@ decomposed at most once however many filters and levels are built:
   leading eigenvectors of the n x n matrix ``c_xy @ inv(c_y) @ c_xy'``.
 * ``csw`` -- a rank truncation in the eigenbasis of ``c_y``.
 * ``jpc`` / ``lsjpc`` -- truncations of the joint-covariance eigenbasis
-  that never invert anything larger than L x L.
-* ``jpc_simplified`` / ``lsjpc_simplified`` -- inverse-free approximations.
+  that never invert anything larger than L x L: B_L' S_L^-1 Y_L', with the
+  L x L system S_L and the N x L map B_L' of each kind defined once on
+  ``model.spectral``.
+* ``jpc_simplified`` / ``lsjpc_simplified`` -- inverse-free approximations
+  that keep their kind's map B_L' and drop S_L.
 * ``weighted_filter`` -- any of the above under a weighted-trace objective.
 
 No constructor ever forms an explicit M x M inverse; every ``inv(.) @``
@@ -32,14 +35,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
-from .linalg import SPDFactor, factor_spd, inv_sqrt_spd, solve_spd
+from .linalg import factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
-from .model import (
-    CovarianceModel,
-    SpectralCache,
-    _lsjpc_system,
-    _structured_system,
-)
+from .model import CovarianceModel, SpectralCache, _structured_system
 
 __all__ = [
     "FilterKind",
@@ -165,13 +163,9 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     return m
 
 
-def _structured_filter(model: CovarianceModel, b, system: SPDFactor | None = None):
-    """``(c_xy @ b') @ inv(S) @ b``, S the :func:`~wclmmse.model._structured_system`
-    through prefilter b, factored by :func:`factor_spd` (here when
-    ``system`` is None): the filter through prefilter b."""
-    if system is None:
-        system = factor_spd(_structured_system(model.c_y, b))
-    return (model.c_xy @ b.T) @ solve_spd(system, b)
+def _structured_filter(model: CovarianceModel, b):
+    """``(c_xy @ b') @ inv(b @ c_y @ b') @ b``: the filter through prefilter b."""
+    return (model.c_xy @ b.T) @ solve_spd(factor_spd(_structured_system(model.c_y, b)), b)
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:
@@ -272,22 +266,14 @@ def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
-    Only the l x l system ``Y_l' c_y Y_l`` is solved, so the filter is
-    computable without any inverse larger than l x l no matter how
-    ill-conditioned c_y is. A level that ``model.spectral.jpc_ladder``
-    reaches is ``(S_l^-1 Y_l' c_xy')' Y_l'`` from that one factor; any
-    other level is built directly, solving its own system against Y_l'
-    (at the ladder's top, the ladder's factored system).
+    B_l' S_l^-1 Y_l' with S_l = Y_l' c_y Y_l and B_l' = c_xy Y_l, both
+    defined once on ``model.spectral``. Only the l x l system S_l is
+    solved, so no inverse is larger than l x l however ill-conditioned c_y
+    is. The levels ``model.spectral.jpc_ladder`` reaches are built from its
+    one factor, and any other solves its own system, as ``lsjpc``'s do.
     """
-    cache = model.spectral
-    cache.check_y_rank(l)
-    y = cache.y_block(l)
-    ladder = cache.jpc_ladder
-    if ladder.reaches(l):
-        matrix = ladder.solve(l).T @ y.T
-    else:
-        matrix = _structured_filter(model, y.T, ladder.system_at(l))
-    return LinearFilter(matrix=matrix, kind=FilterKind.JPC, l=l,
+    return LinearFilter(matrix=model.spectral._joint_filter(FilterKind.JPC, l),
+                        kind=FilterKind.JPC, l=l,
                         max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
 
 
@@ -295,29 +281,18 @@ def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Least-squares variant of the joint-principal-component filter.
 
     Resolves the input onto the range of the Y-block basis and maps the
-    coordinates through the X block: ``x_block @ inv(y'y) @ y'``. Not
-    Wiener-structured; also solves nothing larger than l x l. As for
-    ``jpc``, a level ``model.spectral.lsjpc_ladder`` reaches is
-    ``(S_l^-1 X_l')' Y_l'`` from its one factor, and any other is built
-    directly.
+    coordinates through the X block: B_l' S_l^-1 Y_l' with S_l = Y_l'Y_l
+    and B_l' = X_l, built as ``jpc`` is, from ``model.spectral.lsjpc_ladder``.
+    Not Wiener-structured; also solves nothing larger than l x l.
     """
-    cache = model.spectral
-    cache.check_y_rank(l)
-    y = cache.y_block(l)
-    ladder = cache.lsjpc_ladder
-    if ladder.reaches(l):
-        matrix = ladder.solve(l).T @ y.T
-    else:
-        system = ladder.system_at(l) or factor_spd(_lsjpc_system(y))
-        matrix = cache.x_block(l) @ solve_spd(system, y.T)
-    return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC, l=l,
+    return LinearFilter(matrix=model.spectral._joint_filter(FilterKind.LSJPC, l),
+                        kind=FilterKind.LSJPC, l=l,
                         max_inverse_dim=_certificate(FilterKind.LSJPC, model.m, l))
 
 
 def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
-    """Inverse-free JPC: replaces the l x l solve by reciprocal joint eigenvalues."""
+    """Inverse-free JPC: ``jpc``'s map B_l' = c_xy Y_l with Lambda_l^-1 in place of S_l^-1."""
     cache = model.spectral
-    y = cache.y_block(l)
     s = cache.leading_eigenvalues(l)
     if np.any(s <= 0.0):
         idx = int(np.argmax(s <= 0.0))
@@ -326,14 +301,14 @@ def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
             index=idx,
             value=float(s[idx]),
         )
-    matrix = (model.c_xy @ y / s) @ y.T
+    matrix = (cache._joint_map(FilterKind.JPC, l) / s) @ cache.y_block(l).T
     return LinearFilter(matrix=matrix, kind=FilterKind.JPC_SIMPLIFIED, l=l,
                         max_inverse_dim=_certificate(FilterKind.JPC_SIMPLIFIED, model.m, l))
 
 
 def lsjpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
-    """Inverse-free LSJPC: treats the Y-block Gram matrix as the identity."""
-    matrix = model.spectral.x_block(l) @ model.spectral.y_block(l).T
+    """Inverse-free LSJPC: ``lsjpc``'s map B_l' = X_l with the identity in place of S_l^-1."""
+    matrix = model.spectral._joint_map(FilterKind.LSJPC, l) @ model.spectral.y_block(l).T
     return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC_SIMPLIFIED, l=l,
                         max_inverse_dim=_certificate(FilterKind.LSJPC_SIMPLIFIED, model.m, l))
 

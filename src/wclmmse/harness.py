@@ -41,7 +41,11 @@ _TEST_DRAWS = 1000
 # of the seed-7 sweep-l-m400 sweep (10 alternating rounds, 2-vCPU Xeon VM,
 # one BLAS thread): 0.340 s with chunks of 1; 0.270 / 0.262 / 0.255 /
 # 0.263 / 0.257 s with chunks of 4 / 8 / 16 / 24 / 40. Past 16 the blocks
-# grow for no further gain.
+# grow for no further gain. The chunk also fixes result bytes: a product's
+# shape sets the order BLAS sums in. With one product per kind, norm_rms
+# moved in 2-3 of 241 sweep-l-illcond rows at each of seeds 0, 1, 5 and 7
+# at one BLAS thread (2 and 1 rows at seeds 0 and 7 at two), by up to
+# 3.4e-8 of its tolerance, so a new chunk size is a result-bytes change.
 _SCORE_CHUNK = 16
 
 # The decompositions on ``model.spectral`` each kind reads, made before

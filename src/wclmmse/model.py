@@ -15,6 +15,7 @@ filter, diagnostic and sweep reads from it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -152,12 +153,6 @@ def _structured_system(c_y, b) -> NDArray[np.float64]:
     return _symmetric_part(b @ c_y @ b.T)
 
 
-def _lsjpc_system(y) -> NDArray[np.float64]:
-    """The L x L system ``y' @ y`` that ``lsjpc`` solves on Y block ``y``,
-    symmetrized."""
-    return _symmetric_part(y.T @ y)
-
-
 @dataclass(frozen=True)
 class Ladder:
     """One kind's system at the model's top level, factored once, from
@@ -167,10 +162,10 @@ class Ladder:
     l x l system S_l is the leading block of the top system S, and its
     upper Cholesky factor U_l is the leading block of S's factor U.
     Forward substitution is prefix-stable, so with the kind's right-hand
-    side B (top x n), ``z = U^-T B`` gives ``S_l^-1 B[:l] = U_l^-1 z[:l]``
-    at every level: l^2 n work and no solve against m columns. This is
-    the multistage form of the Wiener filter (Goldstein, Reed & Scharf,
-    IEEE Trans. Inf. Theory 44(7), 1998).
+    side B (top x n), the transpose of its map B_top', ``z = U^-T B``
+    gives ``S_l^-1 B[:l] = U_l^-1 z[:l]`` at every level: l^2 n work and
+    no solve against m columns. This is the multistage form of the Wiener
+    filter (Goldstein, Reed & Scharf, IEEE Trans. Inf. Theory 44(7), 1998).
 
     Where S's Cholesky succeeded, ``u`` holds U in LAPACK's packed upper
     storage, column after column, so U_l is its first l(l+1)/2 entries;
@@ -218,21 +213,6 @@ class Ladder:
         return SPDFactor((scipy.linalg.lapack.dtpttr(self.top, self.u)[0], False))
 
 
-def _factor_ladder(top: int, system, b) -> Ladder:
-    """The :class:`Ladder` of the top x top ``system`` and right-hand side ``b``."""
-    sums = np.abs(system)
-    np.cumsum(sums, axis=0, out=sums)
-    sums *= np.tri(top, dtype=bool)  # row l - 1: the column sums of S_l
-    norms = sums.max(axis=1)
-    del sums
-    factor = factor_spd(system)
-    if factor.cholesky is None:
-        return Ladder(top, failed=factor)
-    u = factor.cholesky[0]
-    z = scipy.linalg.solve_triangular(u, b, trans="T", check_finite=False)
-    return Ladder(top, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
-
-
 class SpectralCache:
     """The one owner of a model's decompositions, each made lazily and at most once.
 
@@ -247,8 +227,9 @@ class SpectralCache:
     * ``eig_y``: the m x m eigendecomposition of c_y, which only ``csw``
       reads.
     * ``jpc_ladder`` and ``lsjpc_ladder``: each kind's :class:`Ladder`,
-      its system at ``ladder_top`` factored once, from which ``jpc`` and
-      ``lsjpc`` build the levels it reaches.
+      its system S_l (``_joint_system``) at ``ladder_top`` factored once.
+      ``_joint_filter`` builds every level of both kinds from it, or from
+      S_l and the kind's map B_l' (``_joint_map``) where it does not reach.
 
     Read it as ``model.spectral``. It keeps the model's three blocks, not
     the model, so no reference cycle holds the decompositions once the
@@ -277,9 +258,13 @@ class SpectralCache:
         return eig
 
     def _check_l(self, l: int) -> int:
-        if not 1 <= l <= self.m:
+        try:
+            level = operator.index(l)
+        except TypeError:
+            raise DimensionError(f"truncation level l={l!r} is not an integer") from None
+        if not 1 <= level <= self.m:
             raise DimensionError(f"truncation level l={l} outside [1, {self.m}]")
-        return int(l)
+        return level
 
     def x_block(self, l: int) -> NDArray[np.float64]:
         """Top-n rows of the leading l joint eigenvectors."""
@@ -330,22 +315,57 @@ class SpectralCache:
             return l
         return 0
 
-    @cached_property
-    def jpc_ladder(self) -> Ladder:
-        """``jpc``'s ladder: S = Y' c_y Y and B = Y' c_xy' at ``ladder_top``."""
+    def _joint_system(self, kind: str, l: int) -> NDArray[np.float64]:
+        """S_l, the l x l system of joint-basis ``kind`` at level l,
+        symmetrized: Y_l' c_y Y_l for ``jpc``, Y_l'Y_l for ``lsjpc``."""
+        y = self.y_block(l)
+        return _structured_system(self.c_y, y.T) if kind == "jpc" else _symmetric_part(y.T @ y)
+
+    def _joint_map(self, kind: str, l: int) -> NDArray[np.float64]:
+        """B_l', the n x l map of joint-basis ``kind`` at level l, which its
+        simplified variant keeps too: c_xy Y_l for ``jpc``, X_l for ``lsjpc``."""
+        return self.c_xy @ self.y_block(l) if kind == "jpc" else self.x_block(l)
+
+    def _ladder(self, kind: str) -> Ladder:
+        """``kind``'s :class:`Ladder`, from its S_l and B_l' at l = ``ladder_top``."""
         top = self.ladder_top
         if not top:
             return Ladder(0)
-        y = self.y_block(top)
-        return _factor_ladder(top, _structured_system(self.c_y, y.T), (self.c_xy @ y).T)
+        system = self._joint_system(kind, top)
+        sums = np.abs(system)
+        np.cumsum(sums, axis=0, out=sums)
+        sums *= np.tri(top, dtype=bool)  # row l - 1: the column sums of S_l
+        norms = sums.max(axis=1)
+        del sums
+        factor = factor_spd(system)
+        if factor.cholesky is None:
+            return Ladder(top, failed=factor)
+        u = factor.cholesky[0]
+        z = scipy.linalg.solve_triangular(u, self._joint_map(kind, top).T, trans="T",
+                                          check_finite=False)
+        return Ladder(top, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
+
+    @cached_property
+    def jpc_ladder(self) -> Ladder:
+        """``jpc``'s ladder: S = Y' c_y Y and B = Y' c_xy' at ``ladder_top``."""
+        return self._ladder("jpc")
 
     @cached_property
     def lsjpc_ladder(self) -> Ladder:
         """``lsjpc``'s ladder: S = Y'Y and B = X' at ``ladder_top``."""
-        top = self.ladder_top
-        if not top:
-            return Ladder(0)
-        return _factor_ladder(top, _lsjpc_system(self.y_block(top)), self.x_block(top).T)
+        return self._ladder("lsjpc")
+
+    def _joint_filter(self, kind: str, l: int) -> NDArray[np.float64]:
+        """The n x m filter B_l' S_l^-1 Y_l' of joint-basis ``kind`` at level
+        l, once :meth:`check_y_rank` passes: from the kind's ladder where it
+        reaches l, else solving S_l, factored here or by the ladder at its top."""
+        self.check_y_rank(l)
+        y = self.y_block(l)
+        ladder = self.jpc_ladder if kind == "jpc" else self.lsjpc_ladder
+        if ladder.reaches(l):
+            return ladder.solve(l).T @ y.T
+        system = ladder.system_at(l) or factor_spd(self._joint_system(kind, l))
+        return self._joint_map(kind, l) @ solve_spd(system, y.T)
 
     @cached_property
     def eigvals_y(self) -> NDArray[np.float64]:

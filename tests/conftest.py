@@ -8,7 +8,6 @@ import pytest
 from wclmmse import CovarianceModel, FilterKind, SpectralCache, linalg
 from wclmmse.diagnostics import _jpc_order
 from wclmmse.filters import _structured_filter
-from wclmmse.model import _lsjpc_system
 
 
 def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
@@ -57,11 +56,14 @@ def ar1_model(n, m, phi=0.9, noise=0.0):
 
 def direct_joint_build(model, kind, l):
     """``jpc`` or ``lsjpc`` at level l built without the model's ladder:
-    level l's own system formed, factored and solved against Y_l'."""
+    level l's own system formed, factored and solved against Y_l'. Spelled
+    out here, not read from the model's definitions, so that it stays an
+    independent reference."""
     y = model.spectral.y_block(l)
     if FilterKind(kind) is FilterKind.JPC:
         return _structured_filter(model, y.T)
-    system = linalg.factor_spd(_lsjpc_system(y))
+    gram = y.T @ y
+    system = linalg.factor_spd(0.5 * (gram + gram.T))
     return model.spectral.x_block(l) @ linalg.solve_spd(system, y.T)
 
 

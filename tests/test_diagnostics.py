@@ -79,6 +79,12 @@ class TestStackedAnalyticMse:
         assert analytic_mse(model, [filt]) == [analytic_mse(model, filt)]
         assert analytic_mse(model, (filt.matrix,)) == [analytic_mse(model, filt.matrix)]
 
+    def test_nested_list_is_one_filter(self):
+        model = haar_model(3, 12, ratio=0.8, seed=6)
+        a = np.random.default_rng(8).standard_normal((3, 12))
+        got = analytic_mse(model, a.tolist())
+        assert isinstance(got, float) and got == analytic_mse(model, a)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError, match="no filters"):
             analytic_mse(haar_model(2, 3, seed=0), [])

@@ -11,6 +11,7 @@ import scipy.linalg
 from conftest import ar1_series, direct_joint_build, haar_model, ladder_of, tail_mixed_model
 from wclmmse import (
     CovarianceModel,
+    DimensionError,
     FilterKind,
     InvalidWeightError,
     Prefilter,
@@ -555,6 +556,32 @@ class TestWeighted:
         random_model = haar_model(3, 2, seed=32)
         g = det_optimal_weight(random_model)
         np.testing.assert_allclose(g @ random_model.c_x @ g.T, np.eye(3), atol=1e-8)
+
+
+LEVELED_BUILDS = (lrw, csw, jpc, lsjpc, jpc_simplified, lsjpc_simplified)
+
+
+class TestTruncationLevel:
+    @pytest.mark.parametrize("build", LEVELED_BUILDS, ids=lambda build: build.__name__)
+    @pytest.mark.parametrize("level", [None, 2.5])
+    def test_a_level_that_is_not_an_integer_is_refused(self, build, level):
+        with pytest.raises(DimensionError, match="not an integer"):
+            build(haar_model(2, 6, seed=3), level)
+
+    def test_weighted_filter_without_a_level_is_refused(self):
+        model = haar_model(2, 6, seed=3)
+        for kind in FILTER_CONSTRUCTORS:
+            if kind is not FilterKind.WIENER:
+                with pytest.raises(DimensionError, match="not an integer"):
+                    weighted_filter(model, np.eye(2), kind)
+
+    @pytest.mark.parametrize("build", LEVELED_BUILDS, ids=lambda build: build.__name__)
+    def test_numpy_integer_level_builds_the_int_level(self, build):
+        """At a ladder level, at the ladder's top (48) and above it."""
+        for level in (3, 48, 50):
+            got = build(haar_model(3, 50, ratio=0.9, seed=4), np.int64(level)).matrix
+            want = build(haar_model(3, 50, ratio=0.9, seed=4), level).matrix
+            assert np.array_equal(got, want)
 
 
 class TestWellConditionedCertificates:
