@@ -21,6 +21,7 @@ import numpy as np
 from . import dataio, harness
 from .diagnostics import scaling_study
 from .errors import ModelError
+from .filters import _LEVELED_KINDS
 from .model import CovarianceModel, geometric_spectrum, synthetic_model
 
 __all__ = ["main"]
@@ -69,10 +70,11 @@ def load_model(path) -> CovarianceModel:
     of the three blocks, raises :class:`ModelError`."""
     blocks = None
     try:
-        data = np.load(path)
-        if isinstance(data, np.lib.npyio.NpzFile):
-            with data:
-                blocks = {name: data[name] for name in _BLOCKS if name in data.files}
+        with open(path, "rb") as handle:
+            data = np.load(handle)
+            if isinstance(data, np.lib.npyio.NpzFile):
+                with data:
+                    blocks = {name: data[name] for name in _BLOCKS if name in data.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ModelError(f"{path} is not a model archive") from exc
     if blocks is None:
@@ -211,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="convergence-vs-truncation-loss study")
     p.add_argument("--model", required=True)
-    p.add_argument("--filter", default="jpc",
-                   choices=["lrw", "csw", "jpc", "lsjpc",
-                            "jpc_simplified", "lsjpc_simplified"])
+    p.add_argument("--filter", default="jpc", choices=[kind.value for kind in _LEVELED_KINDS])
     p.add_argument("--norm", default="nuclear", choices=["nuclear", "frobenius"])
     p.add_argument("--l-min", type=int, default=None)
     p.add_argument("--l-max", type=int, default=None)

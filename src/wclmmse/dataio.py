@@ -30,6 +30,7 @@ from .errors import (
     NumericInputError,
 )
 from .filters import LinearFilter, _stacked
+from .linalg import _as_count
 
 __all__ = [
     "load_csv",
@@ -109,10 +110,9 @@ def window_samples(series, m: int, n: int, seed: int):
     the training and test windows as C-contiguous rows in increasing
     window order, with ``mean``, the scalar mean of the training
     windows, subtracted from every entry. Raises
-    :class:`DimensionError` for m or n below 1.
+    :class:`DimensionError` unless m and n are integers from 1 up.
     """
-    if m < 1 or n < 1:
-        raise DimensionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    m, n = _as_count(m, "window length m", 1), _as_count(n, "target length n", 1)
     values = np.asarray(series, dtype=np.float64)
     if values.ndim != 1:
         raise DimensionError(f"series must be 1-D, got ndim={values.ndim}")

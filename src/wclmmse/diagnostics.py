@@ -16,14 +16,16 @@ from numpy.typing import NDArray
 from .errors import DimensionError, RankError, SingularMatrixError, WclmmseError
 from .filters import (
     FILTER_CONSTRUCTORS,
+    _LEVELED_KINDS,
     FilterKind,
     LinearFilter,
     _csw_ranking,
     _effective_level,
+    _kind,
     _stacked,
     wiener,
 )
-from .linalg import matrix_norm
+from .linalg import _as_count, _count_grid, matrix_norm
 from .model import CovarianceModel, _search_grid
 
 __all__ = [
@@ -121,10 +123,7 @@ def truncation_power_loss(spectrum, l: int) -> float:
     spectrum = np.asarray(spectrum, dtype=np.float64)
     if spectrum.ndim != 1:
         raise DimensionError("spectrum must be 1-D")
-    if not 1 <= l <= spectrum.shape[0]:
-        raise DimensionError(
-            f"truncation level l={l} outside [1, {spectrum.shape[0]}]")
-    return float(spectrum[l:].sum())
+    return float(spectrum[_as_count(l, "truncation level l", 1, spectrum.shape[0]):].sum())
 
 
 def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float:
@@ -136,15 +135,16 @@ def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float
     same units, the whitened cross-covariance's column norms
     ``norm(c_xy @ q_i) / sqrt(lambda_i)`` of the c_y eigendirections it
     does not keep; both raise as the filter does on a c_y too singular to
-    invert. Every other kind discards the joint-eigenvalue tail beyond l.
+    invert. Every other kind discards the joint-eigenvalue tail beyond l in [1, m].
     """
+    kind = FilterKind(kind)
     if kind is FilterKind.LRW:
         power = np.clip(model.spectral.eig_wiener.eigenvalues, 0.0, None)
         return truncation_power_loss(np.sqrt(power), _effective_level(model, kind, l))
     if kind is FilterKind.CSW:
         _, _, scores, order = _csw_ranking(model)
         return truncation_power_loss(np.sqrt(scores[order]), l)
-    return truncation_power_loss(model.spectral.eig_z.eigenvalues, l)
+    return truncation_power_loss(model.spectral.eig_z.eigenvalues, model.spectral._check_l(l))
 
 
 @dataclass
@@ -170,8 +170,7 @@ class ScalingStudy:
     max_ratio: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if not np.all(np.diff(self.l) > 0):
-            raise DimensionError("grid levels must be strictly increasing")
+        _check_increasing(self.l)
         if np.any(np.diff(self.rho_l) > 1e-12 * max(self.rho_l.max(initial=0.0), 1.0)):
             raise WclmmseError("truncation-power loss must be non-increasing in l")
 
@@ -186,6 +185,11 @@ class ScalingStudy:
         return out
 
 
+def _check_increasing(grid: NDArray[np.intp]) -> None:
+    if not np.all(np.diff(grid) > 0):
+        raise DimensionError("grid levels must be strictly increasing")
+
+
 def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
                   l_grid, norm: str = "nuclear") -> ScalingStudy:
     """Measure how fast a truncated filter approaches the unconstrained one.
@@ -193,29 +197,25 @@ def scaling_study(model: CovarianceModel, filter_kind: FilterKind,
     For each level on the grid, records the truncation-power loss that
     :func:`filter_power_loss` gives, the filter's distance to the
     unconstrained filter, the MSE gap, and the Gram defect of the
-    Y-block basis.
+    Y-block basis. A grid that is empty, not strictly increasing or not of
+    integers in [1, m] is refused before any level is built.
     """
-    filter_kind = FilterKind(filter_kind)
-    if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
-        raise ValueError(f"scaling study undefined for kind {filter_kind}")
-    grid = np.asarray(list(l_grid), dtype=np.intp)
-    if grid.size == 0:
-        raise DimensionError("empty truncation grid")
+    filter_kind = _kind(filter_kind, "scaling study", _LEVELED_KINDS)
+    grid = np.array(_count_grid(l_grid, "truncation", "truncation level l", 1, model.m),
+                    dtype=np.intp)
+    _check_increasing(grid)
     reference = wiener(model)
     ref_mse = analytic_mse(model, reference)
     ref_norm = matrix_norm(reference.matrix, norm)
     constructor = FILTER_CONSTRUCTORS[filter_kind]
 
-    rho = np.empty(grid.size)
-    dist = np.empty(grid.size)
-    gap = np.empty(grid.size)
-    gram = np.empty(grid.size)
-    for i, l in enumerate(grid):
-        filt = constructor(model, int(l))
-        rho[i] = filter_power_loss(model, filter_kind, int(l))
+    rho, dist, gap, gram = np.empty((4, grid.size))
+    for i, l in enumerate(grid.tolist()):
+        filt = constructor(model, l)
+        rho[i] = filter_power_loss(model, filter_kind, l)
         dist[i] = matrix_norm(filt.matrix - reference.matrix, norm)
         gap[i] = analytic_mse(model, filt) - ref_mse
-        gram[i] = model.spectral.gram_defect(int(l))
+        gram[i] = model.spectral.gram_defect(l)
 
     study = ScalingStudy(kind=filter_kind, norm=norm, l=grid, rho_l=rho,
                          dist=dist, mse_gap=gap, gram_defect=gram)
@@ -265,9 +265,7 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     whose p(l) exceeds the best MSE built so far by more than
     1e-8 tr(c_x), since that level cannot win.
     """
-    filter_kind = FilterKind(filter_kind)
-    if filter_kind not in FILTER_CONSTRUCTORS or filter_kind is FilterKind.WIENER:
-        raise ValueError(f"truncation-level search undefined for kind {filter_kind}")
+    filter_kind = _kind(filter_kind, "truncation-level search", _LEVELED_KINDS)
     grid = _search_grid(model)
     constructor = FILTER_CONSTRUCTORS[filter_kind]
     order = [(-np.inf, l) for l in grid]

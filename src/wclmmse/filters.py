@@ -163,6 +163,13 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     return m
 
 
+def _at_level(kind: FilterKind, model: CovarianceModel, l: int, matrix) -> LinearFilter:
+    """``kind``'s filter ``matrix`` built at level l, recorded with l as an int."""
+    l = model.spectral._check_l(l)
+    return LinearFilter(matrix=matrix, kind=kind, l=l,
+                        max_inverse_dim=_certificate(kind, model.m, l))
+
+
 def _structured_filter(model: CovarianceModel, b):
     """``(c_xy @ b') @ inv(b @ c_y @ b') @ b``: the filter through prefilter b."""
     return (model.c_xy @ b.T) @ solve_spd(factor_spd(_structured_system(model.c_y, b)), b)
@@ -228,9 +235,7 @@ def lrw(model: CovarianceModel, l: int) -> LinearFilter:
     keep = _effective_level(model, FilterKind.LRW, l)
     cache = model.spectral
     u = cache.eig_wiener.eigenvectors[:, :keep]
-    matrix = u @ (u.T @ cache.wiener_solve.T)
-    return LinearFilter(matrix=matrix, kind=FilterKind.LRW, l=l,
-                        max_inverse_dim=_certificate(FilterKind.LRW, model.m, l))
+    return _at_level(FilterKind.LRW, model, l, u @ (u.T @ cache.wiener_solve.T))
 
 
 def _csw_ranking(model: CovarianceModel):
@@ -254,12 +259,11 @@ def csw(model: CovarianceModel, l: int) -> LinearFilter:
     ``norm(c_xy @ q_i)^2 / lambda_i`` and the top l retained. It relies on
     the full spectrum of c_y, so the recorded inverse size is M.
     """
-    model.spectral._check_l(l)
+    l = model.spectral._check_l(l)
     eig, proj, _, order = _csw_ranking(model)
     kept = order[:l]
     matrix = (proj[:, kept] / eig.eigenvalues[kept]) @ eig.eigenvectors[:, kept].T
-    return LinearFilter(matrix=matrix, kind=FilterKind.CSW, l=l,
-                        max_inverse_dim=_certificate(FilterKind.CSW, model.m, l))
+    return _at_level(FilterKind.CSW, model, l, matrix)
 
 
 def jpc(model: CovarianceModel, l: int) -> LinearFilter:
@@ -272,9 +276,7 @@ def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     is. The levels ``model.spectral.jpc_ladder`` reaches are built from its
     one factor, and any other solves its own system, as ``lsjpc``'s do.
     """
-    return LinearFilter(matrix=model.spectral._joint_filter(FilterKind.JPC, l),
-                        kind=FilterKind.JPC, l=l,
-                        max_inverse_dim=_certificate(FilterKind.JPC, model.m, l))
+    return _at_level(FilterKind.JPC, model, l, model.spectral._joint_filter(FilterKind.JPC, l))
 
 
 def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
@@ -285,9 +287,8 @@ def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
     and B_l' = X_l, built as ``jpc`` is, from ``model.spectral.lsjpc_ladder``.
     Not Wiener-structured; also solves nothing larger than l x l.
     """
-    return LinearFilter(matrix=model.spectral._joint_filter(FilterKind.LSJPC, l),
-                        kind=FilterKind.LSJPC, l=l,
-                        max_inverse_dim=_certificate(FilterKind.LSJPC, model.m, l))
+    return _at_level(FilterKind.LSJPC, model, l,
+                     model.spectral._joint_filter(FilterKind.LSJPC, l))
 
 
 def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
@@ -302,15 +303,13 @@ def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
             value=float(s[idx]),
         )
     matrix = (cache._joint_map(FilterKind.JPC, l) / s) @ cache.y_block(l).T
-    return LinearFilter(matrix=matrix, kind=FilterKind.JPC_SIMPLIFIED, l=l,
-                        max_inverse_dim=_certificate(FilterKind.JPC_SIMPLIFIED, model.m, l))
+    return _at_level(FilterKind.JPC_SIMPLIFIED, model, l, matrix)
 
 
 def lsjpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
     """Inverse-free LSJPC: ``lsjpc``'s map B_l' = X_l with the identity in place of S_l^-1."""
     matrix = model.spectral._joint_map(FilterKind.LSJPC, l) @ model.spectral.y_block(l).T
-    return LinearFilter(matrix=matrix, kind=FilterKind.LSJPC_SIMPLIFIED, l=l,
-                        max_inverse_dim=_certificate(FilterKind.LSJPC_SIMPLIFIED, model.m, l))
+    return _at_level(FilterKind.LSJPC_SIMPLIFIED, model, l, matrix)
 
 
 FILTER_CONSTRUCTORS = {
@@ -322,6 +321,15 @@ FILTER_CONSTRUCTORS = {
     FilterKind.JPC_SIMPLIFIED: jpc_simplified,
     FilterKind.LSJPC_SIMPLIFIED: lsjpc_simplified,
 }
+_LEVELED_KINDS = tuple(kind for kind in FILTER_CONSTRUCTORS if kind is not FilterKind.WIENER)
+
+
+def _kind(kind, purpose: str, kinds=FILTER_CONSTRUCTORS) -> FilterKind:
+    """``kind`` as the :class:`FilterKind` in ``kinds``; else a ValueError for ``purpose``."""
+    kind = FilterKind(kind)
+    if kind not in kinds:
+        raise ValueError(f"{purpose} undefined for kind {kind}")
+    return kind
 
 
 def weighted_filter(model: CovarianceModel, g, base: FilterKind,
@@ -338,8 +346,7 @@ def weighted_filter(model: CovarianceModel, g, base: FilterKind,
         raise InvalidWeightError(f"weight must be {model.n} x {model.n}, got {g.shape}")
     if not _has_full_column_rank(g):
         raise InvalidWeightError("weight matrix is numerically singular")
-    if base not in FILTER_CONSTRUCTORS:
-        raise ValueError(f"unsupported base filter kind: {base}")
+    base = _kind(base, "weighted filter")
     c_x_t = g @ model.c_x @ g.T
     transformed = CovarianceModel(0.5 * (c_x_t + c_x_t.T), model.c_y, g @ model.c_xy)
     inner = FILTER_CONSTRUCTORS[base](transformed, l)

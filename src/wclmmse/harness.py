@@ -22,9 +22,9 @@ import numpy as np
 from . import dataio
 from .dataio import ExperimentResult
 from .diagnostics import analytic_mse, best_l_search, filter_power_loss
-from .errors import DimensionError, SingularMatrixError, WclmmseError
-from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _certificate
-from .linalg import condition_number
+from .errors import SingularMatrixError, WclmmseError
+from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _certificate, _kind
+from .linalg import _as_count, _count_grid, condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
 
 __all__ = [
@@ -65,8 +65,8 @@ _CACHE_READS = {
 class LPolicy:
     """Truncation-level policy for window-length sweeps.
 
-    ``fixed`` uses the given level everywhere, capped at m. ``best`` takes
-    the level and the filter that
+    ``fixed`` uses the given level, an integer from 1 up, everywhere, capped
+    at m. ``best`` takes no level: it takes the level and the filter that
     :func:`~wclmmse.diagnostics.best_l_search` finds on the training
     covariances; its docstring gives the grid and the search. The row's
     ``wall_ms`` is then the time of choosing and building the filter,
@@ -80,8 +80,10 @@ class LPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "best"):
             raise ValueError(f"unknown policy mode: {self.mode!r}")
-        if self.mode == "fixed" and (self.l is None or self.l < 1):
-            raise ValueError("fixed policy needs a positive level")
+        if self.mode == "fixed":
+            self.l = _as_count(self.l, "truncation level l", 1)
+        elif self.l is not None:
+            raise ValueError(f"best policy takes no level, got l={self.l!r}")
 
     def choose(self, model: CovarianceModel,
                kind: FilterKind) -> tuple[int | None, LinearFilter | None]:
@@ -102,16 +104,6 @@ def parse_l_policy(text: str) -> LPolicy:
     if text.startswith("fixed:"):
         return LPolicy(mode="fixed", l=int(text.split(":", 1)[1]))
     raise ValueError(f"cannot parse l-policy {text!r} (use 'best' or 'fixed:L')")
-
-
-def _parse_kinds(filters) -> list[FilterKind]:
-    kinds = []
-    for item in filters:
-        kind = FilterKind(item) if not isinstance(item, FilterKind) else item
-        if kind not in FILTER_CONSTRUCTORS:
-            raise ValueError(f"filter kind {kind} cannot be swept")
-        kinds.append(kind)
-    return kinds
 
 
 def _prepare(source, m: int, n: int, seed: int):
@@ -235,23 +227,13 @@ def _rho_for(kind: FilterKind, model: CovarianceModel, l: int | None) -> float:
         return float("nan")
 
 
-def _nonempty(values, name: str) -> list[int]:
-    grid = [int(v) for v in values]
-    if not grid:
-        raise DimensionError(f"empty {name} grid")
-    return grid
-
-
 def run_l_sweep(source, m: int, n: int, l_grid, filters,
                 seed: int = 0) -> list[ExperimentResult]:
     """One row per (filter, truncation level); the unconstrained filter
     appears once with the level omitted. The grid must not be empty, and
-    every level must lie in [1, m]."""
-    kinds = _parse_kinds(filters)
-    grid = _nonempty(l_grid, "truncation")
-    outside = [l for l in grid if not 1 <= l <= m]
-    if outside:
-        raise DimensionError(f"truncation levels {outside} outside [1, {m}]")
+    every level must be an integer in [1, m]."""
+    kinds = [_kind(item, "sweep") for item in filters]
+    grid = _count_grid(l_grid, "truncation", "truncation level l", 1, m)
     rows = _sweep_model(source, m, n, seed, kinds,
                         [LPolicy(mode="fixed", l=l) for l in grid])
     rows.sort(key=_sort_key)
@@ -261,10 +243,10 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters,
 def run_m_sweep(series, m_grid, n: int, filters, l_policy: LPolicy,
                 seed: int = 0) -> list[ExperimentResult]:
     """Re-window the series at each length and score every filter there.
-    The grid must not be empty."""
-    kinds = _parse_kinds(filters)
+    The grid must not be empty, and every length must be an integer from 1 up."""
+    kinds = [_kind(item, "sweep") for item in filters]
     rows = []
-    for m in _nonempty(m_grid, "window-length"):
+    for m in _count_grid(m_grid, "window-length", "window length m", 1):
         rows += _sweep_model(series, m, n, seed, kinds, [l_policy])
     rows.sort(key=_sort_key)
     return rows
@@ -277,13 +259,13 @@ def run_condition_report(source, m_grid, n: int, seed: int = 0) -> list[tuple[in
     principal m x m block (the coordinates nearest the target block);
     for a series it is re-estimated at each length, and its condition
     number is the ``cond_cy`` of a ``sweep-m`` row at that length. The
-    grid must not be empty, and for a model its lengths lie in [1, M].
+    grid must not be empty, and its lengths are integers from 1 up, for a
+    model in [1, M].
     """
+    high = source.m if isinstance(source, CovarianceModel) else np.inf
     rows = []
-    for m in _nonempty(m_grid, "window-length"):
+    for m in _count_grid(m_grid, "window-length", "window length m", 1, high):
         if isinstance(source, CovarianceModel):
-            if not 1 <= m <= source.m:
-                raise DimensionError(f"window length m={m} outside [1, {source.m}]")
             cond = condition_number(source.c_y[source.m - m :, source.m - m :])
         else:
             cond = _prepare(source, m, n, seed)[0].spectral.cond_y

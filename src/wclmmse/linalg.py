@@ -15,6 +15,7 @@ Determinism conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,25 @@ def _as_square(a, name: str = "matrix") -> Matrix:
     if out.shape[0] != out.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {out.shape}")
     return out
+
+
+def _as_count(value, name: str, low: int, high: float = np.inf) -> int:
+    """``value`` as an int in [low, high], the rule for every count; else DimensionError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DimensionError(f"{name}={value!r} is not an integer") from None
+    if not low <= count <= high:
+        raise DimensionError(f"{name}={count} outside [{low}, {high}]")
+    return count
+
+
+def _count_grid(values, grid: str, name: str, low: int, high: float = np.inf) -> list[int]:
+    """The entries of a nonempty ``grid``, each a count by :func:`_as_count`."""
+    counts = [_as_count(v, name, low, high) for v in values]
+    if not counts:
+        raise DimensionError(f"empty {grid} grid")
+    return counts
 
 
 def _lead_signs(vectors: Matrix) -> NDArray[np.float64]:

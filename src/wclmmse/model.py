@@ -15,7 +15,6 @@ filter, diagnostic and sweep reads from it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +33,8 @@ from .errors import (
 from .linalg import (
     SPDFactor,
     SymEig,
+    _as_count,
+    _as_square,
     _check_definite,
     _spectral_condition,
     _symmetric_part,
@@ -126,10 +127,8 @@ class CovarianceModel:
     def from_joint(cls, c_z, n: int) -> "CovarianceModel":
         """Model from copies (not views) of the blocks of a square joint
         covariance ``c_z``; X is its top ``n`` coordinates, 0 <= n <= d."""
-        c_z = np.asarray(c_z, dtype=np.float64)
-        if c_z.ndim != 2 or c_z.shape[0] != c_z.shape[1] or not 0 <= n <= c_z.shape[0]:
-            raise DimensionError(f"need a square 2-D joint covariance and 0 <= n <= d,"
-                                 f" got shape {c_z.shape} and n={n}")
+        c_z = _as_square(c_z, "joint covariance")
+        n = _as_count(n, "target size n", 0, c_z.shape[0])
         return cls(c_z[:n, :n].copy(), c_z[n:, n:].copy(), c_z[:n, n:].copy())
 
     @cached_property
@@ -258,13 +257,7 @@ class SpectralCache:
         return eig
 
     def _check_l(self, l: int) -> int:
-        try:
-            level = operator.index(l)
-        except TypeError:
-            raise DimensionError(f"truncation level l={l!r} is not an integer") from None
-        if not 1 <= level <= self.m:
-            raise DimensionError(f"truncation level l={l} outside [1, {self.m}]")
-        return level
+        return _as_count(l, "truncation level l", 1, self.m)
 
     def x_block(self, l: int) -> NDArray[np.float64]:
         """Top-n rows of the leading l joint eigenvectors."""
@@ -293,7 +286,7 @@ class SpectralCache:
         the 1e-10 an m x l SVD of Y_l can. Each level's margin is computed
         once and kept.
         """
-        margin = self._margins.get(l)
+        margin = self._margins.get(self._check_l(l))
         if margin is None:
             margin = self._margins[l] = 1.0 - spectral_norm(self.x_block(l))**2
         if margin <= _Y_RANK_FLOOR:
@@ -432,6 +425,7 @@ def estimate_covariance(samples, n: int) -> CovarianceModel:
 
 def geometric_spectrum(size: int, scale: float = 1.0, ratio: float = 0.6) -> NDArray[np.float64]:
     """Spectrum scale * ratio**i for i = 0..size-1."""
+    size = _as_count(size, "spectrum size", 0)
     if scale <= 0.0 or ratio <= 0.0:
         raise InvalidSpectrumError("geometric spectrum needs scale > 0 and ratio > 0")
     return scale * ratio ** np.arange(size, dtype=np.float64)
@@ -446,9 +440,9 @@ def synthetic_model(n: int, spectrum, *, seed: int = 0) -> CovarianceModel:
     spectrum, and partitions it. Deterministic per seed.
     """
     spec = np.asarray(spectrum, dtype=np.float64)
-    if n < 1 or spec.ndim != 1 or spec.shape[0] <= n:
-        raise DimensionError(
-            f"need n >= 1 and a 1-D spectrum longer than n={n}, got shape {spec.shape}")
+    if spec.ndim != 1:
+        raise DimensionError(f"spectrum must be 1-D, got shape {spec.shape}")
+    n = _as_count(n, "target size n", 1, spec.shape[0] - 1)
     if not np.all(spec > 0.0):
         bad = int(np.argmin(spec))
         raise InvalidSpectrumError(
@@ -474,8 +468,7 @@ def sample_from_model(model: CovarianceModel, k: int, seed: int = 0) -> NDArray[
     eigenvalues beyond -1e-10 * lambda_max are a model error, smaller
     ones are clipped to zero. Deterministic per seed.
     """
-    if k < 0:
-        raise DimensionError(f"sample count must be nonnegative, got {k}")
+    k = _as_count(k, "sample count k", 0)
     eig = model.spectral.eig_z
     vals = eig.eigenvalues
     lam_max = max(float(vals[0]), 0.0) if vals.size else 0.0

@@ -243,7 +243,11 @@ class TestSeeds:
         monkeypatch.delenv("WCLMMSE_SEED")
         main(args + ["--seed", "0", "--out", str(out_zero)])
         main(args + ["--seed", "7", "--out", str(out_seven)])
-        read = lambda p: [r["norm_rms"] for r in csv.DictReader(p.open())]
+
+        def read(path):
+            with path.open() as handle:
+                return [r["norm_rms"] for r in csv.DictReader(handle)]
+
         assert read(out_env) == read(out_default) == read(out_zero)
         assert read(out_seven) != read(out_default)
 

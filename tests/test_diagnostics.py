@@ -191,6 +191,8 @@ class TestTruncationPowerLoss:
         assert lrw_losses[0] >= lrw_losses[1] == lrw_losses[2] == 0.0
         whitened = np.linalg.svd(model.c_xy @ inv_sqrt_spd(model.c_y), compute_uv=False)
         assert lrw_losses[0] == pytest.approx(truncation_power_loss(whitened, 1), rel=1e-10)
+        # the kind may also be given by its name
+        assert filter_power_loss(model, "lrw", 1) == lrw_losses[0]
 
     def test_csw_loses_the_directions_it_discards(self):
         # the whitened cross-covariance's column norms over the c_y
@@ -211,6 +213,13 @@ class TestTruncationPowerLoss:
 
 
 class TestScalingStudy:
+    @pytest.mark.parametrize("grid", [[4, 2], [2, 2]])
+    def test_grid_not_increasing_is_refused_before_any_build(self, monkeypatch, grid):
+        builds = _counting_builds(monkeypatch, FilterKind.JPC)
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            scaling_study(haar_model(2, 6, seed=13), FilterKind.JPC, grid)
+        assert builds == []
+
     def test_exact_recovery_at_full_level(self):
         # the kind may also be given by its name
         for kind, grid, ratio in ((FilterKind.JPC, range(2, 7), 0.7), ("jpc", [2, 4, 6], 0.6)):

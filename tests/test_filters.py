@@ -1,5 +1,6 @@
 """Filter constructor tests: closed-form cases, oracles, and invariants."""
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -14,6 +15,7 @@ from wclmmse import (
     DimensionError,
     FilterKind,
     InvalidWeightError,
+    LPolicy,
     Prefilter,
     RankError,
     SingularMatrixError,
@@ -25,6 +27,7 @@ from wclmmse import (
     det_optimal_weight,
     estimate_covariance,
     filter_power_loss,
+    geometric_spectrum,
     inv_sqrt_spd,
     is_l_well_conditioned,
     jpc,
@@ -33,8 +36,14 @@ from wclmmse import (
     lsjpc,
     lsjpc_simplified,
     nuclear_norm,
+    run_condition_report,
+    run_l_sweep,
+    run_m_sweep,
+    sample_from_model,
     scaling_study,
     sym_eig,
+    synthetic_model,
+    truncation_power_loss,
     weighted_filter,
     weighted_trace_objective,
     wiener,
@@ -42,7 +51,7 @@ from wclmmse import (
     window_samples,
 )
 from wclmmse import linalg
-from wclmmse.filters import FILTER_CONSTRUCTORS
+from wclmmse.filters import _LEVELED_KINDS, FILTER_CONSTRUCTORS
 
 
 def copy_model(dim=3, seed=5):
@@ -561,6 +570,50 @@ class TestWeighted:
 LEVELED_BUILDS = (lrw, csw, jpc, lsjpc, jpc_simplified, lsjpc_simplified)
 
 
+def _series():
+    return ar1_series(120, seed=5)
+
+
+# Every entry point that takes a count, as (call, low, high, a valid count):
+# the count must be an integer in [low, high], high None for no upper bound.
+COUNT_ENTRY_POINTS = {
+    "from_joint-n": (lambda v: CovarianceModel.from_joint(np.eye(6), v), 0, 6, 2),
+    "synthetic_model-n": (lambda v: synthetic_model(v, geometric_spectrum(6)), 1, 5, 2),
+    "sample_from_model-k": (lambda v: sample_from_model(haar_model(2, 8), v), 0, None, 3),
+    "geometric_spectrum-size": (geometric_spectrum, 0, None, 4),
+    "truncation_power_loss-l": (lambda v: truncation_power_loss(np.arange(6.0, 0.0, -1.0), v),
+                                1, 6, 2),
+    "jpc-l": (lambda v: jpc(haar_model(2, 8), v), 1, 8, 3),
+    **{f"filter_power_loss-{kind.value}-l":
+       (lambda v, kind=kind: filter_power_loss(haar_model(2, 8), kind, v), 1, 8, 3)
+       for kind in _LEVELED_KINDS},
+    "scaling_study-grid": (lambda v: scaling_study(haar_model(2, 8), "jpc", [v]), 1, 8, 3),
+    "LPolicy-fixed-l": (lambda v: LPolicy(mode="fixed", l=v), 1, None, 3),
+    "run_l_sweep-grid": (lambda v: run_l_sweep(haar_model(2, 8), 8, 2, [v], ["jpc"]), 1, 8, 3),
+    "run_m_sweep-grid": (lambda v: run_m_sweep(_series(), [v], 2, ["jpc"],
+                                               LPolicy(mode="fixed", l=2)), 1, None, 6),
+    "run_condition_report-model-grid": (lambda v: run_condition_report(haar_model(2, 8), [v], 2),
+                                        1, 8, 4),
+    "run_condition_report-series-grid": (lambda v: run_condition_report(_series(), [v], 2),
+                                         1, None, 6),
+    "window_samples-m": (lambda v: window_samples(_series(), v, 2, 0), 1, None, 6),
+    "window_samples-n": (lambda v: window_samples(_series(), 6, v, 0), 1, None, 2),
+}
+
+
+def _bits(value):
+    """``value`` as nested tuples of plain data, ``wall_ms`` dropped, equal
+    exactly when two results are the same bits and the same types."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name)))
+                     for f in dataclasses.fields(value) if f.name != "wall_ms")
+    return type(value).__name__, repr(value)
+
+
 class TestTruncationLevel:
     @pytest.mark.parametrize("build", LEVELED_BUILDS, ids=lambda build: build.__name__)
     @pytest.mark.parametrize("level", [None, 2.5])
@@ -582,6 +635,19 @@ class TestTruncationLevel:
             got = build(haar_model(3, 50, ratio=0.9, seed=4), np.int64(level)).matrix
             want = build(haar_model(3, 50, ratio=0.9, seed=4), level).matrix
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_every_count_is_an_integer_in_its_range(self, entry):
+        """One rule at every entry point: a non-integer and a count one past
+        either bound raise DimensionError, and a numpy integer gives the
+        same result, bit for bit and type for type, as the int."""
+        call, low, high, valid = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(DimensionError, match="not an integer"):
+            call(2.5)
+        for outside in [low - 1] + ([] if high is None else [high + 1]):
+            with pytest.raises(DimensionError, match=f"={outside} outside"):
+                call(outside)
+        assert _bits(call(np.int64(valid))) == _bits(call(valid))
 
 
 class TestWellConditionedCertificates:

@@ -521,6 +521,11 @@ class TestRunMSweep:
         with pytest.raises(ValueError):
             parse_l_policy("fixed:0")
 
+    def test_best_policy_takes_no_level(self):
+        # a level given with best would be ignored by choose
+        with pytest.raises(ValueError, match="no level"):
+            LPolicy(mode="best", l=5)
+
 
 class TestRunConditionReport:
     def test_isotropic_model(self):
