@@ -136,8 +136,10 @@ def _cmd_sweep_m(args) -> int:
 
 def _cmd_cond(args) -> int:
     source = _load_source(args)
-    rows = harness.run_condition_report(source, _parse_grid(args.m_grid),
-                                        args.n, seed=args.seed)
+    n = args.n
+    if n is None:
+        n = source.n if isinstance(source, CovarianceModel) else 7
+    rows = harness.run_condition_report(source, _parse_grid(args.m_grid), n, seed=args.seed)
     out_path = Path(args.out)
     dataio.write_condition_csv(rows, out_path)
     records = [{"m": m, "cond_cy": c} for m, c in rows]
@@ -206,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cond", help="condition number of the input covariance vs m")
     _add_source_args(p)
     p.add_argument("--m-grid", required=True)
-    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--n", type=int, default=None,
+                   help="target size n (default: a model's own, else 7)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cond)

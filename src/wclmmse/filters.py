@@ -152,7 +152,8 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     for the others. Sweep rows state it whether or not the build succeeded.
 
     For ``jpc`` and ``lsjpc`` it stays L where a level is built from the
-    model's ladder: the factor call there is top x top, but level L reads
+    model's ladder: the factor call there is top x top (the ``best``
+    grid's top, or a sweep's largest level above it), but level L reads
     only U_L, the factor of its own L x L system (see
     :class:`~wclmmse.model.Ladder`).
     """
@@ -365,9 +366,10 @@ def is_l_well_conditioned(filt: LinearFilter, l: int) -> bool:
     """True when the filter was built without any inverse larger than l x l.
 
     A ``jpc`` or ``lsjpc`` level built from the model's ladder counts as
-    l: the ladder's one factorization is top x top, but the level reads
-    only the leading l x l block of its factor, which is the factor of
-    the level's own l x l system.
+    l: the ladder's one factorization is top x top, at the ``best`` grid's
+    top or at a sweep's largest level above it, but the level reads only
+    the leading l x l block of its factor, which is the factor of the
+    level's own l x l system.
     """
     return filt.max_inverse_dim <= l
 

@@ -106,12 +106,16 @@ def parse_l_policy(text: str) -> LPolicy:
     raise ValueError(f"cannot parse l-policy {text!r} (use 'best' or 'fixed:L')")
 
 
+def _check_size(model: CovarianceModel, m: int, n: int) -> None:
+    """Refuse a model source whose (n, m) is not the one requested."""
+    if model.m != m or model.n != n:
+        raise ValueError(f"model has (n, m) = {(model.n, model.m)}, requested {(n, m)}")
+
+
 def _prepare(source, m: int, n: int, seed: int):
     """Turn a series or model into (the model, test vectors, mean)."""
     if isinstance(source, CovarianceModel):
-        if source.m != m or source.n != n:
-            raise ValueError(
-                f"model has (n, m) = {(source.n, source.m)}, requested {(n, m)}")
+        _check_size(source, m, n)
         return source, sample_from_model(source, _TEST_DRAWS, seed=seed + 1), 0.0
     train, test, mean = dataio.window_samples(source, m, n, seed)
     return estimate_covariance(train, n), test, mean
@@ -138,8 +142,13 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     source's test vectors); the ladder, its one factored top-level
     system, of ``jpc`` and of ``lsjpc``; the M x M Wiener solve for
     ``wiener``; that solve and the n x n ``eig_wiener`` for ``lrw``; the
-    M x M ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a kind, each of
-    its cells fails on its own and its row records the failure.
+    M x M ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a
+    kind, each of its cells fails on its own and its row records the
+    failure. Before the ladders are made, their top is raised to the
+    largest fixed level of ``policies`` that passes the rank check,
+    where that is above the ``best`` grid's top, so that no level the
+    sweep asks for factors a system of its own above the ladders; a
+    ``best`` sweep, or a fixed one at or below the grid's top, keeps it.
 
     Each cell's build is timed alone (:func:`_sweep_cell`). A kind's
     built filters are then scored in chunks of ``_SCORE_CHUNK``, each
@@ -150,6 +159,8 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     model, test_z, mean = _prepare(source, m, n, seed)
     cache = model.spectral
     cond_cy = cache.cond_y
+    if FilterKind.JPC in kinds or FilterKind.LSJPC in kinds:
+        cache._raise_ladder_top(min(p.l, m) for p in policies if p.mode == "fixed")
     for kind in kinds:
         for name in _CACHE_READS[kind]:
             try:
@@ -260,9 +271,12 @@ def run_condition_report(source, m_grid, n: int, seed: int = 0) -> list[tuple[in
     for a series it is re-estimated at each length, and its condition
     number is the ``cond_cy`` of a ``sweep-m`` row at that length. The
     grid must not be empty, and its lengths are integers from 1 up, for a
-    model in [1, M].
+    model in [1, M]; a model's n must be ``n``, as in the sweeps.
     """
-    high = source.m if isinstance(source, CovarianceModel) else np.inf
+    high = np.inf
+    if isinstance(source, CovarianceModel):
+        _check_size(source, source.m, n)
+        high = source.m
     rows = []
     for m in _count_grid(m_grid, "window-length", "window length m", 1, high):
         if isinstance(source, CovarianceModel):

@@ -154,8 +154,10 @@ def _structured_system(c_y, b) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class Ladder:
-    """One kind's system at the model's top level, factored once, from
-    which every level up to the top is solved.
+    """One kind's system at the ladder's top level, factored once, from
+    which every level up to the top is solved. The top is the highest
+    ``best`` grid level that passes the rank check, or a sweep's largest
+    level where that is higher (:attr:`SpectralCache.ladder_top`).
 
     The prefilters of ``jpc`` and ``lsjpc`` are nested, so level l's
     l x l system S_l is the leading block of the top system S, and its
@@ -227,8 +229,12 @@ class SpectralCache:
       reads.
     * ``jpc_ladder`` and ``lsjpc_ladder``: each kind's :class:`Ladder`,
       its system S_l (``_joint_system``) at ``ladder_top`` factored once.
-      ``_joint_filter`` builds every level of both kinds from it, or from
-      S_l and the kind's map B_l' (``_joint_map``) where it does not reach.
+      The top is the ``best`` grid's top that passes the rank check; a
+      sweep raises it to its own largest passing level above that
+      (``_raise_ladder_top``) before the ladders are made, so every level
+      it asks for is at or below the one factored system. ``_joint_filter``
+      builds every level of both kinds from it, or from S_l and the kind's
+      map B_l' (``_joint_map``) where it does not reach.
 
     Read it as ``model.spectral``. It keeps the model's three blocks, not
     the model, so no reference cycle holds the decompositions once the
@@ -297,9 +303,9 @@ class SpectralCache:
 
     @cached_property
     def ladder_top(self) -> int:
-        """The highest level of the ``best`` search grid that passes
-        :meth:`check_y_rank`, 0 when none does: the top of both ladders,
-        fixed by the model alone."""
+        """The top of both ladders: the highest level of the ``best``
+        search grid that passes :meth:`check_y_rank`, 0 when none does,
+        unless a sweep has raised it (:meth:`_raise_ladder_top`)."""
         for l in reversed(_search_grid(self)):
             try:
                 self.check_y_rank(l)
@@ -307,6 +313,24 @@ class SpectralCache:
                 continue
             return l
         return 0
+
+    def _raise_ladder_top(self, levels) -> None:
+        """Raise ``ladder_top`` to the largest of ``levels`` that passes
+        :meth:`check_y_rank`, where that is above it; it is never lowered.
+        A ladder already made at the old top is dropped, so the next read
+        factors the new top's system once."""
+        top = self.ladder_top
+        for l in sorted(levels, reverse=True):
+            if l <= top:
+                return
+            try:
+                self.check_y_rank(l)
+            except RankError:
+                continue
+            self.ladder_top = l
+            for name in ("jpc_ladder", "lsjpc_ladder"):
+                vars(self).pop(name, None)
+            return
 
     def _joint_system(self, kind: str, l: int) -> NDArray[np.float64]:
         """S_l, the l x l system of joint-basis ``kind`` at level l,

@@ -210,6 +210,18 @@ class TestCond:
         assert "error: window length m=0 outside [1, 8]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_of_another_n_is_an_error(self, tmp_path, capsys):
+        # without --n, the model's own n is taken
+        model_path = tmp_path / "model.bin"
+        main(["synth", "--n", "2", "--m", "8", "--seed", "2", "--out", str(model_path)])
+        capsys.readouterr()
+        out = tmp_path / "cond.csv"
+        rc = main(["cond", "--model", str(model_path), "--m-grid", "4", "--n", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: model has (n, m) = (2, 8), requested (3, 8)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScaling:
     def test_study_csv(self, tmp_path):

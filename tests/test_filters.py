@@ -295,29 +295,36 @@ class TestLadder:
     # the build's analytic MSE agrees with the direct formula's to
     # 1e-8 tr(c_x), the tolerance the benchmark checks analytic_mse to;
     # every other level (rcond at or below eps / 1e-8, or above the top)
-    # is the direct build, bit for bit. At ratio 0.9 jpc's systems pass
-    # that rcond from l=134 on.
+    # is the direct build, bit for bit. At ratio 0.9 jpc's systems fall
+    # to that rcond from l=134 on.
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
     @pytest.mark.parametrize("ratio", [0.97, 0.9])
     def test_every_level_matches_the_direct_build(self, ratio, kind):
+        # first at the best grid's top, 157, then with the top raised to
+        # m = 160, as a sweep up to l = m raises it: the raised ladder
+        # reaches the levels above 157, except at ratio 0.9 for jpc, whose
+        # rcond gate keeps their direct builds
         model = haar_model(7, 160, ratio=ratio, seed=0)
-        ladder = ladder_of(model, kind)
         tol = 1e-8 * np.trace(model.c_x)
-        reached, direct = [], []
-        for l in range(1, model.m + 1):
-            filt = FILTER_CONSTRUCTORS[kind](model, l)
-            expected = direct_joint_build(model, kind, l)
-            if ladder.reaches(l):
-                reached.append(l)
-                assert abs(analytic_mse(model, filt) - analytic_mse(model, expected)) <= tol, l
-            else:
-                direct.append(l)
-                assert np.array_equal(filt.matrix, expected), l
-        assert ladder.top == 157 and reached
-        gated = [l for l in direct if l <= ladder.top]
-        assert direct[-3:] == [158, 159, 160]
-        assert (len(gated) > 10) == ((ratio, kind) == (0.9, FilterKind.JPC))
+        for top in (157, 160):
+            model.spectral._raise_ladder_top([top])
+            ladder = ladder_of(model, kind)
+            reached, direct = [], []
+            for l in range(1, model.m + 1):
+                filt = FILTER_CONSTRUCTORS[kind](model, l)
+                expected = direct_joint_build(model, kind, l)
+                if ladder.reaches(l):
+                    reached.append(l)
+                    assert abs(analytic_mse(model, filt) - analytic_mse(model, expected)) <= tol, l
+                else:
+                    direct.append(l)
+                    assert np.array_equal(filt.matrix, expected), l
+            assert ladder.top == top and reached
+            gated = [l for l in direct if l <= top]
+            assert direct[len(gated):] == list(range(top + 1, model.m + 1))
+            assert (len(gated) > 10) == ((ratio, kind) == (0.9, FilterKind.JPC))
+            assert (reached[-1] > 157) == (top == 160 and len(gated) <= 10)
 
     def test_built_once_per_model_and_kind(self, monkeypatch):
         model = haar_model(7, 120, ratio=0.9, seed=1)

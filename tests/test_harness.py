@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,30 +184,44 @@ class TestRunLSweep:
 
     @pytest.mark.parametrize("ratio", [0.97, 0.9])
     def test_l_sweep_factors_one_top_system_per_kind(self, monkeypatch, ratio):
-        # cho_factor sees each kind's ladder, its system at the top level,
-        # once; then only the systems of levels built directly: those below
-        # the top the ladder does not reach (none at ratio 0.97), and those
-        # above it
-        model = haar_model(7, 400, ratio=ratio, seed=0)
-        grid = range(10, 401, 10)
+        # cho_factor sees each kind's ladder, its system at the top, once:
+        # at the sweep's largest level that passes the rank check where that
+        # is above the best grid's top (400 at ratio 0.97, 340 at 0.9, where
+        # 350 up fail it), else at the grid's top (382 and 332), which a
+        # sweep up to l=300 leaves as it is. Then only the systems of the
+        # levels below the top that the ladder does not reach (none at ratio
+        # 0.97); a top it does not reach (jpc's, but at ratio 0.97 up to
+        # l=300) reuses the ladder's factor
         factored = _record_cho_factor(monkeypatch)
-        rows = run_l_sweep(model, 400, 7, grid, ["jpc", "lsjpc"], seed=0)
-        assert len(rows) == 80
-        expected = []
-        cache = model.spectral
-        for ladder, system_of in ((cache.jpc_ladder, _jpc_system),
-                                  (cache.lsjpc_ladder, _lsjpc_system)):
-            expected.append(system_of(model, ladder.top))
+        tops = {0.97: {400: (382, 400), 300: (382, 382)},
+                0.9: {400: (332, 340), 300: (332, 332)}}[ratio]
+        for l_max, (grid_top, top) in tops.items():
+            model = haar_model(7, 400, ratio=ratio, seed=0)
+            assert model.spectral.ladder_top == grid_top
+            grid = range(10, l_max + 1, 10)
+            factored.clear()
+            rows = run_l_sweep(model, 400, 7, grid, ["jpc", "lsjpc"], seed=0)
+            assert len(rows) == 2 * len(grid)
+            cache = model.spectral
+            passing = []
             for l in grid:
                 try:
                     cache.check_y_rank(l)
                 except RankError:
                     continue
-                if not ladder.reaches(l):
-                    expected.append(system_of(model, l))
-        assert (len(expected) > 10) == (ratio == 0.9)
-        assert len(factored) == len(expected)
-        assert all(_factorizations_of(factored, system) == 1 for system in expected)
+                passing.append(l)
+            assert top == max(passing[-1], grid_top)
+            expected = []
+            for ladder, system_of in ((cache.jpc_ladder, _jpc_system),
+                                      (cache.lsjpc_ladder, _lsjpc_system)):
+                assert ladder.top == cache.ladder_top == top
+                expected.append(system_of(model, top))
+                expected += [system_of(model, l) for l in passing
+                             if l < top and not ladder.reaches(l)]
+            assert cache.jpc_ladder.reaches(top) == ((ratio, l_max) == (0.97, 300))
+            assert (len(expected) > 10) == (ratio == 0.9)
+            assert len(factored) == len(expected)
+            assert all(_factorizations_of(factored, system) == 1 for system in expected)
 
     def test_l_sweep_decomposes_the_model_once(self, cache_builds):
         model = haar_model(2, 8, ratio=0.8, seed=14)
@@ -560,6 +575,15 @@ class TestRunConditionReport:
         for m in (8, 0, -3):
             with pytest.raises(DimensionError, match=rf"window length m={m} outside \[1, 4\]"):
                 run_condition_report(model, [m], 2)
+
+    def test_model_of_another_n_rejected(self):
+        # as the sweeps refuse it
+        model = haar_model(2, 8, seed=0)
+        message = re.escape("model has (n, m) = (2, 8), requested (99, 8)")
+        for report in (lambda: run_condition_report(model, [4], 99),
+                       lambda: run_l_sweep(model, 8, 99, [4], ["jpc"])):
+            with pytest.raises(ValueError, match=message):
+                report()
 
 
 _TIMING_CHILD = """

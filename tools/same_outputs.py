@@ -16,13 +16,14 @@ at every seed:
 Every CSV and JSON is compared with its ``wall_ms`` dropped, and every
 ``synth`` model file array by array, bit for bit. It prints one line per
 file and exits 1 on any difference or failed command. For a CSV that
-differs, the line also says how many rows differ and, for each float
-field, the largest |change| as a fraction of that field's tolerance in
+differs, the line also says how many rows differ, for each float field
+the largest |change| as a fraction of that field's tolerance in
 ``perfbench/spec.json`` (the file's raw largest |change| for a field that
-has none there). A tolerance per tr(c_x) uses the trace of the row's
-model: the model file, or the training covariance of the series at the
-row's m. Run it from any directory; nothing is written inside the
-checkout.
+has none there), and which rows differ: per filter, their levels l, or
+their window lengths m in a file of more than one m. A tolerance per
+tr(c_x) uses the trace of the row's model: the model file, or the
+training covariance of the series at the row's m. Run it from any
+directory; nothing is written inside the checkout.
 """
 
 from __future__ import annotations
@@ -154,9 +155,45 @@ def field_tolerance(field: str, reference: float, trace_cx) -> float | None:
     return tol.get("atol", 0.0) + tol.get("rtol", 0.0) * abs(reference)
 
 
+def spans(values: list[int]) -> str:
+    """Sorted integers, compactly: each run of three or more at one step as
+    first..last/step, any other value alone."""
+    out, i = [], 0
+    while i < len(values):
+        j = i + 1
+        while j + 1 < len(values) and values[j + 1] - values[j] == values[i + 1] - values[i]:
+            j += 1
+        if j - i >= 2:
+            out.append(f"{values[i]}..{values[j]}/{values[i + 1] - values[i]}")
+            i = j + 1
+        else:
+            out.append(str(values[i]))
+            i += 1
+    return ", ".join(out)
+
+
+def row_keys(header: list[str], rows: list[list[str]], by: str) -> str:
+    """The keys of ``rows``: per filter, in order of first appearance, the
+    ``by`` values (l or m) of its rows; a filter's row with no level (the
+    ``wiener`` row of a ``sweep-l``) shows as the filter alone."""
+    groups: dict[str, list[int]] = {}
+    for row in rows:
+        row = dict(zip(header, row))
+        values = groups.setdefault(row.get("filter", ""), [])
+        if row[by]:
+            values.append(int(row[by]))
+    parts = []
+    for name, values in groups.items():
+        keys = values and f"{by}={spans(sorted(values))}"
+        parts.append(" ".join(filter(None, (name, keys))))
+    return "; ".join(parts)
+
+
 def csv_difference(rev: Path, here: Path, series: Path, seed: int) -> str:
-    """How many rows of two differing CSVs differ, and per float field the
-    largest |change| as a fraction of its spec tolerance."""
+    """How many rows of two differing CSVs differ, per float field the
+    largest |change| as a fraction of its spec tolerance, and the keys of
+    the rows that differ: (filter, l), or (filter, m) in a file of more
+    than one m."""
     header, *old = without_wall_ms_csv(rev)
     new = without_wall_ms_csv(here)[1:]
     if len(old) != len(new):
@@ -176,11 +213,11 @@ def csv_difference(rev: Path, here: Path, series: Path, seed: int) -> str:
 
     fields = [f for f in header if f not in TEXT_FIELDS]
     worst = dict.fromkeys(fields, 0.0)
-    changed = 0
+    changed = []
     for a, b in zip(old, new):
         if a == b:
             continue
-        changed += 1
+        changed.append(a)
         row = dict(zip(header, a))
         for field, x, y in zip(header, a, b):
             if field in TEXT_FIELDS or x == y:
@@ -191,7 +228,10 @@ def csv_difference(rev: Path, here: Path, series: Path, seed: int) -> str:
             worst[field] = max(worst[field], delta / tol if tol else delta)
     spelled = ", ".join(f"{f} {worst[f]:.3g}" + ("" if f in TOLERANCES else " (|change|)")
                         for f in fields)
-    return f"{changed} of {len(old)} rows differ; largest |change|/tolerance: {spelled}"
+    lengths = {row[header.index("m")] for row in old} if "m" in header else set()
+    by = "l" if "l" in header and len(lengths) < 2 else "m"
+    return (f"{len(changed)} of {len(old)} rows differ; largest |change|/tolerance: {spelled};"
+            f" rows: {row_keys(header, changed, by)}")
 
 
 def same_file(a: Path, b: Path) -> bool:
