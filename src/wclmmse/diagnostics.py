@@ -19,14 +19,13 @@ from .filters import (
     _LEVELED_KINDS,
     FilterKind,
     LinearFilter,
-    _csw_ranking,
     _effective_level,
     _kind,
     _stacked,
     wiener,
 )
-from .linalg import _as_count, _count_grid, matrix_norm
-from .model import CovarianceModel, _search_grid
+from .linalg import _as_count, _count_grid, _symmetric_part, matrix_norm
+from .model import _MSE_ATOL, CovarianceModel, _search_grid
 
 __all__ = [
     "ScalingStudy",
@@ -43,10 +42,6 @@ __all__ = [
 # Distances below this relative floor mean the filter has already
 # converged to the reference; the loss ratio is reported as 0 there.
 _CONVERGED_RTOL = 1e-10
-# How far, relative to tr(c_x), rounding may put the analytic MSE of a
-# jpc build below its lower bound p(l) (see _jpc_order): the tolerance to
-# which the benchmark checks analytic_mse itself.
-_PROFILE_ATOL = 1e-8
 
 
 def _matrix_of(filt) -> NDArray[np.float64]:
@@ -89,8 +84,7 @@ def error_covariance(model: CovarianceModel, filt) -> NDArray[np.float64]:
     a = _matrix_of(filt)
     _check_shape(model, a)
     ac = a @ model.c_xy.T
-    c_err = model.c_x - ac - ac.T + a @ model.c_y @ a.T
-    return 0.5 * (c_err + c_err.T)
+    return _symmetric_part(model.c_x - ac - ac.T + a @ model.c_y @ a.T)
 
 
 def weighted_trace_objective(model: CovarianceModel, filt, g) -> float:
@@ -142,7 +136,7 @@ def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float
         power = np.clip(model.spectral.eig_wiener.eigenvalues, 0.0, None)
         return truncation_power_loss(np.sqrt(power), _effective_level(model, kind, l))
     if kind is FilterKind.CSW:
-        _, _, scores, order = _csw_ranking(model)
+        _, _, scores, order = model.spectral.csw_ranking
         return truncation_power_loss(np.sqrt(scores[order]), l)
     return truncation_power_loss(model.spectral.eig_z.eigenvalues, model.spectral._check_l(l))
 
@@ -271,7 +265,8 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     order = [(-np.inf, l) for l in grid]
     if filter_kind is FilterKind.JPC:
         order = _jpc_order(model, grid)
-    slack = _PROFILE_ATOL * float(np.trace(model.c_x))
+    # how far rounding may put a jpc build's MSE below its p(l)
+    slack = _MSE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()
     for p, l in order:

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
-from .linalg import factor_spd, inv_sqrt_spd, solve_spd
+from .linalg import _symmetric_part, factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, stays importable from here as well.
 from .model import CovarianceModel, SpectralCache, _structured_system
 
@@ -239,29 +239,16 @@ def lrw(model: CovarianceModel, l: int) -> LinearFilter:
     return _at_level(FilterKind.LRW, model, l, u @ (u.T @ cache.wiener_solve.T))
 
 
-def _csw_ranking(model: CovarianceModel):
-    """The eigendecomposition of c_y, ``c_xy`` times its eigenvectors, the
-    scores ``norm(c_xy @ q_i)^2 / lambda_i`` and the order ``csw`` keeps
-    the eigendirections in, highest score first.
-
-    Raises :class:`SingularMatrixError` where ``model.spectral.eig_y``
-    refuses a c_y too singular to invert.
-    """
-    eig = model.spectral.eig_y
-    proj = model.c_xy @ eig.eigenvectors
-    scores = np.einsum("ij,ij->j", proj, proj) / eig.eigenvalues
-    return eig, proj, scores, np.argsort(-scores, kind="stable")
-
-
 def csw(model: CovarianceModel, l: int) -> LinearFilter:
     """Rank-truncated filter keeping input eigendirections by cross-spectral power.
 
     Components of the c_y eigenbasis are ranked by the score
     ``norm(c_xy @ q_i)^2 / lambda_i`` and the top l retained. It relies on
-    the full spectrum of c_y, so the recorded inverse size is M.
+    the full spectrum of c_y, so the recorded inverse size is M. The
+    ranking is read from ``model.spectral.csw_ranking``.
     """
     l = model.spectral._check_l(l)
-    eig, proj, _, order = _csw_ranking(model)
+    eig, proj, _, order = model.spectral.csw_ranking
     kept = order[:l]
     matrix = (proj[:, kept] / eig.eigenvalues[kept]) @ eig.eigenvectors[:, kept].T
     return _at_level(FilterKind.CSW, model, l, matrix)
@@ -348,8 +335,8 @@ def weighted_filter(model: CovarianceModel, g, base: FilterKind,
     if not _has_full_column_rank(g):
         raise InvalidWeightError("weight matrix is numerically singular")
     base = _kind(base, "weighted filter")
-    c_x_t = g @ model.c_x @ g.T
-    transformed = CovarianceModel(0.5 * (c_x_t + c_x_t.T), model.c_y, g @ model.c_xy)
+    transformed = CovarianceModel(_symmetric_part(g @ model.c_x @ g.T), model.c_y,
+                                  g @ model.c_xy)
     inner = FILTER_CONSTRUCTORS[base](transformed, l)
     matrix = np.linalg.solve(g, inner.matrix)
     return LinearFilter(matrix=matrix, kind=FilterKind.WEIGHTED, l=inner.l,

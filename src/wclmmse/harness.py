@@ -2,14 +2,14 @@
 and condition-number reports.
 
 Rows are plot-ready records in the fixed result schema. Every cell of a
-sweep reads the decompositions its model owns (``model.spectral``), so
-each matrix of a model is decomposed once per sweep. A construction
-failure (e.g. a singular input covariance) is captured in its row as NaN
-metrics instead of aborting the sweep: failure regimes are part of what
-these experiments measure. Built or not, a row's ``max_inverse_dim`` is
-the certificate its filter kind states for its level. Rows are sorted by
-(filter, m, l) before serialization so ordering never depends on
-execution order.
+sweep reads the decompositions of the model the sweep owns
+(``model.spectral``), so each matrix of a model is decomposed once per
+sweep. A construction failure (e.g. a singular input covariance) is
+captured in its row as NaN metrics instead of aborting the sweep:
+failure regimes are part of what these experiments measure. Built or
+not, a row's ``max_inverse_dim`` is the certificate its filter kind
+states for its level. Rows are sorted by (filter, m, l) before
+serialization so ordering never depends on execution order.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _SCORE_CHUNK = 16
 _CACHE_READS = {
     FilterKind.WIENER: ("wiener_solve",),
     FilterKind.LRW: ("eig_wiener",),
-    FilterKind.CSW: ("eig_y",),
+    FilterKind.CSW: ("csw_ranking",),
     FilterKind.JPC: ("eig_z", "jpc_ladder"),
     FilterKind.LSJPC: ("eig_z", "lsjpc_ladder"),
     FilterKind.JPC_SIMPLIFIED: ("eig_z",),
@@ -113,10 +113,13 @@ def _check_size(model: CovarianceModel, m: int, n: int) -> None:
 
 
 def _prepare(source, m: int, n: int, seed: int):
-    """Turn a series or model into (the model, test vectors, mean)."""
+    """Turn a series or model into (the sweep's own model, test vectors,
+    mean). A model source gets a new model over its three arrays, none
+    copied, so a sweep never reads or changes the caller's ``model.spectral``."""
     if isinstance(source, CovarianceModel):
         _check_size(source, m, n)
-        return source, sample_from_model(source, _TEST_DRAWS, seed=seed + 1), 0.0
+        model = CovarianceModel(source.c_x, source.c_y, source.c_xy)
+        return model, sample_from_model(model, _TEST_DRAWS, seed=seed + 1), 0.0
     train, test, mean = dataio.window_samples(source, m, n, seed)
     return estimate_covariance(train, n), test, mean
 
@@ -134,21 +137,23 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
                  policies: list[LPolicy]) -> list[ExperimentResult]:
     """Score each kind on one model: one row per policy, ``wiener``'s from the first.
 
-    Every cell reads the model's one set of decompositions,
-    ``model.spectral``. Only those the kinds read are made, all before
-    any cell is timed: the eigenvalues of ``c_y``, which give
-    ``cond_cy``, always; the joint eigendecomposition for ``jpc``,
-    ``lsjpc`` and their simplified variants (and for drawing a model
-    source's test vectors); the ladder, its one factored top-level
-    system, of ``jpc`` and of ``lsjpc``; the M x M Wiener solve for
-    ``wiener``; that solve and the n x n ``eig_wiener`` for ``lrw``; the
-    M x M ``eig_y`` only for ``csw``. When ``c_y`` is too singular for a
-    kind, each of its cells fails on its own and its row records the
-    failure. Before the ladders are made, their top is raised to the
-    largest fixed level of ``policies`` that passes the rank check,
-    where that is above the ``best`` grid's top, so that no level the
-    sweep asks for factors a system of its own above the ladders; a
-    ``best`` sweep, or a fixed one at or below the grid's top, keeps it.
+    Every cell reads the one set of decompositions of the model the
+    sweep owns (:func:`_prepare`), ``model.spectral``. Only those the
+    kinds read are made, all before any cell is timed: the eigenvalues
+    of ``c_y``, which give ``cond_cy``, always; the joint
+    eigendecomposition for ``jpc``, ``lsjpc`` and their simplified
+    variants (and for drawing a model source's test vectors); the
+    ladder, its one factored top-level system, of ``jpc`` and of
+    ``lsjpc``; the M x M Wiener solve for ``wiener``; that solve and the
+    n x n ``eig_wiener`` for ``lrw``; ``csw_ranking``, the M x M
+    eigendecomposition of ``c_y`` and its ranking, only for ``csw``.
+    When ``c_y`` is too singular for a kind, each of its cells fails on
+    its own and its row records the failure. Before either ladder is
+    read, their top is raised to the largest fixed level of ``policies``
+    that passes the rank check, where that is above the ``best`` grid's
+    top, so that no level the sweep asks for factors a system of its own
+    above the ladders; a ``best`` sweep, or a fixed one at or below the
+    grid's top, keeps it.
 
     Each cell's build is timed alone (:func:`_sweep_cell`). A kind's
     built filters are then scored in chunks of ``_SCORE_CHUNK``, each
@@ -242,7 +247,8 @@ def run_l_sweep(source, m: int, n: int, l_grid, filters,
                 seed: int = 0) -> list[ExperimentResult]:
     """One row per (filter, truncation level); the unconstrained filter
     appears once with the level omitted. The grid must not be empty, and
-    every level must be an integer in [1, m]."""
+    every level must be an integer in [1, m]. A model ``source`` is swept
+    through a model of its own (:func:`_prepare`), so its ladder top stays."""
     kinds = [_kind(item, "sweep") for item in filters]
     grid = _count_grid(l_grid, "truncation", "truncation level l", 1, m)
     rows = _sweep_model(source, m, n, seed, kinds,

@@ -163,8 +163,7 @@ def inv_sqrt_spd(a) -> Matrix:
     eig = sym_eig(a)
     _check_definite(eig.eigenvalues)
     v = eig.eigenvectors
-    b = (v / np.sqrt(eig.eigenvalues)) @ v.T
-    return 0.5 * (b + b.T)
+    return _symmetric_part((v / np.sqrt(eig.eigenvalues)) @ v.T)
 
 
 def condition_number(a) -> float:

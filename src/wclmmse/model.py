@@ -56,15 +56,17 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-10
+# The tolerance, per tr(c_x), to which the benchmark checks analytic_mse.
+_MSE_ATOL = 1e-8
 # Floor on sigma_min(Y_l)^2 = 1 - ||X_l||_2^2 below which the Y rows of the
 # leading l joint eigenvectors count as rank-deficient.
 _Y_RANK_FLOOR = 1e-12
 # A level whose system has a reciprocal condition estimate at or below
 # this keeps the direct build, bit for bit, instead of the ladder's. A
 # solve's relative error is up to eps / rcond, so past this bound a build's
-# rounding alone can move its MSE by more than 1e-8 tr(c_x), the tolerance
-# the benchmark checks analytic_mse to: two builds there need not agree.
-_LADDER_RCOND = np.finfo(np.float64).eps / 1e-8
+# rounding alone can move its MSE by more than _MSE_ATOL tr(c_x): two builds
+# there need not agree.
+_LADDER_RCOND = np.finfo(np.float64).eps / _MSE_ATOL
 
 
 def _joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
@@ -72,13 +74,12 @@ def _joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
     return np.block([[c_x, c_xy], [c_xy.T, c_y]])
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
-    if a.size == 0:
-        return
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return
-    if np.abs(a - a.T).max() > _SYM_RTOL * scale:
+def _check_symmetric(a: np.ndarray, name: str, lower: np.ndarray | None = None) -> None:
+    """Refuse ``a`` unless it is the transpose of ``lower`` (of ``a`` itself
+    by default) within ``_SYM_RTOL`` times the largest |entry| of either."""
+    blocks = (a,) if lower is None else (a, lower)
+    scale = max((np.abs(b).max() for b in blocks if b.size), default=0.0)
+    if scale and np.abs(a - blocks[-1].T).max() > _SYM_RTOL * scale:
         raise ModelError(f"{name} is not symmetric within {_SYM_RTOL:g} relative")
 
 
@@ -126,9 +127,11 @@ class CovarianceModel:
     @classmethod
     def from_joint(cls, c_z, n: int) -> "CovarianceModel":
         """Model from copies (not views) of the blocks of a square joint
-        covariance ``c_z``; X is its top ``n`` coordinates, 0 <= n <= d."""
+        covariance ``c_z``, whose cross blocks must be each other's
+        transpose; X is its top ``n`` coordinates, 0 <= n <= d."""
         c_z = _as_square(c_z, "joint covariance")
         n = _as_count(n, "target size n", 0, c_z.shape[0])
+        _check_symmetric(c_z[:n, n:], "joint covariance (cross blocks)", c_z[n:, :n])
         return cls(c_z[:n, :n].copy(), c_z[n:, n:].copy(), c_z[:n, n:].copy())
 
     @cached_property
@@ -225,16 +228,17 @@ class SpectralCache:
       transpose, which ``wiener`` and ``lrw`` read.
     * ``eig_wiener``: the n x n eigendecomposition of c_xy c_y^-1 c_xy',
       which ``lrw`` and its ``rho_l`` read.
-    * ``eig_y``: the m x m eigendecomposition of c_y, which only ``csw``
-      reads.
+    * ``csw_ranking``: the m x m eigendecomposition of c_y and ``csw``'s
+      ranking of its eigendirections, which ``csw`` and its ``rho_l`` read.
     * ``jpc_ladder`` and ``lsjpc_ladder``: each kind's :class:`Ladder`,
       its system S_l (``_joint_system``) at ``ladder_top`` factored once.
       The top is the ``best`` grid's top that passes the rank check; a
-      sweep raises it to its own largest passing level above that
-      (``_raise_ladder_top``) before the ladders are made, so every level
-      it asks for is at or below the one factored system. ``_joint_filter``
-      builds every level of both kinds from it, or from S_l and the kind's
-      map B_l' (``_joint_map``) where it does not reach.
+      sweep, which owns its model (``harness._prepare``), raises it to its
+      own largest passing level above that (``_raise_ladder_top``) before
+      either ladder is read, so every level it asks for is at or below the
+      one factored system. ``_joint_filter`` builds every level of both
+      kinds from it, or from S_l and the kind's map B_l' (``_joint_map``)
+      where it does not reach.
 
     Read it as ``model.spectral``. It keeps the model's three blocks, not
     the model, so no reference cycle holds the decompositions once the
@@ -243,7 +247,7 @@ class SpectralCache:
     part (top n rows) and the Y part (bottom m rows); truncations are
     views of the leading columns. A c_y too singular to invert re-raises
     from the stored ``eigvals_y`` on every access to ``eig_wiener`` or
-    ``eig_y``, without solving or decomposing.
+    ``csw_ranking``, without solving or decomposing.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -301,12 +305,9 @@ class SpectralCache:
                 " (degenerate joint spectrum)")
         return margin
 
-    @cached_property
-    def ladder_top(self) -> int:
-        """The top of both ladders: the highest level of the ``best``
-        search grid that passes :meth:`check_y_rank`, 0 when none does,
-        unless a sweep has raised it (:meth:`_raise_ladder_top`)."""
-        for l in reversed(_search_grid(self)):
+    def _highest_passing(self, levels) -> int:
+        """The highest of ``levels`` that passes :meth:`check_y_rank`, 0 when none does."""
+        for l in sorted(levels, reverse=True):
             try:
                 self.check_y_rank(l)
             except RankError:
@@ -314,23 +315,20 @@ class SpectralCache:
             return l
         return 0
 
+    @cached_property
+    def ladder_top(self) -> int:
+        """The top of both ladders: the highest level of the ``best``
+        search grid that passes :meth:`check_y_rank`, 0 when none does,
+        unless a sweep has raised it (:meth:`_raise_ladder_top`)."""
+        return self._highest_passing(_search_grid(self))
+
     def _raise_ladder_top(self, levels) -> None:
-        """Raise ``ladder_top`` to the largest of ``levels`` that passes
-        :meth:`check_y_rank`, where that is above it; it is never lowered.
-        A ladder already made at the old top is dropped, so the next read
-        factors the new top's system once."""
+        """Raise ``ladder_top`` to the largest of ``levels`` above it that
+        passes :meth:`check_y_rank`; it is never lowered. A sweep calls it
+        on the model it owns before either ladder is read, so each ladder
+        is made once, at the raised top."""
         top = self.ladder_top
-        for l in sorted(levels, reverse=True):
-            if l <= top:
-                return
-            try:
-                self.check_y_rank(l)
-            except RankError:
-                continue
-            self.ladder_top = l
-            for name in ("jpc_ladder", "lsjpc_ladder"):
-                vars(self).pop(name, None)
-            return
+        self.ladder_top = self._highest_passing(l for l in levels if l > top) or top
 
     def _joint_system(self, kind: str, l: int) -> NDArray[np.float64]:
         """S_l, the l x l system of joint-basis ``kind`` at level l,
@@ -413,15 +411,21 @@ class SpectralCache:
         return sym_eig(self.c_xy @ self.wiener_solve)
 
     @cached_property
-    def eig_y(self) -> SymEig:
-        """The m x m eigendecomposition of c_y, which only ``csw`` reads.
+    def csw_ranking(self) -> tuple:
+        """What ``csw`` and its ``rho_l`` read: the m x m eigendecomposition
+        of c_y, ``c_xy`` times its eigenvectors, the scores
+        ``norm(c_xy @ q_i)^2 / lambda_i`` and the order ``csw`` keeps the
+        eigendirections in, highest score first.
 
         Raises :class:`SingularMatrixError` as ``_check_definite`` does on
         ``eigvals_y``, before decomposing, so a c_y too singular to invert
         is refused by the same rule as in ``eig_wiener``.
         """
         _check_definite(self.eigvals_y)
-        return sym_eig(self.c_y)
+        eig = sym_eig(self.c_y)
+        proj = self.c_xy @ eig.eigenvectors
+        scores = np.einsum("ij,ij->j", proj, proj) / eig.eigenvalues
+        return eig, proj, scores, np.argsort(-scores, kind="stable")
 
 
 def estimate_covariance(samples, n: int) -> CovarianceModel:
@@ -477,9 +481,7 @@ def synthetic_model(n: int, spectrum, *, seed: int = 0) -> CovarianceModel:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     q = q * signs
-    c_z = (q * spec) @ q.T
-    c_z = 0.5 * (c_z + c_z.T)
-    return CovarianceModel.from_joint(c_z, n)
+    return CovarianceModel.from_joint(_symmetric_part((q * spec) @ q.T), n)
 
 
 def sample_from_model(model: CovarianceModel, k: int, seed: int = 0) -> NDArray[np.float64]:

@@ -1,6 +1,7 @@
 """Experiment harness tests: sweeps, condition reports, failure capture."""
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from wclmmse import (
     LPolicy,
     RankError,
     SingularMatrixError,
+    SpectralCache,
     analytic_mse,
     best_l_search,
     condition_number,
@@ -31,6 +33,7 @@ from wclmmse import (
     run_condition_report,
     run_l_sweep,
     run_m_sweep,
+    synthetic_model,
     window_samples,
 )
 from wclmmse import harness
@@ -56,6 +59,19 @@ def _record_models(monkeypatch):
         return models[-1]
 
     monkeypatch.setattr(harness, "estimate_covariance", recording)
+    return models
+
+
+def _record_prepared(monkeypatch):
+    """The models sweeps prepare for themselves, in order."""
+    models, prepare = [], harness._prepare
+
+    def recording(*args):
+        prepared = prepare(*args)
+        models.append(prepared[0])
+        return prepared
+
+    monkeypatch.setattr(harness, "_prepare", recording)
     return models
 
 
@@ -191,7 +207,9 @@ class TestRunLSweep:
         # sweep up to l=300 leaves as it is. Then only the systems of the
         # levels below the top that the ladder does not reach (none at ratio
         # 0.97); a top it does not reach (jpc's, but at ratio 0.97 up to
-        # l=300) reuses the ladder's factor
+        # l=300) reuses the ladder's factor. All of it on the sweep's own
+        # model: the caller's model keeps the grid's top
+        prepared = _record_prepared(monkeypatch)
         factored = _record_cho_factor(monkeypatch)
         tops = {0.97: {400: (382, 400), 300: (382, 382)},
                 0.9: {400: (332, 340), 300: (332, 332)}}[ratio]
@@ -200,9 +218,13 @@ class TestRunLSweep:
             assert model.spectral.ladder_top == grid_top
             grid = range(10, l_max + 1, 10)
             factored.clear()
+            prepared.clear()
             rows = run_l_sweep(model, 400, 7, grid, ["jpc", "lsjpc"], seed=0)
             assert len(rows) == 2 * len(grid)
-            cache = model.spectral
+            (own,) = prepared
+            assert own is not model and model.spectral.ladder_top == grid_top
+            assert "jpc_ladder" not in vars(model.spectral)
+            cache = own.spectral
             passing = []
             for l in grid:
                 try:
@@ -215,13 +237,51 @@ class TestRunLSweep:
             for ladder, system_of in ((cache.jpc_ladder, _jpc_system),
                                       (cache.lsjpc_ladder, _lsjpc_system)):
                 assert ladder.top == cache.ladder_top == top
-                expected.append(system_of(model, top))
-                expected += [system_of(model, l) for l in passing
+                expected.append(system_of(own, top))
+                expected += [system_of(own, l) for l in passing
                              if l < top and not ladder.reaches(l)]
             assert cache.jpc_ladder.reaches(top) == ((ratio, l_max) == (0.97, 300))
             assert (len(expected) > 10) == (ratio == 0.9)
             assert len(factored) == len(expected)
             assert all(_factorizations_of(factored, system) == 1 for system in expected)
+
+    def test_l_sweep_leaves_the_callers_model_as_it_was(self):
+        # a sweep up to l=m raises its ladders' top from the grid's 382 to
+        # 400 on a model of its own; the caller's model builds the same
+        # bits after it as before it, ladder levels and direct ones alike
+        model = synthetic_model(7, geometric_spectrum(407, 1.0, 0.97), seed=7)
+
+        def outputs():
+            matrices = [constructor(model, l).matrix for constructor in (jpc, lsjpc)
+                        for l in (100, 200, 382, 390, 400)]
+            return matrices, [best_l_search(model, kind)[:2] for kind in ("jpc", "lsjpc")]
+
+        before = outputs()
+        assert model.spectral.ladder_top == 382
+        run_l_sweep(model, 400, 7, range(10, 401, 10), ["jpc", "lsjpc"], seed=0)
+        after = outputs()
+        assert [np.array_equal(a, b) for a, b in zip(before[0], after[0])] == [True] * 10
+        assert before[1] == after[1]
+        assert model.spectral.ladder_top == model.spectral.jpc_ladder.top == 382
+
+    def test_csw_sweep_ranks_c_y_once(self, monkeypatch, sym_eig_shapes):
+        # every csw cell and its rho_l read one ranking, of one
+        # eigendecomposition of c_y; the joint one draws the test vectors
+        rankings, ranking = [], SpectralCache.csw_ranking.func
+
+        def counting(cache):
+            rankings.append(cache.m)
+            return ranking(cache)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(SpectralCache, "csw_ranking")
+        monkeypatch.setattr(SpectralCache, "csw_ranking", counted)
+        model = haar_model(2, 8, ratio=0.8, seed=14)
+        rows = run_l_sweep(model, 8, 2, range(1, 9), ["csw"], seed=0)
+        assert len(rows) == 8
+        assert all(np.isfinite([r.norm_rms, r.analytic_mse, r.rho_l]).all() for r in rows)
+        assert sorted(sym_eig_shapes) == [(8, 8), (10, 10)]
+        assert rankings == [8]
 
     def test_l_sweep_decomposes_the_model_once(self, cache_builds):
         model = haar_model(2, 8, ratio=0.8, seed=14)
@@ -322,13 +382,21 @@ class TestStackedScoring:
     def test_chunked_rows_are_the_bits_of_rows_swept_alone_on_a_model(self):
         # the benchmark's model shape: 1000 test draws of 400 inputs, n=7.
         # Here OpenBLAS gives each filter's columns of the stacked product
-        # the bits of its own product
+        # the bits of its own product. Each row is compared with its own
+        # filter, built at the sweep's ladder top (400) and scored alone
         model = haar_model(7, 400, ratio=0.97, seed=0)
-        rows = run_l_sweep(model, 400, 7, range(10, 401, 10), ["jpc", "lsjpc"], seed=0)
+        grid = range(10, 401, 10)
+        rows = run_l_sweep(model, 400, 7, grid, ["jpc", "lsjpc"], seed=0)
+        own, test_z, mean = harness._prepare(model, 400, 7, 0)
+        own.spectral._raise_ladder_top(grid)
+        assert own.spectral.ladder_top == 400
+        nan = float("nan")
         for row in rows:
             if row.l in (10, 160, 170, 330, 400):
-                alone = run_l_sweep(model, 400, 7, [row.l], [row.filter], seed=0)
-                assert alone == [dataclasses.replace(row, wall_ms=alone[0].wall_ms)]
+                filt = FILTER_CONSTRUCTORS[FilterKind(row.filter)](own, row.l)
+                alone = dataclasses.replace(row, norm_rms=nan, analytic_mse=nan)
+                harness._score([(alone, filt)], own, test_z, mean)
+                assert alone == row
 
     def test_chunked_rows_agree_with_rows_swept_alone_on_a_series(self):
         # 72 test windows of 40 inputs: OpenBLAS sums the stacked product

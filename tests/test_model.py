@@ -63,6 +63,19 @@ class TestCovarianceModel:
             CovarianceModel(c_x=np.eye(1), c_y=np.array([[1.0, 0.5], [0.0, 1.0]]),
                             c_xy=np.zeros((1, 2)))
 
+    def test_from_joint_rejects_cross_blocks_that_disagree(self):
+        # the model keeps the upper cross block, so a lower one that is not
+        # its transpose would be dropped in silence
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((6, 6))
+        c_z = a @ a.T + 6.0 * np.eye(6)
+        c_z[3:, :3] += 0.5
+        assert np.all(np.linalg.eigvalsh(0.5 * (c_z + c_z.T)) > 0.0)
+        with pytest.raises(ModelError, match="cross blocks"):
+            CovarianceModel.from_joint(c_z, 3)
+        c_z[3:, :3] = c_z[:3, 3:].T * (1.0 + 1e-12)
+        assert np.array_equal(CovarianceModel.from_joint(c_z, 3).c_xy, c_z[:3, 3:])
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
             CovarianceModel(c_x=np.eye(3), c_y=np.eye(2), c_xy=np.zeros((2, 2)))

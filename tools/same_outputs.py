@@ -11,6 +11,8 @@ at every seed:
   sweep), with inputs and argv from ``perfbench/workloads.py``;
 * ``cond`` on the series and on the ``sweep-l-m400`` model;
 * ``scaling`` of ``jpc`` and of ``lsjpc`` on that model;
+* ``sweep-l`` of ``csw`` and the simplified kinds on that model, whose
+  ``c_y`` is definite, so that ``csw`` builds every row;
 * ``sweep-m --l-policy fixed:20`` and ``sweep-l --data`` on the series.
 
 Every CSV and JSON is compared with its ``wall_ms`` dropped, and every
@@ -87,6 +89,9 @@ def command_lines(seed: int, series: Path, out: Path) -> list[list[str]]:
         ["sweep-l", "--data", series, "--m", str(workloads.SWEEP_L_M), *seeded,
          "--l-min", str(l_grid[0]), "--l-max", str(l_grid[-1]),
          "--l-step", str(l_grid[1] - l_grid[0]), "--out", out / "sweep-l-data.csv"],
+        ["sweep-l", "--model", model, "--m", str(workloads.SWEEP_L_M), *seeded,
+         "--l-min", "40", "--l-max", "400", "--l-step", "40",
+         "--filters", "csw,jpc_simplified,lsjpc_simplified", "--out", out / "sweep-l-csw.csv"],
     ]
     return [[str(a) for a in line] for line in lines]
 
@@ -129,7 +134,7 @@ def same_arrays(a: Path, b: Path) -> bool:
 def model_file(name: str, out: Path) -> Path | None:
     """The model file the rows of CSV ``name`` were built on; None for the series."""
     stem = name.removesuffix(".csv")
-    if stem.startswith("scaling-") or stem == "cond-model":
+    if stem.startswith("scaling-") or stem in ("cond-model", "sweep-l-csw"):
         stem = "sweep-l-m400"
     path = out / f"{stem}.bin"
     return path if path.exists() else None
