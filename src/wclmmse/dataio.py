@@ -68,10 +68,11 @@ def load_csv(path, date_column: str = "date",
     Column names are matched case-insensitively. Dates may be ISO-8601
     or M/D/YYYY. Rows are sorted by date internally; duplicate dates and
     malformed or non-finite rows are errors that name the offending line.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
     path = Path(path)
     rows: list[tuple[datetime.date, float]] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise DegenerateDataError(f"{path}: empty file")

@@ -22,7 +22,7 @@ import numpy as np
 from . import dataio
 from .dataio import ExperimentResult
 from .diagnostics import analytic_mse, best_l_search, filter_power_loss
-from .errors import SingularMatrixError, WclmmseError
+from .errors import WclmmseError
 from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _certificate, _kind
 from .linalg import _as_count, _count_grid, condition_number
 from .model import CovarianceModel, estimate_covariance, sample_from_model
@@ -47,18 +47,6 @@ _TEST_DRAWS = 1000
 # at one BLAS thread (2 and 1 rows at seeds 0 and 7 at two), by up to
 # 3.4e-8 of its tolerance, so a new chunk size is a result-bytes change.
 _SCORE_CHUNK = 16
-
-# The decompositions on ``model.spectral`` each kind reads, made before
-# any of its cells is timed.
-_CACHE_READS = {
-    FilterKind.WIENER: ("wiener_solve",),
-    FilterKind.LRW: ("eig_wiener",),
-    FilterKind.CSW: ("csw_ranking",),
-    FilterKind.JPC: ("eig_z", "jpc_ladder"),
-    FilterKind.LSJPC: ("eig_z", "lsjpc_ladder"),
-    FilterKind.JPC_SIMPLIFIED: ("eig_z",),
-    FilterKind.LSJPC_SIMPLIFIED: ("eig_z",),
-}
 
 
 @dataclass
@@ -138,22 +126,10 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     """Score each kind on one model: one row per policy, ``wiener``'s from the first.
 
     Every cell reads the one set of decompositions of the model the
-    sweep owns (:func:`_prepare`), ``model.spectral``. Only those the
-    kinds read are made, all before any cell is timed: the eigenvalues
-    of ``c_y``, which give ``cond_cy``, always; the joint
-    eigendecomposition for ``jpc``, ``lsjpc`` and their simplified
-    variants (and for drawing a model source's test vectors); the
-    ladder, its one factored top-level system, of ``jpc`` and of
-    ``lsjpc``; the M x M Wiener solve for ``wiener``; that solve and the
-    n x n ``eig_wiener`` for ``lrw``; ``csw_ranking``, the M x M
-    eigendecomposition of ``c_y`` and its ranking, only for ``csw``.
-    When ``c_y`` is too singular for a kind, each of its cells fails on
-    its own and its row records the failure. Before either ladder is
-    read, their top is raised to the largest fixed level of ``policies``
-    that passes the rank check, where that is above the ``best`` grid's
-    top, so that no level the sweep asks for factors a system of its own
-    above the ladders; a ``best`` sweep, or a fixed one at or below the
-    grid's top, keeps it.
+    sweep owns (:func:`_prepare`), ``model.spectral``, all made before any
+    cell is timed: the eigenvalues of ``c_y``, which give ``cond_cy``, and
+    those the kinds read at the sweep's fixed levels
+    (:meth:`~wclmmse.model.SpectralCache.prepare_sweep`).
 
     Each cell's build is timed alone (:func:`_sweep_cell`). A kind's
     built filters are then scored in chunks of ``_SCORE_CHUNK``, each
@@ -162,16 +138,8 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
     are dropped once scored.
     """
     model, test_z, mean = _prepare(source, m, n, seed)
-    cache = model.spectral
-    cond_cy = cache.cond_y
-    if FilterKind.JPC in kinds or FilterKind.LSJPC in kinds:
-        cache._raise_ladder_top(min(p.l, m) for p in policies if p.mode == "fixed")
-    for kind in kinds:
-        for name in _CACHE_READS[kind]:
-            try:
-                getattr(cache, name)
-            except SingularMatrixError:
-                pass
+    cond_cy = model.spectral.cond_y
+    model.spectral.prepare_sweep(kinds, [min(p.l, m) for p in policies if p.mode == "fixed"])
     rows = []
     for kind in kinds:
         built = []

@@ -15,6 +15,7 @@ filter, diagnostic and sweep reads from it.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,7 @@ from .errors import (
     ModelError,
     NumericInputError,
     RankError,
+    SingularMatrixError,
 )
 from .linalg import (
     SPDFactor,
@@ -143,8 +145,8 @@ class CovarianceModel:
 def _search_grid(model) -> range:
     """The levels :func:`~wclmmse.diagnostics.best_l_search` tries on a
     model (or its :class:`SpectralCache`): min(max(1, n), m) up to m in
-    steps of max(1, m // 16). The top one that passes the rank check is
-    the top of the model's ladders."""
+    steps of max(1, m // 16). Its levels, with those a sweep asks for,
+    are the candidates for the top of the model's ladders."""
     m = model.m
     return range(min(max(1, model.n), m), m + 1, max(1, m // 16))
 
@@ -159,8 +161,8 @@ def _structured_system(c_y, b) -> NDArray[np.float64]:
 class Ladder:
     """One kind's system at the ladder's top level, factored once, from
     which every level up to the top is solved. The top is the highest
-    ``best`` grid level that passes the rank check, or a sweep's largest
-    level where that is higher (:attr:`SpectralCache.ladder_top`).
+    level of the ``best`` grid and of a sweep's levels that passes the
+    rank check (:attr:`SpectralCache.ladder_top`).
 
     The prefilters of ``jpc`` and ``lsjpc`` are nested, so level l's
     l x l system S_l is the leading block of the top system S, and its
@@ -176,8 +178,8 @@ class Ladder:
     ``z`` is U^-T B, and ``norms[l - 1]`` the 1-norm of S_l, for the
     condition estimate :meth:`reaches` reads. Where it failed, those are
     None and ``failed`` keeps S as :func:`~wclmmse.linalg.factor_spd`
-    left it, for the LU solve. At top 0, when no grid level passes the
-    rank check, there is no system.
+    left it, for the LU solve. At top 0, when no candidate level passes
+    the rank check, there is no system.
     """
 
     top: int
@@ -217,6 +219,18 @@ class Ladder:
         return SPDFactor((scipy.linalg.lapack.dtpttr(self.top, self.u)[0], False))
 
 
+# The products on a SpectralCache that each filter kind reads, by kind name.
+_SWEEP_READS = {
+    "wiener": ("wiener_solve",),
+    "lrw": ("eig_wiener",),
+    "csw": ("csw_ranking",),
+    "jpc": ("eig_z", "jpc_ladder"),
+    "lsjpc": ("eig_z", "lsjpc_ladder"),
+    "jpc_simplified": ("eig_z",),
+    "lsjpc_simplified": ("eig_z",),
+}
+
+
 class SpectralCache:
     """The one owner of a model's decompositions, each made lazily and at most once.
 
@@ -232,13 +246,11 @@ class SpectralCache:
       ranking of its eigendirections, which ``csw`` and its ``rho_l`` read.
     * ``jpc_ladder`` and ``lsjpc_ladder``: each kind's :class:`Ladder`,
       its system S_l (``_joint_system``) at ``ladder_top`` factored once.
-      The top is the ``best`` grid's top that passes the rank check; a
-      sweep, which owns its model (``harness._prepare``), raises it to its
-      own largest passing level above that (``_raise_ladder_top``) before
-      either ladder is read, so every level it asks for is at or below the
-      one factored system. ``_joint_filter`` builds every level of both
-      kinds from it, or from S_l and the kind's map B_l' (``_joint_map``)
-      where it does not reach.
+      ``_joint_filter`` builds every level of both kinds from it, or from
+      S_l and the kind's map B_l' (``_joint_map``) where it does not reach.
+
+    A sweep makes the products its kinds read, before it times any cell,
+    on a model it owns (``harness._prepare``), by :meth:`prepare_sweep`.
 
     Read it as ``model.spectral``. It keeps the model's three blocks, not
     the model, so no reference cycle holds the decompositions once the
@@ -254,6 +266,7 @@ class SpectralCache:
         self.n, self.m = model.n, model.m
         self.c_x, self.c_y, self.c_xy = model.c_x, model.c_y, model.c_xy
         self._margins: dict[int, float] = {}
+        self._sweep_levels: tuple[int, ...] = ()
 
     @cached_property
     def eig_z(self) -> SymEig:
@@ -305,9 +318,13 @@ class SpectralCache:
                 " (degenerate joint spectrum)")
         return margin
 
-    def _highest_passing(self, levels) -> int:
-        """The highest of ``levels`` that passes :meth:`check_y_rank`, 0 when none does."""
-        for l in sorted(levels, reverse=True):
+    @cached_property
+    def ladder_top(self) -> int:
+        """The top of both ladders: the highest level that passes
+        :meth:`check_y_rank` among those of the ``best`` search grid and
+        those a sweep asks for (:meth:`prepare_sweep`), 0 when none does;
+        it checks from the highest level down, and stops at the first pass."""
+        for l in sorted({*_search_grid(self), *self._sweep_levels}, reverse=True):
             try:
                 self.check_y_rank(l)
             except RankError:
@@ -315,26 +332,35 @@ class SpectralCache:
             return l
         return 0
 
-    @cached_property
-    def ladder_top(self) -> int:
-        """The top of both ladders: the highest level of the ``best``
-        search grid that passes :meth:`check_y_rank`, 0 when none does,
-        unless a sweep has raised it (:meth:`_raise_ladder_top`)."""
-        return self._highest_passing(_search_grid(self))
+    def prepare_sweep(self, kinds, levels) -> None:
+        """Make each product the filter ``kinds`` read (``_SWEEP_READS``)
+        once, for a sweep at ``levels`` to call before it times any cell
+        or reads ``ladder_top``. A product that c_y is too singular for
+        stays unmade, and each cell that reads it fails on its own.
 
-    def _raise_ladder_top(self, levels) -> None:
-        """Raise ``ladder_top`` to the largest of ``levels`` above it that
-        passes :meth:`check_y_rank`; it is never lowered. A sweep calls it
-        on the model it owns before either ladder is read, so each ladder
-        is made once, at the raised top."""
-        top = self.ladder_top
-        self.ladder_top = self._highest_passing(l for l in levels if l > top) or top
+        * ``eig_z``, the joint eigendecomposition, for ``jpc``, ``lsjpc``
+          and their simplified variants;
+        * the ladder of ``jpc`` and of ``lsjpc``, its one factored system
+          at ``ladder_top``, which ``levels`` join the ``best`` grid in
+          setting, so that no level the sweep asks for factors a system of
+          its own above the ladders;
+        * ``wiener_solve``, the one m x m Cholesky solve c_y^-1 c_xy', for
+          ``wiener``; it and the n x n ``eig_wiener`` for ``lrw``;
+        * ``csw_ranking``, the m x m eigendecomposition of c_y and the
+          ranking of its eigendirections, for ``csw`` alone.
+        """
+        self._sweep_levels = tuple(levels)
+        for kind in kinds:
+            for name in _SWEEP_READS[kind]:
+                with suppress(SingularMatrixError):
+                    getattr(self, name)
 
     def _joint_system(self, kind: str, l: int) -> NDArray[np.float64]:
-        """S_l, the l x l system of joint-basis ``kind`` at level l,
-        symmetrized: Y_l' c_y Y_l for ``jpc``, Y_l'Y_l for ``lsjpc``."""
+        """S_l, the l x l system of joint-basis ``kind`` at level l:
+        Y_l' c_y Y_l, symmetrized, for ``jpc``; Y_l'Y_l for ``lsjpc``, which
+        numpy forms as a symmetric rank-k update, exactly symmetric."""
         y = self.y_block(l)
-        return _structured_system(self.c_y, y.T) if kind == "jpc" else _symmetric_part(y.T @ y)
+        return _structured_system(self.c_y, y.T) if kind == "jpc" else y.T @ y
 
     def _joint_map(self, kind: str, l: int) -> NDArray[np.float64]:
         """B_l', the n x l map of joint-basis ``kind`` at level l, which its
@@ -448,7 +474,7 @@ def estimate_covariance(samples, n: int) -> CovarianceModel:
         raise NumericInputError("samples contain non-finite entries")
     gram = z.T @ z
     gram /= k - 1
-    return CovarianceModel.from_joint(_symmetric_part(gram), n)
+    return CovarianceModel.from_joint(gram, n)
 
 
 def geometric_spectrum(size: int, scale: float = 1.0, ratio: float = 0.6) -> NDArray[np.float64]:

@@ -51,6 +51,12 @@ class TestLoadCsv:
         assert series.shape == (3,) and series.dtype == np.float64
         np.testing.assert_array_equal(series, [10.5, 11.0, 9.75])
 
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with the mark
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,value\n2020-01-03,2\n2020-01-02,1\n")
+        np.testing.assert_array_equal(load_csv(path), [1.0, 2.0])
+
     def test_unsorted_rows_sorted(self, tmp_path):
         path = write(tmp_path, "date,value\n2020-01-03,2\n2020-01-02,1\n")
         series = load_csv(path)

@@ -303,13 +303,13 @@ class TestLadder:
     def test_every_level_matches_the_direct_build(self, ratio, kind):
         # first at the best grid's top, 157, then on a fresh model with the
         # top raised to m = 160 before its ladders are read, as a sweep up
-        # to l = m raises it: the raised ladder reaches the levels above
+        # to l = m prepares it: the raised ladder reaches the levels above
         # 157, except at ratio 0.9 for jpc, whose rcond gate keeps their
         # direct builds
         for top in (157, 160):
             model = haar_model(7, 160, ratio=ratio, seed=0)
             tol = 1e-8 * np.trace(model.c_x)
-            model.spectral._raise_ladder_top([top])
+            model.spectral.prepare_sweep([kind], [top])
             ladder = ladder_of(model, kind)
             reached, direct = [], []
             for l in range(1, model.m + 1):

@@ -36,7 +36,7 @@ from wclmmse import (
     synthetic_model,
     window_samples,
 )
-from wclmmse import harness
+from wclmmse import harness, linalg
 from wclmmse.diagnostics import _search_grid
 from wclmmse.filters import FILTER_CONSTRUCTORS
 from wclmmse.harness import parse_l_policy
@@ -337,6 +337,78 @@ class TestRunLSweep:
         assert sorted(sym_eig_shapes) == [(10, 10)]
 
 
+def _guard_timed_cells(monkeypatch):
+    """Fail any decomposition made while :meth:`LPolicy.choose` builds a
+    timed cell: a ``sym_eig``, ``sym_eigvals`` or ladder call, or a
+    ``factor_spd`` of the m x m c_y. Returns how often each guarded call
+    ran outside the cells, and under ``cells`` how many cells were built."""
+    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "_ladder", "factor_spd"), 0)
+    building = []  # the model of the cell being built, while one is
+    choose = LPolicy.choose
+
+    def timed(policy, model, kind):
+        building.append(model)
+        try:
+            return choose(policy, model, kind)
+        finally:
+            building.pop()
+            counts["cells"] += 1
+
+    def guarded(name, original, refused):
+        def call(*args):
+            if building:
+                assert not refused(building[0], *args), f"{name} inside a timed cell"
+            else:
+                counts[name] += 1
+            return original(*args)
+        return call
+
+    def anything(model, *args):
+        return True
+
+    monkeypatch.setattr(LPolicy, "choose", timed)
+    monkeypatch.setattr(SpectralCache, "_ladder",
+                        guarded("_ladder", SpectralCache._ladder, anything))
+    for name, refused in (("sym_eig", anything), ("sym_eigvals", anything),
+                          ("factor_spd", lambda model, a: np.array_equal(a, model.c_y))):
+        original = getattr(linalg, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "wclmmse" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, guarded(name, original, refused))
+    return counts
+
+
+class TestTimedCells:
+    """Every decomposition a sweep's kinds read is made before its cells
+    are timed, so no cell's ``wall_ms`` takes one in."""
+
+    @pytest.mark.parametrize("ratio, sweep_top", [(0.9, 49), (0.3, 30)],
+                             ids=["definite", "illcond"])
+    def test_l_sweep_of_every_kind(self, monkeypatch, ratio, sweep_top):
+        # the grid's top is 47; 49, above it, passes the rank check on the
+        # definite model, whose ladders the sweep tops there. On the
+        # ill-conditioned one c_y is too singular for lrw and csw, and no
+        # level from 31 up passes
+        model = haar_model(2, 49, ratio=ratio, seed=3)
+        assert model.spectral.ladder_top < 49
+        prepared = _record_prepared(monkeypatch)
+        counts = _guard_timed_cells(monkeypatch)
+        rows = run_l_sweep(model, 49, 2, [1, 10, 30, 46, 48, 49], ALL_KINDS, seed=0)
+        (own,) = prepared
+        assert own.spectral.ladder_top == sweep_top
+        assert counts["cells"] == len(rows) == 1 + 6 * 6
+        # c_y and the two ladders' top systems
+        assert counts["factor_spd"] == 3 and counts["_ladder"] == 2
+
+    @pytest.mark.parametrize("policy", ["best", "fixed:30"])
+    def test_m_sweep_of_every_kind(self, monkeypatch, policy):
+        counts = _guard_timed_cells(monkeypatch)
+        series = ar1_series(400, phi=0.9, seed=0)
+        rows = run_m_sweep(series, [20, 40], 2, ALL_KINDS, parse_l_policy(policy), seed=0)
+        assert counts["cells"] == len(rows) == 2 * 7
+        assert counts["_ladder"] == 4 and counts["sym_eigvals"] == 2
+
+
 def _inline_scores(model, test_z, mean, filt):
     """A row's norm_rms and analytic_mse by the single-filter formulas,
     with the reductions the scoring makes."""
@@ -388,7 +460,7 @@ class TestStackedScoring:
         grid = range(10, 401, 10)
         rows = run_l_sweep(model, 400, 7, grid, ["jpc", "lsjpc"], seed=0)
         own, test_z, mean = harness._prepare(model, 400, 7, 0)
-        own.spectral._raise_ladder_top(grid)
+        own.spectral.prepare_sweep(["jpc", "lsjpc"], grid)
         assert own.spectral.ladder_top == 400
         nan = float("nan")
         for row in rows:
