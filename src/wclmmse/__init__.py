@@ -76,6 +76,7 @@ from .model import (
     estimate_covariance,
     geometric_spectrum,
     sample_from_model,
+    series_covariance,
     synthetic_model,
 )
 
@@ -98,6 +99,6 @@ __all__ = [
     "SymEig", "condition_number", "factor_spd", "inv_sqrt_spd",
     "matrix_norm", "nuclear_norm", "solve_spd", "sym_eig",
     "CovarianceModel", "estimate_covariance",
-    "geometric_spectrum", "sample_from_model", "synthetic_model",
+    "geometric_spectrum", "sample_from_model", "series_covariance", "synthetic_model",
     "__version__",
 ]

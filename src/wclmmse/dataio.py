@@ -9,6 +9,11 @@ The seed alone decides which windows are held out for testing. The
 training and test windows are the rows of two plain arrays. A scalar
 global mean, computed over the training windows only, is subtracted
 from every entry and kept for adding back at evaluation time.
+
+The sweeps never gather the training windows: ``_split_series`` makes the
+same split and mean, from counts of the training windows that hold each
+value, and returns the centred series with the test windows, from which
+:func:`~wclmmse.model.series_covariance` builds the training covariance.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -73,25 +79,31 @@ def load_csv(path, date_column: str = "date",
     path = Path(path)
     rows: list[tuple[datetime.date, float]] = []
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DegenerateDataError(f"{path}: empty file")
-        lookup = {name.strip().lower(): name for name in reader.fieldnames}
+        lookup = {name.strip().lower(): i for i, name in enumerate(header)}
         try:
-            date_key = lookup[date_column.strip().lower()]
-            value_key = lookup[value_column.strip().lower()]
+            date_at = lookup[date_column.strip().lower()]
+            value_at = lookup[value_column.strip().lower()]
         except KeyError as exc:
             raise DimensionError(
-                f"{path}: missing column {exc.args[0]!r};"
-                f" available: {reader.fieldnames}") from None
+                f"{path}: missing column {exc.args[0]!r}; available: {header}") from None
+        needed = max(date_at, value_at) + 1
         for record in reader:
+            if not record:  # a blank line, skipped as csv.DictReader does
+                continue
             line = reader.line_num
+            if len(record) < needed:
+                raise NumericInputError(
+                    f"{path}:{line}: {len(record)} fields, expected at least {needed}")
             try:
-                date = _parse_date(record[date_key])
-                value = float(record[value_key])
-            except (TypeError, ValueError) as exc:
+                date = _parse_date(record[date_at])
+                value = float(record[value_at])
+            except ValueError as exc:
                 raise NumericInputError(f"{path}:{line}: {exc}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NumericInputError(f"{path}:{line}: non-finite value {value!r}")
             rows.append((date, value))
     rows.sort(key=lambda item: item[0])
@@ -101,18 +113,13 @@ def load_csv(path, date_column: str = "date",
     return np.array([v for _, v in rows], dtype=np.float64)
 
 
-def window_samples(series, m: int, n: int, seed: int):
-    """Cut a 1-D series into K = len - (m+n) overlapping windows.
-
-    Window i covers series[i : i+m+n]; its n later values go on top (X)
-    and its m earlier values below (Y). A uniform without-replacement
-    draw, deterministic per ``seed``, reserves a fifth of the windows
-    (``_TEST_FRACTION``) for testing. Returns ``(train, test, mean)``:
-    the training and test windows as C-contiguous rows in increasing
-    window order, with ``mean``, the scalar mean of the training
-    windows, subtracted from every entry. Raises
-    :class:`DimensionError` unless m and n are integers from 1 up.
-    """
+def _split(series, m: int, n: int, seed: int) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """The validated series as float64 and the sorted starts of its test
+    windows: a uniform draw without replacement, deterministic per
+    ``seed``, of a fifth (``_TEST_FRACTION``) of its K = len - (m+n)
+    windows. Raises :class:`DimensionError` unless m and n are integers
+    from 1 up and the series is 1-D, and :class:`DegenerateDataError`
+    below 5 windows."""
     m, n = _as_count(m, "window length m", 1), _as_count(n, "target length n", 1)
     values = np.asarray(series, dtype=np.float64)
     if values.ndim != 1:
@@ -128,19 +135,67 @@ def window_samples(series, m: int, n: int, seed: int):
         raise DegenerateDataError(f"need at least 5 windows to split, got {k}")
     rng = np.random.default_rng(seed)
     test_size = int(round(_TEST_FRACTION * k))
-    test_rows = np.sort(rng.choice(k, size=test_size, replace=False))
-    mask = np.ones(k, dtype=bool)
-    mask[test_rows] = False
-    # [later n | earlier m], gathered from the strided view straight into
-    # the train and test rows
+    return values, np.sort(rng.choice(k, size=test_size, replace=False))
+
+
+def _gather(values: NDArray[np.float64], starts: NDArray[np.intp], m: int,
+            n: int) -> NDArray[np.float64]:
+    """The windows of ``values`` at ``starts`` as C-contiguous rows, each
+    [later n | earlier m], gathered from the strided view."""
     cols = np.concatenate([np.arange(m, m + n), np.arange(m)])
     windows = np.lib.stride_tricks.sliding_window_view(values, m + n)
-    train = windows[np.flatnonzero(mask)[:, None], cols]
-    test = windows[test_rows[:, None], cols]
+    return windows[starts[:, None], cols]
+
+
+def window_samples(series, m: int, n: int, seed: int):
+    """Cut a 1-D series into K = len - (m+n) overlapping windows.
+
+    Window i covers series[i : i+m+n]; its n later values go on top (X)
+    and its m earlier values below (Y). A uniform without-replacement
+    draw, deterministic per ``seed``, reserves a fifth of the windows
+    (``_TEST_FRACTION``) for testing. Returns ``(train, test, mean)``:
+    the training and test windows as C-contiguous rows in increasing
+    window order, with ``mean``, the scalar mean of the training
+    windows, subtracted from every entry. Raises
+    :class:`DimensionError` unless m and n are integers from 1 up.
+    """
+    values, test_rows = _split(series, m, n, seed)
+    mask = np.ones(values.shape[0] - (m + n), dtype=bool)
+    mask[test_rows] = False
+    train = _gather(values, np.flatnonzero(mask), m, n)
+    test = _gather(values, test_rows, m, n)
     mean = float(train.mean())
     train -= mean
     test -= mean
     return train, test, mean
+
+
+def _split_series(series, m: int, n: int, seed: int):
+    """The split of :func:`window_samples` without gathering the training
+    windows: ``(centered, test, mean)``, the series less ``mean`` and its
+    test windows, rows as there, with ``mean`` the scalar mean of the
+    training windows. :func:`~wclmmse.model.series_covariance` estimates
+    the training covariance from the two.
+
+    The mean is taken from how many training windows hold each value,
+    exact integer counts: the count-weighted values are summed with one
+    rounding (``math.fsum``) and divided by the number of entries. The
+    series and window lengths are refused as by :func:`window_samples`.
+    """
+    values, test_rows = _split(series, m, n, seed)
+    d = m + n
+    k = values.shape[0] - d
+    # the training window starting at s holds values[s : s + d], so the
+    # count of those holding each value is a running sum of +1 at s, -1 at s + d
+    train = np.ones(k, dtype=np.int64)
+    train[test_rows] = 0
+    edges = np.zeros(values.shape[0], dtype=np.int64)
+    edges[:k] += train
+    edges[d:] -= train
+    covered = np.cumsum(edges)
+    mean = math.fsum(covered * values) / ((k - test_rows.shape[0]) * d)
+    centered = values - mean
+    return centered, _gather(centered, test_rows, m, n), mean
 
 
 def normalized_rms(filt: LinearFilter | Sequence[LinearFilter], test_samples,

@@ -25,7 +25,7 @@ from .diagnostics import analytic_mse, best_l_search, filter_power_loss
 from .errors import WclmmseError
 from .filters import FILTER_CONSTRUCTORS, FilterKind, LinearFilter, _certificate, _kind
 from .linalg import _as_count, _count_grid, condition_number
-from .model import CovarianceModel, estimate_covariance, sample_from_model
+from .model import CovarianceModel, sample_from_model, series_covariance
 
 __all__ = [
     "LPolicy",
@@ -103,13 +103,17 @@ def _check_size(model: CovarianceModel, m: int, n: int) -> None:
 def _prepare(source, m: int, n: int, seed: int):
     """Turn a series or model into (the sweep's own model, test vectors,
     mean). A model source gets a new model over its three arrays, none
-    copied, so a sweep never reads or changes the caller's ``model.spectral``."""
+    copied, so a sweep never reads or changes the caller's ``model.spectral``.
+    A series is split as by :func:`~wclmmse.dataio.window_samples`, but
+    only its test windows are gathered (``dataio._split_series``):
+    :func:`~wclmmse.model.series_covariance` builds the training
+    covariance from the series' shifts, with no training window array."""
     if isinstance(source, CovarianceModel):
         _check_size(source, m, n)
         model = CovarianceModel(source.c_x, source.c_y, source.c_xy)
         return model, sample_from_model(model, _TEST_DRAWS, seed=seed + 1), 0.0
-    train, test, mean = dataio.window_samples(source, m, n, seed)
-    return estimate_covariance(train, n), test, mean
+    centered, test, mean = dataio._split_series(source, m, n, seed)
+    return series_covariance(centered, test, n), test, mean
 
 
 def _build(kind: FilterKind, model: CovarianceModel,

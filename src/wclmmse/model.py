@@ -52,6 +52,7 @@ __all__ = [
     "SpectralCache",
     "Ladder",
     "estimate_covariance",
+    "series_covariance",
     "geometric_spectrum",
     "synthetic_model",
     "sample_from_model",
@@ -475,6 +476,79 @@ def estimate_covariance(samples, n: int) -> CovarianceModel:
     gram = z.T @ z
     gram /= k - 1
     return CovarianceModel.from_joint(gram, n)
+
+
+# Rows between exact restarts of series_covariance's diagonal recurrence.
+# Restarting every 32nd row, the Gram of AR(1) series of level 20 at
+# m = 100..400 was as close to an extended-precision one as the gathered
+# windows' Gram (tests/test_model.py).
+_SHIFT_RESTART = 32
+
+
+def series_covariance(centered, test, n: int) -> CovarianceModel:
+    """Empirical covariance, (K-1) denominator, of the training windows of
+    a centered series: all K = len - d of its windows of d consecutive
+    values but the rows of ``test``.
+
+    ``centered`` is the series less its training mean and ``test`` its test
+    windows, each once and [later n | earlier m] as in
+    ``dataio._split_series``, which makes both; d is the width of
+    ``test``. The result equals :func:`estimate_covariance` of the gathered
+    training windows up to rounding, but no window array is formed.
+
+    The windows are shifts of one series, so in natural order, with
+    c = ``centered``, the Gram of all K windows is
+    G[i, j] = sum_{t<K} c[t+i] c[t+j] and
+    G[i, j] = G[i-1, j-1] - c[i-1] c[j-1] + c[K+i-1] c[K+j-1]: its upper
+    triangle is an O(K d) correlation for the first row and an O(d^2)
+    recurrence along the diagonals (the covariance method's
+    shift-invariance; Morf, Dickinson, Kailath & Vieira, IEEE Trans. ASSP
+    25(5), 1977), restarted from an exact correlation every
+    ``_SHIFT_RESTART`` rows. Each row goes straight into the model's
+    blocks, c_y's upper triangle for the first m and c_x's for the last n,
+    with c_xy from the columns past m; one rank-k update per block
+    subtracts the test windows' Gram, and the upper triangles are mirrored
+    exactly.
+    """
+    c = np.asarray(centered, dtype=np.float64)
+    z = np.asarray(test, dtype=np.float64)
+    if c.ndim != 1 or z.ndim != 2:
+        raise DimensionError("need a 1-D series and a 2-D array of its test windows")
+    d = z.shape[1]
+    n = _as_count(n, "target size n", 1, d - 1)
+    m, k = d - n, c.shape[0] - d
+    if k - z.shape[0] < 2:
+        raise InsufficientDataError(f"need at least 2 training windows, got {k - z.shape[0]}")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(z))):
+        raise NumericInputError("series or test windows contain non-finite entries")
+    c_x, c_y, c_xy = np.empty((n, n)), np.empty((m, m)), np.empty((n, m))
+    for i in range(d):
+        if i % _SHIFT_RESTART == 0:
+            exact = row = np.correlate(c[i:k + d - 1], c[i:i + k], "valid")
+            step = np.zeros(d - i)
+        else:
+            # the steps since the exact row, summed apart from it, so that
+            # each entry of the row is rounded once against its own size
+            step = step[:-1] + (c[k + i - 1] * c[k + i - 1:k + d - 1]
+                                - c[i - 1] * c[i - 1:d - 1])
+            row = exact[:d - i] + step
+        # row is G[i, i:]
+        if i < m:
+            c_y[i, i:] = row[:m - i]
+            c_xy[:, i] = row[m - i:]
+        else:
+            c_x[i - m, i - m:] = row
+    x, y = z[:, :n], np.ascontiguousarray(z[:, n:])
+    # c_y's upper triangle is the lower one of its Fortran-ordered transpose
+    scipy.linalg.blas.dsyrk(-1.0, y.T, beta=1.0, c=c_y.T, lower=1, overwrite_c=1)
+    c_x -= x.T @ x
+    c_xy -= x.T @ y
+    for block in (c_x, c_y):
+        for i in range(1, block.shape[0]):  # the upper triangle mirrored, exactly
+            block[i, :i] = block[:i, i]
+    for block in (c_x, c_y, c_xy):
+        block /= k - z.shape[0] - 1
+    return CovarianceModel(c_x, c_y, c_xy)
 
 
 def geometric_spectrum(size: int, scale: float = 1.0, ratio: float = 0.6) -> NDArray[np.float64]:

@@ -74,6 +74,16 @@ class TestLoadCsv:
         with pytest.raises(NumericInputError, match=":3:"):
             load_csv(path)
 
+    def test_short_row_names_line(self, tmp_path):
+        # a row without the value column is malformed, as a bad value is
+        path = write(tmp_path, "date,value\n2020-01-02,1.0\n\n2020-01-03\n2020-01-06,2.0\n")
+        with pytest.raises(NumericInputError, match=":4:"):
+            load_csv(path)
+
+    def test_blank_lines_and_extra_fields_ignored(self, tmp_path):
+        path = write(tmp_path, "value,date\n\n1.5,2020-01-03,x\n\n2.5,2020-01-02\n")
+        np.testing.assert_array_equal(load_csv(path), [2.5, 1.5])
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "day,value\n2020-01-02,1.0\n")
         with pytest.raises(DimensionError, match="missing column"):

@@ -51,14 +51,14 @@ _INTERLEAVED_40 = [l for pair in zip(range(1, 21), range(40, 20, -1)) for l in p
 
 
 def _record_models(monkeypatch):
-    """The models a sweep estimates, in order."""
-    models, estimate = [], harness.estimate_covariance
+    """The models a sweep estimates from a series, in order."""
+    models, estimate = [], harness.series_covariance
 
     def recording(*args, **kwargs):
         models.append(estimate(*args, **kwargs))
         return models[-1]
 
-    monkeypatch.setattr(harness, "estimate_covariance", recording)
+    monkeypatch.setattr(harness, "series_covariance", recording)
     return models
 
 
@@ -99,11 +99,21 @@ def _lsjpc_system(model, l):
     return y.T @ y
 
 
+def _rank_deficient_m250():
+    """The m=250 model estimated from the gathered training windows of a
+    300-point AR(1) series (phi 0.8, seed 0, n=2): 38 windows for d=252,
+    so a rank-deficient c_y. Its ladder top is set by rounding, so the
+    tests sweep this model, which ``estimate_covariance`` fixes, rather
+    than the series, whose estimate a change of summation order moves."""
+    train, _, _ = window_samples(ar1_series(300, phi=0.8, seed=0), 250, 2, 0)
+    return estimate_covariance(train, 2)
+
+
 def _search_rank_deficient_m250(monkeypatch, kind):
-    """A best-policy ``kind`` row on the m=250 model (300-point AR(1), phi
-    0.8, seed 0, n=2: 38 training windows for d=252), the model, the
-    matrices handed to cho_factor and the filters the search built."""
-    models = _record_models(monkeypatch)
+    """A best-policy ``kind`` row on the sweep's own m=250 model
+    (:func:`_rank_deficient_m250`), that model, the matrices handed to
+    cho_factor and the filters the search built."""
+    models = _record_prepared(monkeypatch)
     factored = _record_cho_factor(monkeypatch)
     built = {}
     constructor = FILTER_CONSTRUCTORS[kind]
@@ -113,7 +123,7 @@ def _search_rank_deficient_m250(monkeypatch, kind):
         return built[l]
 
     monkeypatch.setitem(FILTER_CONSTRUCTORS, kind, recording)
-    (row,) = run_m_sweep(ar1_series(300, phi=0.8, seed=0), [250], 2, [kind],
+    (row,) = run_m_sweep(_rank_deficient_m250(), [250], 2, [kind],
                          LPolicy(mode="best"), seed=0)
     (model,) = models
     return row, model, factored, built
@@ -121,7 +131,7 @@ def _search_rank_deficient_m250(monkeypatch, kind):
 
 def _assert_is_the_fixed_row(row):
     """The m=250 row equals the fixed-level row at its level, wall_ms aside."""
-    fixed = run_m_sweep(ar1_series(300, phi=0.8, seed=0), [row.m], row.n, [row.filter],
+    fixed = run_m_sweep(_rank_deficient_m250(), [row.m], row.n, [row.filter],
                         parse_l_policy(f"fixed:{row.l}"), seed=0)
     assert fixed == [dataclasses.replace(row, wall_ms=fixed[0].wall_ms)]
 

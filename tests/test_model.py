@@ -1,8 +1,13 @@
 """Covariance model, empirical estimation, and synthetic generator tests."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ar1_series
 from wclmmse import (
     CovarianceModel,
     DimensionError,
@@ -10,13 +15,17 @@ from wclmmse import (
     InvalidSpectrumError,
     ModelError,
     NumericInputError,
+    WclmmseError,
     condition_number,
     estimate_covariance,
     geometric_spectrum,
     sample_from_model,
+    series_covariance,
     sym_eig,
     synthetic_model,
+    window_samples,
 )
+from wclmmse.dataio import _split, _split_series
 
 
 class TestCovarianceModel:
@@ -144,6 +153,110 @@ class TestEstimateCovariance:
             estimate_covariance([[1.0, 2.0]], n=1)
         with pytest.raises(DimensionError):
             estimate_covariance(np.zeros(5), n=1)
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _training_windows(series, m, n, seed):
+    """The training windows of ``window_samples(series, m, n, seed)``,
+    gathered uncentered in ``np.longdouble``."""
+    values, test_rows = _split(series, m, n, seed)
+    k = values.shape[0] - (m + n)
+    mask = np.ones(k, dtype=bool)
+    mask[test_rows] = False
+    cols = np.concatenate([np.arange(m, m + n), np.arange(m)])
+    windows = np.lib.stride_tricks.sliding_window_view(values.astype(np.longdouble), m + n)
+    return windows[np.flatnonzero(mask)[:, None], cols]
+
+
+class TestSeriesCovariance:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_as_accurate_as_the_gathered_windows(self, seed):
+        # AR(1) series with a level of 20, as VIX has, against the training
+        # Gram and mean summed in extended precision from the gathered
+        # windows
+        series = ar1_series(800, phi=0.95, level=20.0, seed=seed)
+        for m in (100, 250, 400):
+            n = 7
+            exact = _training_windows(series, m, n, seed)
+            exact_mean = exact.mean()
+            exact -= exact_mean
+            exact_gram = exact.T @ exact / (exact.shape[0] - 1)
+            scale = float(np.abs(exact_gram).max())
+            train, _, gathered_mean = window_samples(series, m, n, seed)
+            gathered = estimate_covariance(train, n)
+            centered, test, mean = _split_series(series, m, n, seed)
+            shifted = series_covariance(centered, test, n)
+            gathered_error = float(np.abs(gathered.c_z - exact_gram).max()) / scale
+            shifted_error = float(np.abs(shifted.c_z - exact_gram).max()) / scale
+            assert shifted_error <= 2.5 * gathered_error, (m, shifted_error, gathered_error)
+            mean_bound = (float(abs(gathered_mean - exact_mean))
+                          + 4 * _EPS * float(np.abs(series).mean()))
+            assert float(abs(mean - exact_mean)) <= mean_bound
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(length=st.integers(12, 400), m=st.integers(1, 150), n=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), level=st.floats(-1e3, 1e3),
+           phi=st.floats(0.0, 0.99))
+    def test_equals_the_gathered_windows(self, length, m, n, seed, level, phi):
+        # the model's blocks, the test windows and the mean against
+        # estimate_covariance(window_samples(...)):
+        # every block entry within 1e-12 of the joint's largest entry, the
+        # mean within 16 eps of the series' largest |value|, and each test
+        # entry within the means' difference and the rounding of an entry
+        series = ar1_series(length, phi=phi, level=level, seed=seed % 1000)
+        try:
+            train, test, mean = window_samples(series, m, n, seed)
+        except WclmmseError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _split_series(series, m, n, seed)
+            return
+        gathered = estimate_covariance(train, n)
+        centered, shifted_test, shifted_mean = _split_series(series, m, n, seed)
+        shifted = series_covariance(centered, shifted_test, n)
+        top = float(np.abs(series).max())
+        assert abs(shifted_mean - mean) <= 16 * _EPS * top
+        np.testing.assert_allclose(shifted_test, test, rtol=0.0,
+                                   atol=abs(shifted_mean - mean) + 2 * _EPS * top)
+        scale = float(np.abs(gathered.c_z).max())
+        for name in ("c_x", "c_y", "c_xy"):
+            np.testing.assert_allclose(getattr(shifted, name), getattr(gathered, name),
+                                       rtol=0.0, atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("series, m, n", [
+        (np.arange(40.0).reshape(2, 20), 4, 2),
+        (np.arange(40.0), 0, 2),
+        (np.arange(40.0), 4, 0),
+        (np.arange(40.0), 4.5, 2),
+        (np.arange(40.0), 4, 2.0),
+        (np.where(np.arange(40) == 17, np.nan, 1.0), 4, 2),
+        (np.arange(6.0), 4, 2),
+        (np.arange(8.0), 3, 1),
+    ])
+    def test_refuses_what_window_samples_refuses(self, series, m, n):
+        with pytest.raises(WclmmseError) as refused:
+            window_samples(series, m, n, 0)
+        with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            _split_series(series, m, n, 0)
+
+    def test_blocks_are_exactly_symmetric_and_contiguous(self):
+        centered, test, _ = _split_series(ar1_series(900, seed=2), 300, 5, 3)
+        model = series_covariance(centered, test, 5)
+        assert np.array_equal(model.c_y, model.c_y.T) and np.array_equal(model.c_x, model.c_x.T)
+        assert all(getattr(model, b).flags.c_contiguous for b in ("c_x", "c_y", "c_xy"))
+
+    def test_errors(self):
+        centered, test, _ = _split_series(ar1_series(40, seed=1), 4, 2, 0)
+        with pytest.raises(DimensionError):
+            series_covariance(centered[None, :], test, 2)
+        with pytest.raises(DimensionError):
+            series_covariance(centered, test, 6)
+        with pytest.raises(InsufficientDataError):
+            series_covariance(centered[:8], test, 2)
+        centered[3] = np.inf
+        with pytest.raises(NumericInputError):
+            series_covariance(centered, test, 2)
 
 
 class TestSyntheticModel:

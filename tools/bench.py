@@ -1,0 +1,211 @@
+"""Time the paper's window-length sweep end to end and by phase; write BENCH_<label>.json.
+
+    python3 tools/bench.py --label X [--rev REV] [--repeats 5] [--m 400,800,1200]
+                           [--full] [--out-dir DIR]
+
+Times this checkout's ``src/``, or with ``--rev`` that revision's, unpacked
+by ``tools/same_outputs.export_src``. Every measurement is a fresh
+``python3`` process with BLAS pinned to one thread (``BLAS_THREADS``), on
+the 8000-point AR(1) series of ``perfbench/workloads.py`` at seed 0
+(``SEED``, which also seeds the split); the JSON records both:
+
+* ``sweep``: ``wclmmse sweep-m --l-policy best`` over the ``--m`` lengths
+  with the filters ``wiener,lrw,jpc,lsjpc`` and n=7, through
+  ``wclmmse.cli.main``, from reading the CSV to writing the result;
+* ``phases``, one process per length m: the series set-up
+  (``harness._prepare``: windowing and estimation), then the model's joint
+  decomposition ``eig_z``, the eigenvalues ``eigvals_y`` of c_y, the
+  ladder top, and the ``jpc`` and ``lsjpc`` ladders, each timed alone.
+
+``--full`` adds m=3200. Each process reports its ``VmHWM`` (read from
+``/proc/self/status``; after the set-up too, for a phases process), the
+BLAS thread count each OpenBLAS reports at run time, and
+``perfbench/run.py``'s ``calibrate()`` timed before and after its
+measurement. The JSON holds every repeat and, per figure, the median over
+repeats; each time is also given scaled by ``CAL_REF_S`` over the
+process's mean calibration (``*_cal``), as ``perfbench/run.py`` scales.
+It is written to ``--out-dir``, by default the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+N = 7
+SEED = 0
+BLAS_THREADS = 1
+FILTERS = "wiener,lrw,jpc,lsjpc"
+FULL_M = 3200
+# The model's decompositions a phases process times, in order, by attribute.
+PHASES = ("eig_z", "eigvals_y", "ladder_top", "jpc_ladder", "lsjpc_ladder")
+
+
+def vm_hwm_mb() -> float:
+    """This process's peak resident set, ``VmHWM``, in MB (10^6 bytes)."""
+    for line in Path("/proc/self/status").read_text(encoding="utf-8").splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) * 1024 / 1e6
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
+    """One measurement in this process; ``wclmmse`` must come from ``src``."""
+    blas_env = {name: os.environ.get(name) for name in BLAS_ENV}
+    import wclmmse  # loads numpy's and scipy's BLAS under the pinned environment
+    from wclmmse import cli, harness
+
+    where = Path(wclmmse.__file__).resolve()
+    if src.resolve() not in where.parents:
+        raise SystemExit(f"wclmmse imported from {where}, not from {src}")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+    import worker
+    import workloads
+
+    out = {"blas_env": blas_env, "blas_runtime_threads": worker.blas_runtime_threads(),
+           "calibration_s": [run.calibrate()]}
+    if task == "sweep":
+        with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+            argv = ["sweep-m", "--data", str(series_csv),
+                    "--m-grid", ",".join(map(str, m_grid)), "--n", str(N),
+                    "--l-policy", "best", "--filters", FILTERS, "--seed", str(SEED),
+                    "--out", str(Path(tmp) / "sweep-m.csv")]
+            started = time.perf_counter()
+            if cli.main(argv) != 0:
+                raise SystemExit("sweep-m failed")
+            out["run_s"] = time.perf_counter() - started
+    else:
+        (m,) = m_grid
+        series = workloads.read_series_csv(series_csv)
+        started = time.perf_counter()
+        model, _, _ = harness._prepare(series, m, N, SEED)
+        out["setup_s"] = time.perf_counter() - started
+        out["setup_vm_hwm_mb"] = vm_hwm_mb()
+        cache = model.spectral
+        for name in PHASES:
+            started = time.perf_counter()
+            getattr(cache, name)
+            out[f"{name}_s"] = time.perf_counter() - started
+        out["ladder_top"] = cache.ladder_top
+    out["vm_hwm_mb"] = vm_hwm_mb()
+    out["calibration_s"].append(run.calibrate())
+    return out
+
+
+def spawn(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.update({name: str(BLAS_THREADS) for name in BLAS_ENV})
+    argv = [sys.executable, str(Path(__file__).resolve()), "--child", task,
+            "--series", str(series_csv), "--m", ",".join(map(str, m_grid)), "--src", str(src)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{task} at m={m_grid} failed: {done.stderr.strip()[-2000:]}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summarize(runs: list[dict], cal_ref_s: float) -> dict:
+    """Median over repeats of every number the runs report, with each time
+    (``*_s``) also scaled to the reference speed as ``*_s_cal``."""
+    summary = {}
+    for key, value in runs[0].items():
+        if isinstance(value, (int, float)) and key != "ladder_top":
+            summary[key] = statistics.median(r[key] for r in runs)
+        if key.endswith("_s") and key != "calibration_s":
+            summary[f"{key}_cal"] = statistics.median(
+                r[key] * cal_ref_s / statistics.mean(r["calibration_s"]) for r in runs)
+    summary["calibration_s"] = statistics.median(c for r in runs for c in r["calibration_s"])
+    if "ladder_top" in runs[0]:
+        summary["ladder_top"] = runs[0]["ladder_top"]
+    return summary
+
+
+def git_rev(rev: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", help="names the output, BENCH_<label>.json")
+    parser.add_argument("--rev", help="git revision whose src/ to time (default: this checkout)")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--m", default="400,800,1200", help="comma list of window lengths")
+    parser.add_argument("--full", action="store_true", help=f"add m={FULL_M}")
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--child", choices=("sweep", "phases"), help=argparse.SUPPRESS)
+    parser.add_argument("--series", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    m_grid = [int(m) for m in args.m.split(",") if m]
+    if args.child:
+        print(json.dumps(child(args.child, args.series, m_grid, args.src)))
+        return 0
+    if not args.label:
+        parser.error("--label is required")
+    if args.repeats < 1 or not m_grid:
+        parser.error("--repeats must be at least 1, and --m nonempty")
+    if args.full and FULL_M not in m_grid:
+        m_grid.append(FULL_M)
+    sys.dont_write_bytecode = True  # import the benchmark's modules without writing beside them
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+    import workloads
+
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        work = Path(tmp)
+        src = ROOT / "src"
+        if args.rev:
+            sys.path.insert(0, str(ROOT / "tools"))
+            from same_outputs import export_src
+
+            src = export_src(args.rev, work / "rev")
+        series_csv = work / f"series-seed{SEED}.csv"
+        workloads.write_series_csv(SEED, series_csv)
+        sweeps, phases = [], {m: [] for m in m_grid}
+        for _ in range(args.repeats):
+            sweeps.append(spawn("sweep", series_csv, m_grid, src))
+            for m in m_grid:
+                phases[m].append(spawn("phases", series_csv, [m], src))
+    import numpy
+    import scipy
+
+    report = {
+        "label": args.label,
+        "rev": git_rev(args.rev) if args.rev else "checkout",
+        "seed": SEED,
+        "n": N,
+        "filters": FILTERS,
+        "m": m_grid,
+        "repeats": args.repeats,
+        "blas_threads": BLAS_THREADS,
+        "blas": {"env": sweeps[0]["blas_env"],
+                 "runtime_threads": sweeps[0]["blas_runtime_threads"]},
+        "cal_ref_s": run.CAL_REF_S,
+        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__,
+                    "cpu": run.cpu_model()},
+        "sweep": summarize(sweeps, run.CAL_REF_S),
+        "phases": {str(m): summarize(runs, run.CAL_REF_S) for m, runs in phases.items()},
+        "runs": {"sweep": sweeps, "phases": {str(m): runs for m, runs in phases.items()}},
+    }
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    print(json.dumps({"sweep": report["sweep"], "phases": report["phases"]}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
