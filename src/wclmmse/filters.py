@@ -11,9 +11,9 @@ decomposed at most once however many filters and levels are built:
   leading eigenvectors of the n x n matrix ``c_xy @ inv(c_y) @ c_xy'``.
 * ``csw`` -- a rank truncation in the eigenbasis of ``c_y``.
 * ``jpc`` / ``lsjpc`` -- truncations of the joint-covariance eigenbasis
-  that never invert anything larger than L x L: B_L' S_L^-1 Y_L', with the
-  L x L system S_L and the N x L map B_L' of each kind defined once on
-  ``model.spectral``.
+  that never invert anything larger than L x L: B_L' S_L^-1 Y_L', with
+  S_L = Y_L' c_y Y_L and B_L' = c_xy Y_L for ``jpc``, and S_L = Y_L'Y_L
+  and B_L' = X_L for ``lsjpc``, which solves it as a min(L, N) system.
 * ``jpc_simplified`` / ``lsjpc_simplified`` -- inverse-free approximations
   that keep their kind's map B_L' and drop S_L.
 * ``weighted_filter`` -- any of the above under a weighted-trace objective.
@@ -147,15 +147,15 @@ def _has_full_column_rank(a: np.ndarray) -> bool:
 
 def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     """The dimension of the largest system ``kind`` solves on an M = ``m``
-    input at level ``l``: the L x L solve of ``jpc``, ``lsjpc`` and
+    input at level ``l``: L for ``jpc``, ``lsjpc`` and
     ``wiener_structured``; none for the inverse-free simplified kinds; M
     for the others. Sweep rows state it whether or not the build succeeded.
 
-    For ``jpc`` and ``lsjpc`` it stays L where a level is built from the
-    model's ladder: the factor call there is top x top (the ``best``
-    grid's top, or a sweep's largest level above it), but level L reads
-    only U_L, the factor of its own L x L system (see
-    :class:`~wclmmse.model.Ladder`).
+    For ``jpc`` it stays L where a level is built from the model's ladder:
+    the factor call there is top x top, but level L reads only U_L, the
+    factor of its own L x L system (see :class:`~wclmmse.model.Ladder`).
+    ``lsjpc``'s largest solve is min(L, N), which is at most L; its
+    certificate states L, the bound ``perfbench/checks.py`` expects.
     """
     if kind in (FilterKind.JPC, FilterKind.LSJPC, FilterKind.WIENER_STRUCTURED):
         return l
@@ -258,25 +258,24 @@ def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
-    B_l' S_l^-1 Y_l' with S_l = Y_l' c_y Y_l and B_l' = c_xy Y_l, both
-    defined once on ``model.spectral``. Only the l x l system S_l is
+    B_l' S_l^-1 Y_l' with S_l = Y_l' c_y Y_l and B_l' = c_xy Y_l, built
+    by ``model.spectral._jpc_filter``. Only the l x l system S_l is
     solved, so no inverse is larger than l x l however ill-conditioned c_y
     is. The levels ``model.spectral.jpc_ladder`` reaches are built from its
-    one factor, and any other solves its own system, as ``lsjpc``'s do.
+    one factor, and any other solves its own system.
     """
-    return _at_level(FilterKind.JPC, model, l, model.spectral._joint_filter(FilterKind.JPC, l))
+    return _at_level(FilterKind.JPC, model, l, model.spectral._jpc_filter(l))
 
 
 def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Least-squares variant of the joint-principal-component filter.
 
     Resolves the input onto the range of the Y-block basis and maps the
-    coordinates through the X block: B_l' S_l^-1 Y_l' with S_l = Y_l'Y_l
-    and B_l' = X_l, built as ``jpc`` is, from ``model.spectral.lsjpc_ladder``.
-    Not Wiener-structured; also solves nothing larger than l x l.
+    coordinates through the X block: X_l (Y_l'Y_l)^-1 Y_l'. Not
+    Wiener-structured. Its one system is min(l, n) x min(l, n), with no
+    Gram of Y_l formed (``model.spectral._lsjpc_filter``).
     """
-    return _at_level(FilterKind.LSJPC, model, l,
-                     model.spectral._joint_filter(FilterKind.LSJPC, l))
+    return _at_level(FilterKind.LSJPC, model, l, model.spectral._lsjpc_filter(l))
 
 
 def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
@@ -290,13 +289,13 @@ def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
             index=idx,
             value=float(s[idx]),
         )
-    matrix = (cache._joint_map(FilterKind.JPC, l) / s) @ cache.y_block(l).T
+    matrix = (cache._jpc_map(l) / s) @ cache.y_block(l).T
     return _at_level(FilterKind.JPC_SIMPLIFIED, model, l, matrix)
 
 
 def lsjpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
     """Inverse-free LSJPC: ``lsjpc``'s map B_l' = X_l with the identity in place of S_l^-1."""
-    matrix = model.spectral._joint_map(FilterKind.LSJPC, l) @ model.spectral.y_block(l).T
+    matrix = model.spectral.x_block(l) @ model.spectral.y_block(l).T
     return _at_level(FilterKind.LSJPC_SIMPLIFIED, model, l, matrix)
 
 
@@ -352,11 +351,10 @@ def det_optimal_weight(model: CovarianceModel) -> NDArray[np.float64]:
 def is_l_well_conditioned(filt: LinearFilter, l: int) -> bool:
     """True when the filter was built without any inverse larger than l x l.
 
-    A ``jpc`` or ``lsjpc`` level built from the model's ladder counts as
-    l: the ladder's one factorization is top x top, at the ``best`` grid's
-    top or at a sweep's largest level above it, but the level reads only
-    the leading l x l block of its factor, which is the factor of the
-    level's own l x l system.
+    A ``jpc`` level built from the model's ladder counts as l: the
+    ladder's one factorization is top x top, but the level reads only the
+    leading l x l block of its factor, the factor of its own l x l system.
+    ``lsjpc``'s largest solve is min(l, n), which is at most l.
     """
     return filt.max_inverse_dim <= l
 

@@ -186,7 +186,7 @@ def _sweep_cell(kind: FilterKind, model: CovarianceModel, policy: LPolicy,
     shared decompositions: building the filter at its level, and for an
     ``--l-policy best`` row also the search that chose the level and
     built the filter there. Neither the one-time decompositions of the
-    model (a ``jpc`` or ``lsjpc`` ladder's factorization among them) nor
+    model (``jpc``'s ladder factorization among them) nor
     the scoring are in it. The row's ``norm_rms`` and ``analytic_mse``
     are NaN here; :func:`_sweep_model` scores a built filter afterwards,
     so they stay NaN only for a filter that cannot be built. Every other

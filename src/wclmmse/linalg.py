@@ -196,8 +196,8 @@ class SPDFactor:
     the LU solve that :func:`solve_spd` falls back to.
 
     The leading l x l block u[:l, :l] of an upper factor u of A is the
-    upper factor of A's leading l x l block. A model's ladders
-    (:class:`~wclmmse.model.Ladder`) rest on this: their factor call is
+    upper factor of A's leading l x l block. ``jpc``'s ladder
+    (:class:`~wclmmse.model.Ladder`) rests on this: its factor call is
     top x top, but level l reads only u[:l, :l], the factor of its own
     l x l system."""
 

@@ -160,19 +160,17 @@ def _structured_system(c_y, b) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class Ladder:
-    """One kind's system at the ladder's top level, factored once, from
-    which every level up to the top is solved. The top is the highest
-    level of the ``best`` grid and of a sweep's levels that passes the
-    rank check (:attr:`SpectralCache.ladder_top`).
+    """``jpc``'s system at the top level :attr:`SpectralCache.ladder_top`,
+    factored once, from which every level up to the top is solved.
 
-    The prefilters of ``jpc`` and ``lsjpc`` are nested, so level l's
-    l x l system S_l is the leading block of the top system S, and its
+    ``jpc``'s prefilters are nested, so level l's l x l system
+    S_l = Y_l' c_y Y_l is the leading block of the top system S, and its
     upper Cholesky factor U_l is the leading block of S's factor U.
-    Forward substitution is prefix-stable, so with the kind's right-hand
-    side B (top x n), the transpose of its map B_top', ``z = U^-T B``
-    gives ``S_l^-1 B[:l] = U_l^-1 z[:l]`` at every level: l^2 n work and
-    no solve against m columns. This is the multistage form of the Wiener
-    filter (Goldstein, Reed & Scharf, IEEE Trans. Inf. Theory 44(7), 1998).
+    Forward substitution is prefix-stable, so with the right-hand side
+    B = Y' c_xy' (top x n), ``z = U^-T B`` gives ``S_l^-1 B[:l] = U_l^-1
+    z[:l]`` at every level: l^2 n work and no solve against m columns.
+    This is the multistage form of the Wiener filter (Goldstein, Reed &
+    Scharf, IEEE Trans. Inf. Theory 44(7), 1998).
 
     Where S's Cholesky succeeded, ``u`` holds U in LAPACK's packed upper
     storage, column after column, so U_l is its first l(l+1)/2 entries;
@@ -226,7 +224,7 @@ _SWEEP_READS = {
     "lrw": ("eig_wiener",),
     "csw": ("csw_ranking",),
     "jpc": ("eig_z", "jpc_ladder"),
-    "lsjpc": ("eig_z", "lsjpc_ladder"),
+    "lsjpc": ("eig_z",),
     "jpc_simplified": ("eig_z",),
     "lsjpc_simplified": ("eig_z",),
 }
@@ -245,10 +243,10 @@ class SpectralCache:
       which ``lrw`` and its ``rho_l`` read.
     * ``csw_ranking``: the m x m eigendecomposition of c_y and ``csw``'s
       ranking of its eigendirections, which ``csw`` and its ``rho_l`` read.
-    * ``jpc_ladder`` and ``lsjpc_ladder``: each kind's :class:`Ladder`,
-      its system S_l (``_joint_system``) at ``ladder_top`` factored once.
-      ``_joint_filter`` builds every level of both kinds from it, or from
-      S_l and the kind's map B_l' (``_joint_map``) where it does not reach.
+    * ``jpc_ladder``: ``jpc``'s :class:`Ladder`, its system S_l at
+      ``ladder_top`` factored once, from which ``_jpc_filter`` builds the
+      levels it reaches. ``lsjpc`` has no ladder: ``_lsjpc_filter``
+      factors one min(l, n) system per level.
 
     A sweep makes the products its kinds read, before it times any cell,
     on a model it owns (``harness._prepare``), by :meth:`prepare_sweep`.
@@ -321,7 +319,7 @@ class SpectralCache:
 
     @cached_property
     def ladder_top(self) -> int:
-        """The top of both ladders: the highest level that passes
+        """The top of ``jpc``'s ladder: the highest level that passes
         :meth:`check_y_rank` among those of the ``best`` search grid and
         those a sweep asks for (:meth:`prepare_sweep`), 0 when none does;
         it checks from the highest level down, and stops at the first pass."""
@@ -341,10 +339,9 @@ class SpectralCache:
 
         * ``eig_z``, the joint eigendecomposition, for ``jpc``, ``lsjpc``
           and their simplified variants;
-        * the ladder of ``jpc`` and of ``lsjpc``, its one factored system
-          at ``ladder_top``, which ``levels`` join the ``best`` grid in
-          setting, so that no level the sweep asks for factors a system of
-          its own above the ladders;
+        * ``jpc``'s ladder, its one factored system at ``ladder_top``, which
+          ``levels`` join the ``best`` grid in setting, so that no level the
+          sweep asks for factors a system of its own above the ladder;
         * ``wiener_solve``, the one m x m Cholesky solve c_y^-1 c_xy', for
           ``wiener``; it and the n x n ``eig_wiener`` for ``lrw``;
         * ``csw_ranking``, the m x m eigendecomposition of c_y and the
@@ -356,24 +353,17 @@ class SpectralCache:
                 with suppress(SingularMatrixError):
                     getattr(self, name)
 
-    def _joint_system(self, kind: str, l: int) -> NDArray[np.float64]:
-        """S_l, the l x l system of joint-basis ``kind`` at level l:
-        Y_l' c_y Y_l, symmetrized, for ``jpc``; Y_l'Y_l for ``lsjpc``, which
-        numpy forms as a symmetric rank-k update, exactly symmetric."""
-        y = self.y_block(l)
-        return _structured_system(self.c_y, y.T) if kind == "jpc" else y.T @ y
+    def _jpc_map(self, l: int) -> NDArray[np.float64]:
+        """B_l' = c_xy Y_l, ``jpc``'s n x l map, which ``jpc_simplified`` keeps too."""
+        return self.c_xy @ self.y_block(l)
 
-    def _joint_map(self, kind: str, l: int) -> NDArray[np.float64]:
-        """B_l', the n x l map of joint-basis ``kind`` at level l, which its
-        simplified variant keeps too: c_xy Y_l for ``jpc``, X_l for ``lsjpc``."""
-        return self.c_xy @ self.y_block(l) if kind == "jpc" else self.x_block(l)
-
-    def _ladder(self, kind: str) -> Ladder:
-        """``kind``'s :class:`Ladder`, from its S_l and B_l' at l = ``ladder_top``."""
+    @cached_property
+    def jpc_ladder(self) -> Ladder:
+        """``jpc``'s :class:`Ladder`: S = Y' c_y Y and B = Y' c_xy' at ``ladder_top``."""
         top = self.ladder_top
         if not top:
             return Ladder(0)
-        system = self._joint_system(kind, top)
+        system = _structured_system(self.c_y, self.y_block(top).T)
         sums = np.abs(system)
         np.cumsum(sums, axis=0, out=sums)
         sums *= np.tri(top, dtype=bool)  # row l - 1: the column sums of S_l
@@ -383,31 +373,41 @@ class SpectralCache:
         if factor.cholesky is None:
             return Ladder(top, failed=factor)
         u = factor.cholesky[0]
-        z = scipy.linalg.solve_triangular(u, self._joint_map(kind, top).T, trans="T",
+        z = scipy.linalg.solve_triangular(u, self._jpc_map(top).T, trans="T",
                                           check_finite=False)
         return Ladder(top, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
 
-    @cached_property
-    def jpc_ladder(self) -> Ladder:
-        """``jpc``'s ladder: S = Y' c_y Y and B = Y' c_xy' at ``ladder_top``."""
-        return self._ladder("jpc")
-
-    @cached_property
-    def lsjpc_ladder(self) -> Ladder:
-        """``lsjpc``'s ladder: S = Y'Y and B = X' at ``ladder_top``."""
-        return self._ladder("lsjpc")
-
-    def _joint_filter(self, kind: str, l: int) -> NDArray[np.float64]:
-        """The n x m filter B_l' S_l^-1 Y_l' of joint-basis ``kind`` at level
-        l, once :meth:`check_y_rank` passes: from the kind's ladder where it
-        reaches l, else solving S_l, factored here or by the ladder at its top."""
+    def _jpc_filter(self, l: int) -> NDArray[np.float64]:
+        """``jpc``'s n x m filter B_l' S_l^-1 Y_l' at level l, once
+        :meth:`check_y_rank` passes: from the ladder where it reaches l,
+        else solving S_l, factored here or by the ladder at its top."""
         self.check_y_rank(l)
         y = self.y_block(l)
-        ladder = self.jpc_ladder if kind == "jpc" else self.lsjpc_ladder
-        if ladder.reaches(l):
-            return ladder.solve(l).T @ y.T
-        system = ladder.system_at(l) or factor_spd(self._joint_system(kind, l))
-        return self._joint_map(kind, l) @ solve_spd(system, y.T)
+        if self.jpc_ladder.reaches(l):
+            return self.jpc_ladder.solve(l).T @ y.T
+        system = self.jpc_ladder.system_at(l) or factor_spd(_structured_system(self.c_y, y.T))
+        return self._jpc_map(l) @ solve_spd(system, y.T)
+
+    def _lsjpc_filter(self, l: int) -> NDArray[np.float64]:
+        """``lsjpc``'s n x m filter X_l (Y_l'Y_l)^-1 Y_l' at level l, once
+        :meth:`check_y_rank` passes, with no Gram of Y_l. The basis is
+        orthonormal, so w = (Y_l'Y_l)^-1 X_l' is M X_l' with
+        M = (I_l - X_l'X_l)^-1 for l < n, else, pushed through,
+        M r = r + X_l' (I_n - X_l X_l')^-1 X_l r: one min(l, n) system,
+        factored once. M is exact only as far as the basis is orthonormal,
+        so one step of iterative refinement against Y_l itself,
+        w += M (X_l' - Y_l'(Y_l w)) (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., ch. 12), follows; the filter is w' Y_l'."""
+        self.check_y_rank(l)
+        x, y = self.x_block(l), self.y_block(l)
+        small = l < self.n
+        system = factor_spd(np.eye(l) - x.T @ x if small else np.eye(self.n) - x @ x.T)
+
+        def inverse(r):  # M r
+            return solve_spd(system, r) if small else r + x.T @ solve_spd(system, x @ r)
+        w = inverse(x.T)
+        w += inverse(x.T - y.T @ (y @ w))
+        return w.T @ y.T
 
     @cached_property
     def eigvals_y(self) -> NDArray[np.float64]:

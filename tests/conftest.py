@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from wclmmse import CovarianceModel, FilterKind, SpectralCache, linalg
+from wclmmse import CovarianceModel, FilterKind, SingularMatrixError, SpectralCache, linalg
 from wclmmse.diagnostics import _jpc_order
-from wclmmse.filters import _structured_filter
+from wclmmse.filters import FILTER_CONSTRUCTORS, _structured_filter
 
 
 def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
@@ -55,10 +55,11 @@ def ar1_model(n, m, phi=0.9, noise=0.0):
 
 
 def direct_joint_build(model, kind, l):
-    """``jpc`` or ``lsjpc`` at level l built without the model's ladder:
+    """``jpc`` or ``lsjpc`` at level l by its defining formula in float64:
     level l's own system formed, factored and solved against Y_l'. Spelled
     out here, not read from the model's definitions, so that it stays an
-    independent reference."""
+    independent reference: ``jpc``'s, and the float64 formula that
+    :func:`assert_near_the_lsjpc_oracle` measures ``lsjpc`` against."""
     y = model.spectral.y_block(l)
     if FilterKind(kind) is FilterKind.JPC:
         return _structured_filter(model, y.T)
@@ -67,10 +68,49 @@ def direct_joint_build(model, kind, l):
     return model.spectral.x_block(l) @ linalg.solve_spd(system, y.T)
 
 
-def ladder_of(model, kind):
-    """The model's ladder for ``jpc`` or ``lsjpc``."""
-    cache = model.spectral
-    return cache.jpc_ladder if FilterKind(kind) is FilterKind.JPC else cache.lsjpc_ladder
+def lsjpc_oracle(model, l):
+    """``lsjpc`` at level l, X_l (Y_l'Y_l)^-1 Y_l' on the model's float64
+    basis, in ``longdouble``: the Gram formed, Cholesky-factored and solved
+    against X_l' in that precision, so that its rounding is far below any
+    float64 build's."""
+    x = model.spectral.x_block(l).astype(np.longdouble)
+    y = model.spectral.y_block(l).astype(np.longdouble)
+    gram = y.T @ y
+    low = np.zeros_like(gram)
+    for j in range(l):
+        low[j, j] = np.sqrt(gram[j, j] - low[j, :j] @ low[j, :j])
+        low[j + 1:, j] = (gram[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    w = x.T.copy()
+    for i in range(l):  # low^-1 X_l'
+        w[i] = (w[i] - low[i, :i] @ w[:i]) / low[i, i]
+    for i in reversed(range(l)):  # low'^-1 of that
+        w[i] = (w[i] - low[i + 1:, i] @ w[i + 1:]) / low[i, i]
+    return w.T @ y.T
+
+
+def assert_near_the_lsjpc_oracle(model, l):
+    """``lsjpc``'s build at level l is within 1e-8 tr(c_x), the benchmark's
+    analytic_mse tolerance, of :func:`lsjpc_oracle` in ``longdouble`` MSE,
+    or no further from it than the direct float64 formula
+    (:func:`direct_joint_build`), which near the rank edge is further off."""
+    oracle = longdouble_mse(model, lsjpc_oracle(model, l))
+    gap = abs(longdouble_mse(model, FILTER_CONSTRUCTORS[FilterKind.LSJPC](model, l).matrix)
+              - oracle)
+    try:
+        direct = abs(longdouble_mse(model, direct_joint_build(model, FilterKind.LSJPC, l))
+                     - oracle)
+    except SingularMatrixError:
+        direct = 0.0
+    assert gap <= max(1e-8 * np.trace(model.c_x), direct), l
+
+
+def longdouble_mse(model, a):
+    """tr(c_x) - 2 tr(c_xy A') + tr(A c_y A') for the filter matrix ``a``,
+    evaluated in ``longdouble``."""
+    a = np.asarray(a, dtype=np.longdouble)
+    c_x, c_y, c_xy = (np.asarray(block, dtype=np.longdouble)
+                      for block in (model.c_x, model.c_y, model.c_xy))
+    return np.trace(c_x) - 2 * np.sum(c_xy * a) + np.sum((a @ c_y) * a)
 
 
 def jpc_bounds(model):

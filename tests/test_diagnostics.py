@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ar1_series, direct_joint_build, haar_model, jpc_bounds, ladder_of
+from conftest import (
+    ar1_series,
+    assert_near_the_lsjpc_oracle,
+    direct_joint_build,
+    haar_model,
+    jpc_bounds,
+)
 from wclmmse import (
     CovarianceModel,
     DimensionError,
@@ -492,17 +498,21 @@ def test_best_l_search_equals_exhaustive_search(model, kind):
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(model=_small_models(), kind=st.sampled_from([FilterKind.JPC, FilterKind.LSJPC]))
 def test_ladder_builds_match_direct_builds(model, kind):
-    # Every level that passes the rank check. Where the model's ladder
+    # Every level that passes the rank check. jpc: where the model's ladder
     # reaches a level, the build's analytic MSE agrees with the direct
     # formula's to 1e-8 tr(c_x), the benchmark's analytic_mse tolerance;
     # at every other level the build is the direct one, bit for bit, and
-    # fails where it fails.
-    ladder = ladder_of(model, kind)
+    # fails where it fails. lsjpc, which has no ladder: each build's MSE,
+    # in longdouble, is within 1e-8 tr(c_x) of lsjpc_oracle's, or no
+    # further from it than the direct float64 formula's
     tol = 1e-8 * np.trace(model.c_x)
     for l in range(1, model.m + 1):
         try:
             model.spectral.check_y_rank(l)
         except RankError:
+            continue
+        if kind is FilterKind.LSJPC:
+            assert_near_the_lsjpc_oracle(model, l)
             continue
         try:
             expected = direct_joint_build(model, kind, l)
@@ -511,7 +521,7 @@ def test_ladder_builds_match_direct_builds(model, kind):
                 FILTER_CONSTRUCTORS[kind](model, l)
             continue
         filt = FILTER_CONSTRUCTORS[kind](model, l)
-        if ladder.reaches(l):
+        if model.spectral.jpc_ladder.reaches(l):
             assert abs(analytic_mse(model, filt) - analytic_mse(model, expected)) <= tol, l
         else:
             assert np.array_equal(filt.matrix, expected), l

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import ar1_series, direct_joint_build, haar_model, ladder_of, tail_mixed_model
+from conftest import (
+    ar1_series,
+    assert_near_the_lsjpc_oracle,
+    direct_joint_build,
+    haar_model,
+    lsjpc_oracle,
+    tail_mixed_model,
+)
 from wclmmse import (
     CovarianceModel,
     DimensionError,
@@ -50,7 +57,7 @@ from wclmmse import (
     wiener_structured,
     window_samples,
 )
-from wclmmse import linalg
+from wclmmse import harness, linalg
 from wclmmse.filters import _LEVELED_KINDS, FILTER_CONSTRUCTORS
 
 
@@ -291,26 +298,38 @@ class TestJpc:
 
 
 class TestLadder:
-    # Every level from 1 to m. Where the model's ladder reaches a level,
-    # the build's analytic MSE agrees with the direct formula's to
+    # Every level from 1 to m. Where the model's jpc ladder reaches a
+    # level, the build's analytic MSE agrees with the direct formula's to
     # 1e-8 tr(c_x), the tolerance the benchmark checks analytic_mse to;
     # every other level (rcond at or below eps / 1e-8, or above the top)
     # is the direct build, bit for bit. At ratio 0.9 jpc's systems fall
-    # to that rcond from l=134 on.
+    # to that rcond from l=134 on. lsjpc has no ladder: every level is
+    # near lsjpc_oracle (assert_near_the_lsjpc_oracle), to the same bits
+    # whatever the top.
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
     @pytest.mark.parametrize("ratio", [0.97, 0.9])
     def test_every_level_matches_the_direct_build(self, ratio, kind):
         # first at the best grid's top, 157, then on a fresh model with the
-        # top raised to m = 160 before its ladders are read, as a sweep up
+        # top raised to m = 160 before its ladder is read, as a sweep up
         # to l = m prepares it: the raised ladder reaches the levels above
-        # 157, except at ratio 0.9 for jpc, whose rcond gate keeps their
-        # direct builds
+        # 157, except at ratio 0.9, whose rcond gate keeps their direct
+        # builds
+        lsjpc_builds = {}
         for top in (157, 160):
             model = haar_model(7, 160, ratio=ratio, seed=0)
             tol = 1e-8 * np.trace(model.c_x)
             model.spectral.prepare_sweep([kind], [top])
-            ladder = ladder_of(model, kind)
+            assert model.spectral.ladder_top == top
+            if kind is FilterKind.LSJPC:
+                for l in range(1, model.m + 1):
+                    matrix = lsjpc(model, l).matrix
+                    if l not in lsjpc_builds:
+                        assert_near_the_lsjpc_oracle(model, l)
+                        lsjpc_builds[l] = matrix
+                    assert np.array_equal(matrix, lsjpc_builds[l]), l
+                continue
+            ladder = model.spectral.jpc_ladder
             reached, direct = [], []
             for l in range(1, model.m + 1):
                 filt = FILTER_CONSTRUCTORS[kind](model, l)
@@ -324,10 +343,12 @@ class TestLadder:
             assert ladder.top == top and reached
             gated = [l for l in direct if l <= top]
             assert direct[len(gated):] == list(range(top + 1, model.m + 1))
-            assert (len(gated) > 10) == ((ratio, kind) == (0.9, FilterKind.JPC))
+            assert (len(gated) > 10) == (ratio == 0.9)
             assert (reached[-1] > 157) == (top == 160 and len(gated) <= 10)
 
     def test_built_once_per_model_and_kind(self, monkeypatch):
+        # jpc's ladder factors its top system once; lsjpc has no ladder and
+        # factors only its n x n system, once per level
         model = haar_model(7, 120, ratio=0.9, seed=1)
         factored = []
         original = linalg.factor_spd
@@ -341,7 +362,7 @@ class TestLadder:
             jpc(model, l)
             lsjpc(model, l)
         top = model.spectral.ladder_top
-        assert factored == [(top, top), (top, top)]
+        assert factored == [(top, top)] + [(7, 7)] * 3
 
     def test_failed_top_factorization_builds_every_level_directly(self):
         # d = 252 from 38 training windows: the top jpc system is indefinite
@@ -380,6 +401,32 @@ class TestLsjpc:
     def test_certificate(self):
         filt = lsjpc(haar_model(2, 6, seed=21), 2)
         assert filt.max_inverse_dim == 2
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rank_edge_level_of_the_series_model_is_near_the_oracle(self, seed):
+        # the sweep-l --data model: the benchmark's 8000-point AR(1) series
+        # (phi 0.98), m=400 and n=7, prepared as that sweep prepares it. Its
+        # top level, next to the rank edge, is within 1e-11 relative of
+        # lsjpc_oracle; built from its ladder's Gram of Y_l it was 2.7e-10 to
+        # 1.5e-9 off at one BLAS thread
+        series = ar1_series(8000, phi=0.98, seed=seed)
+        model, _, _ = harness._prepare(series, 400, 7, seed)
+        model.spectral.prepare_sweep(["lsjpc"], range(10, 401, 10))
+        oracle = lsjpc_oracle(model, 400)
+        error = lsjpc(model, 400).matrix - oracle
+        assert np.sqrt(np.sum(error * error) / np.sum(oracle * oracle)) <= 1e-11
+
+    def test_bits_do_not_depend_on_the_ladder_top(self):
+        # two fresh models, one prepared for the best grid's top (382), the
+        # other for a sweep up to l=m (400): every level, the bits alike
+        models = []
+        for top in (382, 400):
+            model = haar_model(7, 400, ratio=0.97, seed=0)
+            model.spectral.prepare_sweep(["lsjpc"], [top])
+            assert model.spectral.ladder_top == top
+            models.append(model)
+        for l in range(10, 401, 10):
+            assert np.array_equal(lsjpc(models[0], l).matrix, lsjpc(models[1], l).matrix), l
 
 
 class TestSimplifiedVariants:
@@ -672,11 +719,12 @@ class TestWellConditionedCertificates:
 
     def test_largest_solve_matches_certificate(self, monkeypatch):
         # Every system a construction solves goes to cho_factor, the LU
-        # fallback or, for a level a ladder reaches, the packed triangular
-        # solve with that level's own factor U_l, of order its first
-        # argument. Each build runs on a fresh model, so the model's lazy
-        # solves fall inside the spy too, except its ladders: their one
-        # top x top factorization is made before.
+        # fallback or, for a level jpc's ladder reaches, the packed
+        # triangular solve with that level's own factor U_l, of order its
+        # first argument. Each build runs on a fresh model, so the model's
+        # lazy solves fall inside the spy too, except jpc's ladder: its one
+        # top x top factorization is made before. lsjpc's largest solve is
+        # min(l, n), within its certificate l.
         solved = []
 
         def spy(name, original):
@@ -692,12 +740,12 @@ class TestWellConditionedCertificates:
         builds = dict(FILTER_CONSTRUCTORS)
         builds[FilterKind.WIENER_STRUCTURED] = lambda model, l: wiener_structured(
             model, rng.standard_normal((l, model.m)))
-        exact = {FilterKind.WIENER, FilterKind.LRW, FilterKind.JPC, FilterKind.LSJPC,
+        exact = {FilterKind.WIENER, FilterKind.LRW, FilterKind.JPC,
                  FilterKind.WIENER_STRUCTURED}
         for kind, build in builds.items():
-            for l in (1, 2, 6):  # below n, at n and at m, the ladders' top
+            for l in (1, 2, 6):  # below n, at n and at m, the ladder's top
                 model = haar_model(2, 6, ratio=0.7, seed=33)
-                assert model.spectral.jpc_ladder.top == model.spectral.lsjpc_ladder.top == 6
+                assert model.spectral.jpc_ladder.top == 6
                 solved.clear()
                 filt = build(model, l)
                 largest = max((dim for _, dim in solved), default=0)
@@ -705,6 +753,8 @@ class TestWellConditionedCertificates:
                     assert largest == filt.max_inverse_dim, (kind, l)
                 else:
                     assert largest <= filt.max_inverse_dim, (kind, l)
+                if kind is FilterKind.LSJPC:
+                    assert largest == min(l, model.n), l
         # c_y is indefinite in float64, so Cholesky fails and LU solves
         solved.clear()
         filt = wiener(haar_model(2, 16, ratio=0.05, seed=0))

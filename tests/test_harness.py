@@ -93,12 +93,6 @@ def _jpc_system(model, l):
     return y.T @ model.c_y @ y
 
 
-def _lsjpc_system(model, l):
-    """lsjpc's l x l system Y_l'Y_l, formed afresh."""
-    y = model.spectral.y_block(l)
-    return y.T @ y
-
-
 def _rank_deficient_m250():
     """The m=250 model estimated from the gathered training windows of a
     300-point AR(1) series (phi 0.8, seed 0, n=2): 38 windows for d=252,
@@ -210,15 +204,16 @@ class TestRunLSweep:
 
     @pytest.mark.parametrize("ratio", [0.97, 0.9])
     def test_l_sweep_factors_one_top_system_per_kind(self, monkeypatch, ratio):
-        # cho_factor sees each kind's ladder, its system at the top, once:
-        # at the sweep's largest level that passes the rank check where that
-        # is above the best grid's top (400 at ratio 0.97, 340 at 0.9, where
+        # cho_factor sees jpc's ladder, its system at the top, once: at the
+        # sweep's largest level that passes the rank check where that is
+        # above the best grid's top (400 at ratio 0.97, 340 at 0.9, where
         # 350 up fail it), else at the grid's top (382 and 332), which a
         # sweep up to l=300 leaves as it is. Then only the systems of the
         # levels below the top that the ladder does not reach (none at ratio
-        # 0.97); a top it does not reach (jpc's, but at ratio 0.97 up to
-        # l=300) reuses the ladder's factor. All of it on the sweep's own
-        # model: the caller's model keeps the grid's top
+        # 0.97); a top it does not reach (but at ratio 0.97 up to l=300)
+        # reuses the ladder's factor. lsjpc has no top system: it factors
+        # one n x n system at each level that passes. All of it on the
+        # sweep's own model: the caller's model keeps the grid's top
         prepared = _record_prepared(monkeypatch)
         factored = _record_cho_factor(monkeypatch)
         tops = {0.97: {400: (382, 400), 300: (382, 382)},
@@ -243,17 +238,17 @@ class TestRunLSweep:
                     continue
                 passing.append(l)
             assert top == max(passing[-1], grid_top)
-            expected = []
-            for ladder, system_of in ((cache.jpc_ladder, _jpc_system),
-                                      (cache.lsjpc_ladder, _lsjpc_system)):
-                assert ladder.top == cache.ladder_top == top
-                expected.append(system_of(own, top))
-                expected += [system_of(own, l) for l in passing
-                             if l < top and not ladder.reaches(l)]
-            assert cache.jpc_ladder.reaches(top) == ((ratio, l_max) == (0.97, 300))
+            ladder = cache.jpc_ladder
+            assert ladder.top == cache.ladder_top == top
+            expected = [_jpc_system(own, top)]
+            expected += [_jpc_system(own, l) for l in passing
+                         if l < top and not ladder.reaches(l)]
+            assert ladder.reaches(top) == ((ratio, l_max) == (0.97, 300))
             assert (len(expected) > 10) == (ratio == 0.9)
-            assert len(factored) == len(expected)
-            assert all(_factorizations_of(factored, system) == 1 for system in expected)
+            large = [a for a in factored if np.shape(a) != (7, 7)]
+            assert len(large) == len(expected)
+            assert all(_factorizations_of(large, system) == 1 for system in expected)
+            assert len(factored) - len(large) == len(passing)
 
     def test_l_sweep_leaves_the_callers_model_as_it_was(self):
         # a sweep up to l=m raises its ladders' top from the grid's 382 to
@@ -349,10 +344,10 @@ class TestRunLSweep:
 
 def _guard_timed_cells(monkeypatch):
     """Fail any decomposition made while :meth:`LPolicy.choose` builds a
-    timed cell: a ``sym_eig``, ``sym_eigvals`` or ladder call, or a
+    timed cell: a ``sym_eig``, ``sym_eigvals`` or ``jpc_ladder`` call, or a
     ``factor_spd`` of the m x m c_y. Returns how often each guarded call
     ran outside the cells, and under ``cells`` how many cells were built."""
-    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "_ladder", "factor_spd"), 0)
+    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "jpc_ladder", "factor_spd"), 0)
     building = []  # the model of the cell being built, while one is
     choose = LPolicy.choose
 
@@ -377,8 +372,10 @@ def _guard_timed_cells(monkeypatch):
         return True
 
     monkeypatch.setattr(LPolicy, "choose", timed)
-    monkeypatch.setattr(SpectralCache, "_ladder",
-                        guarded("_ladder", SpectralCache._ladder, anything))
+    ladder = functools.cached_property(
+        guarded("jpc_ladder", SpectralCache.jpc_ladder.func, anything))
+    ladder.__set_name__(SpectralCache, "jpc_ladder")
+    monkeypatch.setattr(SpectralCache, "jpc_ladder", ladder)
     for name, refused in (("sym_eig", anything), ("sym_eigvals", anything),
                           ("factor_spd", lambda model, a: np.array_equal(a, model.c_y))):
         original = getattr(linalg, name)
@@ -396,7 +393,7 @@ class TestTimedCells:
                              ids=["definite", "illcond"])
     def test_l_sweep_of_every_kind(self, monkeypatch, ratio, sweep_top):
         # the grid's top is 47; 49, above it, passes the rank check on the
-        # definite model, whose ladders the sweep tops there. On the
+        # definite model, whose ladder the sweep tops there. On the
         # ill-conditioned one c_y is too singular for lrw and csw, and no
         # level from 31 up passes
         model = haar_model(2, 49, ratio=ratio, seed=3)
@@ -407,8 +404,9 @@ class TestTimedCells:
         (own,) = prepared
         assert own.spectral.ladder_top == sweep_top
         assert counts["cells"] == len(rows) == 1 + 6 * 6
-        # c_y and the two ladders' top systems
-        assert counts["factor_spd"] == 3 and counts["_ladder"] == 2
+        # c_y and the jpc ladder's top system; lsjpc's n x n systems are
+        # factored inside its cells
+        assert counts["factor_spd"] == 2 and counts["jpc_ladder"] == 1
 
     @pytest.mark.parametrize("policy", ["best", "fixed:30"])
     def test_m_sweep_of_every_kind(self, monkeypatch, policy):
@@ -416,7 +414,7 @@ class TestTimedCells:
         series = ar1_series(400, phi=0.9, seed=0)
         rows = run_m_sweep(series, [20, 40], 2, ALL_KINDS, parse_l_policy(policy), seed=0)
         assert counts["cells"] == len(rows) == 2 * 7
-        assert counts["_ladder"] == 4 and counts["sym_eigvals"] == 2
+        assert counts["jpc_ladder"] == 2 and counts["sym_eigvals"] == 2
 
 
 def _inline_scores(model, test_z, mean, filt):
@@ -574,17 +572,16 @@ class TestRunMSweep:
         assert np.array_equal(built[242].matrix, jpc(model, 242).matrix)
         _assert_is_the_fixed_row(row)
 
-    def test_best_policy_factors_lsjpcs_top_system_once(self, monkeypatch):
-        # on the same model lsjpc's top-level Y'Y is definite and the search
-        # builds every level up to it from the model's lsjpc ladder, that
-        # system factored once, and the row is bit for bit a fixed row.
-        # The MSEs there are rounding noise, so the level picked depends on
-        # the BLAS thread count; it must be the one building and scoring
-        # every grid level here picks
+    def test_best_policy_factors_only_lsjpcs_n_by_n_systems(self, monkeypatch):
+        # on the same model lsjpc's search builds every level up to the top
+        # grid level that passes the rank check, 242, each from its own
+        # n x n system, with no l x l Gram, and the row is bit for bit a
+        # fixed row. The MSEs there are rounding noise, so the level picked
+        # depends on the BLAS thread count; it must be the one building and
+        # scoring every grid level here picks
         row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "lsjpc")
         assert 242 in built
-        y = model.spectral.y_block(242)
-        assert _factorizations_of(factored, y.T @ y) == 1
+        assert [np.shape(a) for a in factored] == [(2, 2)] * len(built)
         mse = {}
         for l in _search_grid(model):
             try:

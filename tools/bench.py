@@ -15,7 +15,11 @@ the 8000-point AR(1) series of ``perfbench/workloads.py`` at seed 0
 * ``phases``, one process per length m: the series set-up
   (``harness._prepare``: windowing and estimation), then the model's joint
   decomposition ``eig_z``, the eigenvalues ``eigvals_y`` of c_y, the
-  ladder top, and the ``jpc`` and ``lsjpc`` ladders, each timed alone.
+  ladder top and ``jpc``'s ladder, then ``diagnostics.best_l_search`` for
+  ``jpc`` and for ``lsjpc``, each timed alone. Under ``calls``, each
+  phase's ``factor_spd``, ``sym_eig`` and ``sym_eigvals`` calls, counted
+  by the dimension of the matrix handed in, so that n x n factorizations
+  stay apart from the O(d^3) ones.
 
 ``--full`` adds m=3200. Each process reports its ``VmHWM`` (read from
 ``/proc/self/status``; after the set-up too, for a phases process), the
@@ -30,6 +34,7 @@ It is written to ``--out-dir``, by default the repository root.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import platform
@@ -47,8 +52,10 @@ SEED = 0
 BLAS_THREADS = 1
 FILTERS = "wiener,lrw,jpc,lsjpc"
 FULL_M = 3200
-# The model's decompositions a phases process times, in order, by attribute.
-PHASES = ("eig_z", "eigvals_y", "ladder_top", "jpc_ladder", "lsjpc_ladder")
+# What a phases process times after the set-up, in order: the model's
+# decompositions, by attribute, then best_l_search of each kind.
+PHASES = ("eig_z", "eigvals_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
+COUNTED = ("factor_spd", "sym_eig", "sym_eigvals")
 
 
 def vm_hwm_mb() -> float:
@@ -59,11 +66,31 @@ def vm_hwm_mb() -> float:
     raise RuntimeError("no VmHWM in /proc/self/status")
 
 
+def count_calls(linalg) -> dict:
+    """Wrap ``COUNTED`` in every loaded ``wclmmse`` module that holds them;
+    return {name: {dimension: calls}}, which the wrappers fill in."""
+    calls = {name: {} for name in COUNTED}
+
+    def counting(name, original):
+        def call(a, *args, **kwargs):
+            dim = str(len(a))
+            calls[name][dim] = calls[name].get(dim, 0) + 1
+            return original(a, *args, **kwargs)
+        return call
+
+    for name in COUNTED:
+        original = getattr(linalg, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "wclmmse" and getattr(module, name, None) is original:
+                setattr(module, name, counting(name, original))
+    return calls
+
+
 def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
     """One measurement in this process; ``wclmmse`` must come from ``src``."""
     blas_env = {name: os.environ.get(name) for name in BLAS_ENV}
     import wclmmse  # loads numpy's and scipy's BLAS under the pinned environment
-    from wclmmse import cli, harness
+    from wclmmse import cli, diagnostics, harness, linalg
 
     where = Path(wclmmse.__file__).resolve()
     if src.resolve() not in where.parents:
@@ -88,15 +115,24 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
     else:
         (m,) = m_grid
         series = workloads.read_series_csv(series_csv)
+        calls = count_calls(linalg)
+        out["calls"] = {}
         started = time.perf_counter()
         model, _, _ = harness._prepare(series, m, N, SEED)
         out["setup_s"] = time.perf_counter() - started
         out["setup_vm_hwm_mb"] = vm_hwm_mb()
+        out["calls"]["setup"] = copy.deepcopy(calls)
         cache = model.spectral
         for name in PHASES:
+            for counts in calls.values():
+                counts.clear()
             started = time.perf_counter()
-            getattr(cache, name)
+            if name.startswith("best_"):
+                diagnostics.best_l_search(model, name[len("best_"):])
+            else:
+                getattr(cache, name)
             out[f"{name}_s"] = time.perf_counter() - started
+            out["calls"][name] = copy.deepcopy(calls)
         out["ladder_top"] = cache.ladder_top
     out["vm_hwm_mb"] = vm_hwm_mb()
     out["calibration_s"].append(run.calibrate())
@@ -125,8 +161,9 @@ def summarize(runs: list[dict], cal_ref_s: float) -> dict:
             summary[f"{key}_cal"] = statistics.median(
                 r[key] * cal_ref_s / statistics.mean(r["calibration_s"]) for r in runs)
     summary["calibration_s"] = statistics.median(c for r in runs for c in r["calibration_s"])
-    if "ladder_top" in runs[0]:
-        summary["ladder_top"] = runs[0]["ladder_top"]
+    for key in ("ladder_top", "calls"):  # the same in every repeat
+        if key in runs[0]:
+            summary[key] = runs[0][key]
     return summary
 
 
