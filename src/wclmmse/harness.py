@@ -131,8 +131,8 @@ def _sweep_model(source, m: int, n: int, seed: int, kinds,
 
     Every cell reads the one set of decompositions of the model the
     sweep owns (:func:`_prepare`), ``model.spectral``, all made before any
-    cell is timed: the eigenvalues of ``c_y``, which give ``cond_cy``, and
-    those the kinds read at the sweep's fixed levels
+    cell is timed: the extreme eigenvalues of ``c_y``, which give
+    ``cond_cy``, and those the kinds read at the sweep's fixed levels
     (:meth:`~wclmmse.model.SpectralCache.prepare_sweep`).
 
     Each cell's build is timed alone (:func:`_sweep_cell`). A kind's

@@ -3,7 +3,8 @@
 Thin, reproducibility-minded wrappers around LAPACK (via numpy/scipy):
 symmetric eigendecomposition and eigenvalues, SPD inverse square root,
 SPD systems (factored by :func:`factor_spd`, solved by :func:`solve_spd`,
-Cholesky or LU), condition numbers, and norms.
+Cholesky or LU), the two extreme eigenvalues by Lanczos, condition
+numbers, and norms.
 
 Determinism conventions
 -----------------------
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
+from scipy.linalg.blas import dtrsv
 
 from .errors import (
     DimensionError,
@@ -44,6 +46,13 @@ __all__ = [
 ]
 
 Matrix = NDArray[np.float64]
+
+# Lanczos steps after which _spd_extremes gives up on a run and decomposes.
+_LANCZOS_STEPS = 300
+# The largest condition number _spd_extremes takes from Lanczos. Below it
+# the inverse's rounding, up to eps * cond relative, stays far inside the
+# 1e-6 relative tolerance the benchmark gives cond_cy.
+_LANCZOS_COND = 1e8
 
 
 def _as_matrix(a, name: str = "matrix") -> Matrix:
@@ -129,27 +138,28 @@ def sym_eig(a) -> SymEig:
 
 def sym_eigvals(a) -> NDArray[np.float64]:
     """Eigenvalues of the symmetric part (A + A') / 2 of a square matrix,
-    descending; the values :func:`condition_number` reads."""
+    descending; :func:`_spd_extremes` reads their ends where Lanczos cannot."""
     a = _as_square(a, "sym_eigvals input")
     return np.linalg.eigvalsh(_symmetric_part(a))[::-1]
 
 
-def _check_definite(eigenvalues: NDArray[np.float64]) -> None:
-    """Raise :class:`SingularMatrixError` when the smallest of descending
-    ``eigenvalues`` is at or below 1e-12 times the largest.
+def _check_definite(extremes, dim: int) -> None:
+    """Raise :class:`SingularMatrixError` when the smallest eigenvalue of a
+    dim x dim matrix is at or below 1e-12 times the largest; ``extremes``
+    holds the largest first and the smallest last, as its descending
+    eigenvalues or :func:`_spd_extremes`' pair do.
 
-    The error carries the offending index and value; that error is
-    itself a conditioning diagnostic.
+    The error carries the offending index, dim - 1, and value; that error
+    is itself a conditioning diagnostic.
     """
-    dim = eigenvalues.shape[0]
-    floor = 1e-12 * max(eigenvalues[0], 0.0) if dim else 0.0
-    if dim and eigenvalues[-1] <= floor:
+    floor = 1e-12 * max(extremes[0], 0.0) if dim else 0.0
+    if dim and extremes[-1] <= floor:
         idx = dim - 1
         raise SingularMatrixError(
-            f"matrix is numerically singular: eigenvalue[{idx}] = {eigenvalues[idx]:.6e}"
+            f"matrix is numerically singular: eigenvalue[{idx}] = {extremes[-1]:.6e}"
             f" <= floor {floor:.6e}",
             index=idx,
-            value=float(eigenvalues[idx]),
+            value=float(extremes[-1]),
         )
 
 
@@ -161,13 +171,14 @@ def inv_sqrt_spd(a) -> Matrix:
     eigenvalues of A.
     """
     eig = sym_eig(a)
-    _check_definite(eig.eigenvalues)
+    _check_definite(eig.eigenvalues, eig.eigenvalues.shape[0])
     v = eig.eigenvectors
     return _symmetric_part((v / np.sqrt(eig.eigenvalues)) @ v.T)
 
 
 def condition_number(a) -> float:
-    """Ratio of largest to smallest eigenvalue of a symmetric PSD matrix.
+    """Ratio of largest to smallest eigenvalue of the symmetric part
+    (A + A') / 2 of a square PSD matrix, from :func:`_spd_extremes`.
 
     Returns +inf when the smallest eigenvalue is nonpositive in floating
     point; an all-zero matrix has no condition number and raises.
@@ -175,12 +186,14 @@ def condition_number(a) -> float:
     a = _as_square(a, "condition_number input")
     if a.size == 0 or not np.any(a):
         raise UndefinedConditionError("condition number of the zero matrix is undefined")
-    return _spectral_condition(sym_eigvals(a))
+    sym = _symmetric_part(a)
+    return _spectral_condition(_spd_extremes(sym, factor_spd(sym)))
 
 
-def _spectral_condition(eigenvalues: NDArray[np.float64]) -> float:
-    """:func:`condition_number` from the matrix's descending eigenvalues."""
-    lam_max, lam_min = float(eigenvalues[0]), float(eigenvalues[-1])
+def _spectral_condition(extremes) -> float:
+    """:func:`condition_number` from the largest and the smallest eigenvalue,
+    first and last in ``extremes``."""
+    lam_max, lam_min = float(extremes[0]), float(extremes[-1])
     if lam_max <= 0.0:
         raise UndefinedConditionError("matrix has no positive eigenvalue")
     if lam_min <= 0.0:
@@ -243,6 +256,62 @@ def solve_spd(system: SPDFactor, b) -> Matrix:
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"linear system is singular: {exc}") from exc
     return x if b.ndim == 2 else x.ravel()
+
+
+def _lanczos_top(apply, dim: int) -> float | None:
+    """The largest eigenvalue of the symmetric dim x dim operator ``apply``
+    by Lanczos (Golub & Van Loan, *Matrix Computations*, 4th ed., 10.1),
+    or None when it has not converged within ``_LANCZOS_STEPS`` steps.
+
+    The basis is kept as rows and each new vector is orthogonalized
+    against all of them twice. The start is a seeded Gaussian vector
+    (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992),
+    so it is not orthogonal to the top eigenvector by any symmetry of the
+    matrix, as a constant start is to every skew one of a persymmetric
+    matrix. It stops once the top Ritz pair (theta, s) of the tridiagonal
+    has the residual beta |s_k| <= 1e-10 theta.
+    """
+    start = np.random.default_rng(0).standard_normal(dim)
+    basis = np.empty((min(_LANCZOS_STEPS, dim), dim))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(basis.shape[0]), np.empty(basis.shape[0])
+    for k in range(basis.shape[0]):
+        w = apply(basis[k])
+        alpha[k] = 0.0
+        for _ in range(2):
+            h = basis[: k + 1] @ w
+            w -= h @ basis[: k + 1]
+            alpha[k] += h[k]
+        beta[k] = np.linalg.norm(w)
+        theta, s = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k], select="i",
+                                                 select_range=(k, k), check_finite=False)
+        if beta[k] * abs(s[k, 0]) <= 1e-10 * theta[0]:
+            return float(theta[0])
+        if k + 1 < basis.shape[0]:
+            basis[k + 1] = w / beta[k]
+    return None
+
+
+def _spd_extremes(a: Matrix, system: SPDFactor) -> tuple[float, float]:
+    """(lambda_max, lambda_min) of the symmetric matrix ``a``, the two
+    eigenvalues that :func:`condition_number`, ``cond_y`` and the
+    definiteness rule read.
+
+    Where ``system``, :func:`factor_spd` of ``a``, has a Cholesky factor
+    U, they come from two Lanczos runs (:func:`_lanczos_top`): on ``a``
+    for lambda_max, and on a^-1, applied as two triangular solves with U,
+    for 1 / lambda_min. Where the Cholesky failed, a run has not
+    converged, or the ratio of the two is above ``_LANCZOS_COND``, they
+    are the ends of :func:`sym_eigvals`, bit for bit.
+    """
+    if system.cholesky is not None:
+        u = system.cholesky[0]
+        lam_max = _lanczos_top(lambda v: a @ v, a.shape[0])
+        inv_min = lam_max and _lanczos_top(lambda v: dtrsv(u, dtrsv(u, v, trans=1)), a.shape[0])
+        if inv_min and lam_max * inv_min <= _LANCZOS_COND:
+            return lam_max, 1.0 / inv_min
+    eigenvalues = sym_eigvals(a)
+    return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
 def nuclear_norm(a) -> float:

@@ -38,13 +38,13 @@ from .linalg import (
     _as_count,
     _as_square,
     _check_definite,
+    _spd_extremes,
     _spectral_condition,
     _symmetric_part,
     factor_spd,
     solve_spd,
     spectral_norm,
     sym_eig,
-    sym_eigvals,
 )
 
 __all__ = [
@@ -79,10 +79,14 @@ def _joint(c_x, c_xy, c_y) -> NDArray[np.float64]:
 
 def _check_symmetric(a: np.ndarray, name: str, lower: np.ndarray | None = None) -> None:
     """Refuse ``a`` unless it is the transpose of ``lower`` (of ``a`` itself
-    by default) within ``_SYM_RTOL`` times the largest |entry| of either."""
-    blocks = (a,) if lower is None else (a, lower)
-    scale = max((np.abs(b).max() for b in blocks if b.size), default=0.0)
-    if scale and np.abs(a - blocks[-1].T).max() > _SYM_RTOL * scale:
+    by default) within ``_SYM_RTOL`` times the largest |entry| of either.
+    An exact transpose, as ``series_covariance`` mirrors, passes on one
+    exact comparison, before the tolerance test."""
+    lower = a if lower is None else lower
+    if np.array_equal(a, lower.T):
+        return
+    scale = max((np.abs(b).max() for b in (a, lower) if b.size), default=0.0)
+    if scale and np.abs(a - lower.T).max() > _SYM_RTOL * scale:
         raise ModelError(f"{name} is not symmetric within {_SYM_RTOL:g} relative")
 
 
@@ -235,10 +239,16 @@ class SpectralCache:
 
     * ``eig_z``: the joint eigendecomposition, which ``jpc``, ``lsjpc``,
       their simplified variants and the sampler truncate.
-    * ``eigvals_y``: the eigenvalues of c_y from one ``eigvalsh``, which
-      ``cond_y`` and the definiteness rule read.
-    * ``wiener_solve``: the m x n solve c_y^-1 c_xy', the Wiener filter's
-      transpose, which ``wiener`` and ``lrw`` read.
+    * ``cy_factor``: c_y factored once by ``factor_spd``, its upper
+      Cholesky factor, or c_y itself for the LU solve where that fails;
+      held only until both its readers below are made.
+    * ``extremes_y``: the largest and the smallest eigenvalue of c_y, from
+      two Lanczos runs through ``cy_factor`` (``linalg._spd_extremes``),
+      which ``cond_y`` and the definiteness rule read; from one
+      ``eigvalsh`` where the Cholesky fails or c_y is worse conditioned
+      than 1e8.
+    * ``wiener_solve``: the m x n solve c_y^-1 c_xy' from ``cy_factor``,
+      the Wiener filter's transpose, which ``wiener`` and ``lrw`` read.
     * ``eig_wiener``: the n x n eigendecomposition of c_xy c_y^-1 c_xy',
       which ``lrw`` and its ``rho_l`` read.
     * ``csw_ranking``: the m x m eigendecomposition of c_y and ``csw``'s
@@ -257,7 +267,7 @@ class SpectralCache:
     decomposes it. The joint eigenvectors are row-partitioned into the X
     part (top n rows) and the Y part (bottom m rows); truncations are
     views of the leading columns. A c_y too singular to invert re-raises
-    from the stored ``eigvals_y`` on every access to ``eig_wiener`` or
+    from the stored ``extremes_y`` on every access to ``eig_wiener`` or
     ``csw_ranking``, without solving or decomposing.
     """
 
@@ -342,8 +352,9 @@ class SpectralCache:
         * ``jpc``'s ladder, its one factored system at ``ladder_top``, which
           ``levels`` join the ``best`` grid in setting, so that no level the
           sweep asks for factors a system of its own above the ladder;
-        * ``wiener_solve``, the one m x m Cholesky solve c_y^-1 c_xy', for
-          ``wiener``; it and the n x n ``eig_wiener`` for ``lrw``;
+        * ``wiener_solve``, the one solve c_y^-1 c_xy' from ``cy_factor``
+          (which a sweep's ``cond_y`` has made), for ``wiener``; it and
+          the n x n ``eig_wiener`` for ``lrw``;
         * ``csw_ranking``, the m x m eigendecomposition of c_y and the
           ranking of its eigendirections, for ``csw`` alone.
         """
@@ -410,19 +421,37 @@ class SpectralCache:
         return w.T @ y.T
 
     @cached_property
-    def eigvals_y(self) -> NDArray[np.float64]:
-        """Eigenvalues of c_y, descending."""
-        return sym_eigvals(self.c_y)
+    def cy_factor(self) -> SPDFactor:
+        """c_y factored once, for its two readers, ``extremes_y`` and
+        ``wiener_solve``. The second of them to be made drops it, so that
+        no m x m factor is held while the joint decomposition peaks."""
+        return factor_spd(self.c_y)
+
+    def _read_cy_factor(self, other: str) -> SPDFactor:
+        """``cy_factor`` for one of its readers, dropped from the cache
+        where ``other``, the other reader, is made already."""
+        factor = self.cy_factor
+        if other in vars(self):
+            del self.cy_factor
+        return factor
+
+    @cached_property
+    def extremes_y(self) -> tuple[float, float]:
+        """The largest and the smallest eigenvalue of c_y, by
+        ``linalg._spd_extremes`` through ``cy_factor``."""
+        return _spd_extremes(self.c_y, self._read_cy_factor("wiener_solve"))
 
     @property
     def cond_y(self) -> float:
-        """Condition number of c_y, bit-identical to ``condition_number(c_y)``."""
-        return _spectral_condition(self.eigvals_y)
+        """Condition number of c_y from ``extremes_y``. For an exactly
+        symmetric c_y it is bit-identical to ``condition_number(c_y)``,
+        which reads the same helper."""
+        return _spectral_condition(self.extremes_y)
 
     @cached_property
     def wiener_solve(self) -> NDArray[np.float64]:
-        """c_y^-1 c_xy' (m x n), c_y factored and solved once: the Wiener filter's transpose."""
-        return solve_spd(factor_spd(self.c_y), self.c_xy.T)
+        """c_y^-1 c_xy' (m x n), solved once from ``cy_factor``: the Wiener filter's transpose."""
+        return solve_spd(self._read_cy_factor("extremes_y"), self.c_xy.T)
 
     @cached_property
     def eig_wiener(self) -> SymEig:
@@ -432,9 +461,9 @@ class SpectralCache:
         Its eigenvectors are the left singular vectors of the whitened
         cross-covariance c_xy c_y^-1/2, and its eigenvalues the squares of
         their singular values. Raises :class:`SingularMatrixError` as
-        ``_check_definite`` does on ``eigvals_y``, before solving.
+        ``_check_definite`` does on ``extremes_y``, before solving.
         """
-        _check_definite(self.eigvals_y)
+        _check_definite(self.extremes_y, self.m)
         return sym_eig(self.c_xy @ self.wiener_solve)
 
     @cached_property
@@ -445,10 +474,10 @@ class SpectralCache:
         eigendirections in, highest score first.
 
         Raises :class:`SingularMatrixError` as ``_check_definite`` does on
-        ``eigvals_y``, before decomposing, so a c_y too singular to invert
+        ``extremes_y``, before decomposing, so a c_y too singular to invert
         is refused by the same rule as in ``eig_wiener``.
         """
-        _check_definite(self.eigvals_y)
+        _check_definite(self.extremes_y, self.m)
         eig = sym_eig(self.c_y)
         proj = self.c_xy @ eig.eigenvectors
         scores = np.einsum("ij,ij->j", proj, proj) / eig.eigenvalues

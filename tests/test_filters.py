@@ -476,9 +476,33 @@ class TestSimplifiedVariants:
 
 
 class TestSpectralCache:
+    @pytest.mark.parametrize("order", [("extremes_y", "wiener_solve"),
+                                       ("wiener_solve", "extremes_y")])
+    def test_c_y_factor_is_shared_and_dropped_once_both_readers_are_made(
+            self, monkeypatch, order):
+        # cond_y's extremes and wiener's solve read one Cholesky factor of
+        # c_y, in either order, and the cache drops it once both are made
+        model = haar_model(2, 30, ratio=0.9, seed=1)
+        factored, cho_factor = [], scipy.linalg.cho_factor
+
+        def recording(a, *args, **kwargs):
+            factored.append(a)
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        cache = model.spectral
+        getattr(cache, order[0])
+        assert "cy_factor" in vars(cache)
+        getattr(cache, order[1])
+        assert "cy_factor" not in vars(cache)
+        assert len(factored) == 1 and factored[0] is model.c_y
+        np.testing.assert_array_equal(cache.wiener_solve,
+                                      scipy.linalg.cho_solve(cho_factor(model.c_y),
+                                                             model.c_xy.T))
+
     def test_singular_c_y_reraises_without_decomposing_again(self, sym_eig_shapes):
         # lrw's and csw's decompositions both re-raise from the stored
-        # eigenvalues of c_y, before either decomposes anything
+        # extreme eigenvalues of c_y, before either decomposes anything
         model = haar_model(2, 8, ratio=0.02, seed=3)
         cache = model.spectral
         raised = []
@@ -490,12 +514,12 @@ class TestSpectralCache:
             with pytest.raises(SingularMatrixError):
                 build(model, 2)
         assert raised == [raised[0]] * 3
-        assert raised[0] == (7, float(cache.eigvals_y[-1]))
+        assert raised[0] == (7, cache.extremes_y[-1])
         assert sym_eig_shapes == []
         with pytest.raises(SingularMatrixError) as info:
             inv_sqrt_spd(model.c_y)
         assert info.value.index == raised[0][0]
-        assert info.value.value == pytest.approx(raised[0][1], abs=1e-15 * cache.eigvals_y[0])
+        assert info.value.value == pytest.approx(raised[0][1], abs=1e-15 * cache.extremes_y[0])
 
     def test_rank_truncations_decompose_only_what_they_read(self, sym_eig_shapes):
         # lrw: the n x n c_xy c_y^-1 c_xy'; csw: c_y; neither the joint c_z

@@ -204,9 +204,9 @@ class TestRunLSweep:
 
     @pytest.mark.parametrize("ratio", [0.97, 0.9])
     def test_l_sweep_factors_one_top_system_per_kind(self, monkeypatch, ratio):
-        # cho_factor sees jpc's ladder, its system at the top, once: at the
-        # sweep's largest level that passes the rank check where that is
-        # above the best grid's top (400 at ratio 0.97, 340 at 0.9, where
+        # cho_factor sees c_y once, for the rows' cond_cy, and jpc's
+        # ladder, its system at the top, once: at the sweep's largest level
+        # that passes the rank check where that is above the best grid's top (400 at ratio 0.97, 340 at 0.9, where
         # 350 up fail it), else at the grid's top (382 and 332), which a
         # sweep up to l=300 leaves as it is. Then only the systems of the
         # levels below the top that the ladder does not reach (none at ratio
@@ -245,10 +245,11 @@ class TestRunLSweep:
                          if l < top and not ladder.reaches(l)]
             assert ladder.reaches(top) == ((ratio, l_max) == (0.97, 300))
             assert (len(expected) > 10) == (ratio == 0.9)
-            large = [a for a in factored if np.shape(a) != (7, 7)]
+            assert sum(a is own.c_y for a in factored) == 1
+            large = [a for a in factored if np.shape(a) != (7, 7) and a is not own.c_y]
             assert len(large) == len(expected)
             assert all(_factorizations_of(large, system) == 1 for system in expected)
-            assert len(factored) - len(large) == len(passing)
+            assert len(factored) - 1 - len(large) == len(passing)
 
     def test_l_sweep_leaves_the_callers_model_as_it_was(self):
         # a sweep up to l=m raises its ladders' top from the grid's 382 to
@@ -414,7 +415,11 @@ class TestTimedCells:
         series = ar1_series(400, phi=0.9, seed=0)
         rows = run_m_sweep(series, [20, 40], 2, ALL_KINDS, parse_l_policy(policy), seed=0)
         assert counts["cells"] == len(rows) == 2 * 7
-        assert counts["jpc_ladder"] == 2 and counts["sym_eigvals"] == 2
+        # c_y is definite at both lengths, so cond_cy reads its extremes by
+        # Lanczos through the factor wiener solves from, with no eigvalsh;
+        # c_y and the jpc ladder's top system are factored once per model
+        assert counts["jpc_ladder"] == 2 and counts["sym_eigvals"] == 0
+        assert counts["factor_spd"] == 2 * 2
 
 
 def _inline_scores(model, test_z, mean, filt):
@@ -576,12 +581,14 @@ class TestRunMSweep:
         # on the same model lsjpc's search builds every level up to the top
         # grid level that passes the rank check, 242, each from its own
         # n x n system, with no l x l Gram, and the row is bit for bit a
-        # fixed row. The MSEs there are rounding noise, so the level picked
+        # fixed row; before them cho_factor sees only c_y, once, for the
+        # row's cond_cy. The MSEs there are rounding noise, so the level picked
         # depends on the BLAS thread count; it must be the one building and
         # scoring every grid level here picks
         row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "lsjpc")
         assert 242 in built
-        assert [np.shape(a) for a in factored] == [(2, 2)] * len(built)
+        assert factored[0] is model.c_y
+        assert [np.shape(a) for a in factored[1:]] == [(2, 2)] * len(built)
         mse = {}
         for l in _search_grid(model):
             try:

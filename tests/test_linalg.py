@@ -4,21 +4,30 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import haar_model
+from conftest import ar1_series, haar_model
 from wclmmse import (
+    CovarianceModel,
     DimensionError,
     NumericInputError,
     SingularMatrixError,
     UndefinedConditionError,
     condition_number,
     factor_spd,
+    harness,
     inv_sqrt_spd,
+    linalg,
     matrix_norm,
     nuclear_norm,
     solve_spd,
     sym_eig,
 )
-from wclmmse.linalg import SPDFactor, spectral_norm
+from wclmmse.linalg import (
+    SPDFactor,
+    _spd_extremes,
+    _spectral_condition,
+    spectral_norm,
+    sym_eigvals,
+)
 
 
 def random_spd(dim, seed, spread=1.0):
@@ -128,6 +137,104 @@ class TestConditionNumber:
 
     def test_singular_gives_infinity(self):
         assert condition_number(np.diag([1.0, 0.0])) == np.inf
+
+
+def _refuse_eigvalsh(monkeypatch):
+    """Make any ``sym_eigvals`` call fail, so that a pass shows Lanczos alone ran."""
+    def refused(a):
+        raise AssertionError("sym_eigvals on the Lanczos path")
+    monkeypatch.setattr(linalg, "sym_eigvals", refused)
+
+
+def _ends(a):
+    """(lambda_max, lambda_min) as the ends of ``sym_eigvals``."""
+    eigenvalues = sym_eigvals(a)
+    return float(eigenvalues[0]), float(eigenvalues[-1])
+
+
+def _spread_spd(dim, cond, seed=0):
+    """A random-basis SPD matrix with eigenvalues log-spaced from 1 to 1 / cond."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    a = (q * np.logspace(0.0, -np.log10(cond), dim)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def _rank_deficient_gram(dim, rank, seed=0):
+    """The Gram of ``rank`` random rows of length ``dim``: singular, so
+    that its Cholesky factorization fails in float64."""
+    rows = np.random.default_rng(seed).standard_normal((rank, dim))
+    return rows.T @ rows
+
+
+def _model_of(c_y):
+    m = c_y.shape[0]
+    return CovarianceModel(c_x=np.eye(1), c_y=c_y, c_xy=np.full((1, m), 1e-3))
+
+
+class TestSpdExtremes:
+    """``linalg._spd_extremes``, the (lambda_max, lambda_min) that
+    ``condition_number``, ``cond_y`` and the definiteness rule read."""
+
+    @pytest.mark.parametrize("m", [50, 51])
+    def test_ar1_toeplitz_condition_matches_eigvalsh(self, monkeypatch, m):
+        # an exact AR(1) covariance is persymmetric: a constant start vector
+        # is orthogonal to its skew eigenvectors, the seeded random one is not
+        a = scipy.linalg.toeplitz(0.95 ** np.arange(m))
+        eigenvalues = np.linalg.eigvalsh(a)
+        want = eigenvalues[-1] / eigenvalues[0]
+        _refuse_eigvalsh(monkeypatch)
+        lam_max, lam_min = _spd_extremes(a, factor_spd(a))
+        assert lam_max / lam_min == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert condition_number(a) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("model", [
+        haar_model(7, 200, ratio=0.97, seed=0),
+        haar_model(2, 40, ratio=0.9, seed=3),
+        harness._prepare(ar1_series(2000, phi=0.95, seed=0), 300, 7, 0)[0],
+        harness._prepare(ar1_series(1200, phi=0.98, seed=1), 400, 7, 0)[0],
+    ], ids=["haar-0.97-m200", "haar-0.9-m40", "ar1-0.95-m300", "ar1-0.98-m400"])
+    def test_each_extreme_matches_eigvalsh(self, monkeypatch, model):
+        eigenvalues = np.linalg.eigvalsh(model.c_y)
+        assert eigenvalues[-1] / eigenvalues[0] <= 1e8
+        _refuse_eigvalsh(monkeypatch)
+        lam_max, lam_min = model.spectral.extremes_y
+        assert lam_max == pytest.approx(eigenvalues[-1], rel=1e-10, abs=0.0)
+        assert lam_min == pytest.approx(eigenvalues[0], rel=1e-10, abs=0.0)
+        assert model.spectral.cond_y == condition_number(model.c_y)
+
+    @pytest.mark.parametrize("c_y", [
+        _rank_deficient_gram(12, 5),  # its Cholesky fails
+        _spread_spd(30, 1e10),
+    ], ids=["cholesky-fails", "cond-1e10"])
+    def test_off_the_lanczos_path_every_bit_is_the_eigvalsh_path(self, c_y):
+        eigenvalues = sym_eigvals(c_y)
+        want = _spectral_condition(eigenvalues)
+        model = _model_of(c_y)
+        assert model.spectral.extremes_y == _ends(c_y)
+        assert model.spectral.cond_y == want
+        assert condition_number(c_y) == want
+        if eigenvalues[-1] > 1e-12 * eigenvalues[0]:
+            assert factor_spd(c_y).cholesky is not None and want > 1e8
+            model.spectral.eig_wiener  # definite: no error
+            return
+        assert factor_spd(c_y).cholesky is None
+        with pytest.raises(SingularMatrixError) as info:
+            model.spectral.eig_wiener
+        assert info.value.index == c_y.shape[0] - 1
+        assert info.value.value == float(eigenvalues[-1])
+
+    def test_unconverged_lanczos_takes_the_eigvalsh_path(self, monkeypatch):
+        a = scipy.linalg.toeplitz(0.95 ** np.arange(50))
+        monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 3)
+        assert _spd_extremes(a, factor_spd(a)) == _ends(a)
+
+    def test_two_calls_give_the_same_bits(self):
+        a = harness._prepare(ar1_series(2000, phi=0.95, seed=0), 300, 7, 0)[0].c_y
+        assert _spd_extremes(a, factor_spd(a)) == _spd_extremes(a, factor_spd(a))
+        assert condition_number(a) == condition_number(a.copy())
+        fresh = [CovarianceModel(np.eye(1), a, np.zeros((1, 300))).spectral.cond_y
+                 for _ in range(2)]
+        assert fresh == [condition_number(a)] * 2
 
 
 class TestSolveSpd:

@@ -22,15 +22,16 @@ def test_bench_writes_medians_per_phase(tmp_path):
     assert set(report["blas"]["runtime_threads"].values()) <= {1}
     assert {"run_s", "run_s_cal", "vm_hwm_mb", "calibration_s"} <= set(report["sweep"])
     phases = report["phases"]["60"]
-    names = ("setup", "eig_z", "eigvals_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
+    names = ("setup", "eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
     for name in names:
         assert phases[f"{name}_s"] >= 0.0 and phases[f"{name}_s_cal"] >= 0.0
-    # calls by the dimension of their matrix: the joint eigh at d = 67, and
+    # calls by the dimension of their matrix: the joint eigh at d = 67,
+    # c_y's Cholesky factorization for cond_y, with no eigvalsh, and
     # lsjpc's search factors nothing larger than n = 7
     calls = phases["calls"]
     assert set(calls) == set(names)
     assert calls["eig_z"] == {"factor_spd": {}, "sym_eig": {"67": 1}, "sym_eigvals": {}}
-    assert calls["eigvals_y"]["sym_eigvals"] == {"60": 1}
+    assert calls["cond_y"] == {"factor_spd": {"60": 1}, "sym_eig": {}, "sym_eigvals": {}}
     assert calls["jpc_ladder"]["factor_spd"] == {str(phases["ladder_top"]): 1}
     assert set(calls["best_lsjpc"]["factor_spd"]) == {"7"}
     assert phases["setup_vm_hwm_mb"] <= phases["vm_hwm_mb"]

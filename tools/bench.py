@@ -14,9 +14,12 @@ the 8000-point AR(1) series of ``perfbench/workloads.py`` at seed 0
   ``wclmmse.cli.main``, from reading the CSV to writing the result;
 * ``phases``, one process per length m: the series set-up
   (``harness._prepare``: windowing and estimation), then the model's joint
-  decomposition ``eig_z``, the eigenvalues ``eigvals_y`` of c_y, the
+  decomposition ``eig_z``, the condition number ``cond_y`` of c_y, the
   ladder top and ``jpc``'s ladder, then ``diagnostics.best_l_search`` for
-  ``jpc`` and for ``lsjpc``, each timed alone. Under ``calls``, each
+  ``jpc`` and for ``lsjpc``, each timed alone. Where ``cond_y`` reads two
+  Lanczos extremes, its phase includes c_y's Cholesky factorization, which
+  ``wiener_solve`` then reuses; where it reads an ``eigvalsh`` of c_y, it
+  factors nothing. Under ``calls``, each
   phase's ``factor_spd``, ``sym_eig`` and ``sym_eigvals`` calls, counted
   by the dimension of the matrix handed in, so that n x n factorizations
   stay apart from the O(d^3) ones.
@@ -54,7 +57,7 @@ FILTERS = "wiener,lrw,jpc,lsjpc"
 FULL_M = 3200
 # What a phases process times after the set-up, in order: the model's
 # decompositions, by attribute, then best_l_search of each kind.
-PHASES = ("eig_z", "eigvals_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
+PHASES = ("eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
 COUNTED = ("factor_spd", "sym_eig", "sym_eigvals")
 
 
