@@ -129,9 +129,10 @@ def filter_power_loss(model: CovarianceModel, kind: FilterKind, l: int) -> float
     same units, the whitened cross-covariance's column norms
     ``norm(c_xy @ q_i) / sqrt(lambda_i)`` of the c_y eigendirections it
     does not keep; both raise as the filter does on a c_y too singular to
-    invert. Every other kind discards the joint-eigenvalue tail beyond l in [1, m].
+    invert. The joint-eigenbasis kinds discard the joint-eigenvalue tail
+    beyond l in [1, m]; a kind with no level truncates nothing and is refused.
     """
-    kind = FilterKind(kind)
+    kind = _kind(kind, "truncation-power loss", _LEVELED_KINDS)
     if kind is FilterKind.LRW:
         power = np.clip(model.spectral.eig_wiener.eigenvalues, 0.0, None)
         return truncation_power_loss(np.sqrt(power), _effective_level(model, kind, l))

@@ -36,7 +36,8 @@ from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
 from .linalg import _symmetric_part, factor_spd, inv_sqrt_spd, solve_spd
-# SpectralCache, defined in model, stays importable from here as well.
+# SpectralCache, defined in model, is re-exported here: perfbench/tracing.py
+# patches filters.SpectralCache.__init__.
 from .model import CovarianceModel, SpectralCache, _structured_system
 
 __all__ = [
@@ -178,17 +179,9 @@ def _structured_filter(model: CovarianceModel, b):
 
 def wiener(model: CovarianceModel) -> LinearFilter:
     """The unconstrained LMMSE filter c_xy @ inv(c_y), via the model's one
-    M x M solve (``model.spectral.wiener_solve``). A singular c_y raises,
-    naming ``model.spectral.cond_y`` (which raises if c_y has no positive
-    eigenvalue)."""
-    cache = model.spectral
-    try:
-        matrix = cache.wiener_solve.T
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"input covariance is singular (condition number {cache.cond_y:.3e}): {exc}"
-        ) from exc
-    return LinearFilter(matrix=matrix, kind=FilterKind.WIENER,
+    M x M solve (``model.spectral.wiener_solve``), which raises on a
+    singular c_y, naming its condition number."""
+    return LinearFilter(matrix=model.spectral.wiener_solve.T, kind=FilterKind.WIENER,
                         max_inverse_dim=_certificate(FilterKind.WIENER, model.m, None))
 
 

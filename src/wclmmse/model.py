@@ -239,16 +239,14 @@ class SpectralCache:
 
     * ``eig_z``: the joint eigendecomposition, which ``jpc``, ``lsjpc``,
       their simplified variants and the sampler truncate.
-    * ``cy_factor``: c_y factored once by ``factor_spd``, its upper
-      Cholesky factor, or c_y itself for the LU solve where that fails;
-      held only until both its readers below are made.
-    * ``extremes_y``: the largest and the smallest eigenvalue of c_y, from
-      two Lanczos runs through ``cy_factor`` (``linalg._spd_extremes``),
-      which ``cond_y`` and the definiteness rule read; from one
-      ``eigvalsh`` where the Cholesky fails or c_y is worse conditioned
-      than 1e8.
-    * ``wiener_solve``: the m x n solve c_y^-1 c_xy' from ``cy_factor``,
-      the Wiener filter's transpose, which ``wiener`` and ``lrw`` read.
+    * ``_cy_reads``: the two products of c_y's one ``factor_spd``
+      factorization, made together so that the factor is dropped at once:
+      ``extremes_y``, the largest and the smallest eigenvalue of c_y, from
+      two Lanczos runs through the factor (``linalg._spd_extremes``), or
+      from one ``eigvalsh`` where the Cholesky fails or c_y is worse
+      conditioned than 1e8, which ``cond_y`` and the definiteness rule
+      read; and ``wiener_solve``, the m x n solve c_y^-1 c_xy', the Wiener
+      filter's transpose, which ``wiener`` and ``lrw`` read.
     * ``eig_wiener``: the n x n eigendecomposition of c_xy c_y^-1 c_xy',
       which ``lrw`` and its ``rho_l`` read.
     * ``csw_ranking``: the m x m eigendecomposition of c_y and ``csw``'s
@@ -268,7 +266,8 @@ class SpectralCache:
     part (top n rows) and the Y part (bottom m rows); truncations are
     views of the leading columns. A c_y too singular to invert re-raises
     from the stored ``extremes_y`` on every access to ``eig_wiener`` or
-    ``csw_ranking``, without solving or decomposing.
+    ``csw_ranking``, without solving or decomposing; one too singular to
+    solve, from the stored error on every access to ``wiener_solve``.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -352,9 +351,9 @@ class SpectralCache:
         * ``jpc``'s ladder, its one factored system at ``ladder_top``, which
           ``levels`` join the ``best`` grid in setting, so that no level the
           sweep asks for factors a system of its own above the ladder;
-        * ``wiener_solve``, the one solve c_y^-1 c_xy' from ``cy_factor``
-          (which a sweep's ``cond_y`` has made), for ``wiener``; it and
-          the n x n ``eig_wiener`` for ``lrw``;
+        * ``wiener_solve``, the one solve c_y^-1 c_xy', for ``wiener``,
+          which a sweep's ``cond_y`` has made with the extremes of c_y; it
+          and the n x n ``eig_wiener`` for ``lrw``;
         * ``csw_ranking``, the m x m eigendecomposition of c_y and the
           ranking of its eigendirections, for ``csw`` alone.
         """
@@ -421,25 +420,23 @@ class SpectralCache:
         return w.T @ y.T
 
     @cached_property
-    def cy_factor(self) -> SPDFactor:
-        """c_y factored once, for its two readers, ``extremes_y`` and
-        ``wiener_solve``. The second of them to be made drops it, so that
-        no m x m factor is held while the joint decomposition peaks."""
-        return factor_spd(self.c_y)
+    def _cy_reads(self) -> tuple[tuple[float, float], NDArray[np.float64] | SingularMatrixError]:
+        """c_y factored once by ``factor_spd`` and read twice: its largest
+        and smallest eigenvalue through the factor (``linalg._spd_extremes``),
+        then the solve c_y^-1 c_xy', or the SingularMatrixError that solve
+        raised. The factor is a local, so no attribute ever holds it."""
+        factor = factor_spd(self.c_y)
+        extremes = _spd_extremes(self.c_y, factor)
+        try:
+            return extremes, solve_spd(factor, self.c_xy.T)
+        except SingularMatrixError as exc:
+            # a copy without the traceback, whose frames hold the factor and the cache
+            return extremes, SingularMatrixError(str(exc))
 
-    def _read_cy_factor(self, other: str) -> SPDFactor:
-        """``cy_factor`` for one of its readers, dropped from the cache
-        where ``other``, the other reader, is made already."""
-        factor = self.cy_factor
-        if other in vars(self):
-            del self.cy_factor
-        return factor
-
-    @cached_property
+    @property
     def extremes_y(self) -> tuple[float, float]:
-        """The largest and the smallest eigenvalue of c_y, by
-        ``linalg._spd_extremes`` through ``cy_factor``."""
-        return _spd_extremes(self.c_y, self._read_cy_factor("wiener_solve"))
+        """The largest and the smallest eigenvalue of c_y, from ``_cy_reads``."""
+        return self._cy_reads[0]
 
     @property
     def cond_y(self) -> float:
@@ -448,10 +445,17 @@ class SpectralCache:
         which reads the same helper."""
         return _spectral_condition(self.extremes_y)
 
-    @cached_property
+    @property
     def wiener_solve(self) -> NDArray[np.float64]:
-        """c_y^-1 c_xy' (m x n), solved once from ``cy_factor``: the Wiener filter's transpose."""
-        return solve_spd(self._read_cy_factor("extremes_y"), self.c_xy.T)
+        """c_y^-1 c_xy' (m x n) from ``_cy_reads``, the Wiener filter's
+        transpose; where c_y is too singular to solve, the stored error,
+        re-raised naming ``cond_y`` (which raises on no positive eigenvalue)."""
+        solve = self._cy_reads[1]
+        if isinstance(solve, SingularMatrixError):
+            raise SingularMatrixError(
+                f"input covariance is singular (condition number {self.cond_y:.3e}): {solve}"
+            ) from solve
+        return solve
 
     @cached_property
     def eig_wiener(self) -> SymEig:

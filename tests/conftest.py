@@ -1,5 +1,6 @@
 """Shared model builders for the test suite."""
 
+import gc
 import sys
 
 import numpy as np
@@ -129,6 +130,14 @@ def ar1_series(length, phi=0.8, level=20.0, sigma=1.0, seed=0):
     for i in range(1, length):
         values[i] = phi * values[i - 1] + sigma * rng.standard_normal()
     return values + level
+
+
+def live_spd_factors(dim):
+    """The dimension-``dim`` :class:`~wclmmse.linalg.SPDFactor` objects
+    still reachable after a full garbage collection."""
+    gc.collect()
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, linalg.SPDFactor) and obj.dim == dim]
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from wclmmse import (
     nuclear_norm,
     sample_from_model,
     scaling_study,
+    synthetic_model,
     truncation_power_loss,
     weighted_trace_objective,
     wiener,
@@ -216,6 +217,15 @@ class TestTruncationPowerLoss:
             truncation_power_loss(np.array([1.0, 0.5]), 0)
         with pytest.raises(DimensionError):
             truncation_power_loss(np.eye(2), 1)
+
+    @pytest.mark.parametrize("kind", [FilterKind.WIENER, FilterKind.WIENER_STRUCTURED,
+                                      FilterKind.WEIGHTED])
+    def test_refuses_kinds_without_a_truncation(self, kind):
+        # none of these truncates at a level, so none has a tail to lose;
+        # the joint-eigenvalue tail is the jpc kinds' loss alone
+        model = synthetic_model(2, geometric_spectrum(10, 1.0, 0.7))
+        with pytest.raises(ValueError, match="undefined"):
+            filter_power_loss(model, kind, 3)
 
 
 class TestScalingStudy:

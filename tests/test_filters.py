@@ -14,6 +14,7 @@ from conftest import (
     assert_near_the_lsjpc_oracle,
     direct_joint_build,
     haar_model,
+    live_spd_factors,
     lsjpc_oracle,
     tail_mixed_model,
 )
@@ -481,7 +482,8 @@ class TestSpectralCache:
     def test_c_y_factor_is_shared_and_dropped_once_both_readers_are_made(
             self, monkeypatch, order):
         # cond_y's extremes and wiener's solve read one Cholesky factor of
-        # c_y, in either order, and the cache drops it once both are made
+        # c_y, in either order; both are made at the first read, and the
+        # cache never holds the factor
         model = haar_model(2, 30, ratio=0.9, seed=1)
         factored, cho_factor = [], scipy.linalg.cho_factor
 
@@ -491,10 +493,9 @@ class TestSpectralCache:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
         cache = model.spectral
-        getattr(cache, order[0])
-        assert "cy_factor" in vars(cache)
-        getattr(cache, order[1])
-        assert "cy_factor" not in vars(cache)
+        for name in order:
+            getattr(cache, name)
+            assert live_spd_factors(model.m) == []
         assert len(factored) == 1 and factored[0] is model.c_y
         np.testing.assert_array_equal(cache.wiener_solve,
                                       scipy.linalg.cho_solve(cho_factor(model.c_y),

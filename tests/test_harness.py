@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import wclmmse
-from conftest import ar1_series, haar_model
+from conftest import ar1_series, haar_model, live_spd_factors
 from wclmmse import (
     CovarianceModel,
     DimensionError,
@@ -341,6 +341,24 @@ class TestRunLSweep:
         assert len(failed) == 6 and all(np.isnan(r.norm_rms) for r in failed)
         assert all(np.isnan(r.rho_l) for r in failed)
         assert sorted(sym_eig_shapes) == [(10, 10)]
+
+    @pytest.mark.parametrize("kinds", [["jpc", "lsjpc"], ["jpc", "wiener"]])
+    def test_no_c_y_factor_lives_through_the_joint_decomposition(self, monkeypatch, kinds):
+        # the joint decomposition sets a sweep's peak memory, so whatever
+        # the kind order, no m x m factor of c_y is alive while it runs.
+        # A series source: a model source's joint decomposition comes
+        # first, when the sweep draws its test vectors
+        n, m, alive = 2, 23, []
+        decompose = wclmmse.model.sym_eig
+
+        def recording(a):
+            if len(a) == n + m:
+                alive.append(len(live_spd_factors(m)))
+            return decompose(a)
+
+        monkeypatch.setattr(wclmmse.model, "sym_eig", recording)
+        run_l_sweep(ar1_series(220, phi=0.8, seed=4), m, n, [2, 5], kinds, seed=0)
+        assert alive == [0]
 
 
 def _guard_timed_cells(monkeypatch):

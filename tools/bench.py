@@ -1,7 +1,7 @@
 """Time the paper's window-length sweep end to end and by phase; write BENCH_<label>.json.
 
     python3 tools/bench.py --label X [--rev REV] [--repeats 5] [--m 400,800,1200]
-                           [--full] [--out-dir DIR]
+                           [--out-dir DIR]
 
 Times this checkout's ``src/``, or with ``--rev`` that revision's, unpacked
 by ``tools/same_outputs.export_src``. Every measurement is a fresh
@@ -16,15 +16,17 @@ the 8000-point AR(1) series of ``perfbench/workloads.py`` at seed 0
   (``harness._prepare``: windowing and estimation), then the model's joint
   decomposition ``eig_z``, the condition number ``cond_y`` of c_y, the
   ladder top and ``jpc``'s ladder, then ``diagnostics.best_l_search`` for
-  ``jpc`` and for ``lsjpc``, each timed alone. Where ``cond_y`` reads two
-  Lanczos extremes, its phase includes c_y's Cholesky factorization, which
-  ``wiener_solve`` then reuses; where it reads an ``eigvalsh`` of c_y, it
-  factors nothing. Under ``calls``, each
+  ``jpc`` and for ``lsjpc``, each timed alone. The ``cond_y`` phase
+  makes both products of c_y's one factorization: its extremes, and the
+  m x n Wiener solve c_y^-1 c_xy' (about 17 ms at m=3200, n=7, one BLAS
+  thread on a 2-vCPU Xeon VM), so a ``--rev`` comparison with a revision
+  that solved later shows that solve in this phase. Under ``calls``, each
   phase's ``factor_spd``, ``sym_eig`` and ``sym_eigvals`` calls, counted
   by the dimension of the matrix handed in, so that n x n factorizations
   stay apart from the O(d^3) ones.
 
-``--full`` adds m=3200. Each process reports its ``VmHWM`` (read from
+The paper's full grid goes to m=3200 (``--m 400,800,1200,3200``). Each
+process reports its ``VmHWM`` (read from
 ``/proc/self/status``; after the set-up too, for a phases process), the
 BLAS thread count each OpenBLAS reports at run time, and
 ``perfbench/run.py``'s ``calibrate()`` timed before and after its
@@ -54,7 +56,6 @@ N = 7
 SEED = 0
 BLAS_THREADS = 1
 FILTERS = "wiener,lrw,jpc,lsjpc"
-FULL_M = 3200
 # What a phases process times after the set-up, in order: the model's
 # decompositions, by attribute, then best_l_search of each kind.
 PHASES = ("eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
@@ -181,7 +182,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", help="git revision whose src/ to time (default: this checkout)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--m", default="400,800,1200", help="comma list of window lengths")
-    parser.add_argument("--full", action="store_true", help=f"add m={FULL_M}")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     parser.add_argument("--child", choices=("sweep", "phases"), help=argparse.SUPPRESS)
     parser.add_argument("--series", type=Path, help=argparse.SUPPRESS)
@@ -195,8 +195,6 @@ def main(argv=None) -> int:
         parser.error("--label is required")
     if args.repeats < 1 or not m_grid:
         parser.error("--repeats must be at least 1, and --m nonempty")
-    if args.full and FULL_M not in m_grid:
-        m_grid.append(FULL_M)
     sys.dont_write_bytecode = True  # import the benchmark's modules without writing beside them
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run

@@ -13,7 +13,9 @@ at every seed:
 * ``scaling`` of ``jpc`` and of ``lsjpc`` on that model;
 * ``sweep-l`` of ``csw`` and the simplified kinds on that model, whose
   ``c_y`` is definite, so that ``csw`` builds every row;
-* ``sweep-m --l-policy fixed:20`` and ``sweep-l --data`` on the series.
+* ``sweep-m --l-policy fixed:20`` and ``sweep-l --data`` on the series;
+* ``sweep-m --l-policy fixed:20 --filters jpc,lsjpc,wiener`` on the
+  series, whose joint decomposition comes before the Wiener solve.
 
 Every CSV and JSON is compared with its ``wall_ms`` dropped, and every
 ``synth`` model file array by array, bit for bit. It prints one line per
@@ -86,6 +88,8 @@ def command_lines(seed: int, series: Path, out: Path) -> list[list[str]]:
         ["scaling", "--model", model, "--filter", "lsjpc", "--out", out / "scaling-lsjpc.csv"],
         ["sweep-m", "--data", series, "--m-grid", m_grid, "--l-policy", "fixed:20", *seeded,
          "--out", out / "sweep-m-fixed.csv"],
+        ["sweep-m", "--data", series, "--m-grid", m_grid, "--l-policy", "fixed:20", *seeded,
+         "--filters", "jpc,lsjpc,wiener", "--out", out / "sweep-m-jpc-first.csv"],
         ["sweep-l", "--data", series, "--m", str(workloads.SWEEP_L_M), *seeded,
          "--l-min", str(l_grid[0]), "--l-max", str(l_grid[-1]),
          "--l-step", str(l_grid[1] - l_grid[0]), "--out", out / "sweep-l-data.csv"],
