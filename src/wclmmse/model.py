@@ -176,16 +176,22 @@ class Ladder:
     This is the multistage form of the Wiener filter (Goldstein, Reed &
     Scharf, IEEE Trans. Inf. Theory 44(7), 1998).
 
+    ``product`` is P = Y' c_y (top x m), the first of the two products
+    that form S = P Y. Its first l rows are the product Y_l' c_y of level
+    l, so a level the ladder does not reach forms its S_l as P[:l] Y_l
+    (:meth:`system_at`) and makes no product with c_y of its own.
+
     Where S's Cholesky succeeded, ``u`` holds U in LAPACK's packed upper
     storage, column after column, so U_l is its first l(l+1)/2 entries;
     ``z`` is U^-T B, and ``norms[l - 1]`` the 1-norm of S_l, for the
     condition estimate :meth:`reaches` reads. Where it failed, those are
     None and ``failed`` keeps S as :func:`~wclmmse.linalg.factor_spd`
-    left it, for the LU solve. At top 0, when no candidate level passes
-    the rank check, there is no system.
+    left it, for the LU solve; P is kept all the same. At top 0, when no
+    candidate level passes the rank check, there is no system and no P.
     """
 
     top: int
+    product: NDArray[np.float64] | None = None
     u: NDArray[np.float64] | None = None
     z: NDArray[np.float64] | None = None
     norms: NDArray[np.float64] | None = None
@@ -212,11 +218,14 @@ class Ladder:
             out[:, j] = scipy.linalg.blas.dtpsv(l, u_l, self.z[:l, j])
         return out
 
-    def system_at(self, l: int) -> SPDFactor | None:
-        """The factored system of level l where the ladder holds it (the
-        top level), else None: a direct build at the top reuses it."""
-        if l != self.top:
+    def system_at(self, l: int, y: NDArray[np.float64]) -> SPDFactor | None:
+        """The factored system S_l of level l, for a direct build with
+        ``y`` = Y_l: at the top, the ladder's own; below it, the
+        symmetric part of P[:l] Y_l, factored here; above it, None."""
+        if l > self.top:
             return None
+        if l < self.top:
+            return factor_spd(_symmetric_part(self.product[:l] @ y))
         if self.failed is not None:
             return self.failed
         return SPDFactor((scipy.linalg.lapack.dtpttr(self.top, self.u)[0], False))
@@ -253,7 +262,9 @@ class SpectralCache:
       ranking of its eigendirections, which ``csw`` and its ``rho_l`` read.
     * ``jpc_ladder``: ``jpc``'s :class:`Ladder`, its system S_l at
       ``ladder_top`` factored once, from which ``_jpc_filter`` builds the
-      levels it reaches. ``lsjpc`` has no ladder: ``_lsjpc_filter``
+      levels it reaches, and the product P = Y' c_y that formed it, whose
+      leading rows ``_jpc_filter`` reads for the levels up to the top it
+      builds directly. ``lsjpc`` has no ladder: ``_lsjpc_filter``
       factors one min(l, n) system per level.
 
     A sweep makes the products its kinds read, before it times any cell,
@@ -282,7 +293,9 @@ class SpectralCache:
         dropped, checked to be a full orthonormal basis."""
         eig = sym_eig(_joint(self.c_x, self.c_xy, self.c_y))
         v = eig.eigenvectors
-        defect = np.linalg.norm(v.T @ v - np.eye(self.n + self.m))
+        gram = v.T @ v
+        gram.flat[:: self.n + self.m + 1] -= 1.0  # V'V - I, in place
+        defect = np.linalg.norm(gram)
         if defect > 1e-8:
             raise ModelError(f"joint eigenbasis is not orthonormal (defect {defect:.3e})")
         return eig
@@ -369,11 +382,14 @@ class SpectralCache:
 
     @cached_property
     def jpc_ladder(self) -> Ladder:
-        """``jpc``'s :class:`Ladder`: S = Y' c_y Y and B = Y' c_xy' at ``ladder_top``."""
+        """``jpc``'s :class:`Ladder`: S = P Y, with P = Y' c_y kept, and
+        B = Y' c_xy' at ``ladder_top``."""
         top = self.ladder_top
         if not top:
             return Ladder(0)
-        system = _structured_system(self.c_y, self.y_block(top).T)
+        y = self.y_block(top)
+        product = y.T @ self.c_y
+        system = _symmetric_part(product @ y)
         sums = np.abs(system)
         np.cumsum(sums, axis=0, out=sums)
         sums *= np.tri(top, dtype=bool)  # row l - 1: the column sums of S_l
@@ -381,21 +397,23 @@ class SpectralCache:
         del sums
         factor = factor_spd(system)
         if factor.cholesky is None:
-            return Ladder(top, failed=factor)
+            return Ladder(top, product, failed=factor)
         u = factor.cholesky[0]
         z = scipy.linalg.solve_triangular(u, self._jpc_map(top).T, trans="T",
                                           check_finite=False)
-        return Ladder(top, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
+        return Ladder(top, product, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
 
     def _jpc_filter(self, l: int) -> NDArray[np.float64]:
         """``jpc``'s n x m filter B_l' S_l^-1 Y_l' at level l, once
         :meth:`check_y_rank` passes: from the ladder where it reaches l,
-        else solving S_l, factored here or by the ladder at its top."""
+        else solving S_l. Up to the ladder's top, S_l is the ladder's own
+        at the top and P[:l] Y_l below it (:meth:`Ladder.system_at`);
+        only above the top does a level form its product Y_l' c_y."""
         self.check_y_rank(l)
         y = self.y_block(l)
         if self.jpc_ladder.reaches(l):
             return self.jpc_ladder.solve(l).T @ y.T
-        system = self.jpc_ladder.system_at(l) or factor_spd(_structured_system(self.c_y, y.T))
+        system = self.jpc_ladder.system_at(l, y) or factor_spd(_structured_system(self.c_y, y.T))
         return self._jpc_map(l) @ solve_spd(system, y.T)
 
     def _lsjpc_filter(self, l: int) -> NDArray[np.float64]:

@@ -8,7 +8,7 @@ import pytest
 
 from wclmmse import CovarianceModel, FilterKind, SingularMatrixError, SpectralCache, linalg
 from wclmmse.diagnostics import _jpc_order
-from wclmmse.filters import FILTER_CONSTRUCTORS, _structured_filter
+from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
 def haar_model(n, m, ratio=0.7, seed=0, scale=1.0):
@@ -60,10 +60,22 @@ def direct_joint_build(model, kind, l):
     level l's own system formed, factored and solved against Y_l'. Spelled
     out here, not read from the model's definitions, so that it stays an
     independent reference: ``jpc``'s, and the float64 formula that
-    :func:`assert_near_the_lsjpc_oracle` measures ``lsjpc`` against."""
+    :func:`assert_near_the_lsjpc_oracle` measures ``lsjpc`` against.
+
+    ``jpc``'s system S_l = (Y_l' c_y) Y_l takes its product Y_l' c_y as
+    the first l rows of Y_top' c_y at a level up to the ladder's top, the
+    product the ladder formed, and as a product of its own above it: BLAS
+    need not round a product's leading rows as it rounds them alone."""
     y = model.spectral.y_block(l)
     if FilterKind(kind) is FilterKind.JPC:
-        return _structured_filter(model, y.T)
+        top = model.spectral.ladder_top
+        if l > top:
+            product = y.T @ model.c_y
+        else:
+            product = (model.spectral.y_block(top).T @ model.c_y)[:l]
+        s = product @ y
+        system = linalg.factor_spd(0.5 * (s + s.T))
+        return (model.c_xy @ y) @ linalg.solve_spd(system, y.T)
     gram = y.T @ y
     system = linalg.factor_spd(0.5 * (gram + gram.T))
     return model.spectral.x_block(l) @ linalg.solve_spd(system, y.T)

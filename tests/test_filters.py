@@ -365,6 +365,25 @@ class TestLadder:
         top = model.spectral.ladder_top
         assert factored == [(top, top)] + [(7, 7)] * 3
 
+    def test_gated_levels_match_the_structured_filter_on_the_illcond_model(self):
+        # the benchmark's sweep-l-illcond model at seed 7, c_y singular in
+        # float64, its ladder topped by the sweep's levels: every level of
+        # the sweep up to the top that the rcond gate builds directly, from
+        # the first rows of the ladder's product Y_top' c_y, is within
+        # 1e-8 tr(c_x) in analytic MSE of the structured filter through
+        # Y_l', which forms Y_l' c_y itself
+        model = synthetic_model(7, geometric_spectrum(407, 1.0, 0.9), seed=7)
+        levels = range(10, 401, 10)
+        model.spectral.prepare_sweep([FilterKind.JPC], levels)
+        ladder = model.spectral.jpc_ladder
+        tol = 1e-8 * np.trace(model.c_x)
+        gated = [l for l in levels if l <= ladder.top and not ladder.reaches(l)]
+        assert ladder.top == 340 and len(gated) > 10
+        for l in gated:
+            structured = wiener_structured(model, model.spectral.y_block(l).T)
+            gap = analytic_mse(model, jpc(model, l)) - analytic_mse(model, structured)
+            assert abs(gap) <= tol, l
+
     def test_failed_top_factorization_builds_every_level_directly(self):
         # d = 252 from 38 training windows: the top jpc system is indefinite
         # in float64, so the ladder keeps it for the LU solve and reaches

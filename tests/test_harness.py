@@ -363,10 +363,13 @@ class TestRunLSweep:
 
 def _guard_timed_cells(monkeypatch):
     """Fail any decomposition made while :meth:`LPolicy.choose` builds a
-    timed cell: a ``sym_eig``, ``sym_eigvals`` or ``jpc_ladder`` call, or a
-    ``factor_spd`` of the m x m c_y. Returns how often each guarded call
-    ran outside the cells, and under ``cells`` how many cells were built."""
-    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "jpc_ladder", "factor_spd"), 0)
+    timed cell: a ``sym_eig``, ``sym_eigvals`` or ``jpc_ladder`` call, a
+    ``factor_spd`` of the m x m c_y, or a product with c_y
+    (``_structured_system``) at a level up to the ladder's top, which
+    ``jpc`` reads from its ladder. Returns how often each guarded call ran
+    outside the cells, and under ``cells`` how many cells were built."""
+    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "jpc_ladder", "factor_spd",
+                            "_structured_system"), 0)
     building = []  # the model of the cell being built, while one is
     choose = LPolicy.choose
 
@@ -395,9 +398,15 @@ def _guard_timed_cells(monkeypatch):
         guarded("jpc_ladder", SpectralCache.jpc_ladder.func, anything))
     ladder.__set_name__(SpectralCache, "jpc_ladder")
     monkeypatch.setattr(SpectralCache, "jpc_ladder", ladder)
-    for name, refused in (("sym_eig", anything), ("sym_eigvals", anything),
-                          ("factor_spd", lambda model, a: np.array_equal(a, model.c_y))):
-        original = getattr(linalg, name)
+
+    def up_to_the_top(model, c_y, b):
+        return len(b) <= model.spectral.ladder_top
+
+    for owner, name, refused in (
+            (linalg, "sym_eig", anything), (linalg, "sym_eigvals", anything),
+            (linalg, "factor_spd", lambda model, a: np.array_equal(a, model.c_y)),
+            (wclmmse.model, "_structured_system", up_to_the_top)):
+        original = getattr(owner, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "wclmmse" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, guarded(name, original, refused))
@@ -438,6 +447,21 @@ class TestTimedCells:
         # c_y and the jpc ladder's top system are factored once per model
         assert counts["jpc_ladder"] == 2 and counts["sym_eigvals"] == 0
         assert counts["factor_spd"] == 2 * 2
+
+    def test_l_sweep_of_jpc_on_the_illcond_model(self, monkeypatch):
+        # the benchmark's sweep-l-illcond model at seed 7: the rcond gate
+        # builds jpc directly at more than ten levels below the ladder's
+        # top, 340, and each reads its product with c_y from the ladder
+        model = synthetic_model(7, geometric_spectrum(407, 1.0, 0.9), seed=7)
+        prepared = _record_prepared(monkeypatch)
+        counts = _guard_timed_cells(monkeypatch)
+        rows = run_l_sweep(model, 400, 7, range(10, 401, 10), ["jpc"], seed=0)
+        (own,) = prepared
+        ladder = own.spectral.jpc_ladder
+        assert ladder.top == 340
+        assert sum(not ladder.reaches(l) for l in range(10, 341, 10)) > 10
+        assert counts["cells"] == len(rows) == 40
+        assert counts["_structured_system"] == 0
 
 
 def _inline_scores(model, test_z, mean, filt):

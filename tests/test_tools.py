@@ -36,3 +36,14 @@ def test_bench_writes_medians_per_phase(tmp_path):
     assert set(calls["best_lsjpc"]["factor_spd"]) == {"7"}
     assert phases["setup_vm_hwm_mb"] <= phases["vm_hwm_mb"]
     assert len(report["runs"]["sweep"]) == 1 and len(report["runs"]["phases"]["60"]) == 1
+    # the benchmark's two sweep-l models, each swept end to end, then its
+    # jpc levels that the rcond gate builds directly, timed alone: on the
+    # ill-conditioned one more than ten of the levels below its top, 340
+    assert set(report["sweep_l"]) == {"sweep-l-m400", "sweep-l-illcond"}
+    for summary in report["sweep_l"].values():
+        for key in ("run_s", "run_s_cal", "jpc_gated_s", "jpc_gated_s_cal", "vm_hwm_mb"):
+            assert summary[key] >= 0.0
+        assert all(l <= summary["ladder_top"] for l in summary["jpc_gated"])
+    illcond = report["sweep_l"]["sweep-l-illcond"]
+    assert illcond["ladder_top"] == 340 and len(illcond["jpc_gated"]) > 10
+    assert {len(runs) for runs in report["runs"]["sweep_l"].values()} == {1}

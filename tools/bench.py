@@ -1,4 +1,4 @@
-"""Time the paper's window-length sweep end to end and by phase; write BENCH_<label>.json.
+"""Time the paper's sweeps end to end and by phase; write BENCH_<label>.json.
 
     python3 tools/bench.py --label X [--rev REV] [--repeats 5] [--m 400,800,1200]
                            [--out-dir DIR]
@@ -7,7 +7,8 @@ Times this checkout's ``src/``, or with ``--rev`` that revision's, unpacked
 by ``tools/same_outputs.export_src``. Every measurement is a fresh
 ``python3`` process with BLAS pinned to one thread (``BLAS_THREADS``), on
 the 8000-point AR(1) series of ``perfbench/workloads.py`` at seed 0
-(``SEED``, which also seeds the split); the JSON records both:
+(``SEED``, which also seeds the split) or, for ``sweep_l``, on a
+synthetic model of that seed; the JSON records both:
 
 * ``sweep``: ``wclmmse sweep-m --l-policy best`` over the ``--m`` lengths
   with the filters ``wiener,lrw,jpc,lsjpc`` and n=7, through
@@ -23,7 +24,15 @@ the 8000-point AR(1) series of ``perfbench/workloads.py`` at seed 0
   that solved later shows that solve in this phase. Under ``calls``, each
   phase's ``factor_spd``, ``sym_eig`` and ``sym_eigvals`` calls, counted
   by the dimension of the matrix handed in, so that n x n factorizations
-  stay apart from the O(d^3) ones.
+  stay apart from the O(d^3) ones;
+* ``sweep_l``, one process per synthetic model of the benchmark's
+  ``sweep-l`` workloads (``SWEEP_L``), made as ``perfbench/run.py`` makes
+  it at seed ``SEED`` (m=400, n=7): ``wclmmse sweep-l`` over l=10..400 in
+  steps of 10 with the workload's filters, timed from reading the model
+  to writing the result (``run_s``); then, on a fresh model from the same
+  file with ``jpc``'s ladder made as the sweep makes it, the ``jpc``
+  builds of the sweep's levels up to the ladder's top that its rcond gate
+  builds directly (``jpc_gated_s``, over the levels ``jpc_gated``).
 
 The paper's full grid goes to m=3200 (``--m 400,800,1200,3200``). Each
 process reports its ``VmHWM`` (read from
@@ -60,6 +69,8 @@ FILTERS = "wiener,lrw,jpc,lsjpc"
 # decompositions, by attribute, then best_l_search of each kind.
 PHASES = ("eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
 COUNTED = ("factor_spd", "sym_eig", "sym_eigvals")
+# The benchmark's sweep-l workloads, each timed in a process of its own.
+SWEEP_L = ("sweep-l-m400", "sweep-l-illcond")
 
 
 def vm_hwm_mb() -> float:
@@ -94,7 +105,7 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
     """One measurement in this process; ``wclmmse`` must come from ``src``."""
     blas_env = {name: os.environ.get(name) for name in BLAS_ENV}
     import wclmmse  # loads numpy's and scipy's BLAS under the pinned environment
-    from wclmmse import cli, diagnostics, harness, linalg
+    from wclmmse import cli, diagnostics, filters, harness, linalg
 
     where = Path(wclmmse.__file__).resolve()
     if src.resolve() not in where.parents:
@@ -116,6 +127,26 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
             if cli.main(argv) != 0:
                 raise SystemExit("sweep-m failed")
             out["run_s"] = time.perf_counter() - started
+    elif task in SWEEP_L:
+        workload = workloads.WORKLOADS[task]
+        with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+            model_file = Path(tmp) / workload.input_name
+            if cli.main(workload.synth_argv(SEED, model_file)) != 0:
+                raise SystemExit("synth failed")
+            started = time.perf_counter()
+            if cli.main(workload.sweep_argv(SEED, model_file, Path(tmp) / "sweep-l.csv")) != 0:
+                raise SystemExit("sweep-l failed")
+            out["run_s"] = time.perf_counter() - started
+            model = cli.load_model(model_file)
+        model.spectral.prepare_sweep(["jpc"], workloads.SWEEP_L_GRID)
+        ladder = model.spectral.jpc_ladder
+        gated = [l for l in workloads.SWEEP_L_GRID if l <= ladder.top and not ladder.reaches(l)]
+        started = time.perf_counter()
+        for l in gated:
+            filters.jpc(model, l)
+        out["jpc_gated_s"] = time.perf_counter() - started
+        out["jpc_gated"] = gated
+        out["ladder_top"] = ladder.top
     else:
         (m,) = m_grid
         series = workloads.read_series_csv(series_csv)
@@ -165,7 +196,7 @@ def summarize(runs: list[dict], cal_ref_s: float) -> dict:
             summary[f"{key}_cal"] = statistics.median(
                 r[key] * cal_ref_s / statistics.mean(r["calibration_s"]) for r in runs)
     summary["calibration_s"] = statistics.median(c for r in runs for c in r["calibration_s"])
-    for key in ("ladder_top", "calls"):  # the same in every repeat
+    for key in ("ladder_top", "calls", "jpc_gated"):  # the same in every repeat
         if key in runs[0]:
             summary[key] = runs[0][key]
     return summary
@@ -183,7 +214,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--m", default="400,800,1200", help="comma list of window lengths")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
-    parser.add_argument("--child", choices=("sweep", "phases"), help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=("sweep", "phases", *SWEEP_L), help=argparse.SUPPRESS)
     parser.add_argument("--series", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -210,11 +241,13 @@ def main(argv=None) -> int:
             src = export_src(args.rev, work / "rev")
         series_csv = work / f"series-seed{SEED}.csv"
         workloads.write_series_csv(SEED, series_csv)
-        sweeps, phases = [], {m: [] for m in m_grid}
+        sweeps, phases, sweep_l = [], {m: [] for m in m_grid}, {w: [] for w in SWEEP_L}
         for _ in range(args.repeats):
             sweeps.append(spawn("sweep", series_csv, m_grid, src))
             for m in m_grid:
                 phases[m].append(spawn("phases", series_csv, [m], src))
+            for name, runs in sweep_l.items():
+                runs.append(spawn(name, series_csv, m_grid, src))
     import numpy
     import scipy
 
@@ -235,13 +268,15 @@ def main(argv=None) -> int:
                     "cpu": run.cpu_model()},
         "sweep": summarize(sweeps, run.CAL_REF_S),
         "phases": {str(m): summarize(runs, run.CAL_REF_S) for m, runs in phases.items()},
-        "runs": {"sweep": sweeps, "phases": {str(m): runs for m, runs in phases.items()}},
+        "sweep_l": {name: summarize(runs, run.CAL_REF_S) for name, runs in sweep_l.items()},
+        "runs": {"sweep": sweeps, "phases": {str(m): runs for m, runs in phases.items()},
+                 "sweep_l": sweep_l},
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    print(json.dumps({"sweep": report["sweep"], "phases": report["phases"]}, indent=1))
+    print(json.dumps({key: report[key] for key in ("sweep", "phases", "sweep_l")}, indent=1))
     return 0
 
 
