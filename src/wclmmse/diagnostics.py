@@ -8,6 +8,7 @@ and a grid line search for the truncation level.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,6 +239,23 @@ def _jpc_order(model: CovarianceModel, grid: range) -> list[tuple[float, int]]:
     return sorted((float(p[l - 1]), l) for l in levels)
 
 
+def _lsjpc_order(model: CovarianceModel, grid: range) -> list[tuple[float, int]]:
+    """The grid levels up to ``ladder_top`` as sorted (q - e, l) pairs, from
+    ``lsjpc``'s estimated MSE q and its error bound e
+    (:meth:`~wclmmse.model.SpectralCache._lsjpc_estimate`), so a lower
+    bound on the level's build. A level whose estimate cannot be solved
+    or is not finite is at -inf."""
+    cache = model.spectral
+    order = []
+    for l in (l for l in grid if l <= cache.ladder_top):
+        bound = -np.inf
+        with suppress(SingularMatrixError):
+            q, e = cache._lsjpc_estimate(l)
+            bound = q - e if np.isfinite(q - e) else -np.inf
+        order.append((bound, l))
+    return sorted(order)
+
+
 def best_l_search(model: CovarianceModel, filter_kind: FilterKind
                   ) -> tuple[int, float, LinearFilter | None]:
     """Grid line search for the truncation level with smallest analytic MSE.
@@ -252,13 +270,18 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     MSE and no filter. ``wiener`` has no level and is refused, as is any
     kind outside ``FILTER_CONSTRUCTORS``.
 
-    Every level is built by the kind's constructor and scored by
-    :func:`analytic_mse`, in grid order, except that a level whose
+    Every level the search tries is built by the kind's constructor and
+    scored by :func:`analytic_mse`. ``lrw``, ``csw`` and the simplified
+    kinds try the grid's levels in order, except that a level whose
     effective truncation equals one already tried (``lrw`` from n up) is
-    not built again. ``jpc`` builds in increasing (p(l), l) instead, p(l)
-    its lower bound from :func:`_jpc_order`, and stops at the first level
-    whose p(l) exceeds the best MSE built so far by more than
-    1e-8 tr(c_x), since that level cannot win.
+    not built again. The joint kinds have a lower bound b(l) on the MSE of
+    a build at each grid level up to ``ladder_top`` (the levels above it
+    fail the rank check): ``jpc`` its exact-arithmetic MSE p(l)
+    (:func:`_jpc_order`), ``lsjpc`` its estimate less its error bound,
+    q(l) - e(l) (:func:`_lsjpc_order`). Both try their levels in
+    increasing (b(l), l) and stop at the first level whose b(l) exceeds
+    the best MSE built so far by more than 1e-8 tr(c_x), since that level
+    cannot win.
     """
     filter_kind = _kind(filter_kind, "truncation-level search", _LEVELED_KINDS)
     grid = _search_grid(model)
@@ -266,7 +289,9 @@ def best_l_search(model: CovarianceModel, filter_kind: FilterKind
     order = [(-np.inf, l) for l in grid]
     if filter_kind is FilterKind.JPC:
         order = _jpc_order(model, grid)
-    # how far rounding may put a jpc build's MSE below its p(l)
+    elif filter_kind is FilterKind.LSJPC:
+        order = _lsjpc_order(model, grid)
+    # how far rounding may put a build's MSE below its bound
     slack = _MSE_ATOL * float(np.trace(model.c_x))
     best_l, best_mse, best_filt = grid[0], np.inf, None
     tried = set()

@@ -120,14 +120,19 @@ def sym_eig(a) -> SymEig:
     """Eigendecomposition of the symmetric part of a square matrix.
 
     The input is symmetrized as (A + A') / 2 before decomposition, which
-    absorbs the tiny asymmetry of accumulated empirical covariances.
+    absorbs the tiny asymmetry of accumulated empirical covariances. An
+    input that equals its transpose bit for bit is its own symmetric part
+    and is decomposed as it is, with no copy; the bits are compared as
+    int64, so a 0.0 facing a -0.0, which (A + A') / 2 turns into 0.0,
+    still takes the copy.
 
     Returns eigenvalues in descending order with sign-normalized,
     orthonormal eigenvectors; the output is deterministic for identical
     input bits.
     """
     a = _as_square(a, "sym_eig input")
-    vals, vecs = np.linalg.eigh(_symmetric_part(a))
+    bits = a.view(np.int64)
+    vals, vecs = np.linalg.eigh(a if np.array_equal(bits, bits.T) else _symmetric_part(a))
     # eigh returns ascending order; reverse rather than argsort so that
     # repeated eigenvalues come out in reversed backend order.
     vals = vals[::-1].copy()

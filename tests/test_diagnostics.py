@@ -405,12 +405,13 @@ class TestBestLSearch:
         l_best, _, _ = best_l_search(model, kind)
         assert builds == [l_best]
 
-    def test_lsjpc_search_builds_each_grid_level_once(self, monkeypatch):
-        # lsjpc has no bound to order by: its search is the exhaustive one
+    def test_lsjpc_search_builds_only_the_level_it_picks(self, monkeypatch):
+        # lsjpc's estimate less its error bound rules out every other grid
+        # level, and the level it picks is the exhaustive search's
         model = _SEARCH_MODELS["ar1_n7_m200"]()
         builds = _counting_builds(monkeypatch, FilterKind.LSJPC)
         found = best_l_search(model, FilterKind.LSJPC)
-        assert builds == list(_search_grid(model))
+        assert builds == [found[0]]
         assert found[:2] == _exhaustive_search(model, FilterKind.LSJPC)
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC, FilterKind.LRW])
@@ -483,6 +484,10 @@ class TestBestLSearch:
     @pytest.mark.parametrize("name", sorted(_SEARCH_MODELS))
     def test_jpc_bound_is_a_lower_bound(self, name):
         _assert_jpc_bound_holds(_SEARCH_MODELS[name]())
+
+    @pytest.mark.parametrize("name", sorted(_SEARCH_MODELS))
+    def test_lsjpc_bound_holds(self, name):
+        _assert_lsjpc_bound_holds(_SEARCH_MODELS[name]())
 
 
 @st.composite
@@ -557,3 +562,26 @@ def _assert_jpc_bound_holds(model):
 @given(model=_small_models())
 def test_jpc_bound_is_a_lower_bound_on_small_models(model):
     _assert_jpc_bound_holds(model)
+
+
+def _assert_lsjpc_bound_holds(model):
+    """At every grid level up to ``ladder_top``, the analytic MSE of lsjpc
+    is within e of its estimate q, as best_l_search assumes of
+    ``SpectralCache._lsjpc_estimate``'s (q, e); a level whose estimate
+    cannot be solved has no bound."""
+    cache = model.spectral
+    for l in _search_grid(model):
+        if l > cache.ladder_top:
+            break
+        try:
+            q, e = cache._lsjpc_estimate(l)
+        except SingularMatrixError:
+            continue
+        mse = analytic_mse(model, FILTER_CONSTRUCTORS[FilterKind.LSJPC](model, l))
+        assert q - e <= mse <= q + e, l
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(model=_small_models())
+def test_lsjpc_bound_holds_on_small_models(model):
+    _assert_lsjpc_bound_holds(model)

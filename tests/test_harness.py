@@ -562,8 +562,8 @@ class TestRunMSweep:
         assert len(cache_builds) == 2
 
     def test_best_policy_builds_each_row_once(self, monkeypatch):
-        # jpc's search builds the one level it picks and lsjpc's each grid
-        # level once; each row takes its search's build, building nothing
+        # each kind's search builds the one level it picks; each row takes
+        # its search's build, building nothing
         builds = []
         for kind in ("jpc", "lsjpc"):
             constructor = FILTER_CONSTRUCTORS[kind]
@@ -577,11 +577,7 @@ class TestRunMSweep:
         rows = run_m_sweep(series, [100, 200], 7, ["jpc", "lsjpc"],
                            LPolicy(mode="best"), seed=0)
         assert len(rows) == 4 and all(np.isfinite(r.norm_rms) for r in rows)
-        expected = []
-        for m in (100, 200):
-            (jpc_l,) = [r.l for r in rows if r.m == m and r.filter == "jpc"]
-            expected.append(("jpc", m, jpc_l))
-            expected += [("lsjpc", m, l) for l in range(7, m + 1, m // 16)]
+        expected = [(r.filter, r.m, r.l) for r in rows]
         assert sorted(builds) == sorted(expected)
 
     def test_best_policy_solves_c_y_once_and_decomposes_no_m_by_m(
@@ -620,17 +616,20 @@ class TestRunMSweep:
         _assert_is_the_fixed_row(row)
 
     def test_best_policy_factors_only_lsjpcs_n_by_n_systems(self, monkeypatch):
-        # on the same model lsjpc's search builds every level up to the top
-        # grid level that passes the rank check, 242, each from its own
-        # n x n system, with no l x l Gram, and the row is bit for bit a
-        # fixed row; before them cho_factor sees only c_y, once, for the
-        # row's cond_cy. The MSEs there are rounding noise, so the level picked
-        # depends on the BLAS thread count; it must be the one building and
-        # scoring every grid level here picks
+        # on the same model lsjpc's search estimates every grid level up to
+        # the top grid level that passes the rank check, 242, and builds
+        # those its estimates do not rule out, the top among them; each
+        # estimate and each build factors its own n x n system, with no
+        # l x l Gram, and the row is bit for bit a fixed row; before them
+        # cho_factor sees only c_y, once, for the row's cond_cy. The MSEs
+        # there are rounding noise, so the level picked depends on the
+        # BLAS thread count; it must be the one building and scoring every
+        # grid level here picks
         row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "lsjpc")
         assert 242 in built
         assert factored[0] is model.c_y
-        assert [np.shape(a) for a in factored[1:]] == [(2, 2)] * len(built)
+        estimated = [l for l in _search_grid(model) if l <= 242]
+        assert [np.shape(a) for a in factored[1:]] == [(2, 2)] * (len(estimated) + len(built))
         mse = {}
         for l in _search_grid(model):
             try:

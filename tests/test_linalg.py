@@ -70,6 +70,20 @@ class TestSymEig:
         eig = sym_eig(a)
         np.testing.assert_allclose(sorted(eig.eigenvalues), [1.5, 2.5])
 
+    def test_decomposes_an_exact_transpose_without_a_copy(self, monkeypatch):
+        # a bit-symmetric input goes to eigh as it is; a 0.0 facing a -0.0
+        # is equal as a float but not as bits, so that input is symmetrized
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+        a = random_spd(5, 6)
+        a = 0.5 * (a + a.T)
+        signed = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        sym_eig(a)
+        sym_eig(signed)
+        assert seen[0] is a
+        assert seen[1] is not signed and not np.signbit(seen[1]).any()
+
     def test_deterministic(self):
         a = random_spd(7, 4)
         first = sym_eig(a)

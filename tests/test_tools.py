@@ -34,6 +34,10 @@ def test_bench_writes_medians_per_phase(tmp_path):
     assert calls["cond_y"] == {"factor_spd": {"60": 1}, "sym_eig": {}, "sym_eigvals": {}}
     assert calls["jpc_ladder"]["factor_spd"] == {str(phases["ladder_top"]): 1}
     assert set(calls["best_lsjpc"]["factor_spd"]) == {"7"}
+    # each search builds the one level it picks, of its own kind, and no
+    # other phase builds a filter
+    assert phases["builds"] == {**{name: {} for name in names[1:-2]},
+                                "best_jpc": {"jpc": 1}, "best_lsjpc": {"lsjpc": 1}}
     assert phases["setup_vm_hwm_mb"] <= phases["vm_hwm_mb"]
     assert len(report["runs"]["sweep"]) == 1 and len(report["runs"]["phases"]["60"]) == 1
     # the benchmark's two sweep-l models, each swept end to end, then its

@@ -24,7 +24,8 @@ synthetic model of that seed; the JSON records both:
   that solved later shows that solve in this phase. Under ``calls``, each
   phase's ``factor_spd``, ``sym_eig`` and ``sym_eigvals`` calls, counted
   by the dimension of the matrix handed in, so that n x n factorizations
-  stay apart from the O(d^3) ones;
+  stay apart from the O(d^3) ones; under ``builds``, each phase's filter
+  builds, counted by kind;
 * ``sweep_l``, one process per synthetic model of the benchmark's
   ``sweep-l`` workloads (``SWEEP_L``), made as ``perfbench/run.py`` makes
   it at seed ``SEED`` (m=400, n=7): ``wclmmse sweep-l`` over l=10..400 in
@@ -101,6 +102,22 @@ def count_calls(linalg) -> dict:
     return calls
 
 
+def count_builds(filters) -> dict:
+    """Wrap every ``FILTER_CONSTRUCTORS`` entry, which ``best_l_search``
+    builds through; return {kind: builds}, which the wrappers fill in."""
+    builds = {}
+
+    def counting(kind, original):
+        def build(model, l=None):
+            builds[kind] = builds.get(kind, 0) + 1
+            return original(model, l)
+        return build
+
+    for kind, original in list(filters.FILTER_CONSTRUCTORS.items()):
+        filters.FILTER_CONSTRUCTORS[kind] = counting(kind.value, original)
+    return builds
+
+
 def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
     """One measurement in this process; ``wclmmse`` must come from ``src``."""
     blas_env = {name: os.environ.get(name) for name in BLAS_ENV}
@@ -151,16 +168,18 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
         (m,) = m_grid
         series = workloads.read_series_csv(series_csv)
         calls = count_calls(linalg)
-        out["calls"] = {}
+        out["calls"], out["builds"] = {}, {}
         started = time.perf_counter()
         model, _, _ = harness._prepare(series, m, N, SEED)
         out["setup_s"] = time.perf_counter() - started
         out["setup_vm_hwm_mb"] = vm_hwm_mb()
         out["calls"]["setup"] = copy.deepcopy(calls)
         cache = model.spectral
+        builds = count_builds(filters)
         for name in PHASES:
             for counts in calls.values():
                 counts.clear()
+            builds.clear()
             started = time.perf_counter()
             if name.startswith("best_"):
                 diagnostics.best_l_search(model, name[len("best_"):])
@@ -168,6 +187,7 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
                 getattr(cache, name)
             out[f"{name}_s"] = time.perf_counter() - started
             out["calls"][name] = copy.deepcopy(calls)
+            out["builds"][name] = dict(builds)
         out["ladder_top"] = cache.ladder_top
     out["vm_hwm_mb"] = vm_hwm_mb()
     out["calibration_s"].append(run.calibrate())
@@ -196,7 +216,7 @@ def summarize(runs: list[dict], cal_ref_s: float) -> dict:
             summary[f"{key}_cal"] = statistics.median(
                 r[key] * cal_ref_s / statistics.mean(r["calibration_s"]) for r in runs)
     summary["calibration_s"] = statistics.median(c for r in runs for c in r["calibration_s"])
-    for key in ("ladder_top", "calls", "jpc_gated"):  # the same in every repeat
+    for key in ("ladder_top", "calls", "builds", "jpc_gated"):  # the same in every repeat
         if key in runs[0]:
             summary[key] = runs[0][key]
     return summary
