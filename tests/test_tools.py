@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,13 +43,23 @@ def test_bench_writes_medians_per_phase(tmp_path):
     assert phases["setup_vm_hwm_mb"] <= phases["vm_hwm_mb"]
     assert len(report["runs"]["sweep"]) == 1 and len(report["runs"]["phases"]["60"]) == 1
     # the benchmark's two sweep-l models, each swept end to end, then its
-    # jpc levels that the rcond gate builds directly, timed alone: on the
-    # ill-conditioned one more than ten of the levels below its top, 340
+    # jpc levels that the rcond gate builds directly, timed alone, and its
+    # joint condition: none on sweep-l-m400, whose joint (condition
+    # 0.97^-406 = 2.3e5) is within the gate's bound of eps / 1e-8 = 4.5e7;
+    # on the ill-conditioned one, whose smallest joint eigenvalue (0.9^406
+    # = 2.6e-19 in exact arithmetic) rounds below 0 at seed 0, more than
+    # ten of the levels below its top, 340
     assert set(report["sweep_l"]) == {"sweep-l-m400", "sweep-l-illcond"}
     for summary in report["sweep_l"].values():
         for key in ("run_s", "run_s_cal", "jpc_gated_s", "jpc_gated_s_cal", "vm_hwm_mb"):
             assert summary[key] >= 0.0
         assert all(l <= summary["ladder_top"] for l in summary["jpc_gated"])
+    well = report["sweep_l"]["sweep-l-m400"]
+    assert well["joint_cond"] == pytest.approx(0.97 ** -406, rel=1e-6)
+    assert well["jpc_gated"] == []
     illcond = report["sweep_l"]["sweep-l-illcond"]
+    assert illcond["joint_cond"] is None
     assert illcond["ladder_top"] == 340 and len(illcond["jpc_gated"]) > 10
+    assert [run["joint_cond"] for run in report["runs"]["sweep_l"]["sweep-l-m400"]] == [
+        well["joint_cond"]]
     assert {len(runs) for runs in report["runs"]["sweep_l"].values()} == {1}

@@ -33,7 +33,10 @@ synthetic model of that seed; the JSON records both:
   to writing the result (``run_s``); then, on a fresh model from the same
   file with ``jpc``'s ladder made as the sweep makes it, the ``jpc``
   builds of the sweep's levels up to the ladder's top that its rcond gate
-  builds directly (``jpc_gated_s``, over the levels ``jpc_gated``).
+  builds directly (``jpc_gated_s``, over the levels ``jpc_gated``), and
+  the model's joint condition lambda_1 / lambda_d (``joint_cond``, null
+  where lambda_d <= 0): a joint within the gate's bound, eps / 1e-8, has
+  no such level.
 
 The paper's full grid goes to m=3200 (``--m 400,800,1200,3200``). Each
 process reports its ``VmHWM`` (read from
@@ -164,6 +167,8 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
         out["jpc_gated_s"] = time.perf_counter() - started
         out["jpc_gated"] = gated
         out["ladder_top"] = ladder.top
+        lam = model.spectral.eig_z.eigenvalues
+        out["joint_cond"] = float(lam[0] / lam[-1]) if lam[-1] > 0.0 else None
     else:
         (m,) = m_grid
         series = workloads.read_series_csv(series_csv)
@@ -210,13 +215,13 @@ def summarize(runs: list[dict], cal_ref_s: float) -> dict:
     (``*_s``) also scaled to the reference speed as ``*_s_cal``."""
     summary = {}
     for key, value in runs[0].items():
-        if isinstance(value, (int, float)) and key != "ladder_top":
+        if isinstance(value, (int, float)) and key not in ("ladder_top", "joint_cond"):
             summary[key] = statistics.median(r[key] for r in runs)
         if key.endswith("_s") and key != "calibration_s":
             summary[f"{key}_cal"] = statistics.median(
                 r[key] * cal_ref_s / statistics.mean(r["calibration_s"]) for r in runs)
     summary["calibration_s"] = statistics.median(c for r in runs for c in r["calibration_s"])
-    for key in ("ladder_top", "calls", "builds", "jpc_gated"):  # the same in every repeat
+    for key in ("ladder_top", "joint_cond", "calls", "builds", "jpc_gated"):  # in every repeat
         if key in runs[0]:
             summary[key] = runs[0][key]
     return summary
