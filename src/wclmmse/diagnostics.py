@@ -22,10 +22,11 @@ from .filters import (
     LinearFilter,
     _effective_level,
     _kind,
+    _lsjpc_system,
     _stacked,
     wiener,
 )
-from .linalg import _as_count, _count_grid, _symmetric_part, matrix_norm
+from .linalg import _as_count, _count_grid, _symmetric_part, matrix_norm, solve_spd
 from .model import _MSE_ATOL, CovarianceModel, _search_grid
 
 __all__ = [
@@ -80,12 +81,18 @@ def analytic_mse(model: CovarianceModel, filt) -> float | list[float]:
     return mse[0] if one else mse
 
 
-def error_covariance(model: CovarianceModel, filt) -> NDArray[np.float64]:
-    """Covariance of the estimation error A y - x."""
+def _error_terms(model: CovarianceModel, filt) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The covariance of the estimation error A y - x, and its term A c_y A'."""
     a = _matrix_of(filt)
     _check_shape(model, a)
     ac = a @ model.c_xy.T
-    return _symmetric_part(model.c_x - ac - ac.T + a @ model.c_y @ a.T)
+    quad = a @ model.c_y @ a.T
+    return _symmetric_part(model.c_x - ac - ac.T + quad), quad
+
+
+def error_covariance(model: CovarianceModel, filt) -> NDArray[np.float64]:
+    """Covariance of the estimation error A y - x."""
+    return _error_terms(model, filt)[0]
 
 
 def weighted_trace_objective(model: CovarianceModel, filt, g) -> float:
@@ -100,13 +107,15 @@ def weighted_trace_objective(model: CovarianceModel, filt, g) -> float:
 def det_objective(model: CovarianceModel, filt) -> float:
     """Determinant of the error covariance, via its eigenvalue product.
 
-    The error covariance is PSD for any filter; eigenvalues below
-    -1e-10 relative indicate a numerical problem and raise.
+    The error covariance is PSD for any filter on a PSD model, and its
+    rounding scales with the terms it sums: an eigenvalue below -1e-10 times
+    max(max diag c_x, max diag A c_y A') shows a numerical problem or a
+    model that is not PSD, and raises.
     """
-    c_err = error_covariance(model, filt)
+    c_err, quad = _error_terms(model, filt)
     vals = np.linalg.eigvalsh(c_err)
-    lam_max = max(float(vals[-1]), 0.0)
-    if vals.size and float(vals[0]) < -1e-10 * max(lam_max, 1.0):
+    scale = max(np.diag(model.c_x).max(initial=0.0), np.diag(quad).max(initial=0.0))
+    if vals.size and float(vals[0]) < -1e-10 * scale:
         raise WclmmseError(
             f"error covariance is not PSD: smallest eigenvalue {vals[0]:.3e}")
     return float(np.prod(np.clip(vals, 0.0, None)))
@@ -239,18 +248,56 @@ def _jpc_order(model: CovarianceModel, grid: range) -> list[tuple[float, int]]:
     return sorted((float(p[l - 1]), l) for l in levels)
 
 
+def _lsjpc_estimate(model: CovarianceModel, l: int) -> tuple[float, float]:
+    """(q, e): ``lsjpc``'s training MSE at a level l up to ``ladder_top``
+    estimated without building its filter, and a bound e on
+    |q - analytic_mse(lsjpc(l))|, both in O(n^2 l).
+
+    w = (Y_l'Y_l)^-1 X_l' are the unrefined weights of
+    :func:`~wclmmse.filters.lsjpc`, from the same factored system, as
+    (I_l - X_l'X_l)^-1 X_l' below n and X_l'(I_n - X_l X_l')^-1 from n up,
+    and B_l = Y_l' c_xy' is the first l rows of ``_top_map``'s transpose.
+    The bottom rows of the
+    joint eigen-equation, c_y Y_l = Y_l Lambda_l - c_xy' X_l, turn the
+    MSE tr c_x - 2<B_l, w> + tr(w' Y_l'c_y Y_l w) into
+    q = tr c_x - 2<B_l, w> + <w, Lambda_l w> - <X_l Lambda_l w, X_l w>
+    - tr((w'B_l)(X_l w)), with no product with c_y. That identity and
+    Y_l'Y_l = I - X_l'X_l hold as far as the computed basis is an
+    orthonormal eigenbasis: to about lambda_1 (delta + d eps), delta
+    being ``basis_defect``, in each term quadratic in w, and so
+    e = 16 lambda_1 (delta + d eps)(1 + ||w||_F^2). The factor 16 is a
+    margin, not a proof: e was at least 4.3e3 times |q - MSE| at every
+    grid level of the search tests' four models and of the
+    window-length benchmark's (m = 400..1200, seeds 0, 1, 5, 7), and
+    at least 21 times on the property tests' models of d <= 104, whose
+    gap is the rounding of the sums themselves.
+    Raises :class:`SingularMatrixError` where the system cannot be solved.
+    """
+    cache = model.spectral
+    x, small, system = _lsjpc_system(model, l)
+    w = solve_spd(system, x.T) if small else solve_spd(system, x).T
+    lam = cache.leading_eigenvalues(l)
+    b = cache._top_map[:, :l].T
+    xw = x @ w
+    q = (np.trace(model.c_x) - 2.0 * np.einsum("ij,ij->", b, w)
+         + np.einsum("i,ij,ij->", lam, w, w)
+         - np.einsum("ij,ij->", (x * lam) @ w, xw)
+         - np.einsum("ij,ji->", w.T @ b, xw))
+    rounding = cache.basis_defect + model.dim * np.finfo(np.float64).eps
+    e = 16.0 * cache.eig_z.eigenvalues[0] * rounding * (1.0 + np.einsum("ij,ij->", w, w))
+    return float(q), float(e)
+
+
 def _lsjpc_order(model: CovarianceModel, grid: range) -> list[tuple[float, int]]:
     """The grid levels up to ``ladder_top`` as sorted (q - e, l) pairs, from
     ``lsjpc``'s estimated MSE q and its error bound e
-    (:meth:`~wclmmse.model.SpectralCache._lsjpc_estimate`), so a lower
-    bound on the level's build. A level whose estimate cannot be solved
-    or is not finite is at -inf."""
-    cache = model.spectral
+    (:func:`_lsjpc_estimate`), so a lower bound on the level's build. A
+    level whose estimate cannot be solved or is not finite is at -inf."""
     order = []
-    for l in (l for l in grid if l <= cache.ladder_top):
+    for l in (l for l in grid if l <= model.spectral.ladder_top):
         bound = -np.inf
         with suppress(SingularMatrixError):
-            q, e = cache._lsjpc_estimate(l)
+            q, e = _lsjpc_estimate(model, l)
             bound = q - e if np.isfinite(q - e) else -np.inf
         order.append((bound, l))
     return sorted(order)

@@ -14,6 +14,7 @@ decomposed at most once however many filters and levels are built:
   that never invert anything larger than L x L: B_L' S_L^-1 Y_L', with
   S_L = Y_L' c_y Y_L and B_L' = c_xy Y_L for ``jpc``, and S_L = Y_L'Y_L
   and B_L' = X_L for ``lsjpc``, which solves it as a min(L, N) system.
+  ``jpc`` is ``wiener_structured`` through Y_L' where its ladder does not reach L.
 * ``jpc_simplified`` / ``lsjpc_simplified`` -- inverse-free approximations
   that keep their kind's map B_L' and drop S_L.
 * ``weighted_filter`` -- any of the above under a weighted-trace objective.
@@ -35,10 +36,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, InvalidWeightError, RankError, SingularMatrixError
-from .linalg import _symmetric_part, factor_spd, inv_sqrt_spd, solve_spd
+from .linalg import SPDFactor, _symmetric_part, factor_spd, inv_sqrt_spd, solve_spd
 # SpectralCache, defined in model, is re-exported here: perfbench/tracing.py
 # patches filters.SpectralCache.__init__.
-from .model import CovarianceModel, SpectralCache, _structured_system
+from .model import CovarianceModel, SpectralCache
 
 __all__ = [
     "FilterKind",
@@ -172,9 +173,16 @@ def _at_level(kind: FilterKind, model: CovarianceModel, l: int, matrix) -> Linea
                         max_inverse_dim=_certificate(kind, model.m, l))
 
 
-def _structured_filter(model: CovarianceModel, b):
-    """``(c_xy @ b') @ inv(b @ c_y @ b') @ b``: the filter through prefilter b."""
-    return (model.c_xy @ b.T) @ solve_spd(factor_spd(_structured_system(model.c_y, b)), b)
+def _structured_system(c_y, b) -> NDArray[np.float64]:
+    """The L x L system ``b @ c_y @ b'`` that a filter factoring through
+    prefilter ``b`` solves, symmetrized."""
+    return _symmetric_part(b @ c_y @ b.T)
+
+
+def _structured_filter(model: CovarianceModel, b, system: SPDFactor | None = None):
+    """``(c_xy @ b') @ inv(b @ c_y @ b') @ b``: the filter through prefilter b,
+    solving ``system``, b c_y b' factored, where the caller has it."""
+    return (model.c_xy @ b.T) @ solve_spd(system or factor_spd(_structured_system(model.c_y, b)), b)
 
 
 def wiener(model: CovarianceModel) -> LinearFilter:
@@ -251,24 +259,55 @@ def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Joint-principal-component filter: Wiener-structured with the Y rows
     of the leading joint eigenvectors as prefilter.
 
-    B_l' S_l^-1 Y_l' with S_l = Y_l' c_y Y_l and B_l' = c_xy Y_l, built
-    by ``model.spectral._jpc_filter``. Only the l x l system S_l is
-    solved, so no inverse is larger than l x l however ill-conditioned c_y
-    is. The levels ``model.spectral.jpc_ladder`` reaches are built from its
-    one factor, and any other solves its own system.
+    B_l' S_l^-1 Y_l' with S_l = Y_l' c_y Y_l and B_l' = c_xy Y_l, once
+    ``check_y_rank`` passes. Only the l x l system S_l is solved, so no
+    inverse is larger than l x l however ill-conditioned c_y is. The levels
+    ``model.spectral.jpc_ladder`` reaches are built from its one factor;
+    any other is ``wiener_structured``'s build through Y_l', solving the S_l
+    of :meth:`~wclmmse.model.Ladder.system_at` up to the top, Y_l' c_y Y_l above.
     """
-    return _at_level(FilterKind.JPC, model, l, model.spectral._jpc_filter(l))
+    cache = model.spectral
+    cache.check_y_rank(l)
+    y = cache.y_block(l)
+    if cache.jpc_ladder.reaches(l):
+        matrix = cache.jpc_ladder.solve(l).T @ y.T
+    else:
+        matrix = _structured_filter(model, y.T, cache.jpc_ladder.system_at(l, y))
+    return _at_level(FilterKind.JPC, model, l, matrix)
+
+
+def _lsjpc_system(model: CovarianceModel, l: int) -> tuple[NDArray[np.float64], bool, SPDFactor]:
+    """X_l, whether l < n, and ``lsjpc``'s one factored system at level
+    l: I_l - X_l'X_l below n, I_n - X_l X_l' from n up."""
+    x = model.spectral.x_block(l)
+    small = l < model.n
+    return x, small, factor_spd(np.eye(l) - x.T @ x if small else np.eye(model.n) - x @ x.T)
 
 
 def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
     """Least-squares variant of the joint-principal-component filter.
 
     Resolves the input onto the range of the Y-block basis and maps the
-    coordinates through the X block: X_l (Y_l'Y_l)^-1 Y_l'. Not
-    Wiener-structured. Its one system is min(l, n) x min(l, n), with no
-    Gram of Y_l formed (``model.spectral._lsjpc_filter``).
+    coordinates through the X block: X_l (Y_l'Y_l)^-1 Y_l', once
+    ``check_y_rank`` passes. Not Wiener-structured. Its one system is
+    min(l, n) x min(l, n), with no Gram of Y_l formed: the basis is
+    orthonormal, so w = (Y_l'Y_l)^-1 X_l' is M X_l' with
+    M = (I_l - X_l'X_l)^-1 for l < n, else, pushed through,
+    M r = r + X_l' (I_n - X_l X_l')^-1 X_l r: one min(l, n) system,
+    factored once. M is exact only as far as the basis is orthonormal,
+    so one step of iterative refinement against Y_l itself,
+    w += M (X_l' - Y_l'(Y_l w)) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 12), follows; the filter is w' Y_l'.
     """
-    return _at_level(FilterKind.LSJPC, model, l, model.spectral._lsjpc_filter(l))
+    model.spectral.check_y_rank(l)
+    x, small, system = _lsjpc_system(model, l)
+    y = model.spectral.y_block(l)
+
+    def inverse(r):  # M r
+        return solve_spd(system, r) if small else r + x.T @ solve_spd(system, x @ r)
+    w = inverse(x.T)
+    w += inverse(x.T - y.T @ (y @ w))
+    return _at_level(FilterKind.LSJPC, model, l, w.T @ y.T)
 
 
 def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
@@ -282,7 +321,7 @@ def jpc_simplified(model: CovarianceModel, l: int) -> LinearFilter:
             index=idx,
             value=float(s[idx]),
         )
-    matrix = (cache._jpc_map(l) / s) @ cache.y_block(l).T
+    matrix = ((model.c_xy @ cache.y_block(l)) / s) @ cache.y_block(l).T
     return _at_level(FilterKind.JPC_SIMPLIFIED, model, l, matrix)
 
 

@@ -9,8 +9,8 @@ array in the same layout. A model holds its three blocks alone, its only
 covariance arrays: n and m are read from their shapes.
 
 Each model owns its decompositions: :attr:`CovarianceModel.spectral` is
-the model's one :class:`SpectralCache`, built on first access, and every
-filter, diagnostic and sweep reads from it.
+the model's one :class:`SpectralCache`, built on first access. It only
+decomposes: every filter, diagnostic and sweep reads from it.
 """
 
 from __future__ import annotations
@@ -158,12 +158,6 @@ def _search_grid(model) -> range:
     return range(min(max(1, model.n), m), m + 1, max(1, m // 16))
 
 
-def _structured_system(c_y, b) -> NDArray[np.float64]:
-    """The L x L system ``b @ c_y @ b'`` that a filter factoring through
-    prefilter ``b`` solves, symmetrized."""
-    return _symmetric_part(b @ c_y @ b.T)
-
-
 @dataclass(frozen=True)
 class Ladder:
     """``jpc``'s system at the top level :attr:`SpectralCache.ladder_top`,
@@ -247,7 +241,7 @@ class SpectralCache:
     * ``eig_z``: the joint eigendecomposition, which ``jpc``, ``lsjpc``,
       their simplified variants and the sampler truncate. Its
       orthonormality check's ||V'V - I||_F is kept as ``basis_defect``,
-      the delta of ``_lsjpc_estimate``'s error bound.
+      the delta of ``diagnostics._lsjpc_estimate``'s error bound.
     * ``_cy_reads``: the two products of c_y's one ``factor_spd``
       factorization, made together so that the factor is dropped at once:
       ``extremes_y``, the largest and the smallest eigenvalue of c_y, from
@@ -261,15 +255,15 @@ class SpectralCache:
     * ``csw_ranking``: the m x m eigendecomposition of c_y and ``csw``'s
       ranking of its eigendirections, which ``csw`` and its ``rho_l`` read.
     * ``jpc_ladder``: ``jpc``'s :class:`Ladder`, its system S_l at
-      ``ladder_top`` factored once, from which ``_jpc_filter`` builds the
+      ``ladder_top`` factored once, from which ``filters.jpc`` builds the
       levels it reaches: all of them up to the top on a joint within the
-      ``_LADDER_RCOND`` bound. ``lsjpc`` has no ladder: ``_lsjpc_filter``
-      factors one min(l, n) system per level.
+      ``_LADDER_RCOND`` bound. ``lsjpc`` has no ladder: it factors one
+      min(l, n) system per level.
     * ``_top_map``: the n x top map c_xy Y at ``ladder_top``, formed once.
-      ``jpc_ladder`` solves it for z, and ``_lsjpc_estimate`` reads its
-      first l columns as B_l', so that the ``best`` search of ``lsjpc``
-      (``diagnostics._lsjpc_order``) estimates the MSE of every level up
-      to the top in O(n^2 l) each and builds only the levels that can win.
+      ``jpc_ladder`` solves it for z, and ``diagnostics._lsjpc_estimate``
+      reads its first l columns as B_l', so that the ``best`` search of
+      ``lsjpc`` estimates the MSE of every level up to the top in
+      O(n^2 l) each and builds only the levels that can win.
 
     A sweep makes the products its kinds read, before it times any cell,
     on a model it owns (``harness._prepare``), by :meth:`prepare_sweep`.
@@ -382,15 +376,11 @@ class SpectralCache:
                 with suppress(SingularMatrixError):
                     getattr(self, name)
 
-    def _jpc_map(self, l: int) -> NDArray[np.float64]:
-        """B_l' = c_xy Y_l, ``jpc``'s n x l map, which ``jpc_simplified`` keeps too."""
-        return self.c_xy @ self.y_block(l)
-
     @cached_property
     def _top_map(self) -> NDArray[np.float64]:
-        """``_jpc_map(ladder_top)``, formed once: the right-hand side B' of
-        ``jpc``'s ladder, and the columns B_l' of ``_lsjpc_estimate``."""
-        return self._jpc_map(self.ladder_top)
+        """B' = c_xy Y at ``ladder_top``, formed once: the right-hand side of
+        ``jpc``'s ladder, and the columns B_l' of ``diagnostics._lsjpc_estimate``."""
+        return self.c_xy @ self.y_block(self.ladder_top)
 
     @cached_property
     def jpc_ladder(self) -> Ladder:
@@ -416,83 +406,6 @@ class SpectralCache:
         z = scipy.linalg.solve_triangular(u, self._top_map.T, trans="T", check_finite=False)
         return Ladder(top, None if norms is None else product,
                       scipy.linalg.lapack.dtrttp(u)[0], z, norms)
-
-    def _jpc_filter(self, l: int) -> NDArray[np.float64]:
-        """``jpc``'s n x m filter B_l' S_l^-1 Y_l' at level l, once
-        :meth:`check_y_rank` passes: from the ladder where it reaches l,
-        else solving S_l: the ladder's own at the top, P[:l] Y_l below it,
-        from the P a ladder keeps where it may not reach a level
-        (:meth:`Ladder.system_at`), and Y_l' c_y Y_l above it."""
-        self.check_y_rank(l)
-        y = self.y_block(l)
-        if self.jpc_ladder.reaches(l):
-            return self.jpc_ladder.solve(l).T @ y.T
-        system = self.jpc_ladder.system_at(l, y) or factor_spd(_structured_system(self.c_y, y.T))
-        return self._jpc_map(l) @ solve_spd(system, y.T)
-
-    def _lsjpc_filter(self, l: int) -> NDArray[np.float64]:
-        """``lsjpc``'s n x m filter X_l (Y_l'Y_l)^-1 Y_l' at level l, once
-        :meth:`check_y_rank` passes, with no Gram of Y_l. The basis is
-        orthonormal, so w = (Y_l'Y_l)^-1 X_l' is M X_l' with
-        M = (I_l - X_l'X_l)^-1 for l < n, else, pushed through,
-        M r = r + X_l' (I_n - X_l X_l')^-1 X_l r: one min(l, n) system,
-        factored once. M is exact only as far as the basis is orthonormal,
-        so one step of iterative refinement against Y_l itself,
-        w += M (X_l' - Y_l'(Y_l w)) (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., ch. 12), follows; the filter is w' Y_l'."""
-        self.check_y_rank(l)
-        x, small, system = self._lsjpc_system(l)
-        y = self.y_block(l)
-
-        def inverse(r):  # M r
-            return solve_spd(system, r) if small else r + x.T @ solve_spd(system, x @ r)
-        w = inverse(x.T)
-        w += inverse(x.T - y.T @ (y @ w))
-        return w.T @ y.T
-
-    def _lsjpc_system(self, l: int) -> tuple[NDArray[np.float64], bool, SPDFactor]:
-        """X_l, whether l < n, and ``lsjpc``'s one factored system at level
-        l: I_l - X_l'X_l below n, I_n - X_l X_l' from n up."""
-        x = self.x_block(l)
-        small = l < self.n
-        return x, small, factor_spd(np.eye(l) - x.T @ x if small else np.eye(self.n) - x @ x.T)
-
-    def _lsjpc_estimate(self, l: int) -> tuple[float, float]:
-        """(q, e): ``lsjpc``'s training MSE at a level l up to ``ladder_top``
-        estimated without building its filter, and a bound e on
-        |q - analytic_mse(lsjpc(l))|, both in O(n^2 l).
-
-        w = (Y_l'Y_l)^-1 X_l' are the unrefined weights of
-        :meth:`_lsjpc_filter`, as (I_l - X_l'X_l)^-1 X_l' below n and
-        X_l'(I_n - X_l X_l')^-1 from n up, and B_l = Y_l' c_xy' is the
-        first l rows of ``_top_map``'s transpose. The bottom rows of the
-        joint eigen-equation, c_y Y_l = Y_l Lambda_l - c_xy' X_l, turn the
-        MSE tr c_x - 2<B_l, w> + tr(w' Y_l'c_y Y_l w) into
-        q = tr c_x - 2<B_l, w> + <w, Lambda_l w> - <X_l Lambda_l w, X_l w>
-        - tr((w'B_l)(X_l w)), with no product with c_y. That identity and
-        Y_l'Y_l = I - X_l'X_l hold as far as the computed basis is an
-        orthonormal eigenbasis: to about lambda_1 (delta + d eps), delta
-        being ``basis_defect``, in each term quadratic in w, and so
-        e = 16 lambda_1 (delta + d eps)(1 + ||w||_F^2). The factor 16 is a
-        margin, not a proof: e was at least 4.3e3 times |q - MSE| at every
-        grid level of the search tests' four models and of the
-        window-length benchmark's (m = 400..1200, seeds 0, 1, 5, 7), and
-        at least 21 times on the property tests' models of d <= 104, whose
-        gap is the rounding of the sums themselves.
-        Raises :class:`SingularMatrixError` where the system cannot be solved.
-        """
-        x, small, system = self._lsjpc_system(l)
-        w = solve_spd(system, x.T) if small else solve_spd(system, x).T
-        lam = self.leading_eigenvalues(l)
-        b = self._top_map[:, :l].T
-        xw = x @ w
-        q = (np.trace(self.c_x) - 2.0 * np.einsum("ij,ij->", b, w)
-             + np.einsum("i,ij,ij->", lam, w, w)
-             - np.einsum("ij,ij->", (x * lam) @ w, xw)
-             - np.einsum("ij,ji->", w.T @ b, xw))
-        rounding = self.basis_defect + (self.n + self.m) * np.finfo(np.float64).eps
-        e = 16.0 * self.eig_z.eigenvalues[0] * rounding * (1.0 + np.einsum("ij,ij->", w, w))
-        return float(q), float(e)
 
     @cached_property
     def _cy_reads(self) -> tuple[tuple[float, float], NDArray[np.float64] | SingularMatrixError]:

@@ -18,6 +18,7 @@ from wclmmse import (
     FilterKind,
     RankError,
     SingularMatrixError,
+    WclmmseError,
     analytic_mse,
     best_l_search,
     det_objective,
@@ -36,7 +37,7 @@ from wclmmse import (
     wiener,
     window_samples,
 )
-from wclmmse.diagnostics import _search_grid
+from wclmmse.diagnostics import _lsjpc_estimate, _search_grid
 from wclmmse.filters import FILTER_CONSTRUCTORS
 
 
@@ -168,6 +169,26 @@ class TestDetObjective:
             model = haar_model(2, 4, ratio=0.6, seed=seed)
             for filt in (wiener(model), lrw(model, 1)):
                 assert det_objective(model, filt) >= -1e-10
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+    def test_wiener_accepted_at_every_scale(self, scale):
+        # an exact linear model, x = a y: the Wiener error is zero up to the
+        # rounding of terms of size ~ scale, whose smallest eigenvalue is
+        # -9.0e-9 at scale 1e6, -5.2e-17 of tr(c_x)
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal((30, 30))
+        c_y = (b @ b.T / 30 + np.eye(30)) * scale
+        a = rng.standard_normal((3, 30))
+        c_x = a @ c_y @ a.T
+        model = CovarianceModel(0.5 * (c_x + c_x.T), c_y, a @ c_y)
+        assert det_objective(model, wiener(model)) >= 0.0
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_not_psd_refused_at_every_scale(self, scale):
+        # c_xy = 2 c_x = 2 c_y is not PSD, so A = 2I has error -3 scale I
+        model = CovarianceModel(scale * np.eye(2), scale * np.eye(2), 2 * scale * np.eye(2))
+        with pytest.raises(WclmmseError, match="not PSD"):
+            det_objective(model, 2 * np.eye(2))
 
 
 class TestTruncationPowerLoss:
@@ -567,14 +588,14 @@ def test_jpc_bound_is_a_lower_bound_on_small_models(model):
 def _assert_lsjpc_bound_holds(model):
     """At every grid level up to ``ladder_top``, the analytic MSE of lsjpc
     is within e of its estimate q, as best_l_search assumes of
-    ``SpectralCache._lsjpc_estimate``'s (q, e); a level whose estimate
-    cannot be solved has no bound."""
+    ``_lsjpc_estimate``'s (q, e); a level whose estimate cannot be solved
+    has no bound."""
     cache = model.spectral
     for l in _search_grid(model):
         if l > cache.ladder_top:
             break
         try:
-            q, e = cache._lsjpc_estimate(l)
+            q, e = _lsjpc_estimate(model, l)
         except SingularMatrixError:
             continue
         mse = analytic_mse(model, FILTER_CONSTRUCTORS[FilterKind.LSJPC](model, l))

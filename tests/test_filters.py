@@ -438,12 +438,22 @@ class TestLadder:
             factored.append(np.shape(a))
             return original(a)
 
-        monkeypatch.setattr(sys.modules["wclmmse.model"], "factor_spd", recording)
+        for module in ("wclmmse.model", "wclmmse.filters"):
+            monkeypatch.setattr(sys.modules[module], "factor_spd", recording)
         for l in (10, 50, 100):
             jpc(model, l)
             lsjpc(model, l)
         top = model.spectral.ladder_top
         assert factored == [(top, top)] + [(7, 7)] * 3
+
+    @pytest.mark.parametrize("l", [48, 49])
+    def test_above_the_top_is_the_structured_filter_bit_for_bit(self, l):
+        # no sweep tops this ladder, so it stops at the grid's 47; levels 48
+        # and 49 pass the rank check and are wiener_structured through Y_l'
+        model = haar_model(2, 49, ratio=0.9, seed=3)
+        assert model.spectral.ladder_top == 47
+        structured = wiener_structured(model, model.spectral.y_block(l).T)
+        assert np.array_equal(jpc(model, l).matrix, structured.matrix)
 
     def test_gated_levels_match_the_structured_filter_on_the_illcond_model(self):
         # the benchmark's sweep-l-illcond model at seed 7, c_y singular in

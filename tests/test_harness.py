@@ -406,7 +406,7 @@ def _guard_timed_cells(monkeypatch):
     for owner, name, refused in (
             (linalg, "sym_eig", anything), (linalg, "sym_eigvals", anything),
             (linalg, "factor_spd", lambda model, a: np.array_equal(a, model.c_y)),
-            (wclmmse.model, "_structured_system", up_to_the_top)):
+            (wclmmse.filters, "_structured_system", up_to_the_top)):
         original = getattr(owner, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "wclmmse" and getattr(module, name, None) is original:

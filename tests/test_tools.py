@@ -25,7 +25,7 @@ def test_bench_writes_medians_per_phase(tmp_path):
     assert {"run_s", "run_s_cal", "vm_hwm_mb", "calibration_s"} <= set(report["sweep"])
     phases = report["phases"]["60"]
     names = ("setup", "eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
-    for name in names:
+    for name in names + tuple(f"build_{kind}" for kind in ("wiener", "lrw", "jpc", "lsjpc")):
         assert phases[f"{name}_s"] >= 0.0 and phases[f"{name}_s_cal"] >= 0.0
     # calls by the dimension of their matrix: the joint eigh at d = 67,
     # c_y's Cholesky factorization for cond_y, with no eigvalsh, and

@@ -17,8 +17,13 @@ synthetic model of that seed; the JSON records both:
   (``harness._prepare``: windowing and estimation), then the model's joint
   decomposition ``eig_z``, the condition number ``cond_y`` of c_y, the
   ladder top and ``jpc``'s ladder, then ``diagnostics.best_l_search`` for
-  ``jpc`` and for ``lsjpc``, each timed alone. The ``cond_y`` phase
-  makes both products of c_y's one factorization: its extremes, and the
+  ``jpc`` and for ``lsjpc``, each timed alone, and last one build of each
+  kind in ``BUILT``, timed alone as ``build_<kind>_s``: ``wiener``, then
+  ``lrw``, ``jpc`` and ``lsjpc`` at the fixed level l = m // 4 (below the
+  ladder top of every length of the paper's grid), from the decompositions
+  the phases made; ``lrw``'s takes in its n x n ``eig_wiener``, which no
+  phase makes. The ``cond_y`` phase makes both products of c_y's one
+  factorization: its extremes, and the
   m x n Wiener solve c_y^-1 c_xy' (about 17 ms at m=3200, n=7, one BLAS
   thread on a 2-vCPU Xeon VM), so a ``--rev`` comparison with a revision
   that solved later shows that solve in this phase. Under ``calls``, each
@@ -73,6 +78,8 @@ FILTERS = "wiener,lrw,jpc,lsjpc"
 # decompositions, by attribute, then best_l_search of each kind.
 PHASES = ("eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
 COUNTED = ("factor_spd", "sym_eig", "sym_eigvals")
+# The kinds a phases process builds once each after the phases, in order.
+BUILT = ("wiener", "lrw", "jpc", "lsjpc")
 # The benchmark's sweep-l workloads, each timed in a process of its own.
 SWEEP_L = ("sweep-l-m400", "sweep-l-illcond")
 
@@ -193,6 +200,11 @@ def child(task: str, series_csv: Path, m_grid: list[int], src: Path) -> dict:
             out[f"{name}_s"] = time.perf_counter() - started
             out["calls"][name] = copy.deepcopy(calls)
             out["builds"][name] = dict(builds)
+        for kind in BUILT:
+            build = filters.FILTER_CONSTRUCTORS[filters.FilterKind(kind)]
+            started = time.perf_counter()
+            build(model, m // 4)
+            out[f"build_{kind}_s"] = time.perf_counter() - started
         out["ladder_top"] = cache.ladder_top
     out["vm_hwm_mb"] = vm_hwm_mb()
     out["calibration_s"].append(run.calibrate())
