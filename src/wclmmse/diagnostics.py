@@ -8,7 +8,6 @@ and a grid line search for the truncation level.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +21,11 @@ from .filters import (
     LinearFilter,
     _effective_level,
     _kind,
-    _lsjpc_system,
+    _lsjpc_solve,
     _stacked,
     wiener,
 )
-from .linalg import _as_count, _count_grid, _symmetric_part, matrix_norm, solve_spd
+from .linalg import _as_count, _count_grid, _symmetric_part, matrix_norm
 from .model import _MSE_ATOL, CovarianceModel, _search_grid
 
 __all__ = [
@@ -254,10 +253,9 @@ def _lsjpc_estimate(model: CovarianceModel, l: int) -> tuple[float, float]:
     |q - analytic_mse(lsjpc(l))|, both in O(n^2 l).
 
     w = (Y_l'Y_l)^-1 X_l' are the unrefined weights of
-    :func:`~wclmmse.filters.lsjpc`, from the same factored system, as
-    (I_l - X_l'X_l)^-1 X_l' below n and X_l'(I_n - X_l X_l')^-1 from n up,
-    and B_l = Y_l' c_xy' is the first l rows of ``_top_map``'s transpose.
-    The bottom rows of the
+    :func:`~wclmmse.filters.lsjpc`, from the same SVD of X_l
+    (:func:`~wclmmse.filters._lsjpc_solve`), and B_l = Y_l' c_xy' is the
+    first l rows of ``_top_map``'s transpose. The bottom rows of the
     joint eigen-equation, c_y Y_l = Y_l Lambda_l - c_xy' X_l, turn the
     MSE tr c_x - 2<B_l, w> + tr(w' Y_l'c_y Y_l w) into
     q = tr c_x - 2<B_l, w> + <w, Lambda_l w> - <X_l Lambda_l w, X_l w>
@@ -266,16 +264,15 @@ def _lsjpc_estimate(model: CovarianceModel, l: int) -> tuple[float, float]:
     orthonormal eigenbasis: to about lambda_1 (delta + d eps), delta
     being ``basis_defect``, in each term quadratic in w, and so
     e = 16 lambda_1 (delta + d eps)(1 + ||w||_F^2). The factor 16 is a
-    margin, not a proof: e was at least 4.3e3 times |q - MSE| at every
-    grid level of the search tests' four models and of the
-    window-length benchmark's (m = 400..1200, seeds 0, 1, 5, 7), and
-    at least 21 times on the property tests' models of d <= 104, whose
-    gap is the rounding of the sums themselves.
-    Raises :class:`SingularMatrixError` where the system cannot be solved.
+    margin, not a proof: e was at least 3.4e3 times |q - MSE| at every
+    grid level of the search tests' four models and of the window-length
+    benchmark's (m = 400..1200, seeds 0, 1, 5, 7), at one and at two BLAS
+    threads, and at least 24 times on the property tests' models of
+    d <= 104, whose gap is the rounding of the sums themselves.
     """
     cache = model.spectral
-    x, small, system = _lsjpc_system(model, l)
-    w = solve_spd(system, x.T) if small else solve_spd(system, x).T
+    x = cache.x_block(l)
+    w = _lsjpc_solve(model, l, x.T)
     lam = cache.leading_eigenvalues(l)
     b = cache._top_map[:, :l].T
     xw = x @ w
@@ -291,15 +288,13 @@ def _lsjpc_estimate(model: CovarianceModel, l: int) -> tuple[float, float]:
 def _lsjpc_order(model: CovarianceModel, grid: range) -> list[tuple[float, int]]:
     """The grid levels up to ``ladder_top`` as sorted (q - e, l) pairs, from
     ``lsjpc``'s estimated MSE q and its error bound e
-    (:func:`_lsjpc_estimate`), so a lower bound on the level's build. A
-    level whose estimate cannot be solved or is not finite is at -inf."""
+    (:func:`_lsjpc_estimate`), so a lower bound on the level's build. Each
+    is finite: ||X_l||_2 does not fall with l, so 1 - s_1^2 is at least
+    the rank check's floor, less rounding, at every level up to the top."""
     order = []
     for l in (l for l in grid if l <= model.spectral.ladder_top):
-        bound = -np.inf
-        with suppress(SingularMatrixError):
-            q, e = _lsjpc_estimate(model, l)
-            bound = q - e if np.isfinite(q - e) else -np.inf
-        order.append((bound, l))
+        q, e = _lsjpc_estimate(model, l)
+        order.append((q - e, l))
     return sorted(order)
 
 

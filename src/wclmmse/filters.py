@@ -13,14 +13,14 @@ decomposed at most once however many filters and levels are built:
 * ``jpc`` / ``lsjpc`` -- truncations of the joint-covariance eigenbasis
   that never invert anything larger than L x L: B_L' S_L^-1 Y_L', with
   S_L = Y_L' c_y Y_L and B_L' = c_xy Y_L for ``jpc``, and S_L = Y_L'Y_L
-  and B_L' = X_L for ``lsjpc``, which solves it as a min(L, N) system.
+  and B_L' = X_L for ``lsjpc``, which inverts S_L by the SVD of X_L.
   ``jpc`` is ``wiener_structured`` through Y_L' where its ladder does not reach L.
 * ``jpc_simplified`` / ``lsjpc_simplified`` -- inverse-free approximations
   that keep their kind's map B_L' and drop S_L.
 * ``weighted_filter`` -- any of the above under a weighted-trace objective.
 
 No constructor ever forms an explicit M x M inverse; every ``inv(.) @``
-in the defining formulas is realized as a linear solve, and each filter
+in the defining formulas but ``lsjpc``'s is a linear solve, and each filter
 carries a ``max_inverse_dim`` certificate: the dimension of the largest
 system its construction solves, stated once per kind by
 :func:`_certificate`. ``wiener`` and ``lrw`` read the model's one M x M
@@ -156,8 +156,8 @@ def _certificate(kind: FilterKind, m: int, l: int | None) -> int:
     For ``jpc`` it stays L where a level is built from the model's ladder:
     the factor call there is top x top, but level L reads only U_L, the
     factor of its own L x L system (see :class:`~wclmmse.model.Ladder`).
-    ``lsjpc``'s largest solve is min(L, N), which is at most L; its
-    certificate states L, the bound ``perfbench/checks.py`` expects.
+    ``lsjpc`` solves no system; its certificate states L, the bound
+    ``perfbench/checks.py`` expects.
     """
     if kind in (FilterKind.JPC, FilterKind.LSJPC, FilterKind.WIENER_STRUCTURED):
         return l
@@ -276,12 +276,13 @@ def jpc(model: CovarianceModel, l: int) -> LinearFilter:
     return _at_level(FilterKind.JPC, model, l, matrix)
 
 
-def _lsjpc_system(model: CovarianceModel, l: int) -> tuple[NDArray[np.float64], bool, SPDFactor]:
-    """X_l, whether l < n, and ``lsjpc``'s one factored system at level
-    l: I_l - X_l'X_l below n, I_n - X_l X_l' from n up."""
-    x = model.spectral.x_block(l)
-    small = l < model.n
-    return x, small, factor_spd(np.eye(l) - x.T @ x if small else np.eye(model.n) - x @ x.T)
+def _lsjpc_solve(model: CovarianceModel, l: int, r) -> NDArray[np.float64]:
+    """M r = (Y_l'Y_l)^-1 r with no system solved. The joint basis is
+    orthonormal, so Y_l'Y_l = I - X_l'X_l, and the thin SVD X_l = U S V'
+    of the rank check (``model.spectral.x_svd``) diagonalizes it:
+    M = I + V g V' with g = S^2 (I - S^2)^-1, at every l."""
+    s, vt = model.spectral.x_svd(l)
+    return r + vt.T @ ((s**2 / (1.0 - s**2))[:, None] * (vt @ r))
 
 
 def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
@@ -289,24 +290,19 @@ def lsjpc(model: CovarianceModel, l: int) -> LinearFilter:
 
     Resolves the input onto the range of the Y-block basis and maps the
     coordinates through the X block: X_l (Y_l'Y_l)^-1 Y_l', once
-    ``check_y_rank`` passes. Not Wiener-structured. Its one system is
-    min(l, n) x min(l, n), with no Gram of Y_l formed: the basis is
-    orthonormal, so w = (Y_l'Y_l)^-1 X_l' is M X_l' with
-    M = (I_l - X_l'X_l)^-1 for l < n, else, pushed through,
-    M r = r + X_l' (I_n - X_l X_l')^-1 X_l r: one min(l, n) system,
-    factored once. M is exact only as far as the basis is orthonormal,
-    so one step of iterative refinement against Y_l itself,
-    w += M (X_l' - Y_l'(Y_l w)) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., ch. 12), follows; the filter is w' Y_l'.
+    ``check_y_rank`` passes. Not Wiener-structured. It solves no system
+    and forms no Gram of Y_l: w = (Y_l'Y_l)^-1 X_l' is M X_l', with M read
+    from the SVD of X_l that the rank check took (:func:`_lsjpc_solve`).
+    M is exact only as far as the basis is orthonormal, so one step of
+    iterative refinement against Y_l itself, w += M (X_l' - Y_l'(Y_l w))
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 12), follows; the filter is w' Y_l'.
     """
-    model.spectral.check_y_rank(l)
-    x, small, system = _lsjpc_system(model, l)
-    y = model.spectral.y_block(l)
-
-    def inverse(r):  # M r
-        return solve_spd(system, r) if small else r + x.T @ solve_spd(system, x @ r)
-    w = inverse(x.T)
-    w += inverse(x.T - y.T @ (y @ w))
+    cache = model.spectral
+    cache.check_y_rank(l)
+    x, y = cache.x_block(l), cache.y_block(l)
+    w = _lsjpc_solve(model, l, x.T)
+    w += _lsjpc_solve(model, l, x.T - y.T @ (y @ w))
     return _at_level(FilterKind.LSJPC, model, l, w.T @ y.T)
 
 
@@ -386,7 +382,7 @@ def is_l_well_conditioned(filt: LinearFilter, l: int) -> bool:
     A ``jpc`` level built from the model's ladder counts as l: the
     ladder's one factorization is top x top, but the level reads only the
     leading l x l block of its factor, the factor of its own l x l system.
-    ``lsjpc``'s largest solve is min(l, n), which is at most l.
+    ``lsjpc`` solves no system at all.
     """
     return filt.max_inverse_dim <= l
 

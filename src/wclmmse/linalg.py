@@ -4,7 +4,7 @@ Thin, reproducibility-minded wrappers around LAPACK (via numpy/scipy):
 symmetric eigendecomposition and eigenvalues, SPD inverse square root,
 SPD systems (factored by :func:`factor_spd`, solved by :func:`solve_spd`,
 Cholesky or LU), the two extreme eigenvalues by Lanczos, condition
-numbers, and norms.
+numbers, the thin SVD, and norms.
 
 Determinism conventions
 -----------------------
@@ -41,7 +41,7 @@ __all__ = [
     "factor_spd",
     "solve_spd",
     "nuclear_norm",
-    "spectral_norm",
+    "thin_svd",
     "matrix_norm",
 ]
 
@@ -327,10 +327,12 @@ def nuclear_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value; 0 for an empty matrix."""
-    a = _as_matrix(a, "spectral_norm input")
-    return float(np.linalg.svd(a, compute_uv=False).max(initial=0.0))
+def thin_svd(a) -> tuple[NDArray[np.float64], Matrix]:
+    """The thin SVD A = U diag(s) V' of a p x q matrix without U: s
+    descending, and V' of k = min(p, q) rows."""
+    a = _as_matrix(a, "thin_svd input")
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    return s, vt
 
 
 def matrix_norm(a, kind: str = "nuclear") -> float:

@@ -43,8 +43,8 @@ from .linalg import (
     _symmetric_part,
     factor_spd,
     solve_spd,
-    spectral_norm,
     sym_eig,
+    thin_svd,
 )
 
 __all__ = [
@@ -229,7 +229,7 @@ _SWEEP_READS = {
     "lrw": ("eig_wiener",),
     "csw": ("csw_ranking",),
     "jpc": ("eig_z", "jpc_ladder"),
-    "lsjpc": ("eig_z",),
+    "lsjpc": ("eig_z", "_top_map"),
     "jpc_simplified": ("eig_z",),
     "lsjpc_simplified": ("eig_z",),
 }
@@ -257,8 +257,9 @@ class SpectralCache:
     * ``jpc_ladder``: ``jpc``'s :class:`Ladder`, its system S_l at
       ``ladder_top`` factored once, from which ``filters.jpc`` builds the
       levels it reaches: all of them up to the top on a joint within the
-      ``_LADDER_RCOND`` bound. ``lsjpc`` has no ladder: it factors one
-      min(l, n) system per level.
+      ``_LADDER_RCOND`` bound.
+    * ``x_svd``: the n x l SVD of each X_l, which the rank check and
+      ``lsjpc`` read; ``lsjpc`` has no ladder and solves no system.
     * ``_top_map``: the n x top map c_xy Y at ``ladder_top``, formed once.
       ``jpc_ladder`` solves it for z, and ``diagnostics._lsjpc_estimate``
       reads its first l columns as B_l', so that the ``best`` search of
@@ -282,7 +283,7 @@ class SpectralCache:
     def __init__(self, model: CovarianceModel):
         self.n, self.m = model.n, model.m
         self.c_x, self.c_y, self.c_xy = model.c_x, model.c_y, model.c_xy
-        self._margins: dict[int, float] = {}
+        self._x_svds: dict[int, tuple[NDArray[np.float64], NDArray[np.float64]]] = {}
         self._sweep_levels: tuple[int, ...] = ()
 
     @cached_property
@@ -319,20 +320,24 @@ class SpectralCache:
         y = self.y_block(l)
         return float(np.linalg.norm(y.T @ y - np.eye(l)))
 
+    def x_svd(self, l: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(s, V') of X_l = ``x_block(l)`` = U diag(s) V' by
+        ``linalg.thin_svd``, made once per level and kept."""
+        svd = self._x_svds.get(self._check_l(l))
+        if svd is None:
+            svd = self._x_svds[l] = thin_svd(self.x_block(l))
+        return svd
+
     def check_y_rank(self, l: int) -> float:
         """Return sigma_min(Y_l)^2 for ``Y_l = y_block(l)``; raise
         :class:`RankError` when Y_l is rank-deficient.
 
         The joint basis is orthonormal, so Y_l'Y_l = I - X_l'X_l and
-        sigma_min(Y_l)^2 = 1 - ||X_l||_2^2, which an n x l SVD gives. The
-        floor on it is 1e-12: rounding leaves 1 - ||X_l||^2 uncertain by a
-        few eps, so it cannot resolve a singular-value ratio as small as
-        the 1e-10 an m x l SVD of Y_l can. Each level's margin is computed
-        once and kept.
+        sigma_min(Y_l)^2 = 1 - s_1^2, s_1 = ||X_l||_2 from :meth:`x_svd`.
+        The floor on it is 1e-12: rounding leaves 1 - s_1^2 uncertain by a
+        few eps, which cannot resolve the 1e-10 ratio an SVD of Y_l can.
         """
-        margin = self._margins.get(self._check_l(l))
-        if margin is None:
-            margin = self._margins[l] = 1.0 - spectral_norm(self.x_block(l))**2
+        margin = 1.0 - float(self.x_svd(l)[0].max(initial=0.0))**2
         if margin <= _Y_RANK_FLOOR:
             raise RankError(
                 f"Y rows of the leading {l} joint eigenvectors are rank-deficient"
@@ -364,6 +369,7 @@ class SpectralCache:
         * ``jpc``'s ladder, its one factored system at ``ladder_top``, which
           ``levels`` join the ``best`` grid in setting, so that no level the
           sweep asks for factors a system of its own above the ladder;
+        * ``_top_map`` at that top, for ``lsjpc``'s ``best`` search;
         * ``wiener_solve``, the one solve c_y^-1 c_xy', for ``wiener``,
           which a sweep's ``cond_y`` has made with the extremes of c_y; it
           and the n x n ``eig_wiener`` for ``lrw``;

@@ -152,20 +152,26 @@ def live_spd_factors(dim):
             if isinstance(obj, linalg.SPDFactor) and obj.dim == dim]
 
 
-@pytest.fixture
-def sym_eig_shapes(monkeypatch):
-    """Shapes of the matrices handed to ``sym_eig`` anywhere in the package."""
+def linalg_shapes(monkeypatch, kernel):
+    """Shapes of the matrices handed to the ``linalg`` function ``kernel``
+    anywhere in the package."""
     shapes = []
-    original = linalg.sym_eig
+    original = getattr(linalg, kernel)
 
     def counting(a):
         shapes.append(np.shape(a))
         return original(a)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "wclmmse" and getattr(module, "sym_eig", None) is original:
-            monkeypatch.setattr(module, "sym_eig", counting)
+        if name.split(".")[0] == "wclmmse" and getattr(module, kernel, None) is original:
+            monkeypatch.setattr(module, kernel, counting)
     return shapes
+
+
+@pytest.fixture
+def sym_eig_shapes(monkeypatch):
+    """Shapes of the matrices handed to ``sym_eig`` anywhere in the package."""
+    return linalg_shapes(monkeypatch, "sym_eig")
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from conftest import (
     direct_joint_build,
     haar_model,
     jpc_bounds,
+    linalg_shapes,
 )
 from wclmmse import (
     CovarianceModel,
@@ -434,6 +435,21 @@ class TestBestLSearch:
         found = best_l_search(model, FilterKind.LSJPC)
         assert builds == [found[0]]
         assert found[:2] == _exhaustive_search(model, FilterKind.LSJPC)
+
+    def test_each_x_block_is_decomposed_once(self, monkeypatch):
+        # lsjpc's search, then lsjpc and jpc at the level it picks: every
+        # X_l goes to the SVD kernel once, for the rank check, the
+        # estimate and the build alike, and no n x n system is factored
+        model = _SEARCH_MODELS["ar1_n7_m200"]()
+        decomposed = linalg_shapes(monkeypatch, "thin_svd")
+        factored = linalg_shapes(monkeypatch, "factor_spd")
+        l_best = best_l_search(model, FilterKind.LSJPC)[0]
+        for kind in (FilterKind.LSJPC, FilterKind.JPC):
+            FILTER_CONSTRUCTORS[kind](model, l_best)
+        levels = [shape[1] for shape in decomposed]
+        assert {shape[0] for shape in decomposed} == {model.n}
+        assert l_best in levels and len(levels) == len(set(levels))
+        assert (model.n, model.n) not in factored
 
     @pytest.mark.parametrize("kind", [FilterKind.JPC, FilterKind.LSJPC, FilterKind.LRW])
     def test_returns_the_build_it_scored(self, kind):

@@ -14,6 +14,7 @@ from conftest import (
     assert_near_the_lsjpc_oracle,
     direct_joint_build,
     haar_model,
+    linalg_shapes,
     live_spd_factors,
     lsjpc_oracle,
     tail_mixed_model,
@@ -429,22 +430,14 @@ class TestLadder:
 
     def test_built_once_per_model_and_kind(self, monkeypatch):
         # jpc's ladder factors its top system once; lsjpc has no ladder and
-        # factors only its n x n system, once per level
+        # factors nothing
         model = haar_model(7, 120, ratio=0.9, seed=1)
-        factored = []
-        original = linalg.factor_spd
-
-        def recording(a):
-            factored.append(np.shape(a))
-            return original(a)
-
-        for module in ("wclmmse.model", "wclmmse.filters"):
-            monkeypatch.setattr(sys.modules[module], "factor_spd", recording)
+        factored = linalg_shapes(monkeypatch, "factor_spd")
         for l in (10, 50, 100):
             jpc(model, l)
             lsjpc(model, l)
         top = model.spectral.ladder_top
-        assert factored == [(top, top)] + [(7, 7)] * 3
+        assert factored == [(top, top)]
 
     @pytest.mark.parametrize("l", [48, 49])
     def test_above_the_top_is_the_structured_filter_bit_for_bit(self, l):
@@ -677,14 +670,7 @@ class TestSpectralCache:
     def test_rank_check_computes_each_level_once(self, monkeypatch):
         # jpc and lsjpc at one level share its SVD; a level at or below the
         # floor still raises on every call
-        norms = []
-        original = linalg.spectral_norm
-
-        def counting(a):
-            norms.append(np.shape(a))
-            return original(a)
-
-        monkeypatch.setattr(sys.modules["wclmmse.model"], "spectral_norm", counting)
+        norms = linalg_shapes(monkeypatch, "thin_svd")
         model = haar_model(2, 6, ratio=0.6, seed=30)
         for _ in range(2):
             jpc(model, 3)
@@ -857,8 +843,8 @@ class TestWellConditionedCertificates:
         # triangular solve with that level's own factor U_l, of order its
         # first argument. Each build runs on a fresh model, so the model's
         # lazy solves fall inside the spy too, except jpc's ladder: its one
-        # top x top factorization is made before. lsjpc's largest solve is
-        # min(l, n), within its certificate l.
+        # top x top factorization is made before. lsjpc solves nothing,
+        # within its certificate l.
         solved = []
 
         def spy(name, original):
@@ -888,7 +874,7 @@ class TestWellConditionedCertificates:
                 else:
                     assert largest <= filt.max_inverse_dim, (kind, l)
                 if kind is FilterKind.LSJPC:
-                    assert largest == min(l, model.n), l
+                    assert largest == 0, l
         # c_y is indefinite in float64, so Cholesky fails and LU solves
         solved.clear()
         filt = wiener(haar_model(2, 16, ratio=0.05, seed=0))

@@ -212,9 +212,9 @@ class TestRunLSweep:
         # levels below the top that the ladder does not reach: none at
         # ratio 0.97, whose joint is within the bound, so the ladder reaches
         # every level up to its top; at ratio 0.9 the top it does not reach
-        # reuses the ladder's factor. lsjpc has no top system: it factors
-        # one n x n system at each level that passes. All of it on the
-        # sweep's own model: the caller's model keeps the grid's top
+        # reuses the ladder's factor. lsjpc has no top system and factors
+        # nothing: no n x n system at any level. All of it on the sweep's
+        # own model: the caller's model keeps the grid's top
         prepared = _record_prepared(monkeypatch)
         factored = _record_cho_factor(monkeypatch)
         tops = {0.97: {400: (382, 400), 300: (382, 382)},
@@ -250,7 +250,7 @@ class TestRunLSweep:
             large = [a for a in factored if np.shape(a) != (7, 7) and a is not own.c_y]
             assert len(large) == len(expected)
             assert all(_factorizations_of(large, system) == 1 for system in expected)
-            assert len(factored) - 1 - len(large) == len(passing)
+            assert all(np.shape(a) != (7, 7) for a in factored)
 
     def test_l_sweep_leaves_the_callers_model_as_it_was(self):
         # a sweep up to l=m raises its ladders' top from the grid's 382 to
@@ -364,13 +364,14 @@ class TestRunLSweep:
 
 def _guard_timed_cells(monkeypatch):
     """Fail any decomposition made while :meth:`LPolicy.choose` builds a
-    timed cell: a ``sym_eig``, ``sym_eigvals`` or ``jpc_ladder`` call, a
-    ``factor_spd`` of the m x m c_y, or a product with c_y
+    timed cell: a ``sym_eig`` or ``sym_eigvals`` call, the making of
+    ``ladder_top``, ``_top_map`` or ``jpc_ladder``, a ``factor_spd`` of
+    the m x m c_y, or a product with c_y
     (``_structured_system``) at a level up to the ladder's top, which
     ``jpc`` reads from its ladder. Returns how often each guarded call ran
     outside the cells, and under ``cells`` how many cells were built."""
-    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "jpc_ladder", "factor_spd",
-                            "_structured_system"), 0)
+    counts = dict.fromkeys(("cells", "sym_eig", "sym_eigvals", "ladder_top", "_top_map",
+                            "jpc_ladder", "factor_spd", "_structured_system"), 0)
     building = []  # the model of the cell being built, while one is
     choose = LPolicy.choose
 
@@ -395,10 +396,11 @@ def _guard_timed_cells(monkeypatch):
         return True
 
     monkeypatch.setattr(LPolicy, "choose", timed)
-    ladder = functools.cached_property(
-        guarded("jpc_ladder", SpectralCache.jpc_ladder.func, anything))
-    ladder.__set_name__(SpectralCache, "jpc_ladder")
-    monkeypatch.setattr(SpectralCache, "jpc_ladder", ladder)
+    for name in ("ladder_top", "_top_map", "jpc_ladder"):
+        made = functools.cached_property(
+            guarded(name, vars(SpectralCache)[name].func, anything))
+        made.__set_name__(SpectralCache, name)
+        monkeypatch.setattr(SpectralCache, name, made)
 
     def up_to_the_top(model, c_y, b):
         return len(b) <= model.spectral.ladder_top
@@ -448,6 +450,18 @@ class TestTimedCells:
         # c_y and the jpc ladder's top system are factored once per model
         assert counts["jpc_ladder"] == 2 and counts["sym_eigvals"] == 0
         assert counts["factor_spd"] == 2 * 2
+
+    def test_m_sweep_of_lsjpc_alone(self, monkeypatch):
+        # lsjpc's best search reads the ladder top and the n x top map,
+        # which the sweep makes for it, with no jpc ladder, before it times
+        # any cell
+        counts = _guard_timed_cells(monkeypatch)
+        rows = run_m_sweep(ar1_series(1500, phi=0.95, seed=0), [100, 200], 7, ["lsjpc"],
+                           LPolicy(mode="best"), seed=0)
+        assert counts["cells"] == len(rows) == 2
+        assert all(np.isfinite(r.norm_rms) for r in rows)
+        assert counts["ladder_top"] == counts["_top_map"] == 2
+        assert counts["jpc_ladder"] == 0
 
     def test_l_sweep_of_jpc_on_the_illcond_model(self, monkeypatch):
         # the benchmark's sweep-l-illcond model at seed 7: the rcond gate
@@ -619,18 +633,15 @@ class TestRunMSweep:
     def test_best_policy_factors_only_lsjpcs_n_by_n_systems(self, monkeypatch):
         # on the same model lsjpc's search estimates every grid level up to
         # the top grid level that passes the rank check, 242, and builds
-        # those its estimates do not rule out, the top among them; each
-        # estimate and each build factors its own n x n system, with no
-        # l x l Gram, and the row is bit for bit a fixed row; before them
-        # cho_factor sees only c_y, once, for the row's cond_cy. The MSEs
-        # there are rounding noise, so the level picked depends on the
-        # BLAS thread count; it must be the one building and scoring every
-        # grid level here picks
+        # those its estimates do not rule out, the top among them; no
+        # estimate and no build factors a system, so cho_factor sees only
+        # c_y, once, for the row's cond_cy, and the row is bit for bit a
+        # fixed row. The MSEs there are rounding noise, so the level picked
+        # depends on the BLAS thread count; it must be the one building and
+        # scoring every grid level here picks
         row, model, factored, built = _search_rank_deficient_m250(monkeypatch, "lsjpc")
         assert 242 in built
-        assert factored[0] is model.c_y
-        estimated = [l for l in _search_grid(model) if l <= 242]
-        assert [np.shape(a) for a in factored[1:]] == [(2, 2)] * (len(estimated) + len(built))
+        assert len(factored) == 1 and factored[0] is model.c_y
         mse = {}
         for l in _search_grid(model):
             try:

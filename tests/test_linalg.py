@@ -25,8 +25,8 @@ from wclmmse.linalg import (
     SPDFactor,
     _spd_extremes,
     _spectral_condition,
-    spectral_norm,
     sym_eigvals,
+    thin_svd,
 )
 
 
@@ -363,9 +363,22 @@ class TestNorms:
         with pytest.raises(ValueError):
             matrix_norm(a, "spectral")
 
-    def test_spectral_norm(self):
-        assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
-        assert spectral_norm(np.zeros((0, 3))) == 0.0
+    def test_thin_svd(self):
+        # singular values descending and the k x q right vectors V', k =
+        # min(p, q), with A = U diag(s) V' for orthonormal U
+        s, vt = thin_svd(np.diag([3.0, -4.0]))
+        np.testing.assert_allclose(s, [4.0, 3.0], rtol=1e-15)
+        a = np.random.default_rng(5).standard_normal((3, 8))
+        s, vt = thin_svd(a)
+        assert s.shape == (3,) and vt.shape == (3, 8) and np.all(np.diff(s) <= 0.0)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-14)
+        u = a @ vt.T / s  # A V S^-1
+        np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-14)
+        s, vt = thin_svd(np.zeros((0, 3)))
+        assert s.shape == (0,) and vt.shape == (0, 3)
+        with pytest.raises(NumericInputError):
+            thin_svd(np.array([[np.nan, 0.0]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericInputError):

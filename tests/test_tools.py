@@ -27,15 +27,17 @@ def test_bench_writes_medians_per_phase(tmp_path):
     names = ("setup", "eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
     for name in names + tuple(f"build_{kind}" for kind in ("wiener", "lrw", "jpc", "lsjpc")):
         assert phases[f"{name}_s"] >= 0.0 and phases[f"{name}_s_cal"] >= 0.0
-    # calls by the dimension of their matrix: the joint eigh at d = 67,
+    # calls by the row count of their matrix: the joint eigh at d = 67,
     # c_y's Cholesky factorization for cond_y, with no eigvalsh, and
-    # lsjpc's search factors nothing larger than n = 7
+    # lsjpc's search factors nothing: it reads the n x l SVDs of the X_l
     calls = phases["calls"]
     assert set(calls) == set(names)
-    assert calls["eig_z"] == {"factor_spd": {}, "sym_eig": {"67": 1}, "sym_eigvals": {}}
-    assert calls["cond_y"] == {"factor_spd": {"60": 1}, "sym_eig": {}, "sym_eigvals": {}}
+    none = {"factor_spd": {}, "sym_eig": {}, "sym_eigvals": {}, "thin_svd": {}}
+    assert calls["eig_z"] == {**none, "sym_eig": {"67": 1}}
+    assert calls["cond_y"] == {**none, "factor_spd": {"60": 1}}
     assert calls["jpc_ladder"]["factor_spd"] == {str(phases["ladder_top"]): 1}
-    assert set(calls["best_lsjpc"]["factor_spd"]) == {"7"}
+    assert calls["best_lsjpc"]["factor_spd"] == {}
+    assert set(calls["best_lsjpc"]["thin_svd"]) == {"7"}
     # each search builds the one level it picks, of its own kind, and no
     # other phase builds a filter
     assert phases["builds"] == {**{name: {} for name in names[1:-2]},

@@ -27,10 +27,11 @@ synthetic model of that seed; the JSON records both:
   m x n Wiener solve c_y^-1 c_xy' (about 17 ms at m=3200, n=7, one BLAS
   thread on a 2-vCPU Xeon VM), so a ``--rev`` comparison with a revision
   that solved later shows that solve in this phase. Under ``calls``, each
-  phase's ``factor_spd``, ``sym_eig`` and ``sym_eigvals`` calls, counted
-  by the dimension of the matrix handed in, so that n x n factorizations
-  stay apart from the O(d^3) ones; under ``builds``, each phase's filter
-  builds, counted by kind;
+  phase's ``factor_spd``, ``sym_eig``, ``sym_eigvals`` and ``thin_svd``
+  calls, counted by the row count of the matrix handed in, so that n x n
+  factorizations stay apart from the O(d^3) ones (a revision without one
+  of these kernels counts none of it); under ``builds``, each phase's
+  filter builds, counted by kind;
 * ``sweep_l``, one process per synthetic model of the benchmark's
   ``sweep-l`` workloads (``SWEEP_L``), made as ``perfbench/run.py`` makes
   it at seed ``SEED`` (m=400, n=7): ``wclmmse sweep-l`` over l=10..400 in
@@ -77,7 +78,7 @@ FILTERS = "wiener,lrw,jpc,lsjpc"
 # What a phases process times after the set-up, in order: the model's
 # decompositions, by attribute, then best_l_search of each kind.
 PHASES = ("eig_z", "cond_y", "ladder_top", "jpc_ladder", "best_jpc", "best_lsjpc")
-COUNTED = ("factor_spd", "sym_eig", "sym_eigvals")
+COUNTED = ("factor_spd", "sym_eig", "sym_eigvals", "thin_svd")
 # The kinds a phases process builds once each after the phases, in order.
 BUILT = ("wiener", "lrw", "jpc", "lsjpc")
 # The benchmark's sweep-l workloads, each timed in a process of its own.
@@ -105,6 +106,8 @@ def count_calls(linalg) -> dict:
         return call
 
     for name in COUNTED:
+        if not hasattr(linalg, name):  # a revision without this kernel
+            continue
         original = getattr(linalg, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "wclmmse" and getattr(module, name, None) is original:
